@@ -24,7 +24,6 @@ from .lpbound import (
     verify_certificate,
 )
 from .orders import enumerate_shell, shell_count_formula
-from .parallel import default_threads
 from .qseries import QSERIES_NAMES, qseries
 from .quat import Quaternion
 from .strength import harmonic_strength, molien_closed_form, molien_series
@@ -44,7 +43,6 @@ class RunConfig:
     subcommand: str
     fmt: str
     budget: Budget
-    threads: int
 
 
 def _frac(q: Fraction) -> str:
@@ -290,7 +288,7 @@ def cmd_qseries(args, cfg: RunConfig) -> int:
 
 def cmd_verify_paper(args, cfg: RunConfig) -> int:
     only = set(args.check) if args.check else None
-    results = run_all(cfg.budget, only=only, threads=cfg.threads)
+    results = run_all(cfg.budget, only=only)
     if args.format == "json":
         payload = [
             {
@@ -378,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="append", metavar="ID",
                    help="run only the named check (repeatable); "
                         f"ids: {', '.join(cid for cid, _ in ALL_CHECKS)}")
-    p.add_argument("--threads", type=int, default=default_threads())
     p.add_argument("--budget", dest="budget_local",
                    choices=("desk", "small", "unbounded"), default=None)
     _fmt(p)
@@ -414,7 +411,6 @@ def main(argv=None) -> int:
             subcommand=args.subcommand,
             fmt=getattr(args, "format", "text"),
             budget=get_budget(budget_name),
-            threads=getattr(args, "threads", 1),
         )
         return _DISPATCH[args.subcommand](args, cfg)
     except ResourceBudgetError as exc:

@@ -160,6 +160,9 @@ class QuadElem:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
+    def __bool__(self) -> bool:
+        return self.a != 0 or self.b != 0
+
     def is_rational(self) -> bool:
         return self.b == 0
 
@@ -249,6 +252,43 @@ def _frac_str(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+# -- sparse row echelon -----------------------------------------------------
+#
+# A sparse vector is a dict {sortable key: field element} without zero
+# entries.  The field elements may be Fractions, QuadElems or any type with
+# the same ring operations, 1 / x, and bool(x) false exactly at zero.  An
+# echelon is a dict {pivot: row}: each row is 1 at its pivot, the smallest
+# key it had when stored, and has no entry at the pivot of any earlier row,
+# so reducing against the rows in insertion order clears every pivot.
+
+def reduce(vec: dict, echelon: dict) -> dict:
+    """vec minus the combination of echelon rows that clears every pivot."""
+    cur = {k: v for k, v in vec.items() if v}
+    for pivot, row in echelon.items():
+        c = cur.get(pivot)
+        if c is None:
+            continue
+        for k, v in row.items():
+            old = cur.get(k)
+            new = -(c * v) if old is None else old - c * v
+            if new:
+                cur[k] = new
+            else:
+                del cur[k]
+    return cur
+
+
+def insert(vec: dict, echelon: dict) -> bool:
+    """Add vec to the echelon if it is independent of it; True if added."""
+    cur = reduce(vec, echelon)
+    if not cur:
+        return False
+    pivot = min(cur)
+    inv = 1 / cur[pivot]
+    echelon[pivot] = {k: v * inv for k, v in cur.items()}
+    return True
 
 
 # -- named operations -------------------------------------------------------

@@ -25,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 
 from .budget import Budget, get_budget
-from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, iota, rat
+from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, insert, iota, rat, reduce
 from .groups import build_group, omega, alpha, beta, zeta
 from .quat import Quaternion, inner, norm, qmul
 
@@ -131,64 +131,35 @@ def embed_coords(label: str, coords) -> Quaternion:
     return acc
 
 
+# a quaternion flattens to 8 rational components (a and b part of each
+# coordinate), keyed 0..7; the coordinate tag e_j of basis vector j is key 8+j
+_FLAT = 8
+
+
+def _flatten_quat(q: Quaternion) -> dict[int, Fraction]:
+    return {2 * i + part: c.b if part else c.a
+            for i, c in enumerate(q.coords) for part in (0, 1)}
+
+
 @lru_cache(maxsize=None)
-def _coordinate_solver(label: str):
-    """Inverse of the embedding as an exact rational matrix."""
-    basis = order_basis(label)
-    n = len(basis)
-    # flatten a quaternion into 2*4 rational components (a and b parts)
-    cols = [_flatten_quat(g) for g in basis]
-    dim = len(cols[0])
-    mat = [[cols[j][i] for j in range(n)] for i in range(dim)]
-    if dim != n:
-        # 2T: rational quaternions give 4 meaningful components
-        mat = [row for row in mat if any(row)]
-        if len(mat) != n:
-            raise AssertionError("embedding matrix is not square after pruning")
-    return _invert_fraction_matrix(mat)
-
-
-def _flatten_quat(q: Quaternion) -> list[Fraction]:
-    out = []
-    for c in q.coords:
-        out.append(c.a)
-        out.append(c.b)
-    return out
+def _coordinate_echelon(label: str) -> dict:
+    """Echelon of the rows [flatten(b_j) | e_j] over the order basis b_j."""
+    echelon: dict = {}
+    for j, g in enumerate(order_basis(label)):
+        if not insert({**_flatten_quat(g), _FLAT + j: Fraction(1)}, echelon):
+            raise AssertionError(f"order basis of {label} is linearly dependent")
+    return echelon
 
 
 def coords_of(label: str, q: Quaternion) -> tuple[int, ...]:
     """Integer coordinates of q in the order basis; raises if not integral."""
-    inv = _coordinate_solver(label)
-    flat = _flatten_quat(q)
-    if label == "2T":
-        flat = [flat[0], flat[2], flat[4], flat[6]]
-    vec = []
-    for row in inv:
-        acc = Fraction(0)
-        for r, f in zip(row, flat):
-            acc += r * f
-        vec.append(acc)
-    if any(v.denominator != 1 for v in vec):
+    rest = reduce(_flatten_quat(q), _coordinate_echelon(label))
+    # rest = [flatten(q - sum_j c_j b_j) | -c], with a zero left part iff
+    # q = sum_j c_j b_j; the c_j are unique as the b_j are independent
+    coords = [-rest.get(_FLAT + j, 0) for j in range(len(order_basis(label)))]
+    if any(k < _FLAT for k in rest) or any(c.denominator != 1 for c in coords):
         raise ValueError(f"{q!r} is not in the order O_{label}")
-    return tuple(int(v) for v in vec)
-
-
-def _invert_fraction_matrix(mat) -> list[list[Fraction]]:
-    n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    return tuple(int(c) for c in coords)
 
 
 # -- quadratic forms ---------------------------------------------------------
@@ -226,28 +197,12 @@ class QuadraticForm:
         return out
 
     def is_positive_definite(self) -> bool:
-        n = self.dimension
-        minor = [[self.gram[i][j] for j in range(n)] for i in range(n)]
-        return all(_leading_minor_det(minor, k) > 0 for k in range(1, n + 1))
-
-
-def _leading_minor_det(mat, k: int) -> Fraction:
-    sub = [row[:k] for row in mat[:k]]
-    det = Fraction(1)
-    for col in range(k):
-        piv = next((r for r in range(col, k) if sub[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            sub[col], sub[piv] = sub[piv], sub[col]
-            det = -det
-        det *= sub[col][col]
-        inv = 1 / sub[col][col]
-        for r in range(col + 1, k):
-            if sub[r][col] != 0:
-                f = sub[r][col] * inv
-                sub[r] = [x - f * y for x, y in zip(sub[r], sub[col])]
-    return det
+        """Sylvester: every leading minor is positive iff every LDL^T pivot is."""
+        try:
+            _ldl_completion(self.gram)
+        except ValueError:
+            return False
+        return True
 
 
 # published polynomial coefficients, for the integrity cross-check
@@ -309,7 +264,11 @@ def quadratic_form(label: str) -> QuadraticForm:
 # -- exact Fincke-Pohst enumeration ------------------------------------------
 
 def _ldl_completion(gram):
-    """Rational coefficients for Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2."""
+    """Rational coefficients for Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2.
+
+    The pivot d_i is the ratio of the i-th to the (i-1)-th leading minor;
+    raises ValueError at the first pivot that is not positive.
+    """
     n = len(gram)
     a = [[Fraction(x) for x in row] for row in gram]
     d = [Fraction(0)] * n
@@ -337,21 +296,18 @@ def _floor_affine_sqrt(a: int, c: int, den: int) -> int:
 def _enum_levels(label: str):
     """Precomputed integer data for the scaled Fincke-Pohst recursion."""
     form = quadratic_form(label)
-    d, u = _ldl_completion([list(r) for r in form.gram])
+    d, u = _ldl_completion(form.gram)
     n = form.dimension
     rho = [1] * n
     unum = [[0] * n for _ in range(n)]
     for i in range(n):
-        den = 1
+        rho[i] = lcm(*(u[i][j].denominator for j in range(i + 1, n)))
         for j in range(i + 1, n):
-            den = den * u[i][j].denominator // _gcd(den, u[i][j].denominator)
-        rho[i] = den
-        for j in range(i + 1, n):
-            unum[i][j] = int(u[i][j] * den)
+            unum[i][j] = int(u[i][j] * rho[i])
     delta = [1] * (n + 1)  # delta[i] clears denominators of the level-i budget
     for i in range(n - 1, -1, -1):
         need = d[i].denominator * rho[i] * rho[i]
-        delta[i] = _lcm(delta[i + 1], need)
+        delta[i] = lcm(delta[i + 1], need)
     mu = [delta[i] // delta[i + 1] for i in range(n)]
     nu = [
         d[i].numerator * delta[i] // (d[i].denominator * rho[i] * rho[i])
@@ -360,16 +316,6 @@ def _enum_levels(label: str):
     rfac = [rho[i] * rho[i] * d[i].denominator for i in range(n)]
     rden = [delta[i + 1] * d[i].numerator for i in range(n)]
     return n, rho, unum, delta, mu, nu, rfac, rden
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _lcm(a, b):
-    return a * b // _gcd(a, b)
 
 
 def _enumerate_ball(label: str, bound: int) -> dict[int, list[tuple[int, ...]]]:

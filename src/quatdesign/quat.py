@@ -249,21 +249,3 @@ def su2_factor(x: Quaternion) -> UniPoly:
     if not x.is_unit():
         raise NonUnitQuaternion("su2_factor requires a unit quaternion")
     return UniPoly([1, rat(-2) * x.x1, 1])
-
-
-# fixed elements used throughout (eq. coefficients all exact)
-
-def quat_one(tag: str = RAT) -> Quaternion:
-    return Quaternion(1, 0, 0, 0, tag)
-
-
-def quat_i(tag: str = RAT) -> Quaternion:
-    return Quaternion(0, 1, 0, 0, tag)
-
-
-def quat_j(tag: str = RAT) -> Quaternion:
-    return Quaternion(0, 0, 1, 0, tag)
-
-
-def quat_k(tag: str = RAT) -> Quaternion:
-    return Quaternion(0, 0, 0, 1, tag)

@@ -25,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from .budget import Budget, get_budget
-from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, rat
+from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, insert, rat
 from .groups import build_group
 from .harmonics import harm_basis
 from .orders import (
@@ -74,15 +74,12 @@ class CQuad:
     def conj(self):
         return CQuad(self.re, -self.im)
 
-    def inverse(self):
-        n = self.re * self.re + self.im * self.im
-        if n.is_zero():
-            raise ZeroDivisionError("CQuad inverse of zero")
-        ninv = n.inverse()
-        return CQuad(self.re * ninv, -(self.im * ninv))
+    def __rtruediv__(self, o):
+        ninv = (self.re * self.re + self.im * self.im).inverse()
+        return CQuad(self.re * ninv, -(self.im * ninv)) * o
 
-    def is_zero(self):
-        return self.re.is_zero() and self.im.is_zero()
+    def __bool__(self):
+        return bool(self.re or self.im)
 
     def __eq__(self, o):
         return isinstance(o, CQuad) and self.re == o.re and self.im == o.im
@@ -120,7 +117,7 @@ def _reynolds_holomorphic(label: str, p: int, q: int) -> dict:
                 key = (i + j, p + q - i - j)
                 cur = out.get(key, zero)
                 out[key] = cur + ca * cb
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    return {k: v for k, v in out.items() if v}
 
 
 def _binom_powers(u: CQuad, v: CQuad, n: int):
@@ -144,19 +141,10 @@ def holomorphic_invariants(label: str, ell: int) -> tuple:
     if m == 0:
         return ()
     basis: list[dict] = []
-    echelon: list[tuple[int, dict]] = []  # (pivot key index, reduced vector)
-    keys = [(a, ell - a) for a in range(ell + 1)]
-    key_index = {k: n for n, k in enumerate(keys)}
+    echelon: dict = {}
     for a in range(ell, -1, -1):
         cand = _reynolds_holomorphic(label, a, ell - a)
-        vec = _reduce_against(cand, echelon, key_index)
-        if vec:
-            pivot = min(key_index[k] for k in vec)
-            pivot_key = keys[pivot]
-            inv = vec[pivot_key].inverse()
-            vec = {k: v * inv for k, v in vec.items()}
-            echelon.append((pivot, vec))
-            echelon.sort(key=lambda t: t[0])
+        if insert(cand, echelon):
             basis.append(cand)
             if len(basis) == m:
                 break
@@ -166,22 +154,6 @@ def holomorphic_invariants(label: str, ell: int) -> tuple:
             f"Molien predicts {m}"
         )
     return tuple(basis)
-
-
-def _reduce_against(vec: dict, echelon, key_index) -> dict:
-    cur = dict(vec)
-    for pivot, evec in echelon:
-        pkey = next(k for k, n in key_index.items() if n == pivot)
-        c = cur.get(pkey)
-        if c is None or c.is_zero():
-            continue
-        for k, v in evec.items():
-            nv = cur.get(k, CQuad(0)) - c * v
-            if nv.is_zero():
-                cur.pop(k, None)
-            else:
-                cur[k] = nv
-    return {k: v for k, v in cur.items() if not v.is_zero()}
 
 
 # -- scaled integer evaluation layer ------------------------------------------
@@ -331,7 +303,7 @@ class ThetaTable:
         return len(self.column_labels)
 
     def rank(self) -> int:
-        return exact_rank([list(row) for row in self.matrix])
+        return exact_rank(self.matrix)
 
     def nonzero_column_vectors(self):
         cols = []
@@ -376,29 +348,12 @@ class ThetaTable:
 
 
 def exact_rank(rows) -> int:
-    """Rank over the quadratic field by exact Gaussian elimination."""
-    mat = [list(r) for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    row = 0
-    for col in range(ncols):
-        piv = next(
-            (r for r in range(row, len(mat)) if not mat[r][col].is_zero()), None
-        )
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        inv = mat[row][col].inverse()
-        mat[row] = [e * inv for e in mat[row]]
-        for r in range(len(mat)):
-            if r != row and not mat[r][col].is_zero():
-                f = mat[r][col]
-                mat[r] = [e - f * p for e, p in zip(mat[r], mat[row])]
-        rank += 1
-        row += 1
-        if row == len(mat):
-            break
-    return rank
+    """Exact rank over the entries' field; a row is a sequence or a sparse dict."""
+    echelon: dict = {}
+    return sum(
+        insert(row if isinstance(row, dict) else dict(enumerate(row)), echelon)
+        for row in rows
+    )
 
 
 def _invariant_table(label, ell, shells, pool_size) -> ThetaTable:
@@ -413,10 +368,10 @@ def _invariant_table(label, ell, shells, pool_size) -> ThetaTable:
     # clear denominators: integer-pair complex coefficients per invariant
     scaled = []
     for f in invariants:
-        den = 1
-        for v in f.values():
-            for q in (v.re.a, v.re.b, v.im.a, v.im.b):
-                den = den * q.denominator // _gcd_int(den, q.denominator)
+        den = lcm(*(
+            q.denominator
+            for v in f.values() for q in (v.re.a, v.re.b, v.im.a, v.im.b)
+        ))
         fi = {
             k: (
                 (int(v.re.a * den), int(v.re.b * den)),
@@ -485,9 +440,7 @@ def _full_table(label, ell, shells, budget: Budget) -> ThetaTable:
     # scale each basis polynomial to integer coefficients (column scaling)
     scaled_polys = []
     for p in basis.polynomials:
-        den = 1
-        for c in p.values():
-            den = den * c.denominator // _gcd_int(den, c.denominator)
+        den = lcm(*(c.denominator for c in p.values()))
         scaled_polys.append(({m: int(c * den) for m, c in p.items()}, den))
 
     rows = []
@@ -535,12 +488,6 @@ def _monomial_values(tag, pt, ell):
                 nxt.append(key)
         frontier = nxt
     return values
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a or 1
 
 
 def theta_table(
@@ -661,9 +608,7 @@ def invariant_dimension_evaluation(label: str, ell: int, n_points: int = 0) -> i
 
     rows = []
     for p in basis.polynomials:
-        den = 1
-        for c in p.values():
-            den = den * c.denominator // _gcd_int(den, c.denominator)
+        den = lcm(*(c.denominator for c in p.values()))
         poly = {m: int(c * den) for m, c in p.items()}
         row = []
         for total in moments:
@@ -733,7 +678,7 @@ def invariant_dimension_coefficients(label: str, ell: int) -> int:
                 else:
                     img.pop(m2, None)
         images.append(img)
-    return _sparse_rational_rank(images)
+    return exact_rank(images)
 
 
 def _action_columns(scaled_rows, ell):
@@ -762,30 +707,6 @@ def _action_columns(scaled_rows, ell):
                 nxt[key] = out
         level = nxt
     return level
-
-
-def _sparse_rational_rank(vectors) -> int:
-    echelon: list[tuple[tuple, dict]] = []
-    rank = 0
-    for vec in vectors:
-        cur = {k: Fraction(v) for k, v in vec.items() if v}
-        for pivot, evec in echelon:
-            c = cur.get(pivot)
-            if c is None:
-                continue
-            for k, v in evec.items():
-                nv = cur.get(k, Fraction(0)) - c * v
-                if nv:
-                    cur[k] = nv
-                else:
-                    cur.pop(k, None)
-        if cur:
-            pivot = min(cur)
-            inv = 1 / cur[pivot]
-            cur = {k: v * inv for k, v in cur.items()}
-            echelon.append((pivot, cur))
-            rank += 1
-    return rank
 
 
 # -- dimension-series hypotheses -----------------------------------------------

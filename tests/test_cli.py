@@ -106,10 +106,15 @@ def test_qseries(capsys):
 
 
 def test_verify_single_check(capsys):
-    code, out = run_cli(capsys, "verify-paper", "--check", "lp-certificates",
-                        "--threads", "1")
+    code, out = run_cli(capsys, "verify-paper", "--check", "lp-certificates")
     assert code == 0
     assert "PASS" in out
+
+
+def test_verify_has_no_threads_option():
+    with pytest.raises(SystemExit) as err:
+        main(["verify-paper", "--threads", "1"])
+    assert err.value.code == 2
 
 
 def test_verify_unknown_check(capsys):

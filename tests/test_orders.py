@@ -7,6 +7,7 @@ from quatdesign.exactnum import golden_elem, iota, rat
 from quatdesign.groups import build_group, omega
 from quatdesign.orders import (
     OrderElement,
+    QuadraticForm,
     coords_of,
     embed_coords,
     enumerate_shell,
@@ -62,6 +63,20 @@ def test_embedding_round_trip():
             full = coords + (0,) * (len(order_basis(label)) - 4)
             q = embed_coords(label, full)
             assert coords_of(label, q) == full
+
+
+def test_coords_of_rejects_points_outside_the_order():
+    with pytest.raises(ValueError):
+        coords_of("2T", Quaternion(Fraction(1, 2), 0, 0, 0))
+    with pytest.raises(ValueError):
+        coords_of("2O", Quaternion(Fraction(1, 3), 0, 0, 0))
+
+
+@pytest.mark.parametrize("gram", [((1, 2), (2, 1)), ((1, 1), (1, 1))],
+                         ids=["indefinite", "singular"])
+def test_not_positive_definite(gram):
+    rows = tuple(tuple(Fraction(x) for x in row) for row in gram)
+    assert not QuadraticForm("test", 2, rows).is_positive_definite()
 
 
 def test_shell_counts_small():

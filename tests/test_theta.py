@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quatdesign.budget import ResourceBudgetError, get_budget
-from quatdesign.exactnum import rat
+from quatdesign.exactnum import GOLDEN, SQRT2, QuadElem, golden_elem, rat, sqrt2_elem
 from quatdesign.groups import build_group
 from quatdesign.harmonics import harm_basis, poly4_eval
 from quatdesign.orders import (
@@ -15,6 +16,7 @@ from quatdesign.orders import (
 from quatdesign.qseries import qseries
 from quatdesign.strength import molien_closed_form, molien_series
 from quatdesign.theta import (
+    CQuad,
     dimension_hypothesis,
     exact_rank,
     harmonic_invariant_dim,
@@ -123,6 +125,52 @@ def test_full_and_invariant_tables_span_equally():
         assert r_full == r_inv
         concat = [list(a) + list(b) for a, b in zip(full.matrix, inv.matrix)]
         assert exact_rank(concat) == r_full
+
+
+def _rank_two_rows(zero, one, s, t):
+    """Two independent rows, three combinations of them and a zero row.
+
+    The row s * r1 is a multiple of r1 only over the field holding s, so a
+    rank taken over the rational components of the entries would be larger.
+    """
+    r1 = [one, s, zero, t]
+    r2 = [zero, one, t, s * s]
+    r3 = [s * a + t * b for a, b in zip(r1, r2)]
+    return [r1, r3, [zero] * 4, r2, [s * a for a in r1]]
+
+
+@pytest.mark.parametrize(
+    "zero, one, s, t",
+    [
+        (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-2, 5)),
+        (rat(0), rat(1), sqrt2_elem(0, 1), sqrt2_elem(1, Fraction(-3, 2))),
+        (rat(0), rat(1), golden_elem(0, 1), golden_elem(Fraction(1, 2), 1)),
+        (CQuad(0), CQuad(1), CQuad(0, 1), CQuad(sqrt2_elem(1, 1), 2)),
+    ],
+    ids=["fraction", "sqrt2", "golden", "cquad"],
+)
+def test_exact_rank_of_rank_deficient_rows(zero, one, s, t):
+    assert exact_rank(_rank_two_rows(zero, one, s, t)) == 2
+    assert exact_rank([[zero] * 3, [zero] * 3]) == 0
+    assert exact_rank([]) == 0
+
+
+_small_rationals = st.fractions(
+    min_value=Fraction(-6), max_value=Fraction(6), max_denominator=4
+)
+
+
+@given(st.sampled_from((SQRT2, GOLDEN)), st.data())
+@settings(max_examples=40, deadline=None)
+def test_exact_rank_ignores_added_combinations(tag, data):
+    def elem():
+        return QuadElem(tag, data.draw(_small_rationals), data.draw(_small_rationals))
+
+    rows = [[elem() for _ in range(4)] for _ in range(data.draw(st.integers(1, 4)))]
+    coeffs = [elem() for _ in rows]
+    combo = [sum((c * row[j] for c, row in zip(coeffs, rows)), rat(0)) for j in range(4)]
+    at = data.draw(st.integers(0, len(rows)))
+    assert exact_rank(rows[:at] + [combo] + rows[at:]) == exact_rank(rows)
 
 
 def test_group_action_kills_nothing():
