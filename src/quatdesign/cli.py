@@ -333,17 +333,17 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--group")
     src.add_argument("--points", help="JSON point file")
-    p.add_argument("--max", type=int, default=60)
+    p.add_argument("--max", type=_nonnegative_int, default=60)
     _fmt(p)
 
     p = sub.add_parser("molien", help="Molien series coefficients")
     p.add_argument("--group", required=True)
-    p.add_argument("--max", type=int, default=60)
+    p.add_argument("--max", type=_nonnegative_int, default=60)
     p.add_argument("--closed-form", action="store_true")
     _fmt(p)
 
     p = sub.add_parser("gegenbauer", help="exact Gegenbauer / scaled polynomials")
-    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--ell", type=_nonnegative_int, required=True)
     p.add_argument("--d", type=int, default=4)
     p.add_argument("--lam", help="rational lambda (default: use scaled Q_l^(d))")
     p.add_argument("--expand", help="comma-separated rational coefficients to expand")
@@ -362,14 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theta", help="spherical theta coefficient table")
     p.add_argument("--group", required=True, choices=("2T", "2O", "2I"))
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--shells", type=int, required=True)
+    p.add_argument("--ell", type=_nonnegative_int, required=True)
+    p.add_argument("--shells", type=_positive_int, required=True)
     p.add_argument("--kind", choices=("invariant", "full"), default="invariant")
     _fmt(p, default="json", report_alias=True)
 
     p = sub.add_parser("qseries", help="exact q-expansions (Eisenstein, Delta, ...)")
     p.add_argument("--name", required=True, choices=QSERIES_NAMES)
-    p.add_argument("--terms", type=int, default=10)
+    p.add_argument("--terms", type=_nonnegative_int, default=10)
     _fmt(p)
 
     p = sub.add_parser("verify-paper", help="run the full reproduction suite")
@@ -381,6 +381,24 @@ def build_parser() -> argparse.ArgumentParser:
     _fmt(p)
 
     return parser
+
+
+def _int_at_least(text: str, low: int) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
 
 
 def _fmt(p, default="text", report_alias=False):

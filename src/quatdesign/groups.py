@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
-from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, rat
-from .quat import Quaternion, conj, inner, norm, qmul
+from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, FieldTagMismatch, rat
+from .quat import Quaternion, conj, inner, norm, qmul, qmul_pairs, scaled_pairs
 
 CYCLIC_SUPPORTED = (1, 2, 3, 4, 5, 6, 8, 10)
 DIHEDRAL_SUPPORTED = (1, 2, 3, 4, 5)
@@ -97,7 +98,30 @@ class UnitGroup:
         return self._set
 
     def is_closed(self) -> bool:
-        return all(qmul(g, h) in self._set for g in self.elements for h in self.elements)
+        """Exact closure test on integer coordinates.
+
+        With D the lcm of all coordinate denominators, every D*g is an
+        integer-pair quaternion and (D*g)(D*h) = D^2 * gh; gh is a member
+        exactly when that product is divisible by D and the quotient is D
+        times a member.
+        """
+        tags = {c.tag for g in self.elements for c in g.coords if c.b}
+        if len(tags) > 1:
+            raise FieldTagMismatch(f"{self.label} mixes the fields {sorted(tags)}")
+        tag = tags.pop() if tags else RAT
+        scale = lcm(*(
+            q.denominator for g in self.elements for c in g.coords for q in (c.a, c.b)
+        ))
+        scaled = [scaled_pairs(g.coords, scale) for g in self.elements]
+        members = set(scaled)
+        for x in scaled:
+            for y in scaled:
+                prod = qmul_pairs(tag, x, y)
+                if any(a % scale or b % scale for a, b in prod):
+                    return False
+                if tuple((a // scale, b // scale) for a, b in prod) not in members:
+                    return False
+        return True
 
     def is_antipodal(self) -> bool:
         return all(-g in self._set for g in self.elements)

@@ -7,7 +7,7 @@ row vectors as y -> y . M_x with M_x the orthogonal 4x4 matrix below.
 
 from __future__ import annotations
 
-from .exactnum import QuadElem, RAT, FieldTagMismatch, rat
+from .exactnum import QuadElem, RAT, SQRT2, FieldTagMismatch, rat
 from .unipoly import UniPoly
 
 
@@ -147,6 +147,53 @@ def norm(x: Quaternion) -> QuadElem:
 def inner(x: Quaternion, y: Quaternion) -> QuadElem:
     """Euclidean inner product of the associated vectors in R^4."""
     return sum((a * b for a, b in zip(x.coords, y.coords)), rat(0))
+
+
+# -- integer-pair coordinates --------------------------------------------------
+#
+# A scalar a + b*rho with integers a, b is the pair (a, b); a quaternion with
+# such coordinates is a 4-tuple of pairs.  The field tag says what rho is.
+
+def scaled_pairs(coords, scale: int) -> tuple[tuple[int, int], ...]:
+    """Integer pairs of scale * c for each QuadElem c; raises ValueError
+    when a scaled coordinate is not integral."""
+    out = []
+    for c in coords:
+        a, b = scale * c.a, scale * c.b
+        if a.denominator != 1 or b.denominator != 1:
+            raise ValueError(f"{scale} * ({c}) is not integral")
+        out.append((a.numerator, b.numerator))
+    return tuple(out)
+
+
+def pair_mul(tag: str, a, b, c, d):
+    """(a + b rho)(c + d rho) on integer pairs, per field."""
+    if tag == RAT:
+        return a * c, 0
+    if tag == SQRT2:
+        return a * c + 2 * b * d, a * d + b * c
+    bd = b * d
+    return a * c + bd, a * d + b * c + bd
+
+
+def qmul_pairs(tag, x, y):
+    """Hamilton product on 4-tuples of integer pairs."""
+    def mul(i, j):
+        return pair_mul(tag, x[i][0], x[i][1], y[j][0], y[j][1])
+
+    def add(*terms):
+        return (sum(t[0] for t in terms), sum(t[1] for t in terms))
+
+    def neg(t):
+        return (-t[0], -t[1])
+
+    p11, p22, p33, p44 = mul(0, 0), mul(1, 1), mul(2, 2), mul(3, 3)
+    return (
+        add(p11, neg(p22), neg(p33), neg(p44)),
+        add(mul(1, 0), mul(0, 1), neg(mul(3, 2)), mul(2, 3)),
+        add(mul(2, 0), mul(3, 1), mul(0, 2), neg(mul(1, 3))),
+        add(mul(3, 0), neg(mul(2, 1)), mul(1, 2), mul(0, 3)),
+    )
 
 
 class Matrix4:

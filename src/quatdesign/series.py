@@ -22,10 +22,6 @@ class PowerSeries:
         self.truncation = truncation
 
     @staticmethod
-    def zero(n: int) -> "PowerSeries":
-        return PowerSeries([], n)
-
-    @staticmethod
     def one(n: int) -> "PowerSeries":
         return PowerSeries([1], n)
 
@@ -34,6 +30,8 @@ class PowerSeries:
         return PowerSeries([0] * k + [c], n)
 
     def coeff(self, k: int) -> QuadElem:
+        if k < 0:
+            raise IndexError(f"coefficient {k}: degrees start at 0")
         if k > self.truncation:
             raise IndexError(f"coefficient {k} beyond truncation {self.truncation}")
         return self.coeffs[k]
@@ -70,23 +68,6 @@ class PowerSeries:
         return PowerSeries(out, n)
 
     __rmul__ = __mul__
-
-    def reciprocal(self) -> "PowerSeries":
-        """1/self for series with invertible constant term."""
-        c0 = self.coeffs[0]
-        if c0.is_zero():
-            raise ZeroDivisionError("reciprocal of a non-unit series")
-        inv0 = c0.inverse()
-        n = self.truncation
-        out = [inv0] + [rat(0)] * n
-        for k in range(1, n + 1):
-            acc = rat(0)
-            for j in range(1, k + 1):
-                cj = self.coeffs[j]
-                if not cj.is_zero():
-                    acc = acc + cj * out[k - j]
-            out[k] = -inv0 * acc
-        return PowerSeries(out, n)
 
     def dilate(self, factor: int) -> "PowerSeries":
         """Substitute u -> u^factor (coefficient reindexing k -> factor*k)."""

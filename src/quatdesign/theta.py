@@ -37,9 +37,9 @@ from .orders import (
     order_basis,
     shell_count_formula,
 )
-from .quat import Quaternion, qmul, to_matrix, su2_factor
+from .quat import Quaternion, pair_mul, qmul_pairs, scaled_pairs, su2_factor, to_matrix
 from .series import PowerSeries
-from .strength import molien_series, molien_closed_form
+from .strength import first_coordinate_distribution, molien_closed_form, molien_series
 
 _FIELD_TAG = {"2T": RAT, "2O": SQRT2, "2I": GOLDEN}
 
@@ -158,24 +158,14 @@ def holomorphic_invariants(label: str, ell: int) -> tuple:
 
 # -- scaled integer evaluation layer ------------------------------------------
 
-def _pair_mul(tag: str, a, b, c, d):
-    """(a + b rho)(c + d rho) on integer pairs, per field."""
-    if tag == RAT:
-        return a * c, 0
-    if tag == SQRT2:
-        return a * c + 2 * b * d, a * d + b * c
-    bd = b * d
-    return a * c + bd, a * d + b * c + bd
-
-
 def _cq_mul(tag, u, v):
     """Complex multiply on ((are, bre), (aim, bim)) integer-pair values."""
     (ar, br), (ai, bi) = u
     (cr, dr), (ci, di) = v
-    rr = _pair_mul(tag, ar, br, cr, dr)
-    ii = _pair_mul(tag, ai, bi, ci, di)
-    ri = _pair_mul(tag, ar, br, ci, di)
-    ir = _pair_mul(tag, ai, bi, cr, dr)
+    rr = pair_mul(tag, ar, br, cr, dr)
+    ii = pair_mul(tag, ai, bi, ci, di)
+    ri = pair_mul(tag, ar, br, ci, di)
+    ir = pair_mul(tag, ai, bi, cr, dr)
     return (rr[0] - ii[0], rr[1] - ii[1]), (ri[0] + ir[0], ri[1] + ir[1])
 
 
@@ -189,40 +179,12 @@ _CQ_ZERO = ((0, 0), (0, 0))
 _CQ_ONE = ((1, 0), (0, 0))
 
 
-def _qmul_pairs(tag, x, y):
-    """Hamilton product on 4-tuples of integer pairs."""
-    def mul(i, j):
-        return _pair_mul(tag, x[i][0], x[i][1], y[j][0], y[j][1])
-
-    def add(*terms):
-        return (sum(t[0] for t in terms), sum(t[1] for t in terms))
-
-    def neg(t):
-        return (-t[0], -t[1])
-
-    p11, p22, p33, p44 = mul(0, 0), mul(1, 1), mul(2, 2), mul(3, 3)
-    return (
-        add(p11, neg(p22), neg(p33), neg(p44)),
-        add(mul(1, 0), mul(0, 1), neg(mul(3, 2)), mul(2, 3)),
-        add(mul(2, 0), mul(3, 1), mul(0, 2), neg(mul(1, 3))),
-        add(mul(3, 0), neg(mul(2, 1)), mul(1, 2), mul(0, 3)),
-    )
-
-
 @lru_cache(maxsize=None)
 def _doubled_basis_pairs(label: str):
     """Integer-pair coordinates of 2 * (order basis vectors)."""
-    tag = _FIELD_TAG[label]
-    out = []
-    for g in order_basis(label):
-        coords = []
-        for c in g.coords:
-            a2, b2 = 2 * c.a, 2 * c.b
-            if a2.denominator != 1 or b2.denominator != 1:
-                raise AssertionError("order basis is not half-integral")
-            coords.append((int(a2), int(b2)))
-        out.append(tuple(coords))
-    return tag, tuple(out)
+    return _FIELD_TAG[label], tuple(
+        scaled_pairs(g.coords, 2) for g in order_basis(label)
+    )
 
 
 def _scaled_point(label: str, coords):
@@ -356,7 +318,7 @@ def exact_rank(rows) -> int:
     )
 
 
-def _invariant_table(label, ell, shells, pool_size) -> ThetaTable:
+def _invariant_table(label, ell, shells, pool_size, budget: Budget) -> ThetaTable:
     tag = _FIELD_TAG[label]
     group_order = len(build_group(label))
     invariants = holomorphic_invariants(label, ell)
@@ -387,6 +349,9 @@ def _invariant_table(label, ell, shells, pool_size) -> ThetaTable:
         for y, root in pool:
             columns.append((t, y, root, fi, den))
 
+    # largest shell first: its enumeration ball is cached and serves every
+    # smaller m, where rising m would enumerate a larger ball each time
+    enumerate_shell(label, shells, budget)
     raw = [[_CQ_ZERO] * len(columns) for _ in range(shells)]
     for m in range(1, shells + 1):
         reps = shell_orbit_reps(label, m)
@@ -395,7 +360,7 @@ def _invariant_table(label, ell, shells, pool_size) -> ThetaTable:
             acc = _CQ_ZERO
             ypairs = tuple((c, 0) for c in y)
             for pt in rep_points:
-                moved = _qmul_pairs(tag, ypairs, pt)
+                moved = qmul_pairs(tag, ypairs, pt)
                 z1 = (moved[0], moved[1])
                 z2 = (moved[2], moved[3])
                 acc = _cq_add(acc, _eval_holomorphic(tag, fi, z1, z2, ell))
@@ -443,6 +408,7 @@ def _full_table(label, ell, shells, budget: Budget) -> ThetaTable:
         den = lcm(*(c.denominator for c in p.values()))
         scaled_polys.append(({m: int(c * den) for m, c in p.items()}, den))
 
+    enumerate_shell(label, shells, budget)  # largest shell first, as above
     rows = []
     for m in range(1, shells + 1):
         shell = enumerate_shell(label, m, budget)
@@ -483,7 +449,7 @@ def _monomial_values(tag, pt, ell):
                     continue
                 a, b = base
                 c, d = pt[axis]
-                values[key] = _pair_mul(tag, a, b, c, d)
+                values[key] = pair_mul(tag, a, b, c, d)
                 seen.add(key)
                 nxt.append(key)
         frontier = nxt
@@ -503,7 +469,7 @@ def theta_table(
     budget.check_theta(label, ell)
     budget.check_shell(label, shells)
     if kind == "invariant":
-        return _invariant_table(label, ell, shells, pool_size)
+        return _invariant_table(label, ell, shells, pool_size, budget)
     if kind == "full":
         return _full_table(label, ell, shells, budget)
     raise ValueError(f"unknown table kind {kind!r}")
@@ -522,27 +488,47 @@ def theta_rank(
 # -- harmonic Molien series ----------------------------------------------------
 
 @lru_cache(maxsize=None)
-def harmonic_molien(label: str, n: int = 40) -> PowerSeries:
-    """Psi^H_G(u) = (1/|G|) sum_eps (1 - u^2)/det(I - u M_eps), exactly.
+def _checked_det_classes(label: str) -> tuple:
+    """(coefficients of det(I - u M_eps), count) per first-coordinate class.
 
-    The 4x4 determinant is expanded symbolically per element and checked
-    against its SU(2) factorization (1 - 2 eps_1 u + u^2)^2.
+    The 4x4 determinant is expanded symbolically for every element of G and
+    checked against its SU(2) factorization (1 - 2 eps_1 u + u^2)^2, so it
+    depends on eps only through eps_1.
     """
     group = build_group(label)
-    total = PowerSeries.zero(n)
-    one_minus_u2 = PowerSeries([1, 0, -1], n)
+    dets = {}
     for eps in group:
         det = to_matrix(eps).det_poly_i_minus_u()
         factor = su2_factor(eps)
         if det != factor * factor:
             raise AssertionError("det(I - uM) != su2 factor squared")
-        series = PowerSeries(list(det.coeffs), n).reciprocal()
-        total = total + series
-    total = total * one_minus_u2
-    order = len(group)
+        dets[eps.x1] = det.coeffs
+    counts = first_coordinate_distribution(group)
+    return tuple((dets[x1], count) for x1, count in counts.items())
+
+
+@lru_cache(maxsize=None)
+def harmonic_molien(label: str, n: int = 40) -> PowerSeries:
+    """Psi^H_G(u) = (1/|G|) sum_eps (1 - u^2)/det(I - u M_eps), exactly.
+
+    The sum runs over first-coordinate classes.  For each class the series
+    f = 1/p of its quartic p = det(I - u M_eps), p_0 = 1, follows from
+    p * f = 1: f_k = -(p_1 f_(k-1) + ... + p_4 f_(k-4)) for k >= 1.
+    """
+    sums = [rat(0)] * (n + 1)
+    for p, count in _checked_det_classes(label):
+        f = [rat(1)]
+        for k in range(1, n + 1):
+            acc = rat(0)
+            for j in range(1, min(k, 4) + 1):
+                acc = acc + p[j] * f[k - j]
+            f.append(-acc)
+        for k in range(n + 1):
+            sums[k] = sums[k] + f[k] * count
+    order = len(build_group(label))
     coeffs = []
     for k in range(n + 1):
-        c = total.coeff(k)
+        c = sums[k] - sums[k - 2] if k >= 2 else sums[k]  # times (1 - u^2)
         if not c.is_rational():
             raise AssertionError("harmonic Molien coefficient is irrational")
         q = c.a / order
@@ -594,10 +580,8 @@ def invariant_dimension_evaluation(label: str, ell: int, n_points: int = 0) -> i
         vp = tuple((2 * c, 0) for c in v)  # scale 2 keeps eps*v integral
         total: dict = {}
         for eps in group:
-            ep = tuple(
-                (int(2 * c.a), int(2 * c.b)) for c in eps.coords
-            )  # 2*eps is integral in every order
-            moved = _qmul_pairs(tag, ep, vp)  # = coords of 4*(eps v), scaled
+            ep = scaled_pairs(eps.coords, 2)  # 2*eps is integral in every order
+            moved = qmul_pairs(tag, ep, vp)  # = coords of 4*(eps v), scaled
             monos = _monomial_values(tag, moved, ell)
             for mono, val in monos.items():
                 if sum(mono) != ell:

@@ -139,6 +139,22 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("theta", "--group", "2O", "--ell", "-2", "--shells", "3"),
+        ("molien", "--group", "2T", "--max", "-1"),
+        ("qseries", "--name", "E4", "--terms", "-1"),
+        ("theta", "--group", "2O", "--ell", "8", "--shells", "0"),
+    ],
+    ids=["theta-ell", "molien-max", "qseries-terms", "theta-shells"],
+)
+def test_out_of_range_counts_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    assert err.value.code == 2
+
+
 def test_deterministic_output(capsys):
     _, out1 = run_cli(capsys, "group", "--name", "2I", "--format", "json")
     _, out2 = run_cli(capsys, "group", "--name", "2I", "--format", "json")

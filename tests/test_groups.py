@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quatdesign.exactnum import golden_elem, rat, sqrt2_elem
+from quatdesign.exactnum import GOLDEN, SQRT2, golden_elem, rat, sqrt2_elem
 from quatdesign.groups import (
     NotAntipodal,
+    UnitGroup,
     UnsupportedAngle,
     alpha,
     build_group,
@@ -12,11 +14,12 @@ from quatdesign.groups import (
     half_set,
     inner_product_set,
     is_distance_invariant,
+    omega,
     orbit,
     pair_distance_distribution,
     zeta,
 )
-from quatdesign.quat import Quaternion, norm
+from quatdesign.quat import Quaternion, norm, qmul, qmul_pairs, scaled_pairs
 
 HALF = Fraction(1, 2)
 
@@ -33,6 +36,25 @@ def test_closure_and_antipodality():
         assert g.is_antipodal()
         assert g.contains_inverse_of_all()
         assert Quaternion(1, 0, 0, 0) in g
+
+
+def test_closure_fails_on_non_groups():
+    # mixed coordinate tags, D = 2: omega^2 and alpha * i are not members
+    q8 = list(build_group("Q8"))
+    assert not UnitGroup("Q8+w", q8 + [omega(), -omega()]).is_closed()
+    assert not UnitGroup("Q8+a", q8 + [alpha(), -alpha()]).is_closed()
+
+
+@pytest.mark.parametrize("label, tag", [("2O", SQRT2), ("2I", GOLDEN)])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_integer_pair_product_matches_qmul(label, tag, data):
+    elements = build_group(label).elements
+    g = data.draw(st.sampled_from(elements))
+    h = data.draw(st.sampled_from(elements))
+    assert qmul_pairs(tag, scaled_pairs(g.coords, 2), scaled_pairs(h.coords, 2)) == (
+        scaled_pairs(qmul(g, h).coords, 4)
+    )
 
 
 def test_coset_union_structure():

@@ -13,6 +13,7 @@ from quatdesign.quat import (
     inner,
     norm,
     qmul,
+    scaled_pairs,
     su2_factor,
     to_matrix,
 )
@@ -108,3 +109,21 @@ def test_su2_factor_examples():
 def test_quaternion_json_round_trip():
     x = zeta()
     assert Quaternion.from_json(x.to_json()) == x
+
+
+@pytest.mark.parametrize("label", ["2T", "2O", "2I"])
+def test_det_factors_as_su2_square_on_every_element(label):
+    # det(I - u M_eps) = (1 - 2 eps_1 u + u^2)^2: the harmonic Molien series
+    # relies on it to sum over first-coordinate classes
+    for eps in build_group(label):
+        factor = su2_factor(eps)
+        assert to_matrix(eps).det_poly_i_minus_u() == factor * factor
+
+
+def test_scaled_pairs_checks_integrality():
+    assert scaled_pairs(omega().coords, 2) == ((-1, 0), (1, 0), (1, 0), (1, 0))
+    assert scaled_pairs(alpha().coords, 2) == ((0, 1), (0, 1), (0, 0), (0, 0))
+    with pytest.raises(ValueError):
+        scaled_pairs(omega().coords, 1)
+    with pytest.raises(ValueError):
+        scaled_pairs((sqrt2_elem(0, Fraction(1, 4)),), 2)

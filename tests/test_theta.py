@@ -8,6 +8,7 @@ from quatdesign.budget import ResourceBudgetError, get_budget
 from quatdesign.exactnum import GOLDEN, SQRT2, QuadElem, golden_elem, rat, sqrt2_elem
 from quatdesign.groups import build_group
 from quatdesign.harmonics import harm_basis, poly4_eval
+from quatdesign import orders
 from quatdesign.orders import (
     embed_coords,
     enumerate_shell,
@@ -63,6 +64,44 @@ def test_harmonic_molien_left_right_symmetry(label):
     psi = molien_series(build_group(label), 24)
     for ell in range(25):
         assert hm.coeff(ell).a == (ell + 1) * psi.coeff(ell).a
+
+
+@pytest.mark.parametrize("label", ["2T", "2O", "2I"])
+def test_harmonic_molien_factors_through_holomorphic_invariants(label):
+    # Harm_l = V_l (x) V_l under left multiplication, with G acting on one
+    # factor only: dim Harm_l^G = (l + 1) * m_l
+    series = harmonic_molien(label, 40)
+    for ell in range(41):
+        assert series.coeff(ell).a == (ell + 1) * invariant_multiplicity(label, ell)
+
+
+@pytest.mark.parametrize("label", ["2T", "2O", "2I"])
+def test_harmonic_molien_truncations_agree(label):
+    full = harmonic_molien(label, 40)
+    for n in range(2, 25):
+        assert harmonic_molien(label, n).coeffs == full.coeffs[: n + 1]
+
+
+def test_negative_degrees_are_rejected():
+    with pytest.raises(IndexError):
+        harmonic_molien("2O", 4).coeff(-1)
+    with pytest.raises(IndexError):
+        harmonic_invariant_dim("2O", -1)
+
+
+@pytest.mark.parametrize("ell, shells, kind", [(8, 4, "invariant"), (2, 3, "full")])
+def test_theta_table_enumerates_one_ball(ell, shells, kind, monkeypatch):
+    calls = []
+    enumerate_ball = orders._enumerate_ball
+
+    def counting(label, bound):
+        calls.append(bound)
+        return enumerate_ball(label, bound)
+
+    monkeypatch.setattr(orders, "_enumerate_ball", counting)
+    monkeypatch.delitem(orders._BALL_CACHE, "2O", raising=False)
+    theta_table("2O", ell, shells, kind=kind)
+    assert calls == [shells]
 
 
 def test_invariant_multiplicities():
