@@ -23,8 +23,8 @@ def main():
     for label in ("2T", "2O", "2I"):
         series = molien_closed_form(label, 32)
         terms = [
-            f"u^{k}" + (f"*{int(c)}" if c != 1 else "")
-            for k, c in enumerate(series.rational_coeffs())
+            f"u^{k}" + (f"*{c}" if c != 1 else "")
+            for k, c in enumerate(series)
             if c and k
         ]
         print(f"  Psi_{label} = 1 + " + " + ".join(terms[:8]) + " + ...")
@@ -40,8 +40,7 @@ def main():
 
     print("\ndim Harm_l(R^4)^G for even l = 2..24:")
     for label in ("2T", "2O", "2I"):
-        series = harmonic_molien(label, 24)
-        row = [int(series.coeff(ell).a) for ell in range(2, 25, 2)]
+        row = list(harmonic_molien(label, 24)[2::2])
         print(f"  {label}: {row}")
 
     print("\nrank-1 theta spaces and their q-expansions:")

@@ -2,7 +2,8 @@
 
 Every run is deterministic for a fixed configuration: all arithmetic is
 exact and all orderings canonical.  Exit codes: 0 success, 1 failed checks,
-2 usage error (argparse), 3 budget exceeded, 4 bad input.
+2 usage error (argparse, or --format csv where a subcommand has no csv
+output), 3 budget exceeded, 4 bad input.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .budget import Budget, ResourceBudgetError, get_budget
@@ -32,17 +32,9 @@ from .verify import ALL_CHECKS, run_all
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
+EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_BAD_INPUT = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a run; output is a pure function of this."""
-
-    subcommand: str
-    fmt: str
-    budget: Budget
 
 
 def _frac(q: Fraction) -> str:
@@ -54,7 +46,9 @@ def _emit(payload, fmt: str, text_renderer=None, csv_renderer=None):
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif fmt == "csv":
         if csv_renderer is None:
-            raise SystemExit("csv output is not defined for this subcommand")
+            print("error: csv output is not defined for this subcommand",
+                  file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
         for row in csv_renderer(payload):
             print(",".join(str(c) for c in row))
     else:
@@ -76,10 +70,10 @@ def _load_points(path: str) -> list[Quaternion]:
             pts = data
         return [Quaternion.from_json(p) for p in pts]
     except (OSError, KeyError, ValueError, TypeError) as exc:
-        raise SystemExit(f"cannot read point file {path!r}: {exc}") from exc
+        raise ValueError(f"cannot read point file {path!r}: {exc}") from exc
 
 
-def cmd_group(args, cfg: RunConfig) -> int:
+def cmd_group(args, budget: Budget) -> int:
     g = build_group(args.name)
     payload = g.to_json()
     _emit(
@@ -98,7 +92,7 @@ def _qe_str(cjson) -> str:
     return f"{cjson['a']}+{cjson['b']}{rho}"
 
 
-def cmd_strength(args, cfg: RunConfig) -> int:
+def cmd_strength(args, budget: Budget) -> int:
     if args.points:
         report = harmonic_strength(_load_points(args.points), args.max)
     else:
@@ -117,12 +111,12 @@ def cmd_strength(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_molien(args, cfg: RunConfig) -> int:
+def cmd_molien(args, budget: Budget) -> int:
     if args.closed_form:
         series = molien_closed_form(args.group, args.max)
     else:
         series = molien_series(build_group(args.group), args.max)
-    coeffs = [_frac(c) for c in series.rational_coeffs()]
+    coeffs = [str(c) for c in series]
     payload = {"group": args.group, "coefficients": coeffs, "closed_form": args.closed_form}
     _emit(
         payload, args.format,
@@ -136,7 +130,7 @@ def cmd_molien(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_gegenbauer(args, cfg: RunConfig) -> int:
+def cmd_gegenbauer(args, budget: Budget) -> int:
     if args.expand:
         from .unipoly import UniPoly
 
@@ -170,7 +164,7 @@ def cmd_gegenbauer(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_lp(args, cfg: RunConfig) -> int:
+def cmd_lp(args, budget: Budget) -> int:
     tf = build_test_function(args.name)
     report = verify_certificate(tf)
     payload = {
@@ -203,14 +197,14 @@ def cmd_lp(args, cfg: RunConfig) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def cmd_shells(args, cfg: RunConfig) -> int:
+def cmd_shells(args, budget: Budget) -> int:
     label = args.group
     if args.count_only:
         counts = {}
         for m in range(1, args.m + 1):
             counts[m] = {
                 "formula": shell_count_formula(label, m),
-                "enumerated": len(enumerate_shell(label, m, cfg.budget)),
+                "enumerated": len(enumerate_shell(label, m, budget)),
             }
         payload = {"group": label, "counts": counts}
         _emit(
@@ -224,7 +218,7 @@ def cmd_shells(args, cfg: RunConfig) -> int:
             ],
         )
         return EXIT_OK
-    shell = enumerate_shell(label, args.m, cfg.budget)
+    shell = enumerate_shell(label, args.m, budget)
     payload = {
         "group": label,
         "m": args.m,
@@ -246,8 +240,8 @@ def cmd_shells(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_theta(args, cfg: RunConfig) -> int:
-    table = theta_table(args.group, args.ell, args.shells, args.kind, cfg.budget)
+def cmd_theta(args, budget: Budget) -> int:
+    table = theta_table(args.group, args.ell, args.shells, args.kind, budget)
     rank = table.rank()
     payload = {
         "group": args.group,
@@ -275,7 +269,7 @@ def cmd_theta(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_qseries(args, cfg: RunConfig) -> int:
+def cmd_qseries(args, budget: Budget) -> int:
     coeffs = qseries(args.name, args.terms)
     payload = {"name": args.name, "coefficients": coeffs}
     _emit(
@@ -286,9 +280,9 @@ def cmd_qseries(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify_paper(args, cfg: RunConfig) -> int:
+def cmd_verify_paper(args, budget: Budget) -> int:
     only = set(args.check) if args.check else None
-    results = run_all(cfg.budget, only=only)
+    results = run_all(budget, only=only)
     if args.format == "json":
         payload = [
             {
@@ -355,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shells", help="enumerate shells of a maximal order")
     p.add_argument("--group", required=True, choices=("2T", "2O", "2I"))
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--emit", help="write the point list to a JSON file")
     _fmt(p)
@@ -425,12 +419,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         budget_name = getattr(args, "budget_local", None) or args.budget
-        cfg = RunConfig(
-            subcommand=args.subcommand,
-            fmt=getattr(args, "format", "text"),
-            budget=get_budget(budget_name),
-        )
-        return _DISPATCH[args.subcommand](args, cfg)
+        return _DISPATCH[args.subcommand](args, get_budget(budget_name))
     except ResourceBudgetError as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 RAT = "RAT"
 SQRT2 = "SQRT2"
 GOLDEN = "GOLDEN"
@@ -293,15 +291,6 @@ def insert(vec: dict, echelon: dict) -> bool:
 
 # -- named operations -------------------------------------------------------
 
-def quad_mul(x: QuadElem, y: QuadElem) -> QuadElem:
-    """Exact product; raises FieldTagMismatch on incompatible fields."""
-    return x * y
-
-
-def quad_sign(x: QuadElem) -> int:
-    return x.sign()
-
-
 def iota(x: QuadElem) -> Fraction:
     """Projection a + b*rho -> a (the map iota_G on each coefficient ring)."""
     return x.a
@@ -319,10 +308,3 @@ def sqrt2_elem(a, b=0) -> QuadElem:
 
 def golden_elem(a, b=0) -> QuadElem:
     return QuadElem(GOLDEN, a, b)
-
-
-ZERO = rat(0)
-ONE = rat(1)
-SQRT2_UNIT = sqrt2_elem(0, 1)      # sqrt(2)
-TAU = golden_elem(0, 1)            # (1 + sqrt5)/2
-TAU_INV = golden_elem(-1, 1)       # tau - 1 = 1/tau

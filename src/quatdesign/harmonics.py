@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
 Monomial = tuple[int, int, int, int]
 Poly4 = dict  # Monomial -> Fraction
@@ -137,12 +136,3 @@ def harm_basis(ell: int) -> HarmonicBasis:
             f"harmonic basis size {len(polys)} != expected {expected}"
         )
     return HarmonicBasis(ell, tuple(polys))
-
-
-def harm_dim4(ell: int) -> int:
-    """(l+1)^2, cross-checked against the binomial dimension formula."""
-    if ell == 0:
-        return 1
-    by_binom = comb(ell + 3, ell) - (comb(ell + 1, ell - 2) if ell >= 2 else 0)
-    assert by_binom == (ell + 1) ** 2
-    return by_binom

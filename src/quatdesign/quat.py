@@ -61,7 +61,7 @@ class Quaternion:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = one_like(self)
+        result = Quaternion(1, 0, 0, 0)
         base = self
         while n:
             if n & 1:
@@ -112,10 +112,6 @@ class _CoordKey:
 
     def __eq__(self, other):
         return self.coords == other.coords
-
-
-def one_like(x: Quaternion) -> Quaternion:
-    return Quaternion(1, 0, 0, 0)
 
 
 def qmul(x: Quaternion, y: Quaternion) -> Quaternion:

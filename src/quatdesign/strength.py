@@ -9,7 +9,9 @@ u^l vanishes in the Molien series
     Psi_G(u) = (1/|G|) sum_{eps in G} 1/(1 - 2 eps_1 u + u^2),
 
 whose per-element reciprocals are Chebyshev U_k(eps_1) generating functions.
-Both routes are exact; their agreement is part of the acceptance suite.
+The sum runs over first-coordinate classes in `class_sum_series`, which
+also builds the harmonic Molien series of theta.py.  Both routes are
+exact; their agreement is part of the acceptance suite.
 """
 
 from __future__ import annotations
@@ -19,10 +21,7 @@ from functools import lru_cache
 
 from .exactnum import QuadElem, rat
 from .gegenbauer import chebyshev_u_value
-from .groups import UnitGroup, build_group, pair_distance_distribution
-from .series import PowerSeries, geometric_like
-
-DEFAULT_TRUNCATION = 64  # covers the largest strength member 58 with margin
+from .groups import UnitGroup, _require_unit, build_group, pair_distance_distribution
 
 
 @dataclass(frozen=True)
@@ -50,29 +49,49 @@ def first_coordinate_distribution(points) -> dict[QuadElem, int]:
     return counts
 
 
-def molien_series(group: UnitGroup, n: int = DEFAULT_TRUNCATION) -> PowerSeries:
-    """Psi_G(u) truncated at n, with the rationality tripwire asserted."""
-    dist = first_coordinate_distribution(group)
-    coeffs = [rat(0)] * (n + 1)
-    for x1, count in dist.items():
-        # 1/(1 - 2 x1 u + u^2) = sum_k U_k(x1) u^k
-        prev2, prev1 = rat(1), x1 + x1
-        coeffs[0] = coeffs[0] + rat(count)
-        if n >= 1:
-            coeffs[1] = coeffs[1] + prev1 * count
-        for k in range(2, n + 1):
-            prev2, prev1 = prev1, (x1 + x1) * prev1 - prev2
-            coeffs[k] = coeffs[k] + prev1 * count
-    order = len(group)
+def class_sum_series(classes, order: int, num, n: int) -> tuple[int, ...]:
+    """(1/order) sum_classes count * num(u)/p(u) to u^n, as dimensions.
+
+    `classes` holds (p, count) with p = (1, p_1, ..., p_d) the coefficients
+    of a polynomial shared by `count` group elements; `num` holds those of
+    the numerator.  Each quotient f = num/p follows from p * f = num:
+    f_k = num_k - (p_1 f_(k-1) + ... + p_d f_(k-d)).  Every coefficient
+    must come out a nonnegative integer.
+    """
+    if n < 0:
+        raise IndexError(f"series to u^{n}: degrees start at 0")
+    num = [rat(num[k] if k < len(num) else 0) for k in range(n + 1)]
+    sums = [rat(0)] * (n + 1)
+    for p, count in classes:
+        # the nonzero p_j in rising j; a p_j equal to 1 costs no product
+        steps = [(j, c) for j, c in enumerate(p) if j and c]
+        f = []
+        for k in range(n + 1):
+            acc = num[k]
+            for j, c in steps:
+                if j > k:
+                    break
+                acc = acc - (f[k - j] if c == 1 else c * f[k - j])
+            f.append(acc)
+            sums[k] = sums[k] + acc * count
     out = []
-    for k, c in enumerate(coeffs):
+    for k, c in enumerate(sums):
         if not c.is_rational():
             raise AssertionError(f"Molien coefficient at u^{k} is irrational: {c}")
         q = c.a / order
         if q.denominator != 1 or q < 0:
             raise AssertionError(f"Molien coefficient at u^{k} not a dimension: {q}")
-        out.append(q)
-    return PowerSeries(out, n)
+        out.append(int(q))
+    return tuple(out)
+
+
+def molien_series(group: UnitGroup, n: int) -> tuple[int, ...]:
+    """Psi_G(u) to u^n: 1/(1 - 2 eps_1 u + u^2) summed over eps_1 classes."""
+    classes = [
+        ((1, -(x1 + x1), 1), count)
+        for x1, count in first_coordinate_distribution(group).items()
+    ]
+    return class_sum_series(classes, len(group), (1,), n)
 
 
 _CLOSED_FORM = {
@@ -82,21 +101,34 @@ _CLOSED_FORM = {
 }
 
 
-def molien_closed_form(label: str, n: int = DEFAULT_TRUNCATION) -> PowerSeries:
-    """The known rational-function form of Psi_G, expanded exactly.
+def molien_closed_form(label: str, n: int) -> tuple[int, ...]:
+    """The known rational-function form of Psi_G, expanded on integers.
 
-    C_n: (1+u^n)/((1-u^2)(1-u^n));  D_2n: (1+u^{2n+2})/((1-u^4)(1-u^{2n})).
+    prod(1 + u^a) / prod(1 - u^b) with C_n: (1+u^n)/((1-u^2)(1-u^n)) and
+    D_2n: (1+u^{2n+2})/((1-u^4)(1-u^{2n})).
     """
     if label in _CLOSED_FORM:
         num, den = _CLOSED_FORM[label]
-        return geometric_like(num, den, n)
-    if label.startswith("D2n"):
+    elif label.startswith("D2n"):
         m = int(label[3:])
-        return geometric_like((2 * m + 2,), (4, 2 * m), n)
-    if label.startswith("C"):
+        num, den = (2 * m + 2,), (4, 2 * m)
+    elif label.startswith("C"):
         m = int(label[1:])
-        return geometric_like((m,), (2, m), n)
-    raise ValueError(f"no closed-form Molien series for {label!r}")
+        num, den = (m,), (2, m)
+    else:
+        raise ValueError(f"no closed-form Molien series for {label!r}")
+    if min(den) < 1:
+        raise ValueError(f"no closed-form Molien series for {label!r}")
+    if n < 0:
+        raise IndexError(f"series to u^{n}: degrees start at 0")
+    out = [1] + [0] * n
+    for a in num:  # times (1 + u^a)
+        for k in range(n, a - 1, -1):
+            out[k] += out[k - a]
+    for b in den:  # divided by (1 - u^b)
+        for k in range(b, n + 1):
+            out[k] += out[k - b]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -121,9 +153,7 @@ def pair_sum_value(points, ell: int) -> QuadElem:
 def pair_sum_test(points, ell: int) -> bool:
     """True iff l lies in the harmonic strength of X (Gegenbauer pair test)."""
     if not isinstance(points, UnitGroup):
-        for p in points:
-            if not p.is_unit():
-                raise ValueError("pair_sum_test requires unit-norm points")
+        _require_unit(points)
     return pair_sum_value(points, ell).is_zero()
 
 
@@ -139,38 +169,28 @@ def pair_sum_tests_bulk(points, ells) -> dict[int, bool]:
     return out
 
 
-def _even_zero_set(series: PowerSeries, n: int) -> tuple[int, ...]:
-    return tuple(k for k in series.zero_coefficient_degrees(parity=0) if k <= n)
-
-
-def harmonic_strength(source, n: int = DEFAULT_TRUNCATION) -> StrengthReport:
+def harmonic_strength(source, n: int) -> StrengthReport:
     """StrengthReport for a UnitGroup (Molien route) or point list (pair sums).
 
     Even members come from exact zero coefficients; odd degrees are certified
     by the antipodality argument, with direct pair-sum tests for l <= 15 run
     as defense in depth.  For non-antipodal inputs the odd members found by
-    direct testing are reported explicitly.
+    direct testing are reported explicitly.  A point list must be nonempty
+    and lie on the unit sphere.
     """
     if isinstance(source, UnitGroup):
         label = source.label
         points = source.elements
-        series = molien_series(source, n)
-        zero_evens = _even_zero_set(series, n)
-        odd_nonzero = [
-            k for k in range(1, n + 1, 2) if not series.coeff(k).is_zero()
-        ]
+        vanishes = [c == 0 for c in molien_series(source, n)]
     else:
         label = "points"
         points = list(source)
-        dist = pair_distance_distribution(points)
-        values = []
-        for k in range(n + 1):
-            total = rat(0)
-            for s, count in dist.items():
-                total = total + chebyshev_u_value(k, s) * count
-            values.append(total)
-        zero_evens = tuple(k for k in range(2, n + 1, 2) if values[k].is_zero())
-        odd_nonzero = [k for k in range(1, n + 1, 2) if not values[k].is_zero()]
+        if not points:
+            raise ValueError("the strength of an empty point set is not defined")
+        _require_unit(points)
+        vanishes = pair_sum_tests_bulk(points, range(n + 1))
+    zero_evens = tuple(k for k in range(2, n + 1, 2) if vanishes[k])
+    odd_nonzero = [k for k in range(1, n + 1, 2) if not vanishes[k]]
 
     pset = set(points)
     antipodal = all(-x in pset for x in points)
@@ -215,5 +235,5 @@ def cyclic_odd_part(n: int, limit: int) -> set[int]:
 
 
 @lru_cache(maxsize=None)
-def group_strength(label: str, n: int = DEFAULT_TRUNCATION) -> StrengthReport:
+def group_strength(label: str, n: int) -> StrengthReport:
     return harmonic_strength(build_group(label), n)

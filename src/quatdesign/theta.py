@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, isqrt, lcm
 
 from .budget import Budget, get_budget
 from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, insert, rat
@@ -38,8 +38,12 @@ from .orders import (
     shell_count_formula,
 )
 from .quat import Quaternion, pair_mul, qmul_pairs, scaled_pairs, su2_factor, to_matrix
-from .series import PowerSeries
-from .strength import first_coordinate_distribution, molien_closed_form, molien_series
+from .strength import (
+    class_sum_series,
+    first_coordinate_distribution,
+    molien_closed_form,
+    molien_series,
+)
 
 _FIELD_TAG = {"2T": RAT, "2O": SQRT2, "2I": GOLDEN}
 
@@ -98,8 +102,7 @@ def _su2_entries(eps: Quaternion) -> tuple[CQuad, CQuad]:
 @lru_cache(maxsize=None)
 def invariant_multiplicity(label: str, ell: int) -> int:
     """m_l = [u^l] Psi_G = dim of degree-l holomorphic right-invariants."""
-    series = molien_series(build_group(label), max(ell, 1))
-    return int(series.coeff(ell).a)
+    return molien_series(build_group(label), ell)[ell]
 
 
 def _reynolds_holomorphic(label: str, p: int, q: int) -> dict:
@@ -200,43 +203,38 @@ def _scaled_point(label: str, coords):
 
 
 # deterministic pool of rational unit left-translates, stored as integer
-# quaternions with square norm (the true translate is y / sqrt(N))
-_POOL_GENERATORS = ((1, 2, 2, 0), (2, 3, 6, 0))
-
-
-def _int_qmul(x, y):
-    return (
-        x[0] * y[0] - x[1] * y[1] - x[2] * y[2] - x[3] * y[3],
-        x[1] * y[0] + x[0] * y[1] - x[3] * y[2] + x[2] * y[3],
-        x[2] * y[0] + x[3] * y[1] + x[0] * y[2] - x[1] * y[3],
-        x[3] * y[0] - x[2] * y[1] + x[1] * y[2] + x[0] * y[3],
-    )
+# quaternions with square norm (the true translate is y / sqrt(N)), in
+# integer-pair coordinates
+_POOL_GENERATORS = (
+    ((1, 0), (2, 0), (2, 0), (0, 0)),
+    ((2, 0), (3, 0), (6, 0), (0, 0)),
+)
+_POOL_SIZE = 10
 
 
 @lru_cache(maxsize=None)
-def _translate_pool(size: int):
-    """Integer quaternions y with N(y) a perfect square, words in two
-    non-commuting generators whose rotation group is infinite (dense)."""
-    from math import isqrt
-
-    pool = [(1, 0, 0, 0)]
-    frontier = [(1, 0, 0, 0)]
-    while len(pool) < size:
+def _translate_pool():
+    """_POOL_SIZE integer quaternions y with N(y) a perfect square, words in
+    two non-commuting generators whose rotation group is infinite (dense)."""
+    one = ((1, 0), (0, 0), (0, 0), (0, 0))
+    pool = [one]
+    frontier = [one]
+    while len(pool) < _POOL_SIZE:
         nxt = []
         for w in frontier:
             for g in _POOL_GENERATORS:
-                c = _int_qmul(w, g)
+                c = qmul_pairs(RAT, w, g)
                 if c not in pool:
                     pool.append(c)
                     nxt.append(c)
-                if len(pool) >= size:
+                if len(pool) >= _POOL_SIZE:
                     break
-            if len(pool) >= size:
+            if len(pool) >= _POOL_SIZE:
                 break
         frontier = nxt
     out = []
-    for y in pool[:size]:
-        n = y[0] * y[0] + y[1] * y[1] + y[2] * y[2] + y[3] * y[3]
+    for y in pool:
+        n = sum(a * a for a, _ in y)
         root = isqrt(n)
         assert root * root == n
         out.append((y, root))
@@ -318,7 +316,7 @@ def exact_rank(rows) -> int:
     )
 
 
-def _invariant_table(label, ell, shells, pool_size, budget: Budget) -> ThetaTable:
+def _invariant_table(label, ell, shells, budget: Budget) -> ThetaTable:
     tag = _FIELD_TAG[label]
     group_order = len(build_group(label))
     invariants = holomorphic_invariants(label, ell)
@@ -343,7 +341,7 @@ def _invariant_table(label, ell, shells, pool_size, budget: Budget) -> ThetaTabl
         }
         scaled.append((fi, den))
 
-    pool = _translate_pool(pool_size)
+    pool = _translate_pool()
     columns = []
     for t, (fi, den) in enumerate(scaled):
         for y, root in pool:
@@ -358,9 +356,8 @@ def _invariant_table(label, ell, shells, pool_size, budget: Budget) -> ThetaTabl
         rep_points = [_scaled_point(label, r) for r in reps]
         for ci, (t, y, root, fi, den) in enumerate(columns):
             acc = _CQ_ZERO
-            ypairs = tuple((c, 0) for c in y)
             for pt in rep_points:
-                moved = qmul_pairs(tag, ypairs, pt)
+                moved = qmul_pairs(tag, y, pt)
                 z1 = (moved[0], moved[1])
                 z2 = (moved[2], moved[3])
                 acc = _cq_add(acc, _eval_holomorphic(tag, fi, z1, z2, ell))
@@ -371,7 +368,7 @@ def _invariant_table(label, ell, shells, pool_size, budget: Budget) -> ThetaTabl
     for ci, (t, y, root, fi, den) in enumerate(columns):
         scale = Fraction(group_order, den * (2 * root) ** ell)
         for part in ("re", "im"):
-            col_labels.append(f"f{t}.L{y}.{part}")
+            col_labels.append(f"f{t}.L{tuple(a for a, _ in y)}.{part}")
         for m in range(shells):
             (ar, br), (ai, bi) = raw[m][ci]
             rows_re_im[m].append(QuadElem(tag, ar * scale, br * scale))
@@ -462,26 +459,22 @@ def theta_table(
     shells: int,
     kind: str = "invariant",
     budget: Budget | None = None,
-    pool_size: int = 10,
 ) -> ThetaTable:
     """Coefficient table of theta series over degree-ell harmonics."""
     budget = budget or get_budget()
     budget.check_theta(label, ell)
     budget.check_shell(label, shells)
     if kind == "invariant":
-        return _invariant_table(label, ell, shells, pool_size, budget)
+        return _invariant_table(label, ell, shells, budget)
     if kind == "full":
         return _full_table(label, ell, shells, budget)
     raise ValueError(f"unknown table kind {kind!r}")
 
 
-def theta_rank(
-    label: str, ell: int, shells: int, budget: Budget | None = None,
-    pool_size: int = 10,
-) -> int:
+def theta_rank(label: str, ell: int, shells: int, budget: Budget | None = None) -> int:
     """Exact rank of the theta table: a lower bound for dim Theta(G, ell);
     exactly 0 whenever Harm_ell^G = 0 (in particular for ell in T(G))."""
-    table = theta_table(label, ell, shells, "invariant", budget, pool_size)
+    table = theta_table(label, ell, shells, "invariant", budget)
     return table.rank()
 
 
@@ -508,38 +501,18 @@ def _checked_det_classes(label: str) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def harmonic_molien(label: str, n: int = 40) -> PowerSeries:
-    """Psi^H_G(u) = (1/|G|) sum_eps (1 - u^2)/det(I - u M_eps), exactly.
+def harmonic_molien(label: str, n: int) -> tuple[int, ...]:
+    """Psi^H_G(u) = (1/|G|) sum_eps (1 - u^2)/det(I - u M_eps), to u^n.
 
-    The sum runs over first-coordinate classes.  For each class the series
-    f = 1/p of its quartic p = det(I - u M_eps), p_0 = 1, follows from
-    p * f = 1: f_k = -(p_1 f_(k-1) + ... + p_4 f_(k-4)) for k >= 1.
+    The sum runs over first-coordinate classes, through the same class sum
+    as the Molien series Psi_G.
     """
-    sums = [rat(0)] * (n + 1)
-    for p, count in _checked_det_classes(label):
-        f = [rat(1)]
-        for k in range(1, n + 1):
-            acc = rat(0)
-            for j in range(1, min(k, 4) + 1):
-                acc = acc + p[j] * f[k - j]
-            f.append(-acc)
-        for k in range(n + 1):
-            sums[k] = sums[k] + f[k] * count
-    order = len(build_group(label))
-    coeffs = []
-    for k in range(n + 1):
-        c = sums[k] - sums[k - 2] if k >= 2 else sums[k]  # times (1 - u^2)
-        if not c.is_rational():
-            raise AssertionError("harmonic Molien coefficient is irrational")
-        q = c.a / order
-        if q.denominator != 1 or q < 0:
-            raise AssertionError("harmonic Molien coefficient is not a dimension")
-        coeffs.append(q)
-    return PowerSeries(coeffs, n)
+    classes = _checked_det_classes(label)
+    return class_sum_series(classes, len(build_group(label)), (1, 0, -1), n)
 
 
 def harmonic_invariant_dim(label: str, ell: int) -> int:
-    return int(harmonic_molien(label, max(ell, 2)).coeff(ell).a)
+    return harmonic_molien(label, ell)[ell]
 
 
 def upper_bound_check(
@@ -558,7 +531,7 @@ def upper_bound_check(
 
 # -- Reynolds cross-checks -----------------------------------------------------
 
-def invariant_dimension_evaluation(label: str, ell: int, n_points: int = 0) -> int:
+def invariant_dimension_evaluation(label: str, ell: int) -> int:
     """dim Harm_ell^G via Reynolds averaging, evaluated at rational points.
 
     The rank of [ (R P_i)(v_j) ]_{ij} is a lower bound for dim Harm_ell^G;
@@ -569,11 +542,7 @@ def invariant_dimension_evaluation(label: str, ell: int, n_points: int = 0) -> i
     tag = _FIELD_TAG[label]
     basis = harm_basis(ell)
     d = harmonic_invariant_dim(label, ell)
-    if d == 0:
-        n_points = n_points or 6
-    else:
-        n_points = n_points or (d + 8)
-    points = _evaluation_points(n_points)
+    points = _evaluation_points(d + 8 if d else 6)
 
     moments = []
     for v in points:
@@ -713,7 +682,7 @@ def dimension_hypothesis(
     The series equals the Molien closed form for each group; for 2O and 2I
     the equality is conjectural, so disagreement is reported, never asserted.
     """
-    conj = int(molien_closed_form(label, max(ell, 1)).coeff(ell).a)
+    conj = molien_closed_form(label, ell)[ell]
     rank = theta_rank(label, ell, shells, budget)
     return HypothesisReport(
         group_label=label,

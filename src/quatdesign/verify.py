@@ -128,16 +128,20 @@ def check_group_construction(budget: Budget) -> CheckResult:
     )
 
 
+def _even_zeros(series) -> tuple[int, ...]:
+    """Even degrees k >= 2 whose coefficient vanishes."""
+    return tuple(k for k in range(2, len(series), 2) if series[k] == 0)
+
+
 def check_strength_molien(budget: Budget) -> CheckResult:
     t0 = time.perf_counter()
     problems = []
     for label, expected in EXPECTED_EVEN_STRENGTH.items():
         closed = molien_closed_form(label, 60)
-        zero_evens = tuple(k for k in closed.zero_coefficient_degrees(parity=0))
+        zero_evens = _even_zeros(closed)
         if zero_evens != expected:
             problems.append(f"{label}: closed-form zero set {zero_evens}")
-        computed = molien_series(build_group(label), 60)
-        if computed.rational_coeffs() != closed.rational_coeffs():
+        if molien_series(build_group(label), 60) != closed:
             problems.append(f"{label}: Molien from points != closed form")
         report = group_strength(label, 60)
         if report.even_members != expected or not report.all_odd_in:
@@ -156,7 +160,7 @@ def check_strength_direct(budget: Budget) -> CheckResult:
         series = molien_series(group, 40)
         for ell in range(2, 41, 2):
             direct = pair_sum_test(group, ell)
-            via_molien = series.coeff(ell).is_zero()
+            via_molien = series[ell] == 0
             if direct != via_molien:
                 problems.append(f"{label} l={ell}: routes disagree")
         for ell in range(1, 16, 2):
@@ -195,8 +199,7 @@ def check_dihedral_cyclic(budget: Budget) -> CheckResult:
             )
     # n = 6 leaves the quadratic tower; the dihedral formula is still verified
     # through the closed-form series, which is how the statement is proved
-    closed = molien_closed_form("D2n6", limit)
-    zero_evens = set(closed.zero_coefficient_degrees(parity=0))
+    zero_evens = set(_even_zeros(molien_closed_form("D2n6", limit)))
     if zero_evens != dihedral_even_part(6, limit):
         problems.append(f"D2n6: closed-form even part {sorted(zero_evens)}")
     else:
@@ -366,8 +369,7 @@ def check_harmonic_molien_table(budget: Budget) -> CheckResult:
     t0 = time.perf_counter()
     problems = []
     for label, row in EXPECTED_D_TABLE.items():
-        series = harmonic_molien(label, 24)
-        got = tuple(int(series.coeff(ell).a) for ell in range(2, 25, 2))
+        got = harmonic_molien(label, 24)[2::2]
         if got != row:
             problems.append(f"{label}: d-row {got}")
     for label in ("2T", "2O", "2I"):

@@ -39,6 +39,30 @@ def test_strength_from_point_file(tmp_path, capsys):
     assert json.loads(out)["even_members"] == [2, 4, 10]
 
 
+def test_strength_rejects_degenerate_point_files(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"points": []}))
+    code, out = run_cli(capsys, "strength", "--points", str(empty))
+    assert code == 4 and out == ""
+    norm4 = tmp_path / "norm4.json"
+    zero = {"tag": "RAT", "a": "0", "b": "0"}
+    two = {"tag": "RAT", "a": "2", "b": "0"}
+    norm4.write_text(json.dumps({"points": [[two, zero, zero, zero]]}))
+    code, out = run_cli(capsys, "strength", "--points", str(norm4))
+    assert code == 4 and out == ""
+
+
+def test_missing_point_file_is_bad_input(tmp_path, capsys):
+    code, _ = run_cli(capsys, "strength", "--points", str(tmp_path / "missing.json"))
+    assert code == 4
+
+
+def test_undefined_csv_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["group", "--name", "2T", "--format", "csv"])
+    assert err.value.code == 2
+
+
 def test_molien_csv(capsys):
     code, out = run_cli(capsys, "molien", "--group", "2T", "--max", "8",
                         "--format", "csv")
@@ -146,8 +170,11 @@ def test_usage_error_exit_code():
         ("molien", "--group", "2T", "--max", "-1"),
         ("qseries", "--name", "E4", "--terms", "-1"),
         ("theta", "--group", "2O", "--ell", "8", "--shells", "0"),
+        ("shells", "--group", "2T", "--m", "0", "--count-only"),
+        ("shells", "--group", "2T", "--m", "0"),
     ],
-    ids=["theta-ell", "molien-max", "qseries-terms", "theta-shells"],
+    ids=["theta-ell", "molien-max", "qseries-terms", "theta-shells",
+         "shells-m-count-only", "shells-m"],
 )
 def test_out_of_range_counts_are_usage_errors(argv):
     with pytest.raises(SystemExit) as err:

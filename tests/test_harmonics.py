@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from quatdesign.gegenbauer import harm_dim
 from quatdesign.harmonics import (
     harm_basis,
-    harm_dim4,
     harmonic_projection,
     laplacian,
     poly4_add,
@@ -43,7 +43,7 @@ def test_projection_examples():
 def test_basis_counts(ell):
     basis = harm_basis(ell)
     assert len(basis) == ((ell + 1) ** 2 if ell else 1)
-    assert harm_dim4(ell) == (ell + 1) ** 2 or ell == 0
+    assert harm_dim(ell, 4) == (ell + 1) ** 2
 
 
 @pytest.mark.parametrize("ell", [2, 4, 6, 8])

@@ -1,7 +1,8 @@
 import pytest
 
 from quatdesign.exactnum import rat
-from quatdesign.groups import build_group, half_set
+from quatdesign.groups import UnitGroup, alpha, build_group, half_set, omega
+from quatdesign.quat import Quaternion
 from quatdesign.strength import (
     StrengthReport,
     cyclic_odd_part,
@@ -32,23 +33,19 @@ def test_even_strength_sets(label):
 @pytest.mark.parametrize("label", ["2T", "2O", "2I", "C4", "C6", "D2n3", "D2n5"])
 def test_molien_from_points_equals_closed_form(label)-> None:
     n = 40
-    pts = molien_series(build_group(label), n)
-    closed = molien_closed_form(label, n)
-    assert pts.rational_coeffs() == closed.rational_coeffs()
+    assert molien_series(build_group(label), n) == molien_closed_form(label, n)
 
 
 def test_molien_2T_low_coefficients():
-    series = molien_series(build_group("2T"), 14)
-    assert [int(c) for c in series.rational_coeffs()] == [
+    assert molien_series(build_group("2T"), 14) == (
         1, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 2, 0, 1,
-    ]
+    )
 
 
 def test_molien_2I_landmarks():
     # [u^30] = 1: only the numerator term of (1+u^30)/((1-u^12)(1-u^20))
     # contributes, since 12a + 20b = 30 has no solutions
-    series = molien_series(build_group("2I"), 30)
-    coeffs = series.rational_coeffs()
+    coeffs = molien_series(build_group("2I"), 30)
     assert coeffs[12] == 1 and coeffs[20] == 1 and coeffs[30] == 1
     assert all(coeffs[k] == 0 for k in range(2, 11, 2))
 
@@ -66,14 +63,34 @@ def test_route_consistency(label):
     group = build_group(label)
     series = molien_series(group, 24)
     for ell in range(2, 25, 2):
-        assert pair_sum_test(group, ell) == series.coeff(ell).is_zero()
+        assert pair_sum_test(group, ell) == (series[ell] == 0)
 
 
 def test_pair_sum_rejects_non_unit_points():
-    from quatdesign.quat import Quaternion
-
     with pytest.raises(ValueError):
         pair_sum_test([Quaternion(2, 0, 0, 0)], 2)
+
+
+def test_point_strength_rejects_degenerate_sets():
+    with pytest.raises(ValueError, match="empty"):
+        harmonic_strength([], 6)
+    with pytest.raises(ValueError, match="unit sphere"):
+        harmonic_strength([Quaternion(2, 0, 0, 0)], 6)
+
+
+def test_molien_tripwires():
+    # [u^1] = (1/|G|) sum 2 eps_1: sqrt2 for {alpha}, 1/2 for {1, omega}
+    with pytest.raises(AssertionError, match="irrational"):
+        molien_series(UnitGroup("a", [alpha()]), 2)
+    with pytest.raises(AssertionError, match="not a dimension"):
+        molien_series(UnitGroup("w", [Quaternion(1, 0, 0, 0), omega()]), 2)
+
+
+def test_molien_negative_degree_is_rejected():
+    with pytest.raises(IndexError):
+        molien_series(build_group("2T"), -1)
+    with pytest.raises(IndexError):
+        molien_closed_form("2T", -1)
 
 
 def test_cyclic_strengths():
@@ -138,7 +155,10 @@ def test_report_shape():
 
 
 def test_molien_closed_form_families():
-    c4 = molien_closed_form("C4", 10).rational_coeffs()
-    assert [int(c) for c in c4[:5]] == [1, 0, 1, 0, 3]
-    d4 = molien_closed_form("D2n2", 8).rational_coeffs()
-    assert int(d4[2]) == 0 and int(d4[4]) == 2
+    c4 = molien_closed_form("C4", 10)
+    assert c4[:5] == (1, 0, 1, 0, 3)
+    d4 = molien_closed_form("D2n2", 8)
+    assert d4[2] == 0 and d4[4] == 2
+    for label in ("C0", "C-3", "D2n0", "Q8"):
+        with pytest.raises(ValueError):
+            molien_closed_form(label, 8)
