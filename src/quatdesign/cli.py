@@ -41,14 +41,17 @@ def _frac(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _csv_undefined():
+    print("error: csv output is not defined for this subcommand", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
 def _emit(payload, fmt: str, text_renderer=None, csv_renderer=None):
     if fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif fmt == "csv":
         if csv_renderer is None:
-            print("error: csv output is not defined for this subcommand",
-                  file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
+            _csv_undefined()
         for row in csv_renderer(payload):
             print(",".join(str(c) for c in row))
     else:
@@ -281,6 +284,8 @@ def cmd_qseries(args, budget: Budget) -> int:
 
 
 def cmd_verify_paper(args, budget: Budget) -> int:
+    if args.format == "csv":  # refused before any check runs
+        _csv_undefined()
     only = set(args.check) if args.check else None
     results = run_all(budget, only=only)
     if args.format == "json":

@@ -464,10 +464,3 @@ def kappa4(elem: OrderElement) -> tuple[Fraction, ...]:
     if value != expected:
         raise IntegrityError("kappa4 norm identity failed")
     return tuple(out)
-
-
-def kappa4_gram() -> list[list[Fraction]]:
-    """Gram matrix of kappa4(order basis) under the standard dot product."""
-    vecs = [kappa4(OrderElement("2I", tuple(int(i == j) for i in range(8))))
-            for j in range(8)]
-    return [[sum(a * b for a, b in zip(u, v)) for v in vecs] for u in vecs]

@@ -188,7 +188,8 @@ def harmonic_strength(source, n: int) -> StrengthReport:
         if not points:
             raise ValueError("the strength of an empty point set is not defined")
         _require_unit(points)
-        vanishes = pair_sum_tests_bulk(points, range(n + 1))
+        # one scan serves the degrees up to n and the spot checks below
+        vanishes = pair_sum_tests_bulk(points, range(max(n, 15) + 1))
     zero_evens = tuple(k for k in range(2, n + 1, 2) if vanishes[k])
     odd_nonzero = [k for k in range(1, n + 1, 2) if not vanishes[k]]
 
@@ -199,9 +200,12 @@ def harmonic_strength(source, n: int) -> StrengthReport:
             raise AssertionError(
                 f"antipodal set with nonzero odd pair sum at l={odd_nonzero[0]}"
             )
-        probe = source if isinstance(source, UnitGroup) else points
         for ell in range(1, 16, 2):  # spot checks, defense in depth
-            if not pair_sum_test(probe, ell):
+            if isinstance(source, UnitGroup):
+                passed = pair_sum_test(source, ell)
+            else:
+                passed = vanishes[ell]
+            if not passed:
                 raise AssertionError(f"antipodal set fails direct odd test l={ell}")
         return StrengthReport(label, n, zero_evens, True)
 
@@ -209,17 +213,6 @@ def harmonic_strength(source, n: int) -> StrengthReport:
         k for k in range(1, n + 1, 2) if k not in set(odd_nonzero)
     )
     return StrengthReport(label, n, zero_evens, False, odd_members)
-
-
-def tetra_gap_check(weights, n: int) -> set[int]:
-    """Gaps of the numerical semigroup generated by `weights`, up to n."""
-    reachable = [False] * (n + 1)
-    reachable[0] = True
-    for w in weights:
-        for k in range(w, n + 1):
-            if reachable[k - w]:
-                reachable[k] = True
-    return {k for k in range(1, n + 1) if not reachable[k]}
 
 
 def dihedral_even_part(n: int, limit: int) -> set[int]:

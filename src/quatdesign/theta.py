@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import comb, isqrt, lcm
 
 from .budget import Budget, get_budget
-from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, insert, rat
+from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, insert
 from .groups import build_group
 from .harmonics import harm_basis
 from .orders import (
@@ -37,7 +37,7 @@ from .orders import (
     order_basis,
     shell_count_formula,
 )
-from .quat import Quaternion, pair_mul, qmul_pairs, scaled_pairs, su2_factor, to_matrix
+from .quat import pair_mul, qmul_pairs, scaled_pairs, su2_factor, to_matrix
 from .strength import (
     class_sum_series,
     first_coordinate_distribution,
@@ -48,118 +48,9 @@ from .strength import (
 _FIELD_TAG = {"2T": RAT, "2O": SQRT2, "2I": GOLDEN}
 
 
-# -- complex numbers over a quadratic field (exact, for invariant finding) ----
-
-class CQuad:
-    """re + i*im with QuadElem components."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=0):
-        self.re = QuadElem.coerce(re)
-        self.im = QuadElem.coerce(im)
-
-    def __add__(self, o):
-        return CQuad(self.re + o.re, self.im + o.im)
-
-    def __sub__(self, o):
-        return CQuad(self.re - o.re, self.im - o.im)
-
-    def __neg__(self):
-        return CQuad(-self.re, -self.im)
-
-    def __mul__(self, o):
-        if not isinstance(o, CQuad):
-            o = CQuad(o)
-        return CQuad(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
-
-    def conj(self):
-        return CQuad(self.re, -self.im)
-
-    def __rtruediv__(self, o):
-        ninv = (self.re * self.re + self.im * self.im).inverse()
-        return CQuad(self.re * ninv, -(self.im * ninv)) * o
-
-    def __bool__(self):
-        return bool(self.re or self.im)
-
-    def __eq__(self, o):
-        return isinstance(o, CQuad) and self.re == o.re and self.im == o.im
-
-    def __repr__(self):
-        return f"CQuad({self.re}, {self.im})"
-
-
-def _su2_entries(eps: Quaternion) -> tuple[CQuad, CQuad]:
-    """(w1, w2) with eps = w1 + w2 j, i.e. the first row of C_eps."""
-    return CQuad(eps.x1, eps.x2), CQuad(eps.x3, eps.x4)
-
-
-# -- holomorphic right-invariants ---------------------------------------------
-
-@lru_cache(maxsize=None)
-def invariant_multiplicity(label: str, ell: int) -> int:
-    """m_l = [u^l] Psi_G = dim of degree-l holomorphic right-invariants."""
-    return molien_series(build_group(label), ell)[ell]
-
-
-def _reynolds_holomorphic(label: str, p: int, q: int) -> dict:
-    """sum_eps (eps . z1^p z2^q) as {(a, b): CQuad} with a + b = p + q."""
-    group = build_group(label)
-    out: dict[tuple[int, int], CQuad] = {}
-    zero = CQuad(0)
-    for eps in group:
-        w1, w2 = _su2_entries(eps)
-        # (z1 w1 - z2 conj(w2))^p and (z1 w2 + z2 conj(w1))^q
-        a_pows = _binom_powers(w1, -w2.conj(), p)
-        b_pows = _binom_powers(w2, w1.conj(), q)
-        for i, ca in a_pows:
-            for j, cb in b_pows:
-                key = (i + j, p + q - i - j)
-                cur = out.get(key, zero)
-                out[key] = cur + ca * cb
-    return {k: v for k, v in out.items() if v}
-
-
-def _binom_powers(u: CQuad, v: CQuad, n: int):
-    """[(i, C(n,i) u^i v^{n-i})] for the expansion of (z1 u + z2 v)^n."""
-    u_pows = [CQuad(1)]
-    v_pows = [CQuad(1)]
-    for _ in range(n):
-        u_pows.append(u_pows[-1] * u)
-        v_pows.append(v_pows[-1] * v)
-    return [(i, u_pows[i] * v_pows[n - i] * rat(comb(n, i))) for i in range(n + 1)]
-
-
-@lru_cache(maxsize=None)
-def holomorphic_invariants(label: str, ell: int) -> tuple:
-    """A basis (length m_l) of G-invariant holomorphic forms of degree l.
-
-    Found by Reynolds-averaging seed monomials until the span is full; the
-    span dimension is certified against the Molien coefficient.
-    """
-    m = invariant_multiplicity(label, ell)
-    if m == 0:
-        return ()
-    basis: list[dict] = []
-    echelon: dict = {}
-    for a in range(ell, -1, -1):
-        cand = _reynolds_holomorphic(label, a, ell - a)
-        if insert(cand, echelon):
-            basis.append(cand)
-            if len(basis) == m:
-                break
-    if len(basis) != m:
-        raise AssertionError(
-            f"found {len(basis)} holomorphic invariants for {label} deg {ell}, "
-            f"Molien predicts {m}"
-        )
-    return tuple(basis)
-
-
-# -- scaled integer evaluation layer ------------------------------------------
+# -- complex numbers on integer pairs ------------------------------------------
+#
+# A complex value re + i*im with re, im in Z[rho] is ((re_a, re_b), (im_a, im_b)).
 
 def _cq_mul(tag, u, v):
     """Complex multiply on ((are, bre), (aim, bim)) integer-pair values."""
@@ -181,6 +72,92 @@ def _cq_add(u, v):
 _CQ_ZERO = ((0, 0), (0, 0))
 _CQ_ONE = ((1, 0), (0, 0))
 
+
+# -- holomorphic right-invariants ---------------------------------------------
+
+@lru_cache(maxsize=None)
+def invariant_multiplicity(label: str, ell: int) -> int:
+    """m_l = [u^l] Psi_G = dim of degree-l holomorphic right-invariants."""
+    return molien_series(build_group(label), ell)[ell]
+
+
+def _reynolds_holomorphic(label: str, p: int, q: int) -> dict:
+    """2^(p+q) sum_eps (eps . z1^p z2^q) as {(a, b): complex integer pair}
+    with a + b = p + q."""
+    tag = _FIELD_TAG[label]
+    out: dict = {}
+    for eps in build_group(label):
+        # 2 eps = W1 + W2 j, integral in every order (ValueError otherwise)
+        x1, x2, x3, x4 = scaled_pairs(eps.coords, 2)
+        # (z1 W1 - z2 conj W2)^p and (z1 W2 + z2 conj W1)^q
+        a_pows = _binom_powers(tag, (x1, x2), ((-x3[0], -x3[1]), x4), p)
+        b_pows = _binom_powers(tag, (x3, x4), (x1, (-x2[0], -x2[1])), q)
+        for i, ca in a_pows:
+            for j, cb in b_pows:
+                key = (i + j, p + q - i - j)
+                out[key] = _cq_add(out.get(key, _CQ_ZERO), _cq_mul(tag, ca, cb))
+    return {k: v for k, v in out.items() if v != _CQ_ZERO}
+
+
+def _binom_powers(tag, u, v, n: int):
+    """[(i, C(n,i) u^i v^{n-i})] for the expansion of (z1 u + z2 v)^n."""
+    u_pows = [_CQ_ONE]
+    v_pows = [_CQ_ONE]
+    for _ in range(n):
+        u_pows.append(_cq_mul(tag, u_pows[-1], u))
+        v_pows.append(_cq_mul(tag, v_pows[-1], v))
+    out = []
+    for i in range(n + 1):
+        c = comb(n, i)
+        (ra, rb), (ia, ib) = _cq_mul(tag, u_pows[i], v_pows[n - i])
+        out.append((i, ((c * ra, c * rb), (c * ia, c * ib))))
+    return out
+
+
+def _real_split(tag, form) -> dict:
+    """{(k, 0): Re, (k, 1): Im}: a form as a vector over K = Q(rho)."""
+    out = {}
+    for k, (re, im) in form.items():
+        out[(k, 0)] = QuadElem(tag, *re)
+        out[(k, 1)] = QuadElem(tag, *im)
+    return out
+
+
+@lru_cache(maxsize=None)
+def holomorphic_invariants(label: str, ell: int) -> tuple:
+    """A basis (length m_l) of G-invariant holomorphic forms of degree l.
+
+    Each form f is returned as 2^l f on integer pairs, {(a, b): coefficient
+    of z1^a z2^b}.  Found by Reynolds-averaging seed monomials until the span
+    is full; the span dimension is certified against the Molien coefficient.
+    Independence is over K(i): the echelon over K holds the real splits of
+    every accepted f and of i f, which together span the K(i)-span.
+    """
+    m = invariant_multiplicity(label, ell)
+    if m == 0:
+        return ()
+    tag = _FIELD_TAG[label]
+    basis: list[dict] = []
+    echelon: dict = {}
+    for a in range(ell, -1, -1):
+        cand = _reynolds_holomorphic(label, a, ell - a)
+        if not insert(_real_split(tag, cand), echelon):
+            continue
+        times_i = {k: ((-im[0], -im[1]), re) for k, (re, im) in cand.items()}
+        if not insert(_real_split(tag, times_i), echelon):
+            raise AssertionError(f"i f lies in the K-span for {label} deg {ell}")
+        basis.append(cand)
+        if len(basis) == m:
+            break
+    if len(basis) != m:
+        raise AssertionError(
+            f"found {len(basis)} holomorphic invariants for {label} deg {ell}, "
+            f"Molien predicts {m}"
+        )
+    return tuple(basis)
+
+
+# -- scaled integer evaluation layer ------------------------------------------
 
 @lru_cache(maxsize=None)
 def _doubled_basis_pairs(label: str):
@@ -325,27 +302,11 @@ def _invariant_table(label, ell, shells, budget: Budget) -> ThetaTable:
             () for _ in range(shells)
         ))
 
-    # clear denominators: integer-pair complex coefficients per invariant
-    scaled = []
-    for f in invariants:
-        den = lcm(*(
-            q.denominator
-            for v in f.values() for q in (v.re.a, v.re.b, v.im.a, v.im.b)
-        ))
-        fi = {
-            k: (
-                (int(v.re.a * den), int(v.re.b * den)),
-                (int(v.im.a * den), int(v.im.b * den)),
-            )
-            for k, v in f.items()
-        }
-        scaled.append((fi, den))
-
     pool = _translate_pool()
     columns = []
-    for t, (fi, den) in enumerate(scaled):
+    for t, fi in enumerate(invariants):
         for y, root in pool:
-            columns.append((t, y, root, fi, den))
+            columns.append((t, y, root, fi))
 
     # largest shell first: its enumeration ball is cached and serves every
     # smaller m, where rising m would enumerate a larger ball each time
@@ -354,7 +315,7 @@ def _invariant_table(label, ell, shells, budget: Budget) -> ThetaTable:
     for m in range(1, shells + 1):
         reps = shell_orbit_reps(label, m)
         rep_points = [_scaled_point(label, r) for r in reps]
-        for ci, (t, y, root, fi, den) in enumerate(columns):
+        for ci, (t, y, root, fi) in enumerate(columns):
             acc = _CQ_ZERO
             for pt in rep_points:
                 moved = qmul_pairs(tag, y, pt)
@@ -365,8 +326,10 @@ def _invariant_table(label, ell, shells, budget: Budget) -> ThetaTable:
 
     col_labels = []
     rows_re_im = [[] for _ in range(shells)]
-    for ci, (t, y, root, fi, den) in enumerate(columns):
-        scale = Fraction(group_order, den * (2 * root) ** ell)
+    for ci, (t, y, root, fi) in enumerate(columns):
+        # fi is 2^l f and the moved point is 2 root (y/root) x, so the raw
+        # sum is (4 root)^l sum f(y x / root)
+        scale = Fraction(group_order, (4 * root) ** ell)
         for part in ("re", "im"):
             col_labels.append(f"f{t}.L{tuple(a for a, _ in y)}.{part}")
         for m in range(shells):
@@ -513,20 +476,6 @@ def harmonic_molien(label: str, n: int) -> tuple[int, ...]:
 
 def harmonic_invariant_dim(label: str, ell: int) -> int:
     return harmonic_molien(label, ell)[ell]
-
-
-def upper_bound_check(
-    label: str, ell: int, shells: int, budget: Budget | None = None
-) -> bool:
-    """theta_rank <= dim Harm_ell^G; a violation is a hard failure."""
-    rank = theta_rank(label, ell, shells, budget)
-    bound = harmonic_invariant_dim(label, ell)
-    if rank > bound:
-        raise AssertionError(
-            f"theta rank {rank} exceeds invariant dimension {bound} "
-            f"for {label}, ell={ell}"
-        )
-    return True
 
 
 # -- Reynolds cross-checks -----------------------------------------------------

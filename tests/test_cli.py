@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from quatdesign import cli
 from quatdesign.cli import main
 
 
@@ -57,10 +58,18 @@ def test_missing_point_file_is_bad_input(tmp_path, capsys):
     assert code == 4
 
 
-def test_undefined_csv_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["group", "--name", "2T", "--format", "csv"])
-    assert err.value.code == 2
+def test_undefined_csv_is_a_usage_error(capsys, monkeypatch):
+    def no_checks(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "run_all", no_checks)
+    for argv in (
+        ["group", "--name", "2T", "--format", "csv"],
+        ["verify-paper", "--check", "groups", "--format", "csv"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
 
 
 def test_molien_csv(capsys):

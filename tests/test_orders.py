@@ -12,7 +12,6 @@ from quatdesign.orders import (
     embed_coords,
     enumerate_shell,
     kappa4,
-    kappa4_gram,
     orbit_decompose,
     order_basis,
     quadratic_form,
@@ -180,6 +179,13 @@ def _inner(a, b):
     from quatdesign.quat import inner
 
     return inner(a, b)
+
+
+def kappa4_gram() -> list[list[Fraction]]:
+    """Gram matrix of kappa4(order basis) under the standard dot product."""
+    vecs = [kappa4(OrderElement("2I", tuple(int(i == j) for i in range(8))))
+            for j in range(8)]
+    return [[sum(a * b for a, b in zip(u, v)) for v in vecs] for u in vecs]
 
 
 def test_kappa4_image_is_scaled_e8():

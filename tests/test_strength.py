@@ -3,6 +3,7 @@ import pytest
 from quatdesign.exactnum import rat
 from quatdesign.groups import UnitGroup, alpha, build_group, half_set, omega
 from quatdesign.quat import Quaternion
+from quatdesign import strength
 from quatdesign.strength import (
     StrengthReport,
     cyclic_odd_part,
@@ -13,7 +14,6 @@ from quatdesign.strength import (
     molien_series,
     pair_sum_test,
     pair_sum_value,
-    tetra_gap_check,
 )
 
 EXPECTED_EVEN = {
@@ -117,6 +117,17 @@ def test_dihedral_even_part_values():
     assert dihedral_even_part(6, 20) == {2, 6, 10}
 
 
+def tetra_gap_check(weights, n: int) -> set[int]:
+    """Gaps of the numerical semigroup generated by `weights`, up to n."""
+    reachable = [False] * (n + 1)
+    reachable[0] = True
+    for w in weights:
+        for k in range(w, n + 1):
+            if reachable[k - w]:
+                reachable[k] = True
+    return {k for k in range(1, n + 1) if not reachable[k]}
+
+
 def test_gap_sets():
     assert tetra_gap_check((3, 4), 30) == {1, 2, 5}
     # octahedral doubled structure: [u^{2k}] Psi_2O = 0 iff k unreachable
@@ -162,3 +173,19 @@ def test_molien_closed_form_families():
     for label in ("C0", "C-3", "D2n0", "Q8"):
         with pytest.raises(ValueError):
             molien_closed_form(label, 8)
+
+
+def test_point_list_strength_scans_pair_distances_once(monkeypatch):
+    points = list(build_group("2O").elements)
+    scans = []
+    scan = strength.pair_distance_distribution
+
+    def counting(pts):
+        scans.append(1)
+        return scan(pts)
+
+    monkeypatch.setattr(strength, "pair_distance_distribution", counting)
+    report = harmonic_strength(points, 30)
+    assert report.all_odd_in
+    assert report.even_members == group_strength("2O", 30).even_members
+    assert len(scans) == 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatdesign.budget import ResourceBudgetError, get_budget
-from quatdesign.exactnum import GOLDEN, SQRT2, QuadElem, golden_elem, rat, sqrt2_elem
+from quatdesign.exactnum import GOLDEN, RAT, SQRT2, QuadElem, golden_elem, rat, sqrt2_elem
 from quatdesign.groups import build_group
 from quatdesign.harmonics import harm_basis, poly4_eval
 from quatdesign import orders
@@ -16,8 +16,9 @@ from quatdesign.orders import (
 )
 from quatdesign.qseries import qseries
 from quatdesign.strength import molien_closed_form, molien_series
+from quatdesign import theta
+from quatdesign.quat import qmul_pairs, scaled_pairs
 from quatdesign.theta import (
-    CQuad,
     dimension_hypothesis,
     exact_rank,
     harmonic_invariant_dim,
@@ -28,7 +29,6 @@ from quatdesign.theta import (
     invariant_multiplicity,
     theta_rank,
     theta_table,
-    upper_bound_check,
 )
 
 D_TABLE = {
@@ -119,6 +119,39 @@ def test_holomorphic_invariants_found():
     assert holomorphic_invariants("2I", 4) == ()
 
 
+@pytest.mark.parametrize("label, ell", [("2T", 6), ("2T", 12), ("2O", 8), ("2I", 12)])
+def test_holomorphic_invariants_are_right_invariant(label, ell):
+    # the forms are 2^l f on integer pairs; x (2 eps) = 2 (x eps) and
+    # f(x eps) = f(x), so each form at x (2 eps) is 2^l times its value at x
+    tag = theta._FIELD_TAG[label]
+    rng = random.Random(ell)
+    rho_part = 0 if tag == RAT else 3  # Z has no rho part
+    points = [
+        tuple((rng.randint(-3, 3), rng.randint(-rho_part, rho_part)) for _ in range(4))
+        for _ in range(3)
+    ]
+    for form in holomorphic_invariants(label, ell):
+        def value(x):  # x = z1 + z2 j with z1 = x[:2], z2 = x[2:]
+            return theta._eval_holomorphic(tag, form, x[:2], x[2:], ell)
+
+        for x in points:
+            want = tuple(tuple(2**ell * c for c in part) for part in value(x))
+            for eps in build_group(label):
+                assert value(qmul_pairs(tag, x, scaled_pairs(eps.coords, 2))) == want
+
+
+def test_holomorphic_invariants_are_independent_over_k_of_i(monkeypatch):
+    # f and i f are dependent over K(i) but independent over K, so a search
+    # that only compared real splits would return (f, i f)
+    f = {(2, 0): ((1, 0), (0, 0)), (0, 2): ((0, 0), (3, 0))}
+    i_f = {(2, 0): ((0, 0), (1, 0)), (0, 2): ((-3, 0), (0, 0))}
+    g = {(1, 1): ((2, 0), (0, 0))}
+    candidates = iter([f, i_f, g])
+    monkeypatch.setattr(theta, "_reynolds_holomorphic", lambda *args: next(candidates))
+    monkeypatch.setattr(theta, "invariant_multiplicity", lambda *args: 2)
+    assert holomorphic_invariants.__wrapped__("2T", 2) == (f, g)
+
+
 def test_zero_table_for_degree_in_strength():
     tbl = theta_table("2T", 2, 5, kind="full")
     assert tbl.is_zero()
@@ -148,12 +181,10 @@ def test_theta_rank_examples():
 
 
 def test_upper_bound_checks():
-    assert upper_bound_check("2O", 8, 8)
-    assert harmonic_invariant_dim("2O", 8) == 9
-    assert upper_bound_check("2I", 12, 5)
-    assert harmonic_invariant_dim("2I", 12) == 13
+    assert theta_rank("2O", 8, 8) <= harmonic_invariant_dim("2O", 8) == 9
+    assert theta_rank("2I", 12, 5) <= harmonic_invariant_dim("2I", 12) == 13
     for ell in range(2, 17, 2):
-        assert upper_bound_check("2T", ell, 10)
+        assert theta_rank("2T", ell, 10) <= harmonic_invariant_dim("2T", ell)
 
 
 def test_full_and_invariant_tables_span_equally():
@@ -184,9 +215,8 @@ def _rank_two_rows(zero, one, s, t):
         (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-2, 5)),
         (rat(0), rat(1), sqrt2_elem(0, 1), sqrt2_elem(1, Fraction(-3, 2))),
         (rat(0), rat(1), golden_elem(0, 1), golden_elem(Fraction(1, 2), 1)),
-        (CQuad(0), CQuad(1), CQuad(0, 1), CQuad(sqrt2_elem(1, 1), 2)),
     ],
-    ids=["fraction", "sqrt2", "golden", "cquad"],
+    ids=["fraction", "sqrt2", "golden"],
 )
 def test_exact_rank_of_rank_deficient_rows(zero, one, s, t):
     assert exact_rank(_rank_two_rows(zero, one, s, t)) == 2
