@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
+from operator import mul
 
 from .budget import Budget, get_budget
 from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, insert, iota, rat, reduce
@@ -364,6 +365,11 @@ def _enumerate_ball(label: str, bound: int) -> dict[int, list[tuple[int, ...]]]:
 _BALL_CACHE: dict[str, tuple[int, dict[int, list[tuple[int, ...]]]]] = {}
 
 
+def ball_size(label: str, m: int) -> int:
+    """Number of points in O_{G,1} .. O_{G,m}, by the divisor formulas."""
+    return sum(shell_count_formula(label, k) for k in range(1, m + 1))
+
+
 def enumerated_shell_coords(
     label: str, m: int, budget: Budget | None = None
 ) -> list[tuple[int, ...]]:
@@ -374,8 +380,7 @@ def enumerated_shell_coords(
     budget.check_shell(label, m)
     cached = _BALL_CACHE.get(label)
     if cached is None or cached[0] < m:
-        predicted = sum(shell_count_formula(label, k) for k in range(1, m + 1))
-        budget.check_enum_points(label, predicted)
+        budget.check_enum_points(label, ball_size(label, m))
         _BALL_CACHE[label] = (m, _enumerate_ball(label, m))
     return _BALL_CACHE[label][1][m]
 
@@ -414,24 +419,19 @@ def right_multiplication_matrices(label: str) -> tuple[tuple[tuple[int, ...], ..
     return tuple(mats)
 
 
-def _apply_row_matrix(coords, mat):
-    n = len(coords)
-    return tuple(
-        sum(coords[i] * mat[i][j] for i in range(n) if coords[i]) for j in range(n)
-    )
-
-
 def orbit_decompose(shell: Shell) -> list[tuple[int, ...]]:
     """Representatives S_m with shell = disjoint union of x G (exact check)."""
+    # coords(x eps)_j = sum_i coords(x)_i R_eps[i][j]: each R_eps by columns
     mats = right_multiplication_matrices(shell.group_label)
-    order = len(mats)
+    actions = [tuple(zip(*mat)) for mat in mats]
+    order = len(actions)
     point_set = set(shell.points)
     seen: set[tuple[int, ...]] = set()
     reps = []
     for p in shell.points:
         if p in seen:
             continue
-        orbit = {_apply_row_matrix(p, mat) for mat in mats}
+        orbit = {tuple([sum(map(mul, p, col)) for col in cols]) for cols in actions}
         if len(orbit) != order:
             raise IntegrityError("group action on the shell is not free")
         if not orbit <= point_set:

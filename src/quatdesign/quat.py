@@ -7,7 +7,7 @@ row vectors as y -> y . M_x with M_x the orthogonal 4x4 matrix below.
 
 from __future__ import annotations
 
-from .exactnum import QuadElem, RAT, SQRT2, FieldTagMismatch, rat
+from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, FieldTagMismatch, rat
 from .unipoly import UniPoly
 
 
@@ -162,20 +162,21 @@ def scaled_pairs(coords, scale: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def pair_mul(tag: str, a, b, c, d):
-    """(a + b rho)(c + d rho) on integer pairs, per field."""
-    if tag == RAT:
-        return a * c, 0
-    if tag == SQRT2:
-        return a * c + 2 * b * d, a * d + b * c
-    bd = b * d
-    return a * c + bd, a * d + b * c + bd
+# (a + b rho)(c + d rho) on integer pairs, one function per field;
+# rho^2 = 2 for SQRT2 and tau^2 = tau + 1 for GOLDEN
+PAIR_MUL = {
+    RAT: lambda a, b, c, d: (a * c, 0),
+    SQRT2: lambda a, b, c, d: (a * c + 2 * b * d, a * d + b * c),
+    GOLDEN: lambda a, b, c, d: (a * c + b * d, a * d + b * c + b * d),
+}
 
 
 def qmul_pairs(tag, x, y):
     """Hamilton product on 4-tuples of integer pairs."""
+    pmul = PAIR_MUL[tag]
+
     def mul(i, j):
-        return pair_mul(tag, x[i][0], x[i][1], y[j][0], y[j][1])
+        return pmul(x[i][0], x[i][1], y[j][0], y[j][1])
 
     def add(*terms):
         return (sum(t[0] for t in terms), sum(t[1] for t in terms))
@@ -190,6 +191,41 @@ def qmul_pairs(tag, x, y):
         add(mul(2, 0), mul(3, 1), mul(0, 2), neg(mul(1, 3))),
         add(mul(3, 0), neg(mul(2, 1)), mul(1, 2), mul(0, 3)),
     )
+
+
+def char_coeffs_pairs(tag, rows) -> tuple[tuple[int, int], ...]:
+    """(e1, e2, e3, e4) with det(tI - A) = t^4 - e1 t^3 + e2 t^2 - e3 t + e4,
+    for a 4x4 matrix A of integer pairs.
+
+    Newton's identities k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i with the
+    power traces p_i = tr(A^i); the divisions by 2, 3 and 4 are exact on
+    Z[rho] and raise AssertionError on a remainder.
+    """
+    pmul = PAIR_MUL[tag]
+
+    def dot(u, v):
+        terms = [pmul(*x, *y) for x, y in zip(u, v)]
+        return sum(t[0] for t in terms), sum(t[1] for t in terms)
+
+    cols = tuple(zip(*rows))
+    power, traces = rows, []
+    for k in range(4):
+        if k:
+            power = [[dot(r, c) for c in cols] for r in power]
+        diag = [power[i][i] for i in range(4)]
+        traces.append((sum(t[0] for t in diag), sum(t[1] for t in diag)))
+    e = [(1, 0)]
+    for k in range(1, 5):
+        acc_a = acc_b = 0
+        for i in range(1, k + 1):
+            ta, tb = pmul(*e[k - i], *traces[i - 1])
+            sign = 1 if i % 2 else -1
+            acc_a += sign * ta
+            acc_b += sign * tb
+        if acc_a % k or acc_b % k:
+            raise AssertionError(f"Newton identity for e_{k} leaves a remainder")
+        e.append((acc_a // k, acc_b // k))
+    return tuple(e[1:])
 
 
 class Matrix4:
@@ -233,43 +269,6 @@ class Matrix4:
         return tuple(
             sum((v[k] * self.rows[k][j] for k in range(4)), rat(0)) for j in range(4)
         )
-
-    def det_poly_i_minus_u(self) -> UniPoly:
-        """det(I - u*M) as an exact degree-4 polynomial in u."""
-        # entries of I - uM are linear polynomials; expand by permutations
-        entries = [
-            [
-                UniPoly([1 if i == j else 0, -self.rows[i][j]])
-                for j in range(4)
-            ]
-            for i in range(4)
-        ]
-        from itertools import permutations
-
-        total = UniPoly.zero()
-        for perm in permutations(range(4)):
-            sign = _perm_sign(perm)
-            term = UniPoly([1])
-            for i in range(4):
-                term = term * entries[i][perm[i]]
-            total = total + (term if sign > 0 else -term)
-        return total
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def to_matrix(x: Quaternion) -> Matrix4:

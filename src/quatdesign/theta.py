@@ -25,19 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
+from operator import mul
 
 from .budget import Budget, get_budget
 from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, insert
 from .groups import build_group
 from .harmonics import harm_basis
-from .orders import (
-    enumerate_shell,
-    orbit_decompose,
-    order_basis,
-    shell_count_formula,
-)
-from .quat import pair_mul, qmul_pairs, scaled_pairs, su2_factor, to_matrix
+from .orders import ball_size, enumerate_shell, orbit_decompose, order_basis
+from .quat import PAIR_MUL, char_coeffs_pairs, qmul_pairs, scaled_pairs, to_matrix
 from .strength import (
     class_sum_series,
     first_coordinate_distribution,
@@ -48,29 +44,59 @@ from .strength import (
 _FIELD_TAG = {"2T": RAT, "2O": SQRT2, "2I": GOLDEN}
 
 
-# -- complex numbers on integer pairs ------------------------------------------
+# -- flat integer kernel ------------------------------------------------------
 #
-# A complex value re + i*im with re, im in Z[rho] is ((re_a, re_b), (im_a, im_b)).
+# A scalar a + b*rho with integers a, b is the pair (a, b); a complex value
+# re + i*im with re, im in Z[rho] is the flat 4-tuple (re_a, re_b, im_a, im_b).
+# A caller looks up its field's multiply once, in PAIR_MUL or _CMUL.
 
-def _cq_mul(tag, u, v):
-    """Complex multiply on ((are, bre), (aim, bim)) integer-pair values."""
-    (ar, br), (ai, bi) = u
-    (cr, dr), (ci, di) = v
-    rr = pair_mul(tag, ar, br, cr, dr)
-    ii = pair_mul(tag, ai, bi, ci, di)
-    ri = pair_mul(tag, ar, br, ci, di)
-    ir = pair_mul(tag, ai, bi, cr, dr)
-    return (rr[0] - ii[0], rr[1] - ii[1]), (ri[0] + ir[0], ri[1] + ir[1])
+def _cmul_rat(u, v):
+    ra, _, ia, _ = u
+    sa, _, ja, _ = v
+    return ra * sa - ia * ja, 0, ra * ja + ia * sa, 0
 
 
-def _cq_add(u, v):
-    (ar, br), (ai, bi) = u
-    (cr, dr), (ci, di) = v
-    return (ar + cr, br + dr), (ai + ci, bi + di)
+def _cmul_sqrt2(u, v):
+    ra, rb, ia, ib = u
+    sa, sb, ja, jb = v
+    return (
+        ra * sa + 2 * rb * sb - ia * ja - 2 * ib * jb,
+        ra * sb + rb * sa - ia * jb - ib * ja,
+        ra * ja + 2 * rb * jb + ia * sa + 2 * ib * sb,
+        ra * jb + rb * ja + ia * sb + ib * sa,
+    )
 
 
-_CQ_ZERO = ((0, 0), (0, 0))
-_CQ_ONE = ((1, 0), (0, 0))
+def _cmul_golden(u, v):
+    ra, rb, ia, ib = u
+    sa, sb, ja, jb = v
+    rs, ij, rj, is_ = rb * sb, ib * jb, rb * jb, ib * sb  # tau^2 = tau + 1
+    return (
+        ra * sa + rs - ia * ja - ij,
+        ra * sb + rb * sa + rs - ia * jb - ib * ja - ij,
+        ra * ja + rj + ia * sa + is_,
+        ra * jb + rb * ja + rj + ia * sb + ib * sa + is_,
+    )
+
+
+_CMUL = {RAT: _cmul_rat, SQRT2: _cmul_sqrt2, GOLDEN: _cmul_golden}
+_C_ZERO = (0, 0, 0, 0)
+_C_ONE = (1, 0, 0, 0)
+
+
+def _flat(pairs) -> tuple:
+    return tuple(c for pair in pairs for c in pair)
+
+
+def _csum(values):
+    return tuple(map(sum, zip(_C_ZERO, *values)))
+
+
+def _cpow(cmul, z, n: int):
+    out = _C_ONE
+    for _ in range(n):
+        out = cmul(out, z)
+    return out
 
 
 # -- holomorphic right-invariants ---------------------------------------------
@@ -82,44 +108,43 @@ def invariant_multiplicity(label: str, ell: int) -> int:
 
 
 def _reynolds_holomorphic(label: str, p: int, q: int) -> dict:
-    """2^(p+q) sum_eps (eps . z1^p z2^q) as {(a, b): complex integer pair}
+    """2^(p+q) sum_eps (eps . z1^p z2^q) as {(a, b): flat complex value}
     with a + b = p + q."""
-    tag = _FIELD_TAG[label]
+    cmul = _CMUL[_FIELD_TAG[label]]
     out: dict = {}
     for eps in build_group(label):
         # 2 eps = W1 + W2 j, integral in every order (ValueError otherwise)
-        x1, x2, x3, x4 = scaled_pairs(eps.coords, 2)
+        x = _flat(scaled_pairs(eps.coords, 2))
+        w1, w2 = x[:4], x[4:]
         # (z1 W1 - z2 conj W2)^p and (z1 W2 + z2 conj W1)^q
-        a_pows = _binom_powers(tag, (x1, x2), ((-x3[0], -x3[1]), x4), p)
-        b_pows = _binom_powers(tag, (x3, x4), (x1, (-x2[0], -x2[1])), q)
+        a_pows = _binom_powers(cmul, w1, (-x[4], -x[5], x[6], x[7]), p)
+        b_pows = _binom_powers(cmul, w2, (x[0], x[1], -x[2], -x[3]), q)
         for i, ca in a_pows:
             for j, cb in b_pows:
-                key = (i + j, p + q - i - j)
-                out[key] = _cq_add(out.get(key, _CQ_ZERO), _cq_mul(tag, ca, cb))
-    return {k: v for k, v in out.items() if v != _CQ_ZERO}
+                out.setdefault((i + j, p + q - i - j), []).append(cmul(ca, cb))
+    sums = {k: _csum(terms) for k, terms in out.items()}
+    return {k: v for k, v in sums.items() if v != _C_ZERO}
 
 
-def _binom_powers(tag, u, v, n: int):
+def _binom_powers(cmul, u, v, n: int):
     """[(i, C(n,i) u^i v^{n-i})] for the expansion of (z1 u + z2 v)^n."""
-    u_pows = [_CQ_ONE]
-    v_pows = [_CQ_ONE]
+    u_pows = [_C_ONE]
+    v_pows = [_C_ONE]
     for _ in range(n):
-        u_pows.append(_cq_mul(tag, u_pows[-1], u))
-        v_pows.append(_cq_mul(tag, v_pows[-1], v))
-    out = []
-    for i in range(n + 1):
-        c = comb(n, i)
-        (ra, rb), (ia, ib) = _cq_mul(tag, u_pows[i], v_pows[n - i])
-        out.append((i, ((c * ra, c * rb), (c * ia, c * ib))))
-    return out
+        u_pows.append(cmul(u_pows[-1], u))
+        v_pows.append(cmul(v_pows[-1], v))
+    return [
+        (i, tuple(comb(n, i) * c for c in cmul(u_pows[i], v_pows[n - i])))
+        for i in range(n + 1)
+    ]
 
 
 def _real_split(tag, form) -> dict:
     """{(k, 0): Re, (k, 1): Im}: a form as a vector over K = Q(rho)."""
     out = {}
-    for k, (re, im) in form.items():
-        out[(k, 0)] = QuadElem(tag, *re)
-        out[(k, 1)] = QuadElem(tag, *im)
+    for k, (ra, rb, ia, ib) in form.items():
+        out[(k, 0)] = QuadElem(tag, ra, rb)
+        out[(k, 1)] = QuadElem(tag, ia, ib)
     return out
 
 
@@ -127,9 +152,10 @@ def _real_split(tag, form) -> dict:
 def holomorphic_invariants(label: str, ell: int) -> tuple:
     """A basis (length m_l) of G-invariant holomorphic forms of degree l.
 
-    Each form f is returned as 2^l f on integer pairs, {(a, b): coefficient
-    of z1^a z2^b}.  Found by Reynolds-averaging seed monomials until the span
-    is full; the span dimension is certified against the Molien coefficient.
+    Each form f is returned as 2^l f, {(a, b): coefficient of z1^a z2^b} with
+    flat complex coefficients (re_a, re_b, im_a, im_b).  Found by
+    Reynolds-averaging seed monomials until the span is full; the span
+    dimension is certified against the Molien coefficient.
     Independence is over K(i): the echelon over K holds the real splits of
     every accepted f and of i f, which together span the K(i)-span.
     """
@@ -143,7 +169,7 @@ def holomorphic_invariants(label: str, ell: int) -> tuple:
         cand = _reynolds_holomorphic(label, a, ell - a)
         if not insert(_real_split(tag, cand), echelon):
             continue
-        times_i = {k: ((-im[0], -im[1]), re) for k, (re, im) in cand.items()}
+        times_i = {k: (-ia, -ib, ra, rb) for k, (ra, rb, ia, ib) in cand.items()}
         if not insert(_real_split(tag, times_i), echelon):
             raise AssertionError(f"i f lies in the K-span for {label} deg {ell}")
         basis.append(cand)
@@ -159,24 +185,78 @@ def holomorphic_invariants(label: str, ell: int) -> tuple:
 
 # -- scaled integer evaluation layer ------------------------------------------
 
+_QUAT_ONE = ((1, 0), (0, 0), (0, 0), (0, 0))
+
+
 @lru_cache(maxsize=None)
-def _doubled_basis_pairs(label: str):
-    """Integer-pair coordinates of 2 * (order basis vectors)."""
-    return _FIELD_TAG[label], tuple(
-        scaled_pairs(g.coords, 2) for g in order_basis(label)
-    )
+def _point_map(label: str, y=_QUAT_ONE) -> tuple:
+    """Columns c_0..c_7 with flat pairs of y * 2x = sum(map(mul, coords, c_k))
+    for the order coordinates coords of x; y is an integer-pair quaternion."""
+    tag = _FIELD_TAG[label]
+    images = [
+        _flat(qmul_pairs(tag, y, scaled_pairs(g.coords, 2)))
+        for g in order_basis(label)
+    ]
+    return tuple(zip(*images))
 
 
-def _scaled_point(label: str, coords):
-    """Integer-pair quaternion coordinates of 2x for shell coordinates x."""
-    tag, basis = _doubled_basis_pairs(label)
-    acc = [(0, 0), (0, 0), (0, 0), (0, 0)]
-    for c, vec in zip(coords, basis):
-        if c:
-            for k in range(4):
-                a, b = vec[k]
-                acc[k] = (acc[k][0] + c * a, acc[k][1] + c * b)
-    return tuple(acc)
+def _map_point(cols, coords) -> tuple:
+    return tuple([sum(map(mul, coords, col)) for col in cols])
+
+
+def _monomial_sums(tag, points, ell) -> dict:
+    """{e: sum over points of x^e, as an integer pair} for every degree-ell
+    monomial e; a point is the flat 8-tuple of its four integer pairs."""
+    pmul = PAIR_MUL[tag]
+    monos = [  # in the order of the loops below
+        (e1, e2, e3, ell - e1 - e2 - e3)
+        for e1 in range(ell + 1)
+        for e2 in range(ell - e1 + 1)
+        for e3 in range(ell - e1 - e2 + 1)
+    ]
+    acc_a = [0] * len(monos)
+    acc_b = [0] * len(monos)
+    for pt in points:
+        tables = []
+        for i in range(0, 8, 2):
+            c, d = pt[i], pt[i + 1]
+            powers = [(1, 0)]
+            for _ in range(ell):
+                powers.append(pmul(*powers[-1], c, d))
+            tables.append(powers)
+        p1, p2, p3, p4 = tables
+        k = 0
+        for e1 in range(ell + 1):
+            for e2 in range(ell - e1 + 1):
+                x12 = pmul(*p1[e1], *p2[e2])
+                rest = ell - e1 - e2
+                for e3 in range(rest + 1):
+                    va, vb = pmul(*pmul(*x12, *p3[e3]), *p4[rest - e3])
+                    acc_a[k] += va
+                    acc_b[k] += vb
+                    k += 1
+    return dict(zip(monos, zip(acc_a, acc_b)))
+
+
+@lru_cache(maxsize=None)
+def _integer_basis(ell: int) -> tuple:
+    """(den * P, den) for each P in harm_basis(ell), den clearing its
+    denominators."""
+    out = []
+    for p in harm_basis(ell).polynomials:
+        den = lcm(*(c.denominator for c in p.values()))
+        out.append(({m: int(c * den) for m, c in p.items()}, den))
+    return tuple(out)
+
+
+def _contract(poly, sums) -> tuple[int, int]:
+    """sum_e c_e * sums[e] over the integer polynomial {e: c_e}."""
+    sa = sb = 0
+    for mono, c in poly.items():
+        va, vb = sums[mono]
+        sa += c * va
+        sb += c * vb
+    return sa, sb
 
 
 # deterministic pool of rational unit left-translates, stored as integer
@@ -193,9 +273,8 @@ _POOL_SIZE = 10
 def _translate_pool():
     """_POOL_SIZE integer quaternions y with N(y) a perfect square, words in
     two non-commuting generators whose rotation group is infinite (dense)."""
-    one = ((1, 0), (0, 0), (0, 0), (0, 0))
-    pool = [one]
-    frontier = [one]
+    pool = [_QUAT_ONE]
+    frontier = [_QUAT_ONE]
     while len(pool) < _POOL_SIZE:
         nxt = []
         for w in frontier:
@@ -295,6 +374,7 @@ def exact_rank(rows) -> int:
 
 def _invariant_table(label, ell, shells, budget: Budget) -> ThetaTable:
     tag = _FIELD_TAG[label]
+    cmul = _CMUL[tag]
     group_order = len(build_group(label))
     invariants = holomorphic_invariants(label, ell)
     if not invariants:
@@ -302,118 +382,78 @@ def _invariant_table(label, ell, shells, budget: Budget) -> ThetaTable:
             () for _ in range(shells)
         ))
 
+    # the z1-exponents the forms use lie on a progression a0 + step*j,
+    # j = 0..span, so per moved point one power chain in z1^step and one in
+    # z2^step give S[j] = z1^a z2^(l-a), a = a0 + step*j, for every form
+    used = {a for form in invariants for a, _ in form}
+    a0, a1 = min(used), max(used)
+    step = gcd(*(a - a0 for a in used)) or 1
+    span = (a1 - a0) // step
+    form_coeffs = [
+        [(j, form[(a, ell - a)]) for j, a in enumerate(range(a0, a1 + 1, step))
+         if (a, ell - a) in form]
+        for form in invariants
+    ]
     pool = _translate_pool()
-    columns = []
-    for t, fi in enumerate(invariants):
-        for y, root in pool:
-            columns.append((t, y, root, fi))
+    maps = [_point_map(label, y) for y, _ in pool]
+    # each form is 2^l f and the moved point is 2 root (y/root) x, so a sum
+    # over orbit representatives is (4 root)^l sum f(y x / root)
+    scales = [Fraction(group_order, (4 * root) ** ell) for _, root in pool]
+    col_labels = tuple(
+        f"f{t}.L{tuple(a for a, _ in y)}.{part}"
+        for t in range(len(invariants)) for y, _ in pool for part in ("re", "im")
+    )
 
     # largest shell first: its enumeration ball is cached and serves every
     # smaller m, where rising m would enumerate a larger ball each time
     enumerate_shell(label, shells, budget)
-    raw = [[_CQ_ZERO] * len(columns) for _ in range(shells)]
+    rows = []
     for m in range(1, shells + 1):
         reps = shell_orbit_reps(label, m)
-        rep_points = [_scaled_point(label, r) for r in reps]
-        for ci, (t, y, root, fi) in enumerate(columns):
-            acc = _CQ_ZERO
-            for pt in rep_points:
-                moved = qmul_pairs(tag, y, pt)
-                z1 = (moved[0], moved[1])
-                z2 = (moved[2], moved[3])
-                acc = _cq_add(acc, _eval_holomorphic(tag, fi, z1, z2, ell))
-            raw[m - 1][ci] = acc
-
-    col_labels = []
-    rows_re_im = [[] for _ in range(shells)]
-    for ci, (t, y, root, fi) in enumerate(columns):
-        # fi is 2^l f and the moved point is 2 root (y/root) x, so the raw
-        # sum is (4 root)^l sum f(y x / root)
-        scale = Fraction(group_order, (4 * root) ** ell)
-        for part in ("re", "im"):
-            col_labels.append(f"f{t}.L{tuple(a for a, _ in y)}.{part}")
-        for m in range(shells):
-            (ar, br), (ai, bi) = raw[m][ci]
-            rows_re_im[m].append(QuadElem(tag, ar * scale, br * scale))
-            rows_re_im[m].append(QuadElem(tag, ai * scale, bi * scale))
-
-    return ThetaTable(
-        label, ell, shells, "invariant", tuple(col_labels),
-        tuple(tuple(r) for r in rows_re_im),
-    )
-
-
-def _eval_holomorphic(tag, coeffs, z1, z2, ell):
-    z1p = [_CQ_ONE]
-    z2p = [_CQ_ONE]
-    for _ in range(ell):
-        z1p.append(_cq_mul(tag, z1p[-1], z1))
-        z2p.append(_cq_mul(tag, z2p[-1], z2))
-    acc = _CQ_ZERO
-    for (a, b), c in coeffs.items():
-        term = _cq_mul(tag, c, _cq_mul(tag, z1p[a], z2p[b]))
-        acc = _cq_add(acc, term)
-    return acc
+        per_y = []
+        for cols in maps:
+            terms = [[] for _ in range(span + 1)]
+            for coords in reps:
+                z = _map_point(cols, coords)
+                z1, z2 = z[:4], z[4:]
+                w1, w2 = _cpow(cmul, z1, step), _cpow(cmul, z2, step)
+                p1, p2 = [_cpow(cmul, z1, a0)], [_cpow(cmul, z2, ell - a1)]
+                for _ in range(span):
+                    p1.append(cmul(p1[-1], w1))
+                    p2.append(cmul(p2[-1], w2))
+                for j in range(span + 1):
+                    terms[j].append(cmul(p1[j], p2[span - j]))
+            per_y.append([_csum(t) for t in terms])
+        row = []
+        for coeffs in form_coeffs:
+            for sums, scale in zip(per_y, scales):
+                ra, rb, ia, ib = _csum(cmul(c, sums[j]) for j, c in coeffs)
+                row.append(QuadElem(tag, ra * scale, rb * scale))
+                row.append(QuadElem(tag, ia * scale, ib * scale))
+        rows.append(tuple(row))
+    return ThetaTable(label, ell, shells, "invariant", col_labels, tuple(rows))
 
 
 def _full_table(label, ell, shells, budget: Budget) -> ThetaTable:
     tag = _FIELD_TAG[label]
-    basis = harm_basis(ell)
-    total_points = sum(shell_count_formula(label, m) for m in range(1, shells + 1))
-    budget.check_table_cells(total_points * len(basis))
+    basis = _integer_basis(ell)
+    budget.check_table_cells(ball_size(label, shells) * len(basis))
 
-    # scale each basis polynomial to integer coefficients (column scaling)
-    scaled_polys = []
-    for p in basis.polynomials:
-        den = lcm(*(c.denominator for c in p.values()))
-        scaled_polys.append(({m: int(c * den) for m, c in p.items()}, den))
-
+    cols = _point_map(label)
     enumerate_shell(label, shells, budget)  # largest shell first, as above
     rows = []
     for m in range(1, shells + 1):
         shell = enumerate_shell(label, m, budget)
-        sums = [(0, 0)] * len(scaled_polys)
-        for coords in shell.points:
-            pt = _scaled_point(label, coords)
-            monos = _monomial_values(tag, pt, ell)
-            for pi, (poly, den) in enumerate(scaled_polys):
-                acc_a, acc_b = sums[pi]
-                for mono, c in poly.items():
-                    va, vb = monos[mono]
-                    acc_a += c * va
-                    acc_b += c * vb
-                sums[pi] = (acc_a, acc_b)
+        # points are 2x, so a degree-l sum is 2^l times the true one
+        sums = _monomial_sums(tag, [_map_point(cols, c) for c in shell.points], ell)
         row = []
-        for (sa, sb), (poly, den) in zip(sums, scaled_polys):
+        for poly, den in basis:
+            sa, sb = _contract(poly, sums)
             scale = Fraction(1, den * 2**ell)
             row.append(QuadElem(tag, sa * scale, sb * scale))
         rows.append(tuple(row))
-    labels = tuple(f"H{idx}" for idx in range(len(scaled_polys)))
+    labels = tuple(f"H{idx}" for idx in range(len(basis)))
     return ThetaTable(label, ell, shells, "full", labels, tuple(rows))
-
-
-def _monomial_values(tag, pt, ell):
-    """All degree-<=ell monomial values of an integer-pair 4-vector."""
-    values = {(0, 0, 0, 0): (1, 0)}
-    frontier = [(0, 0, 0, 0)]
-    for _ in range(ell):
-        nxt = []
-        seen = set()
-        for mono in frontier:
-            base = values[mono]
-            for axis in range(4):
-                key = tuple(
-                    mono[k] + 1 if k == axis else mono[k] for k in range(4)
-                )
-                if key in seen or key in values:
-                    continue
-                a, b = base
-                c, d = pt[axis]
-                values[key] = pair_mul(tag, a, b, c, d)
-                seen.add(key)
-                nxt.append(key)
-        frontier = nxt
-    return values
 
 
 def theta_table(
@@ -434,11 +474,25 @@ def theta_table(
     raise ValueError(f"unknown table kind {kind!r}")
 
 
+# theta ranks by (label, ell, shells), filled by theta_rank
+_RANKS: dict = {}
+
+
 def theta_rank(label: str, ell: int, shells: int, budget: Budget | None = None) -> int:
     """Exact rank of the theta table: a lower bound for dim Theta(G, ell);
-    exactly 0 whenever Harm_ell^G = 0 (in particular for ell in T(G))."""
-    table = theta_table(label, ell, shells, "invariant", budget)
-    return table.rank()
+    exactly 0 whenever Harm_ell^G = 0 (in particular for ell in T(G)).
+
+    Computed once per process; the budget checks run on every call, so a
+    smaller budget still refuses a rank that a larger one computed.
+    """
+    budget = budget or get_budget()
+    budget.check_theta(label, ell)
+    budget.check_shell(label, shells)
+    budget.check_enum_points(label, ball_size(label, shells))
+    key = (label, ell, shells)
+    if key not in _RANKS:
+        _RANKS[key] = theta_table(label, ell, shells, "invariant", budget).rank()
+    return _RANKS[key]
 
 
 # -- harmonic Molien series ----------------------------------------------------
@@ -447,20 +501,26 @@ def theta_rank(label: str, ell: int, shells: int, budget: Budget | None = None) 
 def _checked_det_classes(label: str) -> tuple:
     """(coefficients of det(I - u M_eps), count) per first-coordinate class.
 
-    The 4x4 determinant is expanded symbolically for every element of G and
-    checked against its SU(2) factorization (1 - 2 eps_1 u + u^2)^2, so it
-    depends on eps only through eps_1.
+    For every element of G the characteristic polynomial of A = 2 M_eps is
+    expanded on integer pairs and checked against the SU(2) factorization
+    det(I - u M_eps) = (1 - 2 eps_1 u + u^2)^2, i.e. e_1..e_4 of A equal
+    (4x, 8 + 4x^2, 16x, 16) with x = 2 eps_1.  So the determinant depends
+    on eps only through eps_1, and each class takes the verified factor.
     """
+    tag = _FIELD_TAG[label]
+    pmul = PAIR_MUL[tag]
     group = build_group(label)
-    dets = {}
     for eps in group:
-        det = to_matrix(eps).det_poly_i_minus_u()
-        factor = su2_factor(eps)
-        if det != factor * factor:
+        rows = [scaled_pairs(row, 2) for row in to_matrix(eps).rows]
+        ((xa, xb),) = scaled_pairs((eps.x1,), 2)
+        sa, sb = pmul(xa, xb, xa, xb)
+        want = ((4 * xa, 4 * xb), (8 + 4 * sa, 4 * sb), (16 * xa, 16 * xb), (16, 0))
+        if char_coeffs_pairs(tag, rows) != want:
             raise AssertionError("det(I - uM) != su2 factor squared")
-        dets[eps.x1] = det.coeffs
-    counts = first_coordinate_distribution(group)
-    return tuple((dets[x1], count) for x1, count in counts.items())
+    return tuple(
+        ((1, -4 * x1, 4 * x1 * x1 + 2, -4 * x1, 1), count)
+        for x1, count in first_coordinate_distribution(group).items()
+    )
 
 
 @lru_cache(maxsize=None)
@@ -489,38 +549,17 @@ def invariant_dimension_evaluation(label: str, ell: int) -> int:
     """
     group = build_group(label)
     tag = _FIELD_TAG[label]
-    basis = harm_basis(ell)
     d = harmonic_invariant_dim(label, ell)
-    points = _evaluation_points(d + 8 if d else 6)
+    doubled = [scaled_pairs(eps.coords, 2) for eps in group]  # integral in every order
 
-    moments = []
-    for v in points:
+    rows = [[] for _ in _integer_basis(ell)]
+    for v in _evaluation_points(d + 8 if d else 6):
         vp = tuple((2 * c, 0) for c in v)  # scale 2 keeps eps*v integral
-        total: dict = {}
-        for eps in group:
-            ep = scaled_pairs(eps.coords, 2)  # 2*eps is integral in every order
-            moved = qmul_pairs(tag, ep, vp)  # = coords of 4*(eps v), scaled
-            monos = _monomial_values(tag, moved, ell)
-            for mono, val in monos.items():
-                if sum(mono) != ell:
-                    continue
-                cur = total.get(mono, (0, 0))
-                total[mono] = (cur[0] + val[0], cur[1] + val[1])
-        moments.append(total)
-
-    rows = []
-    for p in basis.polynomials:
-        den = lcm(*(c.denominator for c in p.values()))
-        poly = {m: int(c * den) for m, c in p.items()}
-        row = []
-        for total in moments:
-            sa = sb = 0
-            for mono, c in poly.items():
-                va, vb = total.get(mono, (0, 0))
-                sa += c * va
-                sb += c * vb
-            row.append(QuadElem(tag, sa, sb))
-        rows.append(row)
+        # coordinates of 4*(eps v), every eps
+        moved = [_flat(qmul_pairs(tag, ep, vp)) for ep in doubled]
+        sums = _monomial_sums(tag, moved, ell)
+        for row, (poly, _) in zip(rows, _integer_basis(ell)):
+            row.append(QuadElem(tag, *_contract(poly, sums)))
     return exact_rank(rows)
 
 

@@ -5,9 +5,12 @@ import pytest
 from quatdesign.budget import ResourceBudgetError, get_budget
 from quatdesign.exactnum import golden_elem, iota, rat
 from quatdesign.groups import build_group, omega
+from quatdesign import orders
 from quatdesign.orders import (
+    IntegrityError,
     OrderElement,
     QuadraticForm,
+    Shell,
     coords_of,
     embed_coords,
     enumerate_shell,
@@ -114,6 +117,29 @@ def test_orbit_decomposition():
     for m in range(1, 11):
         sh = enumerate_shell("2T", m)
         assert len(orbit_decompose(sh)) * 24 == len(sh)
+
+
+@pytest.mark.parametrize("label, m", [("2T", 3), ("2O", 2)])
+def test_orbit_decomposition_rejects_broken_shells(label, m):
+    points = enumerate_shell(label, m).points
+    foreign = enumerate_shell(label, m + 1).points[0]
+    broken = [
+        (points[1:], "not stable"),                   # one point removed
+        (points + (foreign,), "not stable"),          # a point of another shell
+        (points + points[:1], "does not partition"),  # one point twice
+    ]
+    for pts, message in broken:
+        with pytest.raises(IntegrityError, match=message):
+            orbit_decompose(Shell(label, m, pts))
+
+
+def test_orbit_decomposition_rejects_a_non_free_action(monkeypatch):
+    mats = right_multiplication_matrices("2T")
+    # one action twice and another one missing: every orbit is a point short
+    monkeypatch.setattr(orders, "right_multiplication_matrices",
+                        lambda label: (mats[0],) + mats[:-1])
+    with pytest.raises(IntegrityError, match="not free"):
+        orbit_decompose(enumerate_shell("2T", 1))
 
 
 def test_right_action_matrices_are_integral_and_complete():

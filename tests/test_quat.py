@@ -1,14 +1,17 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatdesign.exactnum import rat, sqrt2_elem
+from quatdesign import theta
+from quatdesign.exactnum import QuadElem, rat, sqrt2_elem
 from quatdesign.groups import alpha, build_group, omega, zeta
 from quatdesign.quat import (
     Matrix4,
     NonUnitQuaternion,
     Quaternion,
+    char_coeffs_pairs,
     conj,
     inner,
     norm,
@@ -111,13 +114,78 @@ def test_quaternion_json_round_trip():
     assert Quaternion.from_json(x.to_json()) == x
 
 
+def _perm_sign(perm) -> int:
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j, length = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def det_poly_i_minus_u(mat: Matrix4) -> UniPoly:
+    """det(I - u M) by the permutation expansion over UniPoly (test oracle)."""
+    entries = [
+        [UniPoly([1 if i == j else 0, -mat.rows[i][j]]) for j in range(4)]
+        for i in range(4)
+    ]
+    total = UniPoly.zero()
+    for perm in permutations(range(4)):
+        term = UniPoly([_perm_sign(perm)])
+        for i in range(4):
+            term = term * entries[i][perm[i]]
+        total = total + term
+    return total
+
+
 @pytest.mark.parametrize("label", ["2T", "2O", "2I"])
 def test_det_factors_as_su2_square_on_every_element(label):
     # det(I - u M_eps) = (1 - 2 eps_1 u + u^2)^2: the harmonic Molien series
     # relies on it to sum over first-coordinate classes
+    tag = theta._FIELD_TAG[label]
     for eps in build_group(label):
         factor = su2_factor(eps)
-        assert to_matrix(eps).det_poly_i_minus_u() == factor * factor
+        mat = to_matrix(eps)
+        det = det_poly_i_minus_u(mat)
+        assert det == factor * factor
+        # the coefficient of u^k is (-1)^k e_k(2M) / 2^k
+        e = char_coeffs_pairs(tag, [scaled_pairs(row, 2) for row in mat.rows])
+        scaled = [QuadElem(tag, a, b) * Fraction((-1) ** k, 2**k)
+                  for k, (a, b) in enumerate(e, 1)]
+        assert det == UniPoly([1] + scaled)
+
+
+def test_char_coeffs_pairs_examples():
+    # diag(1, 2, 3, 4) has e = (10, 35, 50, 24)
+    diag = [[(0, 0)] * 4 for _ in range(4)]
+    for i in range(4):
+        diag[i][i] = (i + 1, 0)
+    assert char_coeffs_pairs("RAT", diag) == ((10, 0), (35, 0), (50, 0), (24, 0))
+    for i in range(4):
+        diag[i][i] = (0, 1) if i < 2 else (1, 0)
+    # diag(rho, rho, 1, 1) over Z[sqrt2]: (t - rho)^2 (t - 1)^2 has
+    # e = (2 + 2 rho, 3 + 4 rho, 4 + 2 rho, 2)
+    assert char_coeffs_pairs("SQRT2", diag) == ((2, 2), (3, 4), (4, 2), (2, 0))
+
+
+@pytest.mark.parametrize("label", ["2T", "2O", "2I"])
+def test_det_tripwire_rejects_a_wrong_matrix(label, monkeypatch):
+    def swapped(eps):  # keeps the trace, so e_2..e_4 must catch it
+        rows = [list(row) for row in to_matrix(eps).rows]
+        rows[0][1], rows[0][2] = rows[0][2], rows[0][1]
+        return Matrix4(rows)
+
+    assert theta._checked_det_classes.__wrapped__(label)
+    monkeypatch.setattr(theta, "to_matrix", swapped)
+    with pytest.raises(AssertionError, match="su2 factor"):
+        theta._checked_det_classes.__wrapped__(label)
 
 
 def test_scaled_pairs_checks_integrality():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatdesign.budget import ResourceBudgetError, get_budget
+from quatdesign.budget import Budget, ResourceBudgetError, get_budget
 from quatdesign.exactnum import GOLDEN, RAT, SQRT2, QuadElem, golden_elem, rat, sqrt2_elem
 from quatdesign.groups import build_group
 from quatdesign.harmonics import harm_basis, poly4_eval
@@ -130,12 +130,17 @@ def test_holomorphic_invariants_are_right_invariant(label, ell):
         tuple((rng.randint(-3, 3), rng.randint(-rho_part, rho_part)) for _ in range(4))
         for _ in range(3)
     ]
+    cmul = theta._CMUL[tag]
     for form in holomorphic_invariants(label, ell):
-        def value(x):  # x = z1 + z2 j with z1 = x[:2], z2 = x[2:]
-            return theta._eval_holomorphic(tag, form, x[:2], x[2:], ell)
+        def value(x):  # x = z1 + z2 j, through the tables' complex kernel
+            z1, z2 = theta._flat(x[:2]), theta._flat(x[2:])
+            return theta._csum(
+                cmul(c, cmul(theta._cpow(cmul, z1, a), theta._cpow(cmul, z2, b)))
+                for (a, b), c in form.items()
+            )
 
         for x in points:
-            want = tuple(tuple(2**ell * c for c in part) for part in value(x))
+            want = tuple(2**ell * c for c in value(x))
             for eps in build_group(label):
                 assert value(qmul_pairs(tag, x, scaled_pairs(eps.coords, 2))) == want
 
@@ -143,13 +148,115 @@ def test_holomorphic_invariants_are_right_invariant(label, ell):
 def test_holomorphic_invariants_are_independent_over_k_of_i(monkeypatch):
     # f and i f are dependent over K(i) but independent over K, so a search
     # that only compared real splits would return (f, i f)
-    f = {(2, 0): ((1, 0), (0, 0)), (0, 2): ((0, 0), (3, 0))}
-    i_f = {(2, 0): ((0, 0), (1, 0)), (0, 2): ((-3, 0), (0, 0))}
-    g = {(1, 1): ((2, 0), (0, 0))}
+    f = {(2, 0): (1, 0, 0, 0), (0, 2): (0, 0, 3, 0)}
+    i_f = {(2, 0): (0, 0, 1, 0), (0, 2): (-3, 0, 0, 0)}
+    g = {(1, 1): (2, 0, 0, 0)}
     candidates = iter([f, i_f, g])
     monkeypatch.setattr(theta, "_reynolds_holomorphic", lambda *args: next(candidates))
     monkeypatch.setattr(theta, "invariant_multiplicity", lambda *args: 2)
     assert holomorphic_invariants.__wrapped__("2T", 2) == (f, g)
+
+
+_RHO_SQUARED = {RAT: (0, 0), SQRT2: (2, 0), GOLDEN: (1, 1)}  # rho^2 = p + q rho
+
+
+def _complex_mul(tag, u, v):
+    """(re, im) times (re, im), each part an integer pair (a, b) = a + b rho."""
+    p, q = _RHO_SQUARED[tag]
+    ((a, b), (c, d)), ((e, f), (g, h)) = u, v
+    # coefficients of 1, rho, rho^2 before reducing rho^2 = p + q rho
+    re = (a * e - c * g, a * f + b * e - c * h - d * g, b * f - d * h)
+    im = (a * g + c * e, a * h + b * g + c * f + d * e, b * h + d * f)
+    return (re[0] + p * re[2], re[1] + q * re[2]), (im[0] + p * im[2], im[1] + q * im[2])
+
+
+def _complex_powers(tag, z, n):
+    out = [((1, 0), (0, 0))]
+    for _ in range(n):
+        out.append(_complex_mul(tag, out[-1], z))
+    return out
+
+
+@pytest.mark.parametrize(
+    "label, ell, shells",
+    [("2T", 12, 4), ("2O", 8, 3), ("2I", 12, 2), ("2T", 0, 3), ("2O", 7, 2)],
+)
+def test_invariant_table_entries_are_per_point_sums(label, ell, shells):
+    # entry (m, f_t . L_y) = sum over every x in O_(G,m) of f_t(y x / root):
+    # a plain sum over the whole shell, without orbits or power chains
+    tag = theta._FIELD_TAG[label]
+    forms = holomorphic_invariants(label, ell)
+    pool = theta._translate_pool()
+    rows = []
+    for m in range(1, shells + 1):
+        doubled = [
+            scaled_pairs(embed_coords(label, c).coords, 2)
+            for c in enumerate_shell(label, m).points
+        ]
+        sums = {}  # (t, y) -> complex sum of 2^l f_t at y (2x)
+        for y, _ in pool:
+            for x in doubled:
+                moved = qmul_pairs(tag, y, x)
+                z1p = _complex_powers(tag, moved[:2], ell)
+                z2p = _complex_powers(tag, moved[2:], ell)
+                for t, form in enumerate(forms):
+                    acc = sums.get((t, y), ((0, 0), (0, 0)))
+                    for (a, b), (ra, rb, ia, ib) in form.items():
+                        term = _complex_mul(
+                            tag, ((ra, rb), (ia, ib)), _complex_mul(tag, z1p[a], z2p[b])
+                        )
+                        acc = tuple(
+                            (p[0] + q[0], p[1] + q[1]) for p, q in zip(acc, term)
+                        )
+                    sums[(t, y)] = acc
+        row = []
+        for t in range(len(forms)):
+            for y, root in pool:
+                # y (2x) = 2 root (y / root) x, and the form is 2^l f
+                scale = Fraction(1, (4 * root) ** ell)
+                row += [QuadElem(tag, *part) * scale for part in sums[(t, y)]]
+        rows.append(tuple(row))
+    assert theta_table(label, ell, shells).matrix == tuple(rows)
+
+
+@pytest.mark.parametrize("label, ell, shells", [("2T", 4, 3), ("2O", 2, 2)])
+def test_full_table_entries_are_per_point_sums(label, ell, shells):
+    basis = harm_basis(ell).polynomials
+    rows = []
+    for m in range(1, shells + 1):
+        row = [rat(0)] * len(basis)
+        for c in enumerate_shell(label, m).points:
+            x = embed_coords(label, c).coords
+            for i, poly in enumerate(basis):
+                for mono, coeff in poly.items():
+                    term = rat(coeff)
+                    for xk, e in zip(x, mono):
+                        for _ in range(e):
+                            term = term * xk
+                    row[i] = row[i] + term
+        rows.append(tuple(row))
+    assert theta_table(label, ell, shells, kind="full").matrix == tuple(rows)
+
+
+def test_theta_rank_is_built_once_and_budget_checked_every_call(monkeypatch):
+    monkeypatch.setattr(theta, "_RANKS", {})
+    builds = []
+    invariant_table = theta._invariant_table
+
+    def counting(label, ell, shells, budget):
+        builds.append((label, ell, shells))
+        return invariant_table(label, ell, shells, budget)
+
+    monkeypatch.setattr(theta, "_invariant_table", counting)
+    desk = get_budget("desk")
+    rank = theta_rank("2T", 8, 13, desk)
+    assert rank >= 1
+    with pytest.raises(ResourceBudgetError):
+        theta_rank("2T", 8, 13, get_budget("small"))  # SMALL caps 2T at m = 12
+    with pytest.raises(ResourceBudgetError):
+        theta_rank("2T", 8, 13, Budget("tiny", max_enum_points=100))
+    assert theta_rank("2T", 8, 13, desk) == rank
+    assert builds == [("2T", 8, 13)]
 
 
 def test_zero_table_for_degree_in_strength():
