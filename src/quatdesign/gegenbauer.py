@@ -35,17 +35,6 @@ def gegenbauer(ell: int, lam: Fraction) -> UniPoly:
     return prev1
 
 
-def gegenbauer_value_at_one(ell: int, lam: Fraction) -> Fraction:
-    """C_l^lambda(1) = 2lam (2lam+1) ... (2lam+l-1) / l!."""
-    lam = Fraction(lam)
-    num = Fraction(1)
-    for k in range(ell):
-        num *= 2 * lam + k
-    for k in range(1, ell + 1):
-        num /= k
-    return num
-
-
 @lru_cache(maxsize=None)
 def scaled_q(ell: int, d: int) -> UniPoly:
     """Q_l^(d) = ((d + 2l - 2)/(d - 2)) C_l^{(d-2)/2}; Q_l^(d)(1) = dim Harm_l(R^d)."""
@@ -53,17 +42,6 @@ def scaled_q(ell: int, d: int) -> UniPoly:
         raise ValueError("scaled Gegenbauer polynomials require d >= 3")
     lam = Fraction(d - 2, 2)
     return gegenbauer(ell, lam) * Fraction(d + 2 * ell - 2, d - 2)
-
-
-def harm_dim(ell: int, d: int) -> int:
-    """dim Harm_l(R^d) = C(l+d-1, l) - C(l+d-3, l-2)."""
-    from math import comb
-
-    if ell == 0:
-        return 1
-    if ell == 1:
-        return d
-    return comb(ell + d - 1, ell) - comb(ell + d - 3, ell - 2)
 
 
 def gegenbauer_expand(F: UniPoly, d: int) -> list[Fraction]:
@@ -88,14 +66,6 @@ def gegenbauer_expand(F: UniPoly, d: int) -> list[Fraction]:
         if not rem.is_zero() and rem.degree >= k:
             raise AssertionError("triangular solve failed to reduce degree")
     return out
-
-
-def assemble_from_expansion(coeffs, d: int) -> UniPoly:
-    total = UniPoly.zero()
-    for ell, f in enumerate(coeffs):
-        if f:
-            total = total + scaled_q(ell, d) * f
-    return total
 
 
 def chebyshev_u_value(ell: int, s: QuadElem) -> QuadElem:

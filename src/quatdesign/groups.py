@@ -18,12 +18,14 @@ for n in {1,2,3,4,5}.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import repeat
 from math import lcm
 
-from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, FieldTagMismatch, rat
-from .quat import Quaternion, conj, inner, norm, qmul, qmul_pairs, scaled_pairs
+from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, FieldTagMismatch
+from .quat import PAIR_MUL, Quaternion, conj, norm, qmul, qmul_pairs, scaled_pairs
 
 CYCLIC_SUPPORTED = (1, 2, 3, 4, 5, 6, 8, 10)
 DIHEDRAL_SUPPORTED = (1, 2, 3, 4, 5)
@@ -105,14 +107,7 @@ class UnitGroup:
         exactly when that product is divisible by D and the quotient is D
         times a member.
         """
-        tags = {c.tag for g in self.elements for c in g.coords if c.b}
-        if len(tags) > 1:
-            raise FieldTagMismatch(f"{self.label} mixes the fields {sorted(tags)}")
-        tag = tags.pop() if tags else RAT
-        scale = lcm(*(
-            q.denominator for g in self.elements for c in g.coords for q in (c.a, c.b)
-        ))
-        scaled = [scaled_pairs(g.coords, scale) for g in self.elements]
+        tag, scale, scaled = _integer_frame(self.elements, self.label)
         members = set(scaled)
         for x in scaled:
             for y in scaled:
@@ -122,6 +117,11 @@ class UnitGroup:
                 if tuple((a // scale, b // scale) for a, b in prod) not in members:
                     return False
         return True
+
+    @cached_property
+    def gram(self) -> "Gram":
+        """The Gram pass over the elements, made once per group."""
+        return gram_pass(self.elements)
 
     def is_antipodal(self) -> bool:
         return all(-g in self._set for g in self.elements)
@@ -263,52 +263,102 @@ def build_group(label: str) -> UnitGroup:
 
 # -- point-set statistics ----------------------------------------------------
 
+def _integer_frame(points, name: str):
+    """(tag, D, [D*x as integer pairs]) with D the lcm of all coordinate
+    denominators; the tag is the one field of the irrational coordinates."""
+    tags = {c.tag for x in points for c in x.coords if c.b}
+    if len(tags) > 1:
+        raise FieldTagMismatch(f"{name} mixes the fields {sorted(tags)}")
+    scale = lcm(*(
+        q.denominator for x in points for c in x.coords for q in (c.a, c.b)
+    ))
+    scaled = [scaled_pairs(x.coords, scale) for x in points]
+    return tags.pop() if tags else RAT, scale, scaled
+
+
+class Gram:
+    """D^2 <x, y> over the ordered pairs of a point set, on integer pairs.
+
+    `rows[i]` counts the values in the row of `points[i]`; `unit` is
+    (D^2, 0), the value of <x, y> = 1.  QuadElem appears only in `value`.
+    """
+
+    def __init__(self, points: list, tag: str, scale: int, rows: list[Counter]):
+        self.points, self.tag, self.rows = points, tag, rows
+        self.unit = (scale * scale, 0)
+
+    def value(self, key) -> QuadElem:
+        return QuadElem(self.tag, *(Fraction(k, self.unit[0]) for k in key))
+
+    def distribution(self, counts=None) -> dict[QuadElem, int]:
+        """counts (by default over all ordered pairs) keyed by <x, y>."""
+        counts = sum(self.rows, Counter()) if counts is None else counts
+        return {self.value(k): n for k, n in counts.items()}
+
+    def angles(self) -> set[QuadElem]:
+        """A(X) = { <x,y> : x != y }; 1 is in it only when a point repeats."""
+        counts = sum(self.rows, Counter())
+        counts[self.unit] -= len(self.rows)
+        return {self.value(k) for k, n in counts.items() if n}
+
+    def antipodal(self) -> bool:
+        """-x is a point exactly when some <x, y> = -1."""
+        minus_one = (-self.unit[0], 0)
+        return all(minus_one in row for row in self.rows)
+
+
+def gram_pass(points) -> Gram:
+    """One pass over the ordered pairs of unit-norm points.
+
+    D*x has integer-pair coordinates, so D^2 <x, y> is the sum of four
+    integer pair products.  Every diagonal entry must be (D^2, 0), else
+    ValueError; FieldTagMismatch when the points mix Q(sqrt2) and Q(sqrt5).
+    """
+    tag, scale, scaled = _integer_frame(points, "point set")
+    pmul = PAIR_MUL[tag]
+    unit = (scale * scale, 0)
+
+    def dot(x, y):
+        (a1, b1), (a2, b2), (a3, b3), (a4, b4) = x
+        (c1, d1), (c2, d2), (c3, d3), (c4, d4) = y
+        p, q, r, s = pmul(a1, b1, c1, d1), pmul(a2, b2, c2, d2), \
+            pmul(a3, b3, c3, d3), pmul(a4, b4, c4, d4)
+        return p[0] + q[0] + r[0] + s[0], p[1] + q[1] + r[1] + s[1]
+
+    rows = []
+    for x in scaled:
+        if dot(x, x) != unit:
+            raise ValueError("point set must lie on the unit sphere")
+        rows.append(Counter(map(dot, repeat(x), scaled)))
+    return Gram(points, tag, scale, rows)
+
+
+def gram_of(points) -> Gram:
+    """The group's own Gram pass for a UnitGroup, a new one otherwise."""
+    return points.gram if isinstance(points, UnitGroup) else gram_pass(list(points))
+
+
 def inner_product_set(points) -> set[QuadElem]:
     """A(X) = { <x,y> : x != y } for unit-norm points."""
-    pts = list(points)
-    _require_unit(pts)
-    vals = set()
-    for idx, x in enumerate(pts):
-        for y in pts[idx + 1:]:
-            s = inner(x, y)
-            vals.add(s)
-    return vals
+    return gram_of(points).angles()
 
 
 def distance_distribution(points, basepoint: Quaternion) -> dict[QuadElem, int]:
     """Counts |X_s| = |{x in X : <x, x0> = s}| for a fixed basepoint."""
-    pts = list(points)
-    if basepoint not in set(pts):
+    gram = gram_of(points)
+    if basepoint not in set(gram.points):
         raise ValueError("basepoint must belong to the point set")
-    counts: dict[QuadElem, int] = {}
-    for x in pts:
-        s = inner(x, basepoint)
-        counts[s] = counts.get(s, 0) + 1
-    return counts
+    return gram.distribution(gram.rows[gram.points.index(basepoint)])
 
 
 def pair_distance_distribution(points) -> dict[QuadElem, int]:
     """A_s(X) over all ordered pairs; sums to |X|^2."""
-    pts = list(points)
-    counts: dict[QuadElem, int] = {}
-    for x in pts:
-        for y in pts:
-            s = inner(x, y)
-            counts[s] = counts.get(s, 0) + 1
-    return counts
+    return gram_of(points).distribution()
 
 
 def is_distance_invariant(points) -> bool:
-    pts = list(points)
-    base = None
-    for x0 in pts:
-        d = distance_distribution(pts, x0)
-        key = frozenset(d.items())
-        if base is None:
-            base = key
-        elif key != base:
-            return False
-    return True
+    rows = gram_of(points).rows
+    return all(row == rows[0] for row in rows)
 
 
 def half_set(points) -> list[Quaternion]:
@@ -336,9 +386,3 @@ def orbit(x: Quaternion, group: UnitGroup) -> list[Quaternion]:
     if len(set(pts)) != len(group):
         raise AssertionError("orbit collapsed; group action not free")
     return sorted(pts, key=lambda q: q.sort_key())
-
-
-def _require_unit(pts):
-    for p in pts:
-        if not p.is_unit():
-            raise ValueError("point set must lie on the unit sphere")

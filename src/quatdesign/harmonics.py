@@ -68,14 +68,6 @@ def laplacian(p: Poly4) -> Poly4:
     return out
 
 
-def poly4_eval(p: Poly4, point) -> Fraction:
-    """Evaluate at a rational 4-vector (exact)."""
-    total = Fraction(0)
-    for (e1, e2, e3, e4), c in p.items():
-        total += c * point[0] ** e1 * point[1] ** e2 * point[2] ** e3 * point[3] ** e4
-    return total
-
-
 _R2: Poly4 = {
     (2, 0, 0, 0): Fraction(1),
     (0, 2, 0, 0): Fraction(1),

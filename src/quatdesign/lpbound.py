@@ -21,8 +21,8 @@ from fractions import Fraction
 
 from .exactnum import QuadElem, rat, sqrt2_elem, golden_elem
 from .gegenbauer import gegenbauer_expand, scaled_q
-from .groups import UnitGroup, half_set
-from .strength import pair_sum_tests_bulk
+from .groups import NotAntipodal, gram_of
+from .strength import pair_sum
 from .unipoly import UniPoly
 
 
@@ -269,23 +269,20 @@ def angle_certificate(tf: TestFunction) -> set[QuadElem]:
 
 
 def check_equality_case(points, tf: TestFunction) -> EqualityReport:
-    """Does X attain 2 F(1)/f_0, with all inner products roots of F?"""
-    pts = list(points)
-    source = points if isinstance(points, UnitGroup) else pts
-    is_design = all(pair_sum_tests_bulk(source, tf.design_set).values())
-    bound = full_set_lower_bound(tf)
-    attained = Fraction(len(pts)) == bound
-    allowed = angle_certificate(tf)
-    from .groups import inner_product_set
+    """Does X attain 2 F(1)/f_0, with all inner products roots of F?
 
-    inner_ok = inner_product_set(pts) <= allowed
-    # equality in the LP inequality forces both conditions simultaneously
-    half = half_set(pts)
-    del half  # existence check only: X must be antipodal to attain the bound
+    Everything is read from one Gram pass (the group's own for a UnitGroup);
+    X must be antipodal to attain the bound, else NotAntipodal.
+    """
+    gram = gram_of(points)
+    if not gram.antipodal():
+        raise NotAntipodal("the LP equality case needs an antipodal point set")
+    dist = gram.distribution().items()
+    bound = full_set_lower_bound(tf)
     return EqualityReport(
-        cardinality=len(pts),
+        cardinality=len(gram.points),
         bound=bound,
-        attained=attained,
-        inner_products_are_roots=inner_ok,
-        is_design=is_design,
+        attained=Fraction(len(gram.points)) == bound,
+        inner_products_are_roots=gram.angles() <= angle_certificate(tf),
+        is_design=all(pair_sum(dist, ell).is_zero() for ell in tf.design_set),
     )

@@ -31,9 +31,10 @@ from operator import mul
 from .budget import Budget, get_budget
 from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, insert, iota, rat, reduce
 from .groups import build_group, omega, alpha, beta, zeta
-from .quat import Quaternion, inner, norm, qmul
+from .quat import Quaternion, inner, norm, qmul, qmul_pairs, scaled_pairs
 
 ORDER_LABELS = ("2T", "2O", "2I")
+FIELD_TAG = {"2T": RAT, "2O": SQRT2, "2I": GOLDEN}
 
 
 class IntegrityError(AssertionError):
@@ -127,40 +128,64 @@ def embed_coords(label: str, coords) -> Quaternion:
         term = g * rat(c)
         acc = term if acc is None else acc + term
     if acc is None:
-        tag = {"2T": RAT, "2O": SQRT2, "2I": GOLDEN}[label]
-        return Quaternion(0, 0, 0, 0, tag)
+        return Quaternion(0, 0, 0, 0, FIELD_TAG[label])
     return acc
 
 
-# a quaternion flattens to 8 rational components (a and b part of each
-# coordinate), keyed 0..7; the coordinate tag e_j of basis vector j is key 8+j
-_FLAT = 8
-
-
-def _flatten_quat(q: Quaternion) -> dict[int, Fraction]:
-    return {2 * i + part: c.b if part else c.a
-            for i, c in enumerate(q.coords) for part in (0, 1)}
+def _flat(pairs) -> tuple[int, ...]:
+    """The 8 integer components (a_1, b_1, ..., a_4, b_4) of a pair quaternion."""
+    return tuple(v for pair in pairs for v in pair)
 
 
 @lru_cache(maxsize=None)
-def _coordinate_echelon(label: str) -> dict:
-    """Echelon of the rows [flatten(b_j) | e_j] over the order basis b_j."""
+def _doubled_basis(label: str):
+    """(pairs, rows, cols, inv, den) for the doubled basis 2*b_j.
+
+    pairs[j] is 2*b_j on integer pairs and rows[j] its flat components;
+    cols are the n components the rows use, and inv holds the columns of
+    den * M^-1 for the n x n matrix M = rows[.][cols], with den the least
+    denominator that makes it integral.
+    """
+    pairs = tuple(scaled_pairs(g.coords, 2) for g in order_basis(label))
+    rows = [_flat(p) for p in pairs]
+    n = len(rows)
+    cols = [k for k in range(8) if any(row[k] for row in rows)]
+    # row k of M^-1 is -(right half) of e_k reduced against [M_j | e_j]
     echelon: dict = {}
-    for j, g in enumerate(order_basis(label)):
-        if not insert({**_flatten_quat(g), _FLAT + j: Fraction(1)}, echelon):
+    for j, row in enumerate(rows):
+        vec = {i: Fraction(row[k]) for i, k in enumerate(cols)}
+        if len(cols) != n or not insert({**vec, n + j: Fraction(1)}, echelon):
             raise AssertionError(f"order basis of {label} is linearly dependent")
-    return echelon
+    inv = [[-reduce({k: Fraction(1)}, echelon).get(n + j, 0) for j in range(n)]
+           for k in range(n)]
+    den = lcm(*(q.denominator for row in inv for q in row))
+    return pairs, rows, cols, tuple(tuple(int(q * den) for q in col) for col in zip(*inv)), den
+
+
+def _solve(label: str, flat, half: int) -> tuple[int, ...] | None:
+    """Integer c with x = sum_j c_j b_j, from the flat components of
+    2*half*x; None when x is not in the order."""
+    _, rows, cols, inv, den = _doubled_basis(label)
+    sums = [sum(flat[k] * a for k, a in zip(cols, col)) for col in inv]
+    if any(t % (den * half) for t in sums):
+        return None
+    coords = tuple(t // (den * half) for t in sums)
+    # the solve reads only `cols`; the coordinates must rebuild every component
+    rebuilt = tuple(half * sum(map(mul, coords, col)) for col in zip(*rows))
+    return coords if rebuilt == tuple(flat) else None
 
 
 def coords_of(label: str, q: Quaternion) -> tuple[int, ...]:
     """Integer coordinates of q in the order basis; raises if not integral."""
-    rest = reduce(_flatten_quat(q), _coordinate_echelon(label))
-    # rest = [flatten(q - sum_j c_j b_j) | -c], with a zero left part iff
-    # q = sum_j c_j b_j; the c_j are unique as the b_j are independent
-    coords = [-rest.get(_FLAT + j, 0) for j in range(len(order_basis(label)))]
-    if any(k < _FLAT for k in rest) or any(c.denominator != 1 for c in coords):
+    coords = None
+    if all(c.tag in (RAT, FIELD_TAG[label]) or not c.b for c in q.coords):
+        try:
+            coords = _solve(label, _flat(scaled_pairs(q.coords, 2)), 1)
+        except ValueError:  # 2q is not integral, so q is not in the order
+            pass
+    if coords is None:
         raise ValueError(f"{q!r} is not in the order O_{label}")
-    return tuple(int(c) for c in coords)
+    return coords
 
 
 # -- quadratic forms ---------------------------------------------------------
@@ -409,12 +434,19 @@ def enumerate_shell(label: str, m: int, budget: Budget | None = None) -> Shell:
 
 @lru_cache(maxsize=None)
 def right_multiplication_matrices(label: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Integer matrices R_eps with coords(x * eps) = coords(x) . R_eps."""
-    basis = order_basis(label)
-    group = build_group(label)
+    """Integer matrices R_eps with coords(x * eps) = coords(x) . R_eps.
+
+    Row i is solved from (2 b_i)(2 eps) = 4 b_i eps on integer pairs.
+    """
+    tag, basis = FIELD_TAG[label], order_basis(label)
     mats = []
-    for eps in group:
-        rows = tuple(coords_of(label, qmul(g, eps)) for g in basis)
+    for eps in build_group(label):
+        doubled = scaled_pairs(eps.coords, 2)
+        rows = tuple(_solve(label, _flat(qmul_pairs(tag, pair, doubled)), 2)
+                     for pair in _doubled_basis(label)[0])
+        if None in rows:
+            product = qmul(basis[rows.index(None)], eps)
+            raise ValueError(f"{product!r} is not in the order O_{label}")
         mats.append(rows)
     return tuple(mats)
 

@@ -8,7 +8,6 @@ row vectors as y -> y . M_x with M_x the orthogonal 4x4 matrix below.
 from __future__ import annotations
 
 from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, FieldTagMismatch, rat
-from .unipoly import UniPoly
 
 
 class NonUnitQuaternion(ValueError):
@@ -238,37 +237,11 @@ class Matrix4:
         if len(self.rows) != 4 or any(len(r) != 4 for r in self.rows):
             raise ValueError("Matrix4 requires a 4x4 array")
 
-    @staticmethod
-    def identity() -> "Matrix4":
-        return Matrix4([[1 if i == j else 0 for j in range(4)] for i in range(4)])
-
     def __eq__(self, other):
         return isinstance(other, Matrix4) and self.rows == other.rows
 
     def __hash__(self):
         return hash(self.rows)
-
-    def __mul__(self, other: "Matrix4") -> "Matrix4":
-        out = []
-        for i in range(4):
-            row = []
-            for j in range(4):
-                acc = rat(0)
-                for k in range(4):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return Matrix4(out)
-
-    def transpose(self) -> "Matrix4":
-        return Matrix4([[self.rows[j][i] for j in range(4)] for i in range(4)])
-
-    def apply_row(self, v) -> tuple[QuadElem, ...]:
-        """Row vector times matrix: v . M."""
-        v = [QuadElem.coerce(c) for c in v]
-        return tuple(
-            sum((v[k] * self.rows[k][j] for k in range(4)), rat(0)) for j in range(4)
-        )
 
 
 def to_matrix(x: Quaternion) -> Matrix4:
@@ -284,10 +257,3 @@ def to_matrix(x: Quaternion) -> Matrix4:
             [-x4, x3, -x2, x1],
         ]
     )
-
-
-def su2_factor(x: Quaternion) -> UniPoly:
-    """det(I - u C_x) = 1 - 2 x1 u + u^2 for unit x."""
-    if not x.is_unit():
-        raise NonUnitQuaternion("su2_factor requires a unit quaternion")
-    return UniPoly([1, rat(-2) * x.x1, 1])

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .exactnum import QuadElem, rat
 from .gegenbauer import chebyshev_u_value
-from .groups import UnitGroup, _require_unit, build_group, pair_distance_distribution
+from .groups import UnitGroup, build_group, pair_distance_distribution
 
 
 @dataclass(frozen=True)
@@ -131,42 +131,35 @@ def molien_closed_form(label: str, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _group_pair_distribution(label: str):
-    return tuple(pair_distance_distribution(build_group(label).elements).items())
-
-
 def _distribution_of(points) -> list:
-    if isinstance(points, UnitGroup):
-        return list(_group_pair_distribution(points.label))
+    if isinstance(points, UnitGroup):  # the group's own pass, made once
+        return list(points.gram.distribution().items())
     return list(pair_distance_distribution(points).items())
 
 
-def pair_sum_value(points, ell: int) -> QuadElem:
-    """sum_{x,y in X} C_l^1(<x,y>), via the distance distribution."""
+def pair_sum(dist, ell: int) -> QuadElem:
+    """sum_s A_s C_l^1(s) over the (s, A_s) of a distance distribution."""
     total = rat(0)
-    for s, count in _distribution_of(points):
+    for s, count in dist:
         total = total + chebyshev_u_value(ell, s) * count
     return total
 
 
+def pair_sum_value(points, ell: int) -> QuadElem:
+    """sum_{x,y in X} C_l^1(<x,y>), via the distance distribution."""
+    return pair_sum(_distribution_of(points), ell)
+
+
 def pair_sum_test(points, ell: int) -> bool:
-    """True iff l lies in the harmonic strength of X (Gegenbauer pair test)."""
-    if not isinstance(points, UnitGroup):
-        _require_unit(points)
+    """True iff l lies in the harmonic strength of X (Gegenbauer pair test);
+    ValueError unless every point has unit norm."""
     return pair_sum_value(points, ell).is_zero()
 
 
 def pair_sum_tests_bulk(points, ells) -> dict[int, bool]:
     """pair_sum_test for several degrees with one distance-distribution scan."""
     dist = _distribution_of(points)
-    out = {}
-    for ell in ells:
-        total = rat(0)
-        for s, count in dist:
-            total = total + chebyshev_u_value(ell, s) * count
-        out[ell] = total.is_zero()
-    return out
+    return {ell: pair_sum(dist, ell).is_zero() for ell in ells}
 
 
 def harmonic_strength(source, n: int) -> StrengthReport:
@@ -187,8 +180,8 @@ def harmonic_strength(source, n: int) -> StrengthReport:
         points = list(source)
         if not points:
             raise ValueError("the strength of an empty point set is not defined")
-        _require_unit(points)
-        # one scan serves the degrees up to n and the spot checks below
+        # one scan serves the degrees up to n and the spot checks below, and
+        # checks that every point has unit norm
         vanishes = pair_sum_tests_bulk(points, range(max(n, 15) + 1))
     zero_evens = tuple(k for k in range(2, n + 1, 2) if vanishes[k])
     odd_nonzero = [k for k in range(1, n + 1, 2) if not vanishes[k]]

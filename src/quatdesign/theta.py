@@ -32,7 +32,7 @@ from .budget import Budget, get_budget
 from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, insert
 from .groups import build_group
 from .harmonics import harm_basis
-from .orders import ball_size, enumerate_shell, orbit_decompose, order_basis
+from .orders import FIELD_TAG, ball_size, enumerate_shell, orbit_decompose, order_basis
 from .quat import PAIR_MUL, char_coeffs_pairs, qmul_pairs, scaled_pairs, to_matrix
 from .strength import (
     class_sum_series,
@@ -40,8 +40,6 @@ from .strength import (
     molien_closed_form,
     molien_series,
 )
-
-_FIELD_TAG = {"2T": RAT, "2O": SQRT2, "2I": GOLDEN}
 
 
 # -- flat integer kernel ------------------------------------------------------
@@ -110,7 +108,7 @@ def invariant_multiplicity(label: str, ell: int) -> int:
 def _reynolds_holomorphic(label: str, p: int, q: int) -> dict:
     """2^(p+q) sum_eps (eps . z1^p z2^q) as {(a, b): flat complex value}
     with a + b = p + q."""
-    cmul = _CMUL[_FIELD_TAG[label]]
+    cmul = _CMUL[FIELD_TAG[label]]
     out: dict = {}
     for eps in build_group(label):
         # 2 eps = W1 + W2 j, integral in every order (ValueError otherwise)
@@ -162,7 +160,7 @@ def holomorphic_invariants(label: str, ell: int) -> tuple:
     m = invariant_multiplicity(label, ell)
     if m == 0:
         return ()
-    tag = _FIELD_TAG[label]
+    tag = FIELD_TAG[label]
     basis: list[dict] = []
     echelon: dict = {}
     for a in range(ell, -1, -1):
@@ -192,7 +190,7 @@ _QUAT_ONE = ((1, 0), (0, 0), (0, 0), (0, 0))
 def _point_map(label: str, y=_QUAT_ONE) -> tuple:
     """Columns c_0..c_7 with flat pairs of y * 2x = sum(map(mul, coords, c_k))
     for the order coordinates coords of x; y is an integer-pair quaternion."""
-    tag = _FIELD_TAG[label]
+    tag = FIELD_TAG[label]
     images = [
         _flat(qmul_pairs(tag, y, scaled_pairs(g.coords, 2)))
         for g in order_basis(label)
@@ -373,7 +371,7 @@ def exact_rank(rows) -> int:
 
 
 def _invariant_table(label, ell, shells, budget: Budget) -> ThetaTable:
-    tag = _FIELD_TAG[label]
+    tag = FIELD_TAG[label]
     cmul = _CMUL[tag]
     group_order = len(build_group(label))
     invariants = holomorphic_invariants(label, ell)
@@ -435,7 +433,7 @@ def _invariant_table(label, ell, shells, budget: Budget) -> ThetaTable:
 
 
 def _full_table(label, ell, shells, budget: Budget) -> ThetaTable:
-    tag = _FIELD_TAG[label]
+    tag = FIELD_TAG[label]
     basis = _integer_basis(ell)
     budget.check_table_cells(ball_size(label, shells) * len(basis))
 
@@ -507,7 +505,7 @@ def _checked_det_classes(label: str) -> tuple:
     (4x, 8 + 4x^2, 16x, 16) with x = 2 eps_1.  So the determinant depends
     on eps only through eps_1, and each class takes the verified factor.
     """
-    tag = _FIELD_TAG[label]
+    tag = FIELD_TAG[label]
     pmul = PAIR_MUL[tag]
     group = build_group(label)
     for eps in group:
@@ -548,7 +546,7 @@ def invariant_dimension_evaluation(label: str, ell: int) -> int:
     Left translates eps*v are used, matching the action P -> P(eps x).
     """
     group = build_group(label)
-    tag = _FIELD_TAG[label]
+    tag = FIELD_TAG[label]
     d = harmonic_invariant_dim(label, ell)
     doubled = [scaled_pairs(eps.coords, 2) for eps in group]  # integral in every order
 

@@ -242,12 +242,14 @@ def check_equality_cases(budget: Budget) -> CheckResult:
         report = check_equality_case(group, tf)
         if not (report.attained and report.inner_products_are_roots and report.is_design):
             problems.append(f"{label}: equality case fails {report}")
-        if not inner_product_set(group.elements) <= angle_certificate(tf):
+        if not inner_product_set(group) <= angle_certificate(tf):
             problems.append(f"{label}: A(X) outside the certified angle set")
     o2 = build_group("2O")
-    if not is_distance_invariant(o2.elements):
+    # the group itself, not its element list: every reader then shares the
+    # group's one Gram pass
+    if not is_distance_invariant(o2):
         problems.append("2O is not distance invariant")
-    dist = distance_distribution(o2.elements, o2.elements[0])
+    dist = distance_distribution(o2, o2.elements[0])
     half = Fraction(1, 2)
     inv_sqrt2 = sqrt2_elem(0, half)
     expected = {

@@ -1,0 +1,22 @@
+"""Reference implementations shared by several test modules."""
+
+from fractions import Fraction
+from math import comb
+
+
+def harm_dim(ell: int, d: int) -> int:
+    """dim Harm_l(R^d) = C(l+d-1, l) - C(l+d-3, l-2)."""
+    if ell == 0:
+        return 1
+    if ell == 1:
+        return d
+    return comb(ell + d - 1, ell) - comb(ell + d - 3, ell - 2)
+
+
+def poly4_eval(p, point) -> Fraction:
+    """Evaluate a sparse 4-variable polynomial {exponents: coefficient}
+    at a rational 4-vector."""
+    total = Fraction(0)
+    for (e1, e2, e3, e4), c in p.items():
+        total += c * point[0] ** e1 * point[1] ** e2 * point[2] ** e3 * point[3] ** e4
+    return total

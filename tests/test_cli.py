@@ -53,6 +53,16 @@ def test_strength_rejects_degenerate_point_files(tmp_path, capsys):
     assert code == 4 and out == ""
 
 
+def test_strength_rejects_a_mixed_field_point_file(tmp_path, capsys):
+    # Q(sqrt2) and Q(sqrt5) coordinates share no field to take inner products in
+    from quatdesign.groups import alpha, zeta
+
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps({"points": [alpha().to_json(), zeta().to_json()]}))
+    code, out = run_cli(capsys, "strength", "--points", str(mixed))
+    assert code == 4 and out == ""
+
+
 def test_missing_point_file_is_bad_input(tmp_path, capsys):
     code, _ = run_cli(capsys, "strength", "--points", str(tmp_path / "missing.json"))
     assert code == 4

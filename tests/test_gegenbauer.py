@@ -5,16 +5,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatdesign.exactnum import rat
-from quatdesign.gegenbauer import (
-    assemble_from_expansion,
-    chebyshev_u_value,
-    gegenbauer,
-    gegenbauer_expand,
-    gegenbauer_value_at_one,
-    harm_dim,
-    scaled_q,
-)
+from quatdesign.gegenbauer import chebyshev_u_value, gegenbauer, gegenbauer_expand, scaled_q
 from quatdesign.unipoly import UniPoly
+
+from oracles import harm_dim
+
+
+def gegenbauer_value_at_one(ell: int, lam: Fraction) -> Fraction:
+    """C_l^lambda(1) = 2lam (2lam+1) ... (2lam+l-1) / l! (test oracle)."""
+    num = Fraction(1)
+    for k in range(ell):
+        num *= 2 * lam + k
+    for k in range(1, ell + 1):
+        num /= k
+    return num
+
+
+def assemble_from_expansion(coeffs, d: int) -> UniPoly:
+    """sum_l f_l Q_l^(d), the inverse of gegenbauer_expand."""
+    total = UniPoly.zero()
+    for ell, f in enumerate(coeffs):
+        if f:
+            total = total + scaled_q(ell, d) * f
+    return total
 
 
 def generating_function_coeffs(lam: Fraction, order: int):

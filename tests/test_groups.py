@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatdesign.exactnum import GOLDEN, SQRT2, golden_elem, rat, sqrt2_elem
+from collections import Counter
+
+from quatdesign.exactnum import GOLDEN, SQRT2, FieldTagMismatch, golden_elem, rat, sqrt2_elem
 from quatdesign.groups import (
     NotAntipodal,
     UnitGroup,
@@ -19,7 +21,7 @@ from quatdesign.groups import (
     pair_distance_distribution,
     zeta,
 )
-from quatdesign.quat import Quaternion, norm, qmul, qmul_pairs, scaled_pairs
+from quatdesign.quat import Quaternion, inner, norm, qmul, qmul_pairs, scaled_pairs
 
 HALF = Fraction(1, 2)
 
@@ -183,3 +185,61 @@ def test_group_json():
     blob = build_group("Q8").to_json()
     assert blob["order"] == 8
     assert len(blob["elements"]) == 8
+
+
+# -- the Gram pass against a plain inner-product loop ------------------------
+
+def doubled_2I():
+    """2I and a second right coset of it: 240 points, two denominators."""
+    group = build_group("2I")
+    return list(group) + orbit(Quaternion(Fraction(3, 5), Fraction(4, 5), 0, 0), group)
+
+
+def oracle_rows(points):
+    """<x, y> for every ordered pair, by QuadElem inner products on i <= j."""
+    rows = [[None] * len(points) for _ in points]
+    for i, x in enumerate(points):
+        for j in range(i, len(points)):
+            rows[i][j] = rows[j][i] = inner(x, points[j])
+    return rows
+
+
+@pytest.mark.parametrize("name", ["Q8", "2T", "2O", "2I", "C5", "D2n3", "doubled"])
+def test_gram_readers_match_inner_product_loop(name):
+    points = doubled_2I() if name == "doubled" else list(build_group(name))
+    rows = oracle_rows(points)
+    assert pair_distance_distribution(points) == Counter(s for row in rows for s in row)
+    assert inner_product_set(points) == {
+        rows[i][j] for i in range(len(points)) for j in range(i + 1, len(points))
+    }
+    for idx in (0, len(points) - 1):
+        assert distance_distribution(points, points[idx]) == Counter(rows[idx])
+    assert is_distance_invariant(points) == all(
+        Counter(row) == Counter(rows[0]) for row in rows
+    )
+    if name != "doubled":  # a group's readers share its own pass
+        group = build_group(name)
+        assert pair_distance_distribution(group) == pair_distance_distribution(points)
+        assert inner_product_set(group) == inner_product_set(points)
+
+
+def test_gram_pass_keeps_a_repeated_point_in_the_angle_set():
+    q8 = list(build_group("Q8"))
+    assert rat(1) not in inner_product_set(q8)
+    assert rat(1) in inner_product_set(q8 + q8[:1])
+
+
+def test_gram_pass_rejects_a_non_unit_point():
+    points = list(build_group("2T")) + [Quaternion(1, 1, 0, 0)]
+    for reader in (pair_distance_distribution, inner_product_set, is_distance_invariant):
+        with pytest.raises(ValueError, match="unit sphere"):
+            reader(points)
+    with pytest.raises(ValueError, match="unit sphere"):
+        distance_distribution(points, points[0])
+
+
+def test_gram_pass_rejects_mixed_fields():
+    with pytest.raises(FieldTagMismatch):
+        pair_distance_distribution([alpha(), zeta()])
+    with pytest.raises(FieldTagMismatch):
+        inner_product_set(list(build_group("2O")) + list(build_group("2I")))

@@ -4,7 +4,9 @@ import pytest
 
 from quatdesign.exactnum import golden_elem, rat, sqrt2_elem
 from quatdesign.gegenbauer import gegenbauer_expand
-from quatdesign.groups import build_group, orbit
+from quatdesign import groups, verify
+from quatdesign.budget import get_budget
+from quatdesign.groups import NotAntipodal, build_group, orbit
 from quatdesign.lpbound import (
     CertificateError,
     angle_certificate,
@@ -127,3 +129,27 @@ def test_equality_case_not_attained_for_doubled_set():
     assert report.is_design  # a union of orthogonal copies keeps the design set
     assert not report.attained
     assert report.cardinality == 240
+
+
+def test_equality_case_requires_an_antipodal_set():
+    # C3 = {1, w, w^2} holds no -x, so the bound cannot be attained
+    with pytest.raises(NotAntipodal):
+        check_equality_case(build_group("C3").elements, build_test_function("F2T"))
+    with pytest.raises(NotAntipodal):
+        check_equality_case(build_group("C3"), build_test_function("F2T"))
+
+
+def test_equality_cases_check_makes_one_gram_pass_per_group(monkeypatch):
+    sizes = []
+    real = groups.gram_pass
+
+    def counting(points):
+        sizes.append(len(points))
+        return real(points)
+
+    monkeypatch.setattr(groups, "gram_pass", counting)
+    for label in ("2T", "2O", "2I"):  # drop each group's cached pass for this test
+        monkeypatch.delitem(vars(build_group(label)), "gram", raising=False)
+    result = verify.check_equality_cases(get_budget())
+    assert result.passed, result.details
+    assert sorted(sizes) == [24, 48, 120]

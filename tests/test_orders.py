@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from quatdesign.budget import ResourceBudgetError, get_budget
-from quatdesign.exactnum import golden_elem, iota, rat
+from quatdesign.exactnum import GOLDEN, golden_elem, insert, iota, rat, reduce
 from quatdesign.groups import build_group, omega
 from quatdesign import orders
 from quatdesign.orders import (
@@ -151,6 +151,70 @@ def test_right_action_matrices_are_integral_and_complete():
     mat = mats[7]
     for i, g in enumerate(basis):
         assert coords_of("2O", qmul(g, eps)) == mat[i]
+
+
+def oracle_coords(label, q):
+    """Coordinates of q by reducing [flatten(q)] against the rows
+    [flatten(b_j) | e_j] over Fraction; None when q is not in the order."""
+    def flatten(x):
+        return {2 * i + part: c.b if part else c.a
+                for i, c in enumerate(x.coords) for part in (0, 1)}
+
+    basis = order_basis(label)
+    echelon = {}
+    for j, g in enumerate(basis):
+        assert insert({**flatten(g), 8 + j: Fraction(1)}, echelon)
+    rest = reduce(flatten(q), echelon)
+    coords = [-rest.get(8 + j, 0) for j in range(len(basis))]
+    if any(k < 8 for k in rest) or any(c.denominator != 1 for c in coords):
+        return None
+    return tuple(int(c) for c in coords)
+
+
+@pytest.mark.parametrize("label", ["2T", "2O", "2I"])
+def test_right_action_matrices_match_quaternion_products(label):
+    basis = order_basis(label)
+    oracle = tuple(
+        tuple(oracle_coords(label, qmul(g, eps)) for g in basis)
+        for eps in build_group(label)
+    )
+    assert right_multiplication_matrices(label) == oracle
+
+
+@pytest.mark.parametrize("label", ["2T", "2O", "2I"])
+def test_coords_of_matches_the_echelon_oracle(label):
+    for eps in build_group(label).elements[:12]:
+        for g in order_basis(label):
+            q = qmul(g, eps) + g * rat(3)
+            assert coords_of(label, q) == oracle_coords(label, q)
+
+
+# (tau, 1, tau^-1, 0)/2: a unit with 2q in Z[tau], but an odd permutation of
+# zeta's coordinates, so neither it nor its products with the basis are icosians
+ODD_ICOSIAN = Quaternion(golden_elem(0, Fraction(1, 2)), golden_elem(Fraction(1, 2)),
+                         golden_elem(Fraction(-1, 2), Fraction(1, 2)), golden_elem(0))
+
+
+def test_coords_of_rejects_integral_doubles_outside_the_order():
+    assert oracle_coords("2I", ODD_ICOSIAN) is None
+    with pytest.raises(ValueError, match="not in the order"):
+        coords_of("2I", ODD_ICOSIAN)
+    # the 2T solve reads the rational parts only; a sqrt2 part fails the rebuild
+    assert orders._solve("2T", (2, 1, 0, 0, 0, 0, 0, 0), 1) is None
+    assert orders._solve("2T", (2, 0, 0, 0, 0, 0, 0, 0), 1) == (1, 0, 0, 0)
+    # tau has the pair (0, 1), which O_2O would read as sqrt2
+    with pytest.raises(ValueError, match="not in the order"):
+        coords_of("2O", Quaternion(golden_elem(0, 1), 0, 0, 0, GOLDEN))
+
+
+def test_right_action_rejects_a_product_outside_the_order(monkeypatch):
+    monkeypatch.setattr(orders, "build_group", lambda label: [ODD_ICOSIAN])
+    right_multiplication_matrices.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="not in the order"):
+            right_multiplication_matrices("2I")
+    finally:
+        right_multiplication_matrices.cache_clear()
 
 
 def test_strength_inheritance_normalized_shell():

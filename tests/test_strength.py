@@ -175,6 +175,14 @@ def test_molien_closed_form_families():
             molien_closed_form(label, 8)
 
 
+def test_group_pair_sums_read_the_group_not_its_label():
+    q8 = build_group("Q8").elements
+    for label in ("2T", "Q8 copy"):
+        group = UnitGroup(label, q8)
+        assert not pair_sum_test(group, 4)  # Q8 is a 3-design; 2T is a 4-design
+        assert pair_sum_value(group, 4) == pair_sum_value(q8, 4)
+
+
 def test_point_list_strength_scans_pair_distances_once(monkeypatch):
     points = list(build_group("2O").elements)
     scans = []

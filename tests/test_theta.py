@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from quatdesign.budget import Budget, ResourceBudgetError, get_budget
 from quatdesign.exactnum import GOLDEN, RAT, SQRT2, QuadElem, golden_elem, rat, sqrt2_elem
 from quatdesign.groups import build_group
-from quatdesign.harmonics import harm_basis, poly4_eval
+from quatdesign.harmonics import harm_basis
 from quatdesign import orders
 from quatdesign.orders import (
     embed_coords,
@@ -30,6 +30,8 @@ from quatdesign.theta import (
     theta_rank,
     theta_table,
 )
+
+from oracles import poly4_eval
 
 D_TABLE = {
     "2T": (0, 0, 7, 9, 0, 26, 15, 17, 38, 42, 23, 75),
@@ -123,7 +125,7 @@ def test_holomorphic_invariants_found():
 def test_holomorphic_invariants_are_right_invariant(label, ell):
     # the forms are 2^l f on integer pairs; x (2 eps) = 2 (x eps) and
     # f(x eps) = f(x), so each form at x (2 eps) is 2^l times its value at x
-    tag = theta._FIELD_TAG[label]
+    tag = theta.FIELD_TAG[label]
     rng = random.Random(ell)
     rho_part = 0 if tag == RAT else 3  # Z has no rho part
     points = [
@@ -184,7 +186,7 @@ def _complex_powers(tag, z, n):
 def test_invariant_table_entries_are_per_point_sums(label, ell, shells):
     # entry (m, f_t . L_y) = sum over every x in O_(G,m) of f_t(y x / root):
     # a plain sum over the whole shell, without orbits or power chains
-    tag = theta._FIELD_TAG[label]
+    tag = theta.FIELD_TAG[label]
     forms = holomorphic_invariants(label, ell)
     pool = theta._translate_pool()
     rows = []
