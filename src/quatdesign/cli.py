@@ -23,7 +23,7 @@ from .lpbound import (
     lp_lower_bound,
     verify_certificate,
 )
-from .orders import enumerate_shell, shell_count_formula
+from .orders import enumerate_shell, enumerate_shells, shell_count_formula
 from .qseries import QSERIES_NAMES, qseries
 from .quat import Quaternion
 from .strength import harmonic_strength, molien_closed_form, molien_series
@@ -203,12 +203,10 @@ def cmd_lp(args, budget: Budget) -> int:
 def cmd_shells(args, budget: Budget) -> int:
     label = args.group
     if args.count_only:
-        counts = {}
-        for m in range(1, args.m + 1):
-            counts[m] = {
-                "formula": shell_count_formula(label, m),
-                "enumerated": len(enumerate_shell(label, m, budget)),
-            }
+        counts = {
+            shell.m: {"formula": shell_count_formula(label, shell.m), "enumerated": len(shell)}
+            for shell in enumerate_shells(label, args.m, budget)
+        }
         payload = {"group": label, "counts": counts}
         _emit(
             payload, args.format,

@@ -5,7 +5,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import QuadElem, rat
 from .unipoly import UniPoly
 
 
@@ -67,13 +66,3 @@ def gegenbauer_expand(F: UniPoly, d: int) -> list[Fraction]:
             raise AssertionError("triangular solve failed to reduce degree")
     return out
 
-
-def chebyshev_u_value(ell: int, s: QuadElem) -> QuadElem:
-    """C_l^1(s) = U_l(s), evaluated exactly at a QuadElem point."""
-    s = QuadElem.coerce(s)
-    if ell == 0:
-        return rat(1)
-    prev2, prev1 = rat(1), s + s
-    for _ in range(2, ell + 1):
-        prev2, prev1 = prev1, (s + s) * prev1 - prev2
-    return prev1

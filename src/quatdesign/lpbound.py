@@ -22,7 +22,7 @@ from fractions import Fraction
 from .exactnum import QuadElem, rat, sqrt2_elem, golden_elem
 from .gegenbauer import gegenbauer_expand, scaled_q
 from .groups import NotAntipodal, gram_of
-from .strength import pair_sum
+from .strength import pair_sums
 from .unipoly import UniPoly
 
 
@@ -284,5 +284,5 @@ def check_equality_case(points, tf: TestFunction) -> EqualityReport:
         bound=bound,
         attained=Fraction(len(gram.points)) == bound,
         inner_products_are_roots=gram.angles() <= angle_certificate(tf),
-        is_design=all(pair_sum(dist, ell).is_zero() for ell in tf.design_set),
+        is_design=all(v.is_zero() for v in pair_sums(dist, tf.design_set).values()),
     )

@@ -17,7 +17,8 @@ signs of the conjugated basis vector -conj(w) rather than w itself).
 
 Shell enumeration is exact Fincke-Pohst: rational LDL^T completion of the
 Gram matrix, integer bounds from floor/ceil of quadratic irrationalities via
-integer square roots, no floating point anywhere.
+integer square roots, no floating point anywhere.  One pass yields every
+shell up to a bound, each already in lexicographic order.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import isqrt, lcm
-from operator import mul
+from operator import mul, neg
 
 from .budget import Budget, get_budget
-from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, insert, iota, rat, reduce
+from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, insert, iota, reduce
 from .groups import build_group, omega, alpha, beta, zeta
 from .quat import Quaternion, inner, norm, qmul, qmul_pairs, scaled_pairs
 
@@ -118,18 +120,14 @@ class OrderElement:
 
 
 def embed_coords(label: str, coords) -> Quaternion:
-    basis = order_basis(label)
-    if len(coords) != len(basis):
-        raise ValueError(f"{label} expects {len(basis)} coordinates")
-    acc = None
-    for c, g in zip(coords, basis):
-        if c == 0:
-            continue
-        term = g * rat(c)
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return Quaternion(0, 0, 0, 0, FIELD_TAG[label])
-    return acc
+    """sum_j c_j b_j, summed on the flat integer components of 2 b_j."""
+    comps = _doubled_basis(label)[1]
+    if len(coords) != len(comps[0]):
+        raise ValueError(f"{label} expects {len(comps[0])} coordinates")
+    flat = [sum(map(mul, coords, comp)) for comp in comps]
+    tag = FIELD_TAG[label]
+    return Quaternion(*(QuadElem(tag, Fraction(a, 2), Fraction(b, 2))
+                        for a, b in zip(flat[::2], flat[1::2])))
 
 
 def _flat(pairs) -> tuple[int, ...]:
@@ -139,12 +137,12 @@ def _flat(pairs) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _doubled_basis(label: str):
-    """(pairs, rows, cols, inv, den) for the doubled basis 2*b_j.
+    """(pairs, comps, cols, inv, den) for the doubled basis 2*b_j.
 
-    pairs[j] is 2*b_j on integer pairs and rows[j] its flat components;
-    cols are the n components the rows use, and inv holds the columns of
-    den * M^-1 for the n x n matrix M = rows[.][cols], with den the least
-    denominator that makes it integral.
+    pairs[j] is 2*b_j on integer pairs and comps[k] the k-th flat component
+    of every 2*b_j; cols are the n components the basis uses, and inv holds
+    the columns of den * M^-1 for the n x n matrix M of those components,
+    with den the least denominator that makes it integral.
     """
     pairs = tuple(scaled_pairs(g.coords, 2) for g in order_basis(label))
     rows = [_flat(p) for p in pairs]
@@ -159,19 +157,20 @@ def _doubled_basis(label: str):
     inv = [[-reduce({k: Fraction(1)}, echelon).get(n + j, 0) for j in range(n)]
            for k in range(n)]
     den = lcm(*(q.denominator for row in inv for q in row))
-    return pairs, rows, cols, tuple(tuple(int(q * den) for q in col) for col in zip(*inv)), den
+    inv = tuple(tuple(int(q * den) for q in col) for col in zip(*inv))
+    return pairs, tuple(zip(*rows)), cols, inv, den
 
 
 def _solve(label: str, flat, half: int) -> tuple[int, ...] | None:
     """Integer c with x = sum_j c_j b_j, from the flat components of
     2*half*x; None when x is not in the order."""
-    _, rows, cols, inv, den = _doubled_basis(label)
+    _, comps, cols, inv, den = _doubled_basis(label)
     sums = [sum(flat[k] * a for k, a in zip(cols, col)) for col in inv]
     if any(t % (den * half) for t in sums):
         return None
     coords = tuple(t // (den * half) for t in sums)
     # the solve reads only `cols`; the coordinates must rebuild every component
-    rebuilt = tuple(half * sum(map(mul, coords, col)) for col in zip(*rows))
+    rebuilt = tuple(half * sum(map(mul, coords, comp)) for comp in comps)
     return coords if rebuilt == tuple(flat) else None
 
 
@@ -320,16 +319,19 @@ def _floor_affine_sqrt(a: int, c: int, den: int) -> int:
 
 
 def _enum_levels(label: str):
-    """Precomputed integer data for the scaled Fincke-Pohst recursion."""
+    """Precomputed integer data for the scaled Fincke-Pohst recursion.
+
+    The squares are completed in reversed variable order, so that level i
+    fixes coordinate n-1-i and x_0 is the outermost level; the center of
+    level i is the dot product of centers[i] with the coordinates, by
+    coordinate index (zero at level i and inside it).
+    """
     form = quadratic_form(label)
-    d, u = _ldl_completion(form.gram)
+    d, u = _ldl_completion([row[::-1] for row in form.gram[::-1]])
     n = form.dimension
-    rho = [1] * n
-    unum = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rho[i] = lcm(*(u[i][j].denominator for j in range(i + 1, n)))
-        for j in range(i + 1, n):
-            unum[i][j] = int(u[i][j] * rho[i])
+    rho = [lcm(*(u[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
+    centers = [[int(u[i][n - 1 - k] * rho[i]) if n - 1 - k > i else 0 for k in range(n)]
+               for i in range(n)]
     delta = [1] * (n + 1)  # delta[i] clears denominators of the level-i budget
     for i in range(n - 1, -1, -1):
         need = d[i].denominator * rho[i] * rho[i]
@@ -341,53 +343,57 @@ def _enum_levels(label: str):
     ]
     rfac = [rho[i] * rho[i] * d[i].denominator for i in range(n)]
     rden = [delta[i + 1] * d[i].numerator for i in range(n)]
-    return n, rho, unum, delta, mu, nu, rfac, rden
+    return n, rho, centers, delta, mu, nu, rfac, rden
 
 
-def _enumerate_ball(label: str, bound: int) -> dict[int, list[tuple[int, ...]]]:
-    """All nonzero integer vectors with Q_G <= bound, bucketed by value."""
-    n, rho, unum, delta, mu, nu, rfac, rden = _enum_levels(label)
-    buckets: dict[int, list[tuple[int, ...]]] = {m: [] for m in range(1, bound + 1)}
+def _enumerate_ball(label: str, bound: int) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """All nonzero integer vectors with Q_G <= bound, bucketed by value, each
+    bucket in lexicographic order.
+
+    With x_0 outermost and every level rising, the recursion meets the
+    half-ball H (first nonzero coordinate > 0) in lexicographic order.  Every
+    point of -H sorts before every point of H, and negation reverses the
+    order, so a bucket is -H_m reversed followed by H_m, with no sort.
+    """
+    n, rho, centers, delta, mu, nu, rfac, rden = _enum_levels(label)
+    half = {m: [] for m in range(1, bound + 1)}
     x = [0] * n
+    last, d0 = n - 1, delta[0]
 
     def descend(level: int, t: int, leading_zero: bool):
-        # t = (remaining budget at this level) * delta[level+1]
-        if level < 0:
-            q_val = bound - t // delta[0]
-            if q_val >= 1:
-                pt = tuple(x)
-                buckets[q_val].append(pt)
-                if not leading_zero or any(pt):
-                    buckets[q_val].append(tuple(-c for c in pt))
-            return
-        r = rho[level]
-        ncenter = 0
-        row = unum[level]
-        for j in range(level + 1, n):
-            if x[j]:
-                ncenter += row[j] * x[j]
-        rn = t * rfac[level]
-        rd = rden[level]
-        c_big = rn * rd
+        # t = (remaining budget at this level) * delta[level+1]; the levels
+        # inside this one have reset their coordinates to 0
+        r, rd = rho[level], rden[level]
+        ncenter = sum(map(mul, centers[level], x))
+        c_big = t * rfac[level] * rd
         hi = _floor_affine_sqrt(-ncenter * rd, c_big, r * rd)
         lo = 0 if leading_zero else -_floor_affine_sqrt(ncenter * rd, c_big, r * rd)
         m_lvl, n_lvl = mu[level], nu[level]
+        if level == 0:  # the last coordinate: record the points, x = 0 excluded
+            prefix = tuple(x[:last])
+            for xi in range(1 if leading_zero else lo, hi + 1):
+                k = xi * r + ncenter
+                t_next = m_lvl * t - n_lvl * k * k
+                if t_next >= 0:
+                    half[bound - t_next // d0].append(prefix + (xi,))
+            return
+        coord = last - level
         for xi in range(lo, hi + 1):
             k = xi * r + ncenter
             t_next = m_lvl * t - n_lvl * k * k
             if t_next < 0:
                 continue
-            x[level] = xi
+            x[coord] = xi
             descend(level - 1, t_next, leading_zero and xi == 0)
-        x[level] = 0
+        x[coord] = 0
 
-    descend(n - 1, bound * delta[n], True)
-    for m in buckets:
-        buckets[m].sort()
-    return buckets
+    descend(last, bound * delta[n], True)
+    for m, points in half.items():
+        half[m] = tuple(chain([tuple(map(neg, p)) for p in reversed(points)], points))
+    return half
 
 
-_BALL_CACHE: dict[str, tuple[int, dict[int, list[tuple[int, ...]]]]] = {}
+_BALL_CACHE: dict[str, tuple[int, dict[int, tuple[tuple[int, ...], ...]]]] = {}
 
 
 def ball_size(label: str, m: int) -> int:
@@ -395,10 +401,8 @@ def ball_size(label: str, m: int) -> int:
     return sum(shell_count_formula(label, k) for k in range(1, m + 1))
 
 
-def enumerated_shell_coords(
-    label: str, m: int, budget: Budget | None = None
-) -> list[tuple[int, ...]]:
-    """Sorted coordinate vectors of O_{G,m}; cached by enumeration ball."""
+def _ball(label: str, m: int, budget: Budget | None) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """The cached enumeration ball of O_G, enumerated again only to grow past m."""
     if m < 1:
         raise ValueError("shells are indexed by m >= 1")
     budget = budget or get_budget()
@@ -406,15 +410,15 @@ def enumerated_shell_coords(
     cached = _BALL_CACHE.get(label)
     if cached is None or cached[0] < m:
         budget.check_enum_points(label, ball_size(label, m))
-        _BALL_CACHE[label] = (m, _enumerate_ball(label, m))
-    return _BALL_CACHE[label][1][m]
+        _BALL_CACHE[label] = cached = (m, _enumerate_ball(label, m))
+    return cached[1]
 
 
 @dataclass(frozen=True)
 class Shell:
     group_label: str
     m: int
-    points: tuple[tuple[int, ...], ...]
+    points: tuple[tuple[int, ...], ...]  # sorted coordinate vectors
 
     def __len__(self):
         return len(self.points)
@@ -427,7 +431,18 @@ class Shell:
 
 
 def enumerate_shell(label: str, m: int, budget: Budget | None = None) -> Shell:
-    return Shell(label, m, tuple(enumerated_shell_coords(label, m, budget)))
+    return Shell(label, m, _ball(label, m, budget)[m])
+
+
+def enumerate_shells(label: str, bound: int, budget: Budget | None = None) -> list[Shell]:
+    """O_{G,1} .. O_{G,bound} from one enumeration ball.
+
+    The shell `bound` comes first: its budget checks and its ball precede
+    every smaller shell, so no smaller ball is enumerated on the way and a
+    refusal names `bound`.
+    """
+    top = enumerate_shell(label, bound, budget)
+    return [enumerate_shell(label, m, budget) for m in range(1, bound)] + [top]
 
 
 # -- group action on shells ---------------------------------------------------

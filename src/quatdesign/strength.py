@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .exactnum import QuadElem, rat
-from .gegenbauer import chebyshev_u_value
 from .groups import UnitGroup, build_group, pair_distance_distribution
 
 
@@ -137,17 +136,24 @@ def _distribution_of(points) -> list:
     return list(pair_distance_distribution(points).items())
 
 
-def pair_sum(dist, ell: int) -> QuadElem:
-    """sum_s A_s C_l^1(s) over the (s, A_s) of a distance distribution."""
-    total = rat(0)
+def pair_sums(dist, ells) -> dict[int, QuadElem]:
+    """sum_s A_s C_l^1(s) for each l in ells, over the (s, A_s) of a distance
+    distribution; C_l^1 = U_l runs one recurrence per s, to the largest l."""
+    totals = dict.fromkeys(ells, rat(0))
+    top = max(totals, default=0)
     for s, count in dist:
-        total = total + chebyshev_u_value(ell, s) * count
-    return total
+        two_s = s + s
+        u = [rat(1), two_s]  # U_(k+1) = 2s U_k - U_(k-1)
+        while len(u) <= top:
+            u.append(two_s * u[-1] - u[-2])
+        for ell in totals:
+            totals[ell] = totals[ell] + u[ell] * count
+    return totals
 
 
 def pair_sum_value(points, ell: int) -> QuadElem:
     """sum_{x,y in X} C_l^1(<x,y>), via the distance distribution."""
-    return pair_sum(_distribution_of(points), ell)
+    return pair_sums(_distribution_of(points), (ell,))[ell]
 
 
 def pair_sum_test(points, ell: int) -> bool:
@@ -158,8 +164,7 @@ def pair_sum_test(points, ell: int) -> bool:
 
 def pair_sum_tests_bulk(points, ells) -> dict[int, bool]:
     """pair_sum_test for several degrees with one distance-distribution scan."""
-    dist = _distribution_of(points)
-    return {ell: pair_sum(dist, ell).is_zero() for ell in ells}
+    return {ell: v.is_zero() for ell, v in pair_sums(_distribution_of(points), ells).items()}
 
 
 def harmonic_strength(source, n: int) -> StrengthReport:

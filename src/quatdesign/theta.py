@@ -32,7 +32,9 @@ from .budget import Budget, get_budget
 from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, insert
 from .groups import build_group
 from .harmonics import harm_basis
-from .orders import FIELD_TAG, ball_size, enumerate_shell, orbit_decompose, order_basis
+from .orders import (
+    FIELD_TAG, ball_size, enumerate_shell, enumerate_shells, orbit_decompose, order_basis,
+)
 from .quat import PAIR_MUL, char_coeffs_pairs, qmul_pairs, scaled_pairs, to_matrix
 from .strength import (
     class_sum_series,
@@ -402,12 +404,9 @@ def _invariant_table(label, ell, shells, budget: Budget) -> ThetaTable:
         for t in range(len(invariants)) for y, _ in pool for part in ("re", "im")
     )
 
-    # largest shell first: its enumeration ball is cached and serves every
-    # smaller m, where rising m would enumerate a larger ball each time
-    enumerate_shell(label, shells, budget)
     rows = []
-    for m in range(1, shells + 1):
-        reps = shell_orbit_reps(label, m)
+    for shell in enumerate_shells(label, shells, budget):
+        reps = shell_orbit_reps(label, shell.m)
         per_y = []
         for cols in maps:
             terms = [[] for _ in range(span + 1)]
@@ -438,10 +437,8 @@ def _full_table(label, ell, shells, budget: Budget) -> ThetaTable:
     budget.check_table_cells(ball_size(label, shells) * len(basis))
 
     cols = _point_map(label)
-    enumerate_shell(label, shells, budget)  # largest shell first, as above
     rows = []
-    for m in range(1, shells + 1):
-        shell = enumerate_shell(label, m, budget)
+    for shell in enumerate_shells(label, shells, budget):
         # points are 2x, so a degree-l sum is 2^l times the true one
         sums = _monomial_sums(tag, [_map_point(cols, c) for c in shell.points], ell)
         row = []

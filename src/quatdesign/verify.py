@@ -30,7 +30,7 @@ from .lpbound import (
     full_set_lower_bound,
     verify_certificate,
 )
-from .orders import enumerate_shell, orbit_decompose, shell_count_formula
+from .orders import enumerate_shell, enumerate_shells, orbit_decompose, shell_count_formula
 from .qseries import qseries
 from .strength import (
     cyclic_odd_part,
@@ -268,14 +268,10 @@ def check_shell_counts(budget: Budget) -> CheckResult:
     t0 = time.perf_counter()
     problems = []
     for label, m_max in SHELL_RANGES.items():
-        # largest shell first: its enumeration ball is cached and serves every
-        # smaller m, where rising m would enumerate a larger ball each time
-        enumerate_shell(label, m_max, budget)
-        for m in range(1, m_max + 1):
-            got = len(enumerate_shell(label, m, budget))
-            expected = shell_count_formula(label, m)
-            if got != expected:
-                problems.append(f"{label} m={m}: {got} != {expected}")
+        for shell in enumerate_shells(label, m_max, budget):
+            expected = shell_count_formula(label, shell.m)
+            if len(shell) != expected:
+                problems.append(f"{label} m={shell.m}: {len(shell)} != {expected}")
         head = tuple(shell_count_formula(label, m) for m in range(1, 5))
         if head != PRINTED_SHELL_HEADS[label]:
             problems.append(f"{label}: first counts {head}")

@@ -4,6 +4,7 @@ import pytest
 
 from quatdesign import cli
 from quatdesign.cli import main
+from quatdesign.orders import shell_count_formula
 
 
 def run_cli(capsys, *argv):
@@ -165,10 +166,23 @@ def test_verify_unknown_check(capsys):
     assert code == 4
 
 
-def test_budget_exit_code(capsys):
-    code, _ = run_cli(capsys, "--budget", "small", "shells", "--group", "2I",
-                      "--m", "8", "--count-only")
+def test_budget_exit_code(capsys, ball_calls):
+    # the budget for the whole count is checked before any ball is enumerated
+    code = main(["--budget", "small", "shells", "--group", "2I", "--m", "8",
+                 "--count-only"])
     assert code == 3
+    assert ball_calls == []
+    assert "shell index 8 for 2I" in capsys.readouterr().err
+
+
+def test_shells_count_only_enumerates_one_ball(capsys, ball_calls):
+    code, out = run_cli(capsys, "shells", "--group", "2O", "--m", "5",
+                        "--count-only", "--format", "json")
+    assert code == 0
+    assert ball_calls == [("2O", 5)]
+    counts = json.loads(out)["counts"]
+    assert [counts[str(m)]["enumerated"] for m in range(1, 6)] == [
+        shell_count_formula("2O", m) for m in range(1, 6)]
 
 
 def test_unsupported_group_exit_code(capsys):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatdesign.exactnum import rat
-from quatdesign.gegenbauer import chebyshev_u_value, gegenbauer, gegenbauer_expand, scaled_q
+from quatdesign.gegenbauer import gegenbauer, gegenbauer_expand, scaled_q
 from quatdesign.unipoly import UniPoly
 
-from oracles import harm_dim
+from oracles import chebyshev_u_value, harm_dim
 
 
 def gegenbauer_value_at_one(ell: int, lam: Fraction) -> Fraction:

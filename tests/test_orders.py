@@ -1,11 +1,13 @@
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 import pytest
 
 from quatdesign.budget import ResourceBudgetError, get_budget
 from quatdesign.exactnum import GOLDEN, golden_elem, insert, iota, rat, reduce
 from quatdesign.groups import build_group, omega
-from quatdesign import orders
+from quatdesign import orders, verify
 from quatdesign.orders import (
     IntegrityError,
     OrderElement,
@@ -87,13 +89,128 @@ def test_shell_counts_small():
             assert len(enumerate_shell(label, m)) == shell_count_formula(label, m)
 
 
+# -- the Fincke-Pohst recursion with x_(n-1) outermost and every bucket sorted
+# afterwards, kept as the oracle for the sort-free enumeration
+
+def _oracle_levels(label):
+    form = quadratic_form(label)
+    d, u = orders._ldl_completion(form.gram)
+    n = form.dimension
+    rho = [1] * n
+    unum = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rho[i] = lcm(*(u[i][j].denominator for j in range(i + 1, n)))
+        for j in range(i + 1, n):
+            unum[i][j] = int(u[i][j] * rho[i])
+    delta = [1] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        delta[i] = lcm(delta[i + 1], d[i].denominator * rho[i] * rho[i])
+    mu = [delta[i] // delta[i + 1] for i in range(n)]
+    nu = [d[i].numerator * delta[i] // (d[i].denominator * rho[i] * rho[i])
+          for i in range(n)]
+    rfac = [rho[i] * rho[i] * d[i].denominator for i in range(n)]
+    rden = [delta[i + 1] * d[i].numerator for i in range(n)]
+    return n, rho, unum, delta, mu, nu, rfac, rden
+
+
+def _oracle_ball(label, bound):
+    n, rho, unum, delta, mu, nu, rfac, rden = _oracle_levels(label)
+    buckets = {m: [] for m in range(1, bound + 1)}
+    x = [0] * n
+
+    def descend(level, t, leading_zero):
+        if level < 0:
+            q_val = bound - t // delta[0]
+            if q_val >= 1:
+                pt = tuple(x)
+                buckets[q_val].append(pt)
+                if not leading_zero or any(pt):
+                    buckets[q_val].append(tuple(-c for c in pt))
+            return
+        r = rho[level]
+        ncenter = sum(unum[level][j] * x[j] for j in range(level + 1, n))
+        c_big = t * rfac[level] * rden[level]
+        hi = orders._floor_affine_sqrt(-ncenter * rden[level], c_big, r * rden[level])
+        lo = 0 if leading_zero else -orders._floor_affine_sqrt(
+            ncenter * rden[level], c_big, r * rden[level])
+        for xi in range(lo, hi + 1):
+            k = xi * r + ncenter
+            t_next = mu[level] * t - nu[level] * k * k
+            if t_next < 0:
+                continue
+            x[level] = xi
+            descend(level - 1, t_next, leading_zero and xi == 0)
+        x[level] = 0
+
+    descend(n - 1, bound * delta[n], True)
+    for m in buckets:
+        buckets[m].sort()
+    return buckets
+
+
+ORACLE_BALLS = [("2T", 30), ("2O", 6), ("2I", 4)]
+
+
+@pytest.mark.parametrize("label, bound", ORACLE_BALLS)
+def test_ball_matches_the_sorting_oracle_in_order(label, bound):
+    want = {m: tuple(points) for m, points in _oracle_ball(label, bound).items()}
+    assert orders._enumerate_ball(label, bound) == want
+
+
 def test_shell_values_and_sortedness():
-    sh = enumerate_shell("2O", 2)
-    form = quadratic_form("2O")
-    assert list(sh.points) == sorted(sh.points)
-    for coords in sh.points[:50]:
-        assert form.evaluate(coords) == 2
-        assert iota(norm(embed_coords("2O", coords))) == 2
+    for label, bound in ORACLE_BALLS:
+        form = quadratic_form(label)
+        twice = [[int(2 * v) for v in row] for row in form.gram]  # 2 Q_G is integral
+        for sh in orders.enumerate_shells(label, bound):
+            points = list(sh.points)
+            assert points == sorted(set(points))
+            for c in points:
+                assert sum(map(mul, c, [sum(map(mul, c, row)) for row in twice])) == 2 * sh.m
+            for coords in points[:50]:
+                assert form.evaluate(coords) == sh.m
+                assert iota(norm(embed_coords(label, coords))) == sh.m
+
+
+def test_enumerate_shells_serves_every_shell_from_one_ball(ball_calls):
+    shells = orders.enumerate_shells("2I", 3)
+    assert ball_calls == [("2I", 3)]
+    assert [(sh.m, len(sh)) for sh in shells] == [(1, 240), (2, 2160), (3, 6720)]
+    assert shells[1] == enumerate_shell("2I", 2)
+    assert ball_calls == [("2I", 3)]
+
+
+def test_shell_counts_check_makes_one_ball_per_label(ball_calls):
+    result = verify.check_shell_counts(get_budget("desk"))
+    assert result.passed
+    assert ball_calls == [("2T", 30), ("2O", 12), ("2I", 8)]
+
+
+# -- the embedding as a sum of Quaternion * rational products, kept as the
+# oracle for the integer embedding
+
+def _oracle_embed(label, coords):
+    acc = None
+    for c, g in zip(coords, order_basis(label)):
+        if c:
+            term = g * rat(c)
+            acc = term if acc is None else acc + term
+    return acc if acc is not None else Quaternion(0, 0, 0, 0, orders.FIELD_TAG[label])
+
+
+@pytest.mark.parametrize("label, bound", [("2T", 3), ("2O", 2), ("2I", 2)])
+def test_embedding_matches_the_quaternion_oracle(label, bound):
+    zero = (0,) * len(order_basis(label))
+    for coords in [zero] + [p for m in range(1, bound + 1)
+                            for p in enumerate_shell(label, m).points]:
+        assert embed_coords(label, coords).to_json() == _oracle_embed(label, coords).to_json()
+
+
+@pytest.mark.parametrize("label", ["2T", "2O", "2I"])
+def test_embedding_rejects_a_wrong_number_of_coordinates(label):
+    n = len(order_basis(label))
+    for coords in [(1,) * (n - 1), (1,) * (n + 1), ()]:
+        with pytest.raises(ValueError, match="coordinates"):
+            embed_coords(label, coords)
 
 
 def test_unit_shell_identities():

@@ -14,7 +14,11 @@ from quatdesign.strength import (
     molien_series,
     pair_sum_test,
     pair_sum_value,
+    pair_sum_tests_bulk,
+    pair_sums,
 )
+
+from oracles import chebyshev_u_value
 
 EXPECTED_EVEN = {
     "2T": (2, 4, 10),
@@ -64,6 +68,21 @@ def test_route_consistency(label):
     series = molien_series(group, 24)
     for ell in range(2, 25, 2):
         assert pair_sum_test(group, ell) == (series[ell] == 0)
+
+
+@pytest.mark.parametrize("label", ["2T", "2O", "2I", "C5", "D2n3"])
+def test_pair_sums_match_the_recurrence_from_degree_zero(label):
+    group = build_group(label)
+    dist = list(group.gram.distribution().items())
+    ells = (7, 0, 30, 1, 2, 12)  # unsorted, with both starting degrees
+    want = {ell: sum((chebyshev_u_value(ell, s) * count for s, count in dist), rat(0))
+            for ell in ells}
+    got = pair_sums(dist, ells)
+    assert got == want and list(got) == list(ells)
+    assert pair_sums(dist, ()) == {}
+    bulk = pair_sum_tests_bulk(group.elements, range(31))
+    assert bulk == {ell: sum((chebyshev_u_value(ell, s) * count for s, count in dist),
+                             rat(0)).is_zero() for ell in range(31)}
 
 
 def test_pair_sum_rejects_non_unit_points():

@@ -8,7 +8,6 @@ from quatdesign.budget import Budget, ResourceBudgetError, get_budget
 from quatdesign.exactnum import GOLDEN, RAT, SQRT2, QuadElem, golden_elem, rat, sqrt2_elem
 from quatdesign.groups import build_group
 from quatdesign.harmonics import harm_basis
-from quatdesign import orders
 from quatdesign.orders import (
     embed_coords,
     enumerate_shell,
@@ -92,18 +91,9 @@ def test_negative_degrees_are_rejected():
 
 
 @pytest.mark.parametrize("ell, shells, kind", [(8, 4, "invariant"), (2, 3, "full")])
-def test_theta_table_enumerates_one_ball(ell, shells, kind, monkeypatch):
-    calls = []
-    enumerate_ball = orders._enumerate_ball
-
-    def counting(label, bound):
-        calls.append(bound)
-        return enumerate_ball(label, bound)
-
-    monkeypatch.setattr(orders, "_enumerate_ball", counting)
-    monkeypatch.delitem(orders._BALL_CACHE, "2O", raising=False)
+def test_theta_table_enumerates_one_ball(ell, shells, kind, ball_calls):
     theta_table("2O", ell, shells, kind=kind)
-    assert calls == [shells]
+    assert ball_calls == [("2O", shells)]
 
 
 def test_invariant_multiplicities():
