@@ -22,37 +22,6 @@ Monomial = tuple[int, int, int, int]
 Poly4 = dict  # Monomial -> Fraction
 
 
-def poly4_add(p: Poly4, q: Poly4) -> Poly4:
-    out = dict(p)
-    for m, c in q.items():
-        nc = out.get(m, Fraction(0)) + c
-        if nc:
-            out[m] = nc
-        else:
-            out.pop(m, None)
-    return out
-
-
-def poly4_scale(p: Poly4, c) -> Poly4:
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {m: v * c for m, v in p.items()}
-
-
-def poly4_mul(p: Poly4, q: Poly4) -> Poly4:
-    out: Poly4 = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
-            nc = out.get(m, Fraction(0)) + c1 * c2
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
-    return out
-
-
 def laplacian(p: Poly4) -> Poly4:
     out: Poly4 = {}
     for m, c in p.items():
@@ -60,7 +29,7 @@ def laplacian(p: Poly4) -> Poly4:
             e = m[axis]
             if e >= 2:
                 key = tuple(e - 2 if k == axis else m[k] for k in range(4))
-                nc = out.get(key, Fraction(0)) + c * e * (e - 1)
+                nc = out.get(key, 0) + c * e * (e - 1)
                 if nc:
                     out[key] = nc
                 else:
@@ -68,32 +37,46 @@ def laplacian(p: Poly4) -> Poly4:
     return out
 
 
-_R2: Poly4 = {
-    (2, 0, 0, 0): Fraction(1),
-    (0, 2, 0, 0): Fraction(1),
-    (0, 0, 2, 0): Fraction(1),
-    (0, 0, 0, 2): Fraction(1),
-}
+def _times_r2(p: dict) -> dict:
+    """r^2 p for r^2 = x1^2 + x2^2 + x3^2 + x4^2."""
+    out: dict = {}
+    for m, c in p.items():
+        for axis in range(4):
+            key = tuple(e + 2 if k == axis else e for k, e in enumerate(m))
+            out[key] = out.get(key, 0) + c
+    return out
 
 
 def harmonic_projection(mono: Monomial) -> Poly4:
-    """Harmonic component of a degree-l monomial (d = 4)."""
+    """Harmonic component of a degree-l monomial (d = 4).
+
+    With c_k the k-th coefficient above and K the last k with a nonzero
+    Laplacian^k x^a, den = 1/|c_K| clears every c_k: den c_(k-1) =
+    -4 k (l-k+1) den c_k.  The sum is taken on integers, by Horner's rule in
+    r^2, and divided by den at the end.
+    """
     ell = sum(mono)
-    term: Poly4 = {mono: Fraction(1)}
-    out: Poly4 = dict(term)
-    r2k: Poly4 = {(0, 0, 0, 0): Fraction(1)}
-    coeff = Fraction(1)
-    k = 0
-    lap = term
+    laps = [{mono: 1}]
     while True:
-        lap = laplacian(lap)
+        lap = laplacian(laps[-1])
         if not lap:
             break
-        k += 1
-        r2k = poly4_mul(r2k, _R2)
-        coeff = coeff * Fraction(-1, 4 * k * (ell - k + 1))
-        out = poly4_add(out, poly4_scale(poly4_mul(r2k, lap), coeff))
-    return out
+        laps.append(lap)
+    top = len(laps) - 1
+    weight = (-1) ** top  # den c_k, from k = top down
+    numerator: dict = {}
+    den = 1
+    for k in range(top, -1, -1):
+        numerator = _times_r2(numerator)
+        for m, c in laps[k].items():
+            numerator[m] = numerator.get(m, 0) + weight * c
+        if k:
+            weight *= -4 * k * (ell - k + 1)
+            den *= 4 * k * (ell - k + 1)
+    numerator = {m: c for m, c in numerator.items() if c}
+    if laplacian(numerator):
+        raise AssertionError("projection produced a non-harmonic")
+    return {m: Fraction(c, den) for m, c in numerator.items()}
 
 
 @dataclass(frozen=True)
@@ -118,10 +101,7 @@ def harm_basis(ell: int) -> HarmonicBasis:
         for e1 in range(rest + 1):
             for e2 in range(rest - e1 + 1):
                 e3 = rest - e1 - e2
-                p = harmonic_projection((e1, e2, e3, e4))
-                if laplacian(p):
-                    raise AssertionError("projection produced a non-harmonic")
-                polys.append(p)
+                polys.append(harmonic_projection((e1, e2, e3, e4)))
     expected = (ell + 1) ** 2 if ell >= 1 else 1
     if len(polys) != expected:
         raise AssertionError(

@@ -468,17 +468,28 @@ def right_multiplication_matrices(label: str) -> tuple[tuple[tuple[int, ...], ..
 
 def orbit_decompose(shell: Shell) -> list[tuple[int, ...]]:
     """Representatives S_m with shell = disjoint union of x G (exact check)."""
-    # coords(x eps)_j = sum_i coords(x)_i R_eps[i][j]: each R_eps by columns
+    # coords(x eps)_j = sum_i coords(x)_i R_eps[i][j]: each R_eps by columns.
+    # -1 lies in G and R_(-eps) = -R_eps, so one matrix of each pair
+    # {R, -R} is applied and the other image is its negation
     mats = right_multiplication_matrices(shell.group_label)
-    actions = [tuple(zip(*mat)) for mat in mats]
-    order = len(actions)
+    order, unpaired, actions = len(mats), set(mats), []
+    for mat in mats:
+        if mat in unpaired:
+            unpaired.discard(mat)
+            partner = tuple(tuple(map(neg, row)) for row in mat)
+            if partner not in unpaired:
+                raise IntegrityError("group action on the shell is not free")
+            unpaired.discard(partner)
+            actions.append(tuple(zip(*mat)))
     point_set = set(shell.points)
     seen: set[tuple[int, ...]] = set()
     reps = []
     for p in shell.points:
         if p in seen:
             continue
-        orbit = {tuple([sum(map(mul, p, col)) for col in cols]) for cols in actions}
+        images = [tuple([sum(map(mul, p, col)) for col in cols]) for cols in actions]
+        orbit = set(images)
+        orbit.update(tuple(map(neg, v)) for v in images)
         if len(orbit) != order:
             raise IntegrityError("group action on the shell is not free")
         if not orbit <= point_set:

@@ -17,10 +17,12 @@ exact; their agreement is part of the acceptance suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import QuadElem, rat
+from .exactnum import QuadElem, RAT, FieldTagMismatch, rat
 from .groups import UnitGroup, build_group, pair_distance_distribution
+from .quat import PAIR_MUL, scaled_pairs
 
 
 @dataclass(frozen=True)
@@ -52,32 +54,41 @@ def class_sum_series(classes, order: int, num, n: int) -> tuple[int, ...]:
     """(1/order) sum_classes count * num(u)/p(u) to u^n, as dimensions.
 
     `classes` holds (p, count) with p = (1, p_1, ..., p_d) the coefficients
-    of a polynomial shared by `count` group elements; `num` holds those of
-    the numerator.  Each quotient f = num/p follows from p * f = num:
-    f_k = num_k - (p_1 f_(k-1) + ... + p_d f_(k-d)).  Every coefficient
-    must come out a nonnegative integer.
+    of a polynomial shared by `count` group elements, each in Z[rho]
+    (ValueError otherwise); `num` holds the integer coefficients of the
+    numerator.  Each quotient f = num/p follows from p * f = num:
+    f_k = num_k - (p_1 f_(k-1) + ... + p_d f_(k-d)), on integer pairs.
+    Every coefficient must come out a nonnegative integer.
     """
     if n < 0:
         raise IndexError(f"series to u^{n}: degrees start at 0")
-    num = [rat(num[k] if k < len(num) else 0) for k in range(n + 1)]
-    sums = [rat(0)] * (n + 1)
+    tags = {c.tag for p, _ in classes for c in p if isinstance(c, QuadElem) and c.b}
+    if len(tags) > 1:
+        raise FieldTagMismatch(f"class coefficients in several fields: {sorted(tags)}")
+    tag = tags.pop() if tags else RAT
+    pmul = PAIR_MUL[tag]
+    sums = [(0, 0)] * (n + 1)
     for p, count in classes:
-        # the nonzero p_j in rising j; a p_j equal to 1 costs no product
-        steps = [(j, c) for j, c in enumerate(p) if j and c]
+        # the nonzero p_j in rising j, as integer pairs a + b rho
+        pairs = scaled_pairs([QuadElem.coerce(c) for c in p], 1)
+        steps = [(j, c) for j, c in enumerate(pairs) if j and c != (0, 0)]
         f = []
         for k in range(n + 1):
-            acc = num[k]
+            a, b = num[k] if k < len(num) else 0, 0
             for j, c in steps:
                 if j > k:
                     break
-                acc = acc - (f[k - j] if c == 1 else c * f[k - j])
-            f.append(acc)
-            sums[k] = sums[k] + acc * count
+                ta, tb = pmul(*c, *f[k - j])
+                a, b = a - ta, b - tb
+            f.append((a, b))
+            sums[k] = (sums[k][0] + a * count, sums[k][1] + b * count)
     out = []
-    for k, c in enumerate(sums):
-        if not c.is_rational():
-            raise AssertionError(f"Molien coefficient at u^{k} is irrational: {c}")
-        q = c.a / order
+    for k, (a, b) in enumerate(sums):
+        if b:
+            raise AssertionError(
+                f"Molien coefficient at u^{k} is irrational: {QuadElem(tag, a, b)}"
+            )
+        q = Fraction(a, order)
         if q.denominator != 1 or q < 0:
             raise AssertionError(f"Molien coefficient at u^{k} not a dimension: {q}")
         out.append(int(q))

@@ -93,9 +93,14 @@ def _csum(values):
 
 
 def _cpow(cmul, z, n: int):
+    """z^n by repeated squaring."""
     out = _C_ONE
-    for _ in range(n):
-        out = cmul(out, z)
+    while n:
+        if n & 1:
+            out = cmul(out, z)
+        n >>= 1
+        if n:
+            z = cmul(z, z)
     return out
 
 
@@ -372,63 +377,66 @@ def exact_rank(rows) -> int:
     )
 
 
-def _invariant_table(label, ell, shells, budget: Budget) -> ThetaTable:
+def _invariant_tables(label, ells, shells, budget: Budget) -> dict:
+    """{ell: invariant ThetaTable} for every ell in ells, from one pass over
+    the orbit representatives of each shell."""
     tag = FIELD_TAG[label]
     cmul = _CMUL[tag]
+    forms = {ell: holomorphic_invariants(label, ell) for ell in ells}
+    monos = sorted({mono for fs in forms.values() for form in fs for mono in form})
+    pool, per_shell = (), [()] * shells  # no pool, map or ball when every m_l = 0
+    if monos:
+        # each used monomial is z1^(g i) z2^(g j), g the gcd of all the
+        # exponents, so per moved point one power list in z1^g and one in
+        # z2^g give every monomial with one product
+        g = gcd(*(e for mono in monos for e in mono)) or 1  # l = 0 has z1^0 z2^0
+        steps = [(a // g, b // g) for a, b in monos]
+        top1, top2 = max(i for i, _ in steps), max(j for _, j in steps)
+        pool = _translate_pool()
+        maps = [_point_map(label, y) for y, _ in pool]
+        per_shell = []  # per shell and translate: {mono: flat complex sum}
+        for shell in enumerate_shells(label, shells, budget):
+            per_y = []
+            for cols in maps:
+                acc = [[0] * len(monos) for _ in range(4)]
+                ra_acc, rb_acc, ia_acc, ib_acc = acc
+                for coords in shell_orbit_reps(label, shell.m):
+                    z = _map_point(cols, coords)
+                    p1, p2 = [_C_ONE, _cpow(cmul, z[:4], g)], [_C_ONE, _cpow(cmul, z[4:], g)]
+                    for _ in range(top1 - 1):
+                        p1.append(cmul(p1[-1], p1[1]))
+                    for _ in range(top2 - 1):
+                        p2.append(cmul(p2[-1], p2[1]))
+                    for k, (i, j) in enumerate(steps):
+                        ra, rb, ia, ib = cmul(p1[i], p2[j])
+                        ra_acc[k] += ra
+                        rb_acc[k] += rb
+                        ia_acc[k] += ia
+                        ib_acc[k] += ib
+                per_y.append(dict(zip(monos, zip(*acc))))
+            per_shell.append(per_y)
+
     group_order = len(build_group(label))
-    invariants = holomorphic_invariants(label, ell)
-    if not invariants:
-        return ThetaTable(label, ell, shells, "invariant", (), tuple(
-            () for _ in range(shells)
-        ))
-
-    # the z1-exponents the forms use lie on a progression a0 + step*j,
-    # j = 0..span, so per moved point one power chain in z1^step and one in
-    # z2^step give S[j] = z1^a z2^(l-a), a = a0 + step*j, for every form
-    used = {a for form in invariants for a, _ in form}
-    a0, a1 = min(used), max(used)
-    step = gcd(*(a - a0 for a in used)) or 1
-    span = (a1 - a0) // step
-    form_coeffs = [
-        [(j, form[(a, ell - a)]) for j, a in enumerate(range(a0, a1 + 1, step))
-         if (a, ell - a) in form]
-        for form in invariants
-    ]
-    pool = _translate_pool()
-    maps = [_point_map(label, y) for y, _ in pool]
-    # each form is 2^l f and the moved point is 2 root (y/root) x, so a sum
-    # over orbit representatives is (4 root)^l sum f(y x / root)
-    scales = [Fraction(group_order, (4 * root) ** ell) for _, root in pool]
-    col_labels = tuple(
-        f"f{t}.L{tuple(a for a, _ in y)}.{part}"
-        for t in range(len(invariants)) for y, _ in pool for part in ("re", "im")
-    )
-
-    rows = []
-    for shell in enumerate_shells(label, shells, budget):
-        reps = shell_orbit_reps(label, shell.m)
-        per_y = []
-        for cols in maps:
-            terms = [[] for _ in range(span + 1)]
-            for coords in reps:
-                z = _map_point(cols, coords)
-                z1, z2 = z[:4], z[4:]
-                w1, w2 = _cpow(cmul, z1, step), _cpow(cmul, z2, step)
-                p1, p2 = [_cpow(cmul, z1, a0)], [_cpow(cmul, z2, ell - a1)]
-                for _ in range(span):
-                    p1.append(cmul(p1[-1], w1))
-                    p2.append(cmul(p2[-1], w2))
-                for j in range(span + 1):
-                    terms[j].append(cmul(p1[j], p2[span - j]))
-            per_y.append([_csum(t) for t in terms])
-        row = []
-        for coeffs in form_coeffs:
-            for sums, scale in zip(per_y, scales):
-                ra, rb, ia, ib = _csum(cmul(c, sums[j]) for j, c in coeffs)
-                row.append(QuadElem(tag, ra * scale, rb * scale))
-                row.append(QuadElem(tag, ia * scale, ib * scale))
-        rows.append(tuple(row))
-    return ThetaTable(label, ell, shells, "invariant", col_labels, tuple(rows))
+    tables = {}
+    for ell, fs in forms.items():
+        # each form is 2^l f and the moved point is 2 root (y/root) x, so a
+        # sum over orbit representatives is (4 root)^l sum f(y x / root)
+        scales = [Fraction(group_order, (4 * root) ** ell) for _, root in pool]
+        col_labels = tuple(
+            f"f{t}.L{tuple(a for a, _ in y)}.{part}"
+            for t in range(len(fs)) for y, _ in pool for part in ("re", "im")
+        )
+        rows = []
+        for per_y in per_shell:
+            row = []
+            for form in fs:
+                for sums, scale in zip(per_y, scales):
+                    ra, rb, ia, ib = _csum(cmul(c, sums[mono]) for mono, c in form.items())
+                    row.append(QuadElem(tag, ra * scale, rb * scale))
+                    row.append(QuadElem(tag, ia * scale, ib * scale))
+            rows.append(tuple(row))
+        tables[ell] = ThetaTable(label, ell, shells, "invariant", col_labels, tuple(rows))
+    return tables
 
 
 def _full_table(label, ell, shells, budget: Budget) -> ThetaTable:
@@ -463,31 +471,36 @@ def theta_table(
     budget.check_theta(label, ell)
     budget.check_shell(label, shells)
     if kind == "invariant":
-        return _invariant_table(label, ell, shells, budget)
+        return _invariant_tables(label, (ell,), shells, budget)[ell]
     if kind == "full":
         return _full_table(label, ell, shells, budget)
     raise ValueError(f"unknown table kind {kind!r}")
 
 
-# theta ranks by (label, ell, shells), filled by theta_rank
+# theta ranks by (label, ell, shells), filled by theta_ranks
 _RANKS: dict = {}
+
+
+def theta_ranks(label: str, ells, shells: int, budget: Budget | None = None) -> dict:
+    """{ell: theta_rank(label, ell, shells)}, the ranks not yet known from one
+    batch of tables.  The budget checks all run first, on every call, so a
+    smaller budget still refuses a rank that a larger one computed."""
+    budget = budget or get_budget()
+    for ell in ells:
+        budget.check_theta(label, ell)
+    budget.check_shell(label, shells)
+    budget.check_enum_points(label, ball_size(label, shells))
+    missing = [ell for ell in dict.fromkeys(ells) if (label, ell, shells) not in _RANKS]
+    if missing:
+        for ell, table in _invariant_tables(label, missing, shells, budget).items():
+            _RANKS[(label, ell, shells)] = table.rank()
+    return {ell: _RANKS[(label, ell, shells)] for ell in ells}
 
 
 def theta_rank(label: str, ell: int, shells: int, budget: Budget | None = None) -> int:
     """Exact rank of the theta table: a lower bound for dim Theta(G, ell);
-    exactly 0 whenever Harm_ell^G = 0 (in particular for ell in T(G)).
-
-    Computed once per process; the budget checks run on every call, so a
-    smaller budget still refuses a rank that a larger one computed.
-    """
-    budget = budget or get_budget()
-    budget.check_theta(label, ell)
-    budget.check_shell(label, shells)
-    budget.check_enum_points(label, ball_size(label, shells))
-    key = (label, ell, shells)
-    if key not in _RANKS:
-        _RANKS[key] = theta_table(label, ell, shells, "invariant", budget).rank()
-    return _RANKS[key]
+    exactly 0 whenever Harm_ell^G = 0 (in particular for ell in T(G))."""
+    return theta_ranks(label, (ell,), shells, budget)[ell]
 
 
 # -- harmonic Molien series ----------------------------------------------------

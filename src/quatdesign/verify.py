@@ -38,7 +38,7 @@ from .strength import (
     group_strength,
     molien_closed_form,
     molien_series,
-    pair_sum_test,
+    pair_sum_tests_bulk,
 )
 from .theta import (
     dimension_hypothesis,
@@ -47,7 +47,7 @@ from .theta import (
     invariant_dimension_coefficients,
     invariant_dimension_evaluation,
     invariant_multiplicity,
-    theta_rank,
+    theta_ranks,
     theta_table,
 )
 
@@ -158,13 +158,12 @@ def check_strength_direct(budget: Budget) -> CheckResult:
     for label in ("2T", "2O", "2I"):
         group = build_group(label)
         series = molien_series(group, 40)
+        direct = pair_sum_tests_bulk(group, range(41))
         for ell in range(2, 41, 2):
-            direct = pair_sum_test(group, ell)
-            via_molien = series[ell] == 0
-            if direct != via_molien:
+            if direct[ell] != (series[ell] == 0):
                 problems.append(f"{label} l={ell}: routes disagree")
         for ell in range(1, 16, 2):
-            if not pair_sum_test(group, ell):
+            if not direct[ell]:
                 problems.append(f"{label} odd l={ell}: pair sum nonzero")
     return _result(
         "strength-direct", "pair-sum route agrees with Molien (even l<=40, odd l<=15)",
@@ -322,12 +321,12 @@ def check_theta_vanishing(budget: Budget) -> CheckResult:
             if harmonic_invariant_dim(label, ell) != 0:
                 problems.append(f"{label} l={ell}: harmonic invariants nonzero")
     for label, (in_t, not_in_t) in THETA_SAMPLES.items():
+        ranks = theta_ranks(label, in_t + not_in_t, 6, budget)
         for ell in in_t:
-            r = theta_rank(label, ell, 6, budget)
-            if r != 0:
-                problems.append(f"{label} l={ell}: rank {r} != 0")
+            if ranks[ell] != 0:
+                problems.append(f"{label} l={ell}: rank {ranks[ell]} != 0")
         for ell in not_in_t:
-            r = theta_rank(label, ell, 6, budget)
+            r = ranks[ell]
             if r < 1:
                 problems.append(f"{label} l={ell}: rank {r} < 1")
             bound = harmonic_invariant_dim(label, ell)
@@ -395,6 +394,7 @@ def check_hypothesis_reports(budget: Budget) -> CheckResult:
         "2I": (12, 20, 24),
     }
     for label, ells in samples.items():
+        theta_ranks(label, ells, 6, budget)  # one batch; the reports read it
         for ell in ells:
             rep = dimension_hypothesis(label, ell, 6, budget)
             tag = "proven" if rep.proven else "conjectured"

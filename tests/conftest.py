@@ -1,6 +1,6 @@
 import pytest
 
-from quatdesign import orders
+from quatdesign import orders, theta
 
 
 @pytest.fixture
@@ -16,4 +16,20 @@ def ball_calls(monkeypatch):
 
     monkeypatch.setattr(orders, "_enumerate_ball", counting)
     monkeypatch.setattr(orders, "_BALL_CACHE", {})
+    return calls
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """(label, ells, shells) of every batch of invariant theta tables built
+    in the test, which starts on an empty rank memo."""
+    calls = []
+    invariant_tables = theta._invariant_tables
+
+    def counting(label, ells, shells, budget):
+        calls.append((label, tuple(ells), shells))
+        return invariant_tables(label, ells, shells, budget)
+
+    monkeypatch.setattr(theta, "_invariant_tables", counting)
+    monkeypatch.setattr(theta, "_RANKS", {})
     return calls

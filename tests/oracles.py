@@ -1,9 +1,14 @@
 """Reference implementations shared by several test modules."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
+from operator import mul
 
+from quatdesign import theta
 from quatdesign.exactnum import QuadElem, rat
+from quatdesign.groups import build_group
+from quatdesign.harmonics import laplacian
+from quatdesign.orders import FIELD_TAG, enumerate_shells, right_multiplication_matrices
 
 
 def harm_dim(ell: int, d: int) -> int:
@@ -34,3 +39,142 @@ def chebyshev_u_value(ell: int, s: QuadElem) -> QuadElem:
     for _ in range(2, ell + 1):
         prev2, prev1 = prev1, (s + s) * prev1 - prev2
     return prev1
+
+
+# -- the Fraction harmonic projection -----------------------------------------
+
+def poly4_add(p, q):
+    out = dict(p)
+    for m, c in q.items():
+        nc = out.get(m, Fraction(0)) + c
+        if nc:
+            out[m] = nc
+        else:
+            out.pop(m, None)
+    return out
+
+
+def poly4_scale(p, c):
+    c = Fraction(c)
+    if not c:
+        return {}
+    return {m: v * c for m, v in p.items()}
+
+
+def poly4_mul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
+            nc = out.get(m, Fraction(0)) + c1 * c2
+            if nc:
+                out[m] = nc
+            else:
+                out.pop(m, None)
+    return out
+
+
+_R2 = {
+    (2, 0, 0, 0): Fraction(1),
+    (0, 2, 0, 0): Fraction(1),
+    (0, 0, 2, 0): Fraction(1),
+    (0, 0, 0, 2): Fraction(1),
+}
+
+
+def harmonic_projection(mono):
+    """Harmonic component of a degree-l monomial, term by term on Fraction:
+    sum_k (-1)^k / (4^k k! l(l-1)...(l-k+1)) r^{2k} Laplacian^k x^a."""
+    ell = sum(mono)
+    term = {mono: Fraction(1)}
+    out = dict(term)
+    r2k = {(0, 0, 0, 0): Fraction(1)}
+    coeff = Fraction(1)
+    k = 0
+    lap = term
+    while True:
+        lap = laplacian(lap)
+        if not lap:
+            break
+        k += 1
+        r2k = poly4_mul(r2k, _R2)
+        coeff = coeff * Fraction(-1, 4 * k * (ell - k + 1))
+        out = poly4_add(out, poly4_scale(poly4_mul(r2k, lap), coeff))
+    return out
+
+
+# -- orbits and invariant theta tables, one element and one degree at a time --
+
+def orbit_reps(shell):
+    """Representatives of the right G-orbits of a shell, every orbit built
+    from all |G| matrices."""
+    actions = [tuple(zip(*mat)) for mat in right_multiplication_matrices(shell.group_label)]
+    seen = set()
+    reps = []
+    for p in shell.points:
+        if p not in seen:
+            seen |= {tuple(sum(map(mul, p, col)) for col in cols) for cols in actions}
+            reps.append(p)
+    return reps
+
+
+def invariant_table(label, ell, shells, budget):
+    """The invariant theta table of one degree, from power chains along the
+    progression of z1-exponents that the forms use."""
+    tag = FIELD_TAG[label]
+    cmul = theta._CMUL[tag]
+    group_order = len(build_group(label))
+    invariants = theta.holomorphic_invariants(label, ell)
+    if not invariants:
+        return theta.ThetaTable(label, ell, shells, "invariant", (), tuple(
+            () for _ in range(shells)
+        ))
+
+    used = {a for form in invariants for a, _ in form}
+    a0, a1 = min(used), max(used)
+    step = gcd(*(a - a0 for a in used)) or 1
+    span = (a1 - a0) // step
+    form_coeffs = [
+        [(j, form[(a, ell - a)]) for j, a in enumerate(range(a0, a1 + 1, step))
+         if (a, ell - a) in form]
+        for form in invariants
+    ]
+    pool = theta._translate_pool()
+    maps = [theta._point_map(label, y) for y, _ in pool]
+    scales = [Fraction(group_order, (4 * root) ** ell) for _, root in pool]
+    col_labels = tuple(
+        f"f{t}.L{tuple(a for a, _ in y)}.{part}"
+        for t in range(len(invariants)) for y, _ in pool for part in ("re", "im")
+    )
+
+    def power(z, n):
+        out = theta._C_ONE
+        for _ in range(n):
+            out = cmul(out, z)
+        return out
+
+    rows = []
+    for shell in enumerate_shells(label, shells, budget):
+        reps = orbit_reps(shell)
+        per_y = []
+        for cols in maps:
+            terms = [[] for _ in range(span + 1)]
+            for coords in reps:
+                z = theta._map_point(cols, coords)
+                z1, z2 = z[:4], z[4:]
+                w1, w2 = power(z1, step), power(z2, step)
+                p1, p2 = [power(z1, a0)], [power(z2, ell - a1)]
+                for _ in range(span):
+                    p1.append(cmul(p1[-1], w1))
+                    p2.append(cmul(p2[-1], w2))
+                for j in range(span + 1):
+                    terms[j].append(cmul(p1[j], p2[span - j]))
+            per_y.append([theta._csum(t) for t in terms])
+        row = []
+        for coeffs in form_coeffs:
+            for sums, scale in zip(per_y, scales):
+                ra, rb, ia, ib = theta._csum(cmul(c, sums[j]) for j, c in coeffs)
+                row.append(QuadElem(tag, ra * scale, rb * scale))
+                row.append(QuadElem(tag, ia * scale, ib * scale))
+        rows.append(tuple(row))
+    return theta.ThetaTable(label, ell, shells, "invariant", col_labels, tuple(rows))

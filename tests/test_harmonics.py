@@ -2,16 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from quatdesign.harmonics import (
-    harm_basis,
-    harmonic_projection,
-    laplacian,
-    poly4_add,
-    poly4_mul,
-    poly4_scale,
-)
+from quatdesign import harmonics
+from quatdesign.harmonics import harm_basis, harmonic_projection, laplacian
 
-from oracles import harm_dim, poly4_eval
+import oracles
+from oracles import harm_dim, poly4_add, poly4_eval, poly4_mul, poly4_scale
 
 
 def test_poly4_arithmetic():
@@ -37,6 +32,31 @@ def test_projection_examples():
     assert laplacian(p) == {}
     # harmonic monomials are fixed
     assert harmonic_projection((1, 1, 0, 0)) == {(1, 1, 0, 0): Fraction(1)}
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2, 5, 8, 10])
+def test_projection_matches_the_fraction_oracle(ell):
+    # every monomial of degree l, a4 > 1 included
+    for e1 in range(ell + 1):
+        for e2 in range(ell - e1 + 1):
+            for e3 in range(ell - e1 - e2 + 1):
+                mono = (e1, e2, e3, ell - e1 - e2 - e3)
+                assert harmonic_projection(mono) == oracles.harmonic_projection(mono)
+
+
+def test_projection_tripwire_reads_the_integer_numerator(monkeypatch):
+    # a Laplacian that stops one step early leaves r^2 Laplacian^K x^a in the
+    # numerator, which is not harmonic
+    real = harmonics.laplacian
+    calls = []
+
+    def short(p):
+        calls.append(p)
+        return {} if len(calls) == 2 else real(p)
+
+    monkeypatch.setattr(harmonics, "laplacian", short)
+    with pytest.raises(AssertionError, match="non-harmonic"):
+        harmonic_projection((4, 0, 0, 0))
 
 
 @pytest.mark.parametrize("ell", list(range(0, 13)))

@@ -27,6 +27,8 @@ from quatdesign.orders import (
 from quatdesign.quat import Quaternion, norm, qmul
 from quatdesign.strength import pair_sum_tests_bulk
 
+import oracles
+
 
 def test_sigma_values():
     assert sigma(1, 6) == 12
@@ -255,6 +257,21 @@ def test_orbit_decomposition_rejects_a_non_free_action(monkeypatch):
     # one action twice and another one missing: every orbit is a point short
     monkeypatch.setattr(orders, "right_multiplication_matrices",
                         lambda label: (mats[0],) + mats[:-1])
+    with pytest.raises(IntegrityError, match="not free"):
+        orbit_decompose(enumerate_shell("2T", 1))
+
+
+@pytest.mark.parametrize("label, m_max", [("2T", 10), ("2O", 4), ("2I", 3)])
+def test_orbit_reps_match_the_all_elements_oracle(label, m_max):
+    for m in range(1, m_max + 1):
+        shell = enumerate_shell(label, m)
+        assert orbit_decompose(shell) == oracles.orbit_reps(shell)
+
+
+def test_orbit_decomposition_rejects_an_unpaired_matrix(monkeypatch):
+    mats = right_multiplication_matrices("2T")
+    # R_eps is dropped, so R_(-eps) has no partner to take the negated image
+    monkeypatch.setattr(orders, "right_multiplication_matrices", lambda label: mats[1:])
     with pytest.raises(IntegrityError, match="not free"):
         orbit_decompose(enumerate_shell("2T", 1))
 

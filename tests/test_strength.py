@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from quatdesign.exactnum import rat
@@ -6,6 +8,7 @@ from quatdesign.quat import Quaternion
 from quatdesign import strength
 from quatdesign.strength import (
     StrengthReport,
+    class_sum_series,
     cyclic_odd_part,
     dihedral_even_part,
     group_strength,
@@ -103,6 +106,12 @@ def test_molien_tripwires():
         molien_series(UnitGroup("a", [alpha()]), 2)
     with pytest.raises(AssertionError, match="not a dimension"):
         molien_series(UnitGroup("w", [Quaternion(1, 0, 0, 0), omega()]), 2)
+
+
+def test_class_sums_need_coefficients_in_z_rho():
+    # 1/(1 - u/2) has no integer-pair recurrence
+    with pytest.raises(ValueError, match="not integral"):
+        class_sum_series([((1, Fraction(-1, 2)), 1)], 1, (1,), 3)
 
 
 def test_molien_negative_degree_is_rejected():

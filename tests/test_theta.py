@@ -15,7 +15,7 @@ from quatdesign.orders import (
 )
 from quatdesign.qseries import qseries
 from quatdesign.strength import molien_closed_form, molien_series
-from quatdesign import theta
+from quatdesign import theta, verify
 from quatdesign.quat import qmul_pairs, scaled_pairs
 from quatdesign.theta import (
     dimension_hypothesis,
@@ -27,9 +27,11 @@ from quatdesign.theta import (
     invariant_dimension_evaluation,
     invariant_multiplicity,
     theta_rank,
+    theta_ranks,
     theta_table,
 )
 
+import oracles
 from oracles import poly4_eval
 
 D_TABLE = {
@@ -230,16 +232,7 @@ def test_full_table_entries_are_per_point_sums(label, ell, shells):
     assert theta_table(label, ell, shells, kind="full").matrix == tuple(rows)
 
 
-def test_theta_rank_is_built_once_and_budget_checked_every_call(monkeypatch):
-    monkeypatch.setattr(theta, "_RANKS", {})
-    builds = []
-    invariant_table = theta._invariant_table
-
-    def counting(label, ell, shells, budget):
-        builds.append((label, ell, shells))
-        return invariant_table(label, ell, shells, budget)
-
-    monkeypatch.setattr(theta, "_invariant_table", counting)
+def test_theta_rank_is_built_once_and_budget_checked_every_call(table_builds):
     desk = get_budget("desk")
     rank = theta_rank("2T", 8, 13, desk)
     assert rank >= 1
@@ -248,7 +241,60 @@ def test_theta_rank_is_built_once_and_budget_checked_every_call(monkeypatch):
     with pytest.raises(ResourceBudgetError):
         theta_rank("2T", 8, 13, Budget("tiny", max_enum_points=100))
     assert theta_rank("2T", 8, 13, desk) == rank
-    assert builds == [("2T", 8, 13)]
+    assert table_builds == [("2T", (8,), 13)]
+    # three degrees, one of them known: one build for the other two, and a
+    # refusal of any degree comes before any build or lookup
+    ranks = theta_ranks("2T", (6, 8, 12), 13, desk)
+    assert ranks[8] == rank and ranks == {ell: theta_rank("2T", ell, 13) for ell in (6, 8, 12)}
+    assert table_builds == [("2T", (8,), 13), ("2T", (6, 12), 13)]
+    for ells in ((6, 8, 26), (26, 6, 8)):
+        with pytest.raises(ResourceBudgetError):
+            theta_ranks("2T", ells, 13, desk)  # DESK caps 2T at l = 24
+    with pytest.raises(ResourceBudgetError):
+        theta_ranks("2T", (14, 16, 18), 13, get_budget("small"))
+    assert table_builds == [("2T", (8,), 13), ("2T", (6, 12), 13)]
+
+
+@pytest.mark.parametrize(
+    "label, ells, shells",
+    [("2T", (6, 8, 12, 14, 16), 6), ("2O", (8, 12, 16), 4), ("2I", (12, 20), 3)],
+)
+def test_invariant_tables_match_the_per_degree_oracle(label, ells, shells):
+    desk = get_budget("desk")
+    tables = theta._invariant_tables(label, ells, shells, desk)
+    assert list(tables) == list(ells)
+    for ell in ells:
+        # dataclass equality: column labels and matrix alike
+        assert tables[ell] == oracles.invariant_table(label, ell, shells, desk)
+        assert tables[ell] == theta._invariant_tables(label, (ell,), shells, desk)[ell]
+        assert tables[ell] == theta_table(label, ell, shells)
+
+
+def test_invariant_tables_with_a_vanishing_degree():
+    # m_l = 0 at l = 2 and 10 for 2O: an empty table beside a full one
+    desk = get_budget("desk")
+    tables = theta._invariant_tables("2O", (2, 8, 10), 3, desk)
+    for ell in (2, 10):
+        assert tables[ell].column_labels == () and tables[ell].matrix == ((),) * 3
+    assert tables[8] == oracles.invariant_table("2O", 8, 3, desk)
+
+
+def test_an_all_vanishing_batch_enumerates_no_ball(ball_calls, table_builds, monkeypatch):
+    # every m_l is 0: no translate pool, point map or ball is made
+    monkeypatch.setattr(theta, "_translate_pool", None)
+    monkeypatch.setattr(theta, "_point_map", None)
+    tables = theta._invariant_tables("2I", (6, 8), 4, get_budget("desk"))
+    assert [t.rank() for t in tables.values()] == [0, 0]
+    assert theta_ranks("2I", (2, 6, 8), 4) == {2: 0, 6: 0, 8: 0}
+    assert ball_calls == []
+
+
+def test_theta_vanishing_check_builds_once_per_label(table_builds):
+    assert verify.check_theta_vanishing(get_budget("desk")).passed
+    assert table_builds == [
+        (label, in_t + not_in_t, 6)
+        for label, (in_t, not_in_t) in verify.THETA_SAMPLES.items()
+    ]
 
 
 def test_zero_table_for_degree_in_strength():
