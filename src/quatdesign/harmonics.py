@@ -89,19 +89,22 @@ class HarmonicBasis:
 
 
 @lru_cache(maxsize=None)
+def quotient_monomials(ell: int) -> tuple:
+    """The degree-l monomials with a_4 <= 1, a basis of Hom_l mod r^2 Hom_(l-2)."""
+    return tuple(
+        (e1, e2, ell - e4 - e1 - e2, e4)
+        for e4 in (0, 1) if e4 <= ell
+        for e1 in range(ell - e4 + 1)
+        for e2 in range(ell - e4 - e1 + 1)
+    )
+
+
+@lru_cache(maxsize=None)
 def harm_basis(ell: int) -> HarmonicBasis:
     """Basis of Harm_l(R^4): (l+1)^2 independent rational harmonics."""
     if ell < 0:
         raise ValueError("degree must be nonnegative")
-    polys = []
-    for e4 in (0, 1):
-        if e4 > ell:
-            continue
-        rest = ell - e4
-        for e1 in range(rest + 1):
-            for e2 in range(rest - e1 + 1):
-                e3 = rest - e1 - e2
-                polys.append(harmonic_projection((e1, e2, e3, e4)))
+    polys = [harmonic_projection(mono) for mono in quotient_monomials(ell)]
     expected = (ell + 1) ** 2 if ell >= 1 else 1
     if len(polys) != expected:
         raise AssertionError(

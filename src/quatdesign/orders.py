@@ -33,7 +33,7 @@ from operator import mul, neg
 from .budget import Budget, get_budget
 from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, insert, iota, reduce
 from .groups import build_group, omega, alpha, beta, zeta
-from .quat import Quaternion, inner, norm, qmul, qmul_pairs, scaled_pairs
+from .quat import Quaternion, flat, inner, norm, qmul, qmul_pairs, scaled_pairs
 
 ORDER_LABELS = ("2T", "2O", "2I")
 FIELD_TAG = {"2T": RAT, "2O": SQRT2, "2I": GOLDEN}
@@ -130,11 +130,6 @@ def embed_coords(label: str, coords) -> Quaternion:
                         for a, b in zip(flat[::2], flat[1::2])))
 
 
-def _flat(pairs) -> tuple[int, ...]:
-    """The 8 integer components (a_1, b_1, ..., a_4, b_4) of a pair quaternion."""
-    return tuple(v for pair in pairs for v in pair)
-
-
 @lru_cache(maxsize=None)
 def _doubled_basis(label: str):
     """(pairs, comps, cols, inv, den) for the doubled basis 2*b_j.
@@ -145,7 +140,7 @@ def _doubled_basis(label: str):
     with den the least denominator that makes it integral.
     """
     pairs = tuple(scaled_pairs(g.coords, 2) for g in order_basis(label))
-    rows = [_flat(p) for p in pairs]
+    rows = [flat(p) for p in pairs]
     n = len(rows)
     cols = [k for k in range(8) if any(row[k] for row in rows)]
     # row k of M^-1 is -(right half) of e_k reduced against [M_j | e_j]
@@ -179,7 +174,7 @@ def coords_of(label: str, q: Quaternion) -> tuple[int, ...]:
     coords = None
     if all(c.tag in (RAT, FIELD_TAG[label]) or not c.b for c in q.coords):
         try:
-            coords = _solve(label, _flat(scaled_pairs(q.coords, 2)), 1)
+            coords = _solve(label, flat(scaled_pairs(q.coords, 2)), 1)
         except ValueError:  # 2q is not integral, so q is not in the order
             pass
     if coords is None:
@@ -457,7 +452,7 @@ def right_multiplication_matrices(label: str) -> tuple[tuple[tuple[int, ...], ..
     mats = []
     for eps in build_group(label):
         doubled = scaled_pairs(eps.coords, 2)
-        rows = tuple(_solve(label, _flat(qmul_pairs(tag, pair, doubled)), 2)
+        rows = tuple(_solve(label, flat(qmul_pairs(tag, pair, doubled)), 2)
                      for pair in _doubled_basis(label)[0])
         if None in rows:
             product = qmul(basis[rows.index(None)], eps)

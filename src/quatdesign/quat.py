@@ -161,6 +161,11 @@ def scaled_pairs(coords, scale: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def flat(pairs) -> tuple[int, ...]:
+    """The integer components (a_1, b_1, a_2, b_2, ...) of a tuple of pairs."""
+    return tuple(v for pair in pairs for v in pair)
+
+
 # (a + b rho)(c + d rho) on integer pairs, one function per field;
 # rho^2 = 2 for SQRT2 and tau^2 = tau + 1 for GOLDEN
 PAIR_MUL = {

@@ -26,16 +26,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt, lcm
-from operator import mul
+from operator import add, mul
 
 from .budget import Budget, get_budget
 from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, insert
 from .groups import build_group
-from .harmonics import harm_basis
+from .harmonics import harm_basis, quotient_monomials
 from .orders import (
     FIELD_TAG, ball_size, enumerate_shell, enumerate_shells, orbit_decompose, order_basis,
 )
-from .quat import PAIR_MUL, char_coeffs_pairs, qmul_pairs, scaled_pairs, to_matrix
+from .quat import PAIR_MUL, char_coeffs_pairs, flat, qmul_pairs, scaled_pairs, to_matrix
 from .strength import (
     class_sum_series,
     first_coordinate_distribution,
@@ -84,10 +84,6 @@ _C_ZERO = (0, 0, 0, 0)
 _C_ONE = (1, 0, 0, 0)
 
 
-def _flat(pairs) -> tuple:
-    return tuple(c for pair in pairs for c in pair)
-
-
 def _csum(values):
     return tuple(map(sum, zip(_C_ZERO, *values)))
 
@@ -119,7 +115,7 @@ def _reynolds_holomorphic(label: str, p: int, q: int) -> dict:
     out: dict = {}
     for eps in build_group(label):
         # 2 eps = W1 + W2 j, integral in every order (ValueError otherwise)
-        x = _flat(scaled_pairs(eps.coords, 2))
+        x = flat(scaled_pairs(eps.coords, 2))
         w1, w2 = x[:4], x[4:]
         # (z1 W1 - z2 conj W2)^p and (z1 W2 + z2 conj W1)^q
         a_pows = _binom_powers(cmul, w1, (-x[4], -x[5], x[6], x[7]), p)
@@ -199,7 +195,7 @@ def _point_map(label: str, y=_QUAT_ONE) -> tuple:
     for the order coordinates coords of x; y is an integer-pair quaternion."""
     tag = FIELD_TAG[label]
     images = [
-        _flat(qmul_pairs(tag, y, scaled_pairs(g.coords, 2)))
+        flat(qmul_pairs(tag, y, scaled_pairs(g.coords, 2)))
         for g in order_basis(label)
     ]
     return tuple(zip(*images))
@@ -252,16 +248,6 @@ def _integer_basis(ell: int) -> tuple:
         den = lcm(*(c.denominator for c in p.values()))
         out.append(({m: int(c * den) for m, c in p.items()}, den))
     return tuple(out)
-
-
-def _contract(poly, sums) -> tuple[int, int]:
-    """sum_e c_e * sums[e] over the integer polynomial {e: c_e}."""
-    sa = sb = 0
-    for mono, c in poly.items():
-        va, vb = sums[mono]
-        sa += c * va
-        sb += c * vb
-    return sa, sb
 
 
 # deterministic pool of rational unit left-translates, stored as integer
@@ -451,7 +437,8 @@ def _full_table(label, ell, shells, budget: Budget) -> ThetaTable:
         sums = _monomial_sums(tag, [_map_point(cols, c) for c in shell.points], ell)
         row = []
         for poly, den in basis:
-            sa, sb = _contract(poly, sums)
+            sa = sum(c * sums[mono][0] for mono, c in poly.items())
+            sb = sum(c * sums[mono][1] for mono, c in poly.items())
             scale = Fraction(1, den * 2**ell)
             row.append(QuadElem(tag, sa * scale, sb * scale))
         rows.append(tuple(row))
@@ -546,116 +533,91 @@ def harmonic_invariant_dim(label: str, ell: int) -> int:
     return harmonic_molien(label, ell)[ell]
 
 
-# -- Reynolds cross-checks -----------------------------------------------------
+# -- Reynolds dimensions on Hom_l mod r^2 -------------------------------------
 
-def invariant_dimension_evaluation(label: str, ell: int) -> int:
-    """dim Harm_ell^G via Reynolds averaging, evaluated at rational points.
-
-    The rank of [ (R P_i)(v_j) ]_{ij} is a lower bound for dim Harm_ell^G;
-    the caller compares it with the Molien value (equality certifies both).
-    Left translates eps*v are used, matching the action P -> P(eps x).
-    """
-    group = build_group(label)
-    tag = FIELD_TAG[label]
-    d = harmonic_invariant_dim(label, ell)
-    doubled = [scaled_pairs(eps.coords, 2) for eps in group]  # integral in every order
-
-    rows = [[] for _ in _integer_basis(ell)]
-    for v in _evaluation_points(d + 8 if d else 6):
-        vp = tuple((2 * c, 0) for c in v)  # scale 2 keeps eps*v integral
-        # coordinates of 4*(eps v), every eps
-        moved = [_flat(qmul_pairs(tag, ep, vp)) for ep in doubled]
-        sums = _monomial_sums(tag, moved, ell)
-        for row, (poly, _) in zip(rows, _integer_basis(ell)):
-            row.append(QuadElem(tag, *_contract(poly, sums)))
-    return exact_rank(rows)
-
-
-def _evaluation_points(count: int):
-    pts = []
-    k = 1
-    while len(pts) < count:
-        # small deterministic integer quadruples, no special symmetry
-        pts.append(
-            (
-                1 + (k % 3),
-                (k * k) % 5 - 2,
-                (k * k * k) % 7 - 3,
-                k % 4,
-            )
-        )
-        k += 1
-    return pts
+@lru_cache(maxsize=None)
+def _quotient_steps(d: int) -> tuple:
+    """(parents, products) on the quotient_monomials bases of degrees d - 1
+    and d >= 1.  Monomial k of degree d is x^p x_j for parents[k] = (p, j),
+    x_j the first of x1..x3 in it (x4 only for x4 itself), and NF(x^p x_i)
+    is the sum of sign x^t over (t, sign) in products[p][i]."""
+    index = {mono: k for k, mono in enumerate(quotient_monomials(d))}
+    below = {mono: k for k, mono in enumerate(quotient_monomials(d - 1))}
+    parents = []
+    for mono in index:
+        j = next((i for i in range(3) if mono[i]), 3)
+        parents.append((below[tuple(e - (k == j) for k, e in enumerate(mono))], j))
+    products = []
+    for mono in below:
+        ups = [tuple(e + (k == i) for k, e in enumerate(mono)) for i in range(4)]
+        row = [((index[up], 1),) for up in ups if up[3] < 2]
+        if mono[3]:  # x^p x4 = x^(p - e4) x4^2 and x4^2 = -(x1^2 + x2^2 + x3^2)
+            ups = [tuple(e + 2 * (k == i) for k, e in enumerate(mono[:3])) + (0,) for i in range(3)]
+            row.append(tuple((index[up], -1) for up in ups))
+        products.append(tuple(row))
+    return tuple(parents), tuple(products)
 
 
-def invariant_dimension_coefficients(label: str, ell: int) -> int:
-    """dim Harm_ell^G by explicit Reynolds averaging on coefficients.
-
-    Exact in both directions but costs a full action-matrix pass per group
-    element; intended for the rational group 2T at small degrees.
-    """
-    group = build_group(label)
-    if label != "2T":
-        raise ValueError("coefficient-level Reynolds is supported for 2T only")
-    reynolds_cols: dict = {}
-    for eps in group:
-        mat = to_matrix(eps)
-        scaled_rows = []
-        for i in range(4):
-            row = {}
-            for j in range(4):
-                v = 2 * mat.rows[i][j].a
-                if v:
-                    row[j] = int(v)
-            scaled_rows.append(row)
-        cols = _action_columns(scaled_rows, ell)
-        for mono, vec in cols.items():
-            acc = reynolds_cols.setdefault(mono, {})
-            for m2, c in vec.items():
-                acc[m2] = acc.get(m2, 0) + c
-    images = []
-    for p in harm_basis(ell).polynomials:
-        img: dict = {}
-        for mono, c in p.items():
-            col = reynolds_cols.get(mono)
-            if not col:
-                continue
-            for m2, v in col.items():
-                nv = img.get(m2, Fraction(0)) + c * v
-                if nv:
-                    img[m2] = nv
-                else:
-                    img.pop(m2, None)
-        images.append(img)
-    return exact_rank(images)
-
-
-def _action_columns(scaled_rows, ell):
-    """Expansion of (x M)^mono for every degree-ell monomial, by degree DP."""
-    linear = []
-    for axis in range(4):
-        linear.append(dict(scaled_rows[axis]))
-    level = {(0, 0, 0, 0): {(0, 0, 0, 0): 1}}
-    for _ in range(ell):
-        nxt = {}
-        for mono, vec in level.items():
-            for axis in range(4):
-                key = tuple(
-                    mono[k] + 1 if k == axis else mono[k] for k in range(4)
-                )
-                if key in nxt:
-                    continue
-                lin = linear[axis]
-                out: dict = {}
-                for m2, c in vec.items():
-                    for j, lc in lin.items():
-                        k2 = tuple(
-                            m2[t] + 1 if t == j else m2[t] for t in range(4)
-                        )
-                        out[k2] = out.get(k2, 0) + c * lc
-                nxt[key] = out
+def _quotient_images(rho2, cols, top: int):
+    """Yield, for d = 0..top, NF((xA)^a) for every degree-d basis monomial a,
+    each as (a-parts, b-parts) of its integer pairs on the degree-d basis.
+    (xA)_j = sum_i x_i cols[j][i], and rho^2 = r0 + r1 rho for rho2 = (r0, r1)."""
+    r0, r1 = rho2
+    # (va + vb rho)(ca + cb rho) = (va ca + vb cb r0) + (va cb + vb (ca + cb r1)) rho
+    factors = [[(i, ca, cb * r0, cb, ca + cb * r1) for i, (ca, cb) in enumerate(col) if ca or cb]
+               for col in cols]
+    level = [([1], [0])]
+    yield level
+    for d in range(1, top + 1):
+        parents, products = _quotient_steps(d)
+        size = (d + 1) ** 2
+        nxt = []
+        for p, j in parents:
+            out_a, out_b = [0] * size, [0] * size
+            for va, vb, targets in zip(*level[p], products):
+                if va or vb:
+                    for i, c1, c2, c3, c4 in factors[j]:
+                        ma, mb = va * c1 + vb * c2, va * c3 + vb * c4
+                        for t, sign in targets[i]:
+                            out_a[t] += sign * ma
+                            out_b[t] += sign * mb
+            nxt.append((out_a, out_b))
         level = nxt
-    return level
+        yield level
+
+
+def invariant_dimensions(label: str, ells) -> dict:
+    """{ell: dim Harm_ell^G} by Reynolds averaging, exact in both directions.
+
+    G is orthogonal, so it fixes r^2 and acts on Hom_l / r^2 Hom_(l-2), which
+    is Harm_l as a G-module (Fischer decomposition).  The rank of the summed
+    NF((xA)^a) over the basis monomials a is dim Harm_l^G; A = 2 M_eps is
+    integral on pairs and scales degree l by 2^l.  One pass per element
+    serves every ell.  When every ell is even, one of each pair +-eps is
+    summed: -1 lies in G and (x(-A))^a = (-1)^l (xA)^a.
+    """
+    if label not in FIELD_TAG:
+        raise ValueError(f"no Reynolds route for group {label!r}")
+    ells = tuple(ells)
+    if any(ell < 0 for ell in ells):
+        raise IndexError("degree must be nonnegative")
+    tag = FIELD_TAG[label]
+    rho2 = PAIR_MUL[tag](0, 1, 0, 1)
+    elements = build_group(label)
+    if all(ell % 2 == 0 for ell in ells):
+        elements = [eps for eps in elements if (-eps).sort_key() < eps.sort_key()]
+    sums: dict = {}
+    for eps in elements:
+        cols = tuple(zip(*(scaled_pairs(row, 2) for row in to_matrix(eps).rows)))
+        for d, level in enumerate(_quotient_images(rho2, cols, max(ells, default=0))):
+            if d in ells:
+                sums[d] = [(list(map(add, sa, ia)), list(map(add, sb, ib)))
+                           for (sa, sb), (ia, ib) in zip(sums[d], level)] if d in sums else level
+    return {
+        ell: exact_rank({t: QuadElem(tag, a, b) for t, (a, b) in enumerate(zip(*image)) if a or b}
+                        for image in sums[ell])
+        for ell in ells
+    }
 
 
 # -- dimension-series hypotheses -----------------------------------------------

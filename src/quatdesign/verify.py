@@ -44,8 +44,7 @@ from .theta import (
     dimension_hypothesis,
     harmonic_invariant_dim,
     harmonic_molien,
-    invariant_dimension_coefficients,
-    invariant_dimension_evaluation,
+    invariant_dimensions,
     invariant_multiplicity,
     theta_ranks,
     theta_table,
@@ -370,15 +369,10 @@ def check_harmonic_molien_table(budget: Budget) -> CheckResult:
         if got != row:
             problems.append(f"{label}: d-row {got}")
     for label in ("2T", "2O", "2I"):
-        for ell in (2, 4, 6, 8, 10):
+        for ell, dr in invariant_dimensions(label, (2, 4, 6, 8, 10)).items():
             d = harmonic_invariant_dim(label, ell)
-            de = invariant_dimension_evaluation(label, ell)
-            if de != d:
-                problems.append(f"{label} l={ell}: evaluation Reynolds {de} != {d}")
-    for ell in (2, 4, 6, 8, 10):
-        dc = invariant_dimension_coefficients("2T", ell)
-        if dc != harmonic_invariant_dim("2T", ell):
-            problems.append(f"2T l={ell}: coefficient Reynolds {dc}")
+            if dr != d:
+                problems.append(f"{label} l={ell}: Reynolds {dr} != {d}")
     return _result(
         "harmonic-molien", "d_(G,l) table (l<=24) plus Reynolds cross-checks (l<=10)",
         not problems, "; ".join(problems) or "table and Reynolds dims agree", t0,

@@ -1,6 +1,6 @@
 import pytest
 
-from quatdesign import orders, theta
+from quatdesign import orders, theta, verify
 
 
 @pytest.fixture
@@ -32,4 +32,21 @@ def table_builds(monkeypatch):
 
     monkeypatch.setattr(theta, "_invariant_tables", counting)
     monkeypatch.setattr(theta, "_RANKS", {})
+    return calls
+
+
+@pytest.fixture
+def reynolds_calls(monkeypatch):
+    """(label, ells) of every Reynolds dimension batch computed in the test,
+    through theta or verify."""
+    calls = []
+    invariant_dimensions = theta.invariant_dimensions
+
+    def counting(label, ells):
+        ells = tuple(ells)
+        calls.append((label, ells))
+        return invariant_dimensions(label, ells)
+
+    monkeypatch.setattr(theta, "invariant_dimensions", counting)
+    monkeypatch.setattr(verify, "invariant_dimensions", counting)
     return calls

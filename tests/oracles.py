@@ -7,8 +7,9 @@ from operator import mul
 from quatdesign import theta
 from quatdesign.exactnum import QuadElem, rat
 from quatdesign.groups import build_group
-from quatdesign.harmonics import laplacian
+from quatdesign.harmonics import harm_basis, laplacian
 from quatdesign.orders import FIELD_TAG, enumerate_shells, right_multiplication_matrices
+from quatdesign.quat import to_matrix
 
 
 def harm_dim(ell: int, d: int) -> int:
@@ -178,3 +179,75 @@ def invariant_table(label, ell, shells, budget):
                 row.append(QuadElem(tag, ia * scale, ib * scale))
         rows.append(tuple(row))
     return theta.ThetaTable(label, ell, shells, "invariant", col_labels, tuple(rows))
+
+
+# -- Reynolds averaging on the coefficients of a harmonic basis, 2T only -------
+
+def invariant_dimension_coefficients(label: str, ell: int) -> int:
+    """dim Harm_ell^G by explicit Reynolds averaging on coefficients.
+
+    Exact in both directions but costs a full action-matrix pass per group
+    element; intended for the rational group 2T at small degrees.
+    """
+    group = build_group(label)
+    if label != "2T":
+        raise ValueError("coefficient-level Reynolds is supported for 2T only")
+    reynolds_cols: dict = {}
+    for eps in group:
+        mat = to_matrix(eps)
+        scaled_rows = []
+        for i in range(4):
+            row = {}
+            for j in range(4):
+                v = 2 * mat.rows[i][j].a
+                if v:
+                    row[j] = int(v)
+            scaled_rows.append(row)
+        cols = _action_columns(scaled_rows, ell)
+        for mono, vec in cols.items():
+            acc = reynolds_cols.setdefault(mono, {})
+            for m2, c in vec.items():
+                acc[m2] = acc.get(m2, 0) + c
+    images = []
+    for p in harm_basis(ell).polynomials:
+        img: dict = {}
+        for mono, c in p.items():
+            col = reynolds_cols.get(mono)
+            if not col:
+                continue
+            for m2, v in col.items():
+                nv = img.get(m2, Fraction(0)) + c * v
+                if nv:
+                    img[m2] = nv
+                else:
+                    img.pop(m2, None)
+        images.append(img)
+    return theta.exact_rank(images)
+
+
+def _action_columns(scaled_rows, ell):
+    """Expansion of (x M)^mono for every degree-ell monomial, by degree DP."""
+    linear = []
+    for axis in range(4):
+        linear.append(dict(scaled_rows[axis]))
+    level = {(0, 0, 0, 0): {(0, 0, 0, 0): 1}}
+    for _ in range(ell):
+        nxt = {}
+        for mono, vec in level.items():
+            for axis in range(4):
+                key = tuple(
+                    mono[k] + 1 if k == axis else mono[k] for k in range(4)
+                )
+                if key in nxt:
+                    continue
+                lin = linear[axis]
+                out: dict = {}
+                for m2, c in vec.items():
+                    for j, lc in lin.items():
+                        k2 = tuple(
+                            m2[t] + 1 if t == j else m2[t] for t in range(4)
+                        )
+                        out[k2] = out.get(k2, 0) + c * lc
+                nxt[key] = out
+        level = nxt
+    return level

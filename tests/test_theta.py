@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from quatdesign.budget import Budget, ResourceBudgetError, get_budget
 from quatdesign.exactnum import GOLDEN, RAT, SQRT2, QuadElem, golden_elem, rat, sqrt2_elem
 from quatdesign.groups import build_group
-from quatdesign.harmonics import harm_basis
+from quatdesign.harmonics import harm_basis, quotient_monomials
 from quatdesign.orders import (
     embed_coords,
     enumerate_shell,
@@ -16,15 +16,14 @@ from quatdesign.orders import (
 from quatdesign.qseries import qseries
 from quatdesign.strength import molien_closed_form, molien_series
 from quatdesign import theta, verify
-from quatdesign.quat import qmul_pairs, scaled_pairs
+from quatdesign.quat import flat, qmul_pairs, scaled_pairs, to_matrix
 from quatdesign.theta import (
     dimension_hypothesis,
     exact_rank,
     harmonic_invariant_dim,
     harmonic_molien,
     holomorphic_invariants,
-    invariant_dimension_coefficients,
-    invariant_dimension_evaluation,
+    invariant_dimensions,
     invariant_multiplicity,
     theta_rank,
     theta_ranks,
@@ -90,6 +89,10 @@ def test_negative_degrees_are_rejected():
         harmonic_molien("2O", -1)
     with pytest.raises(IndexError):
         invariant_multiplicity("2O", -1)
+    with pytest.raises(IndexError):
+        invariant_dimensions("2O", (4, -1))
+    with pytest.raises(ValueError):
+        invariant_dimensions("Q8", (4,))
 
 
 @pytest.mark.parametrize("ell, shells, kind", [(8, 4, "invariant"), (2, 3, "full")])
@@ -127,7 +130,7 @@ def test_holomorphic_invariants_are_right_invariant(label, ell):
     cmul = theta._CMUL[tag]
     for form in holomorphic_invariants(label, ell):
         def value(x):  # x = z1 + z2 j, through the tables' complex kernel
-            z1, z2 = theta._flat(x[:2]), theta._flat(x[2:])
+            z1, z2 = flat(x[:2]), flat(x[2:])
             return theta._csum(
                 cmul(c, cmul(theta._cpow(cmul, z1, a), theta._cpow(cmul, z2, b)))
                 for (a, b), c in form.items()
@@ -415,19 +418,79 @@ def test_group_action_kills_nothing():
 
 @pytest.mark.parametrize("label", ["2T", "2O", "2I"])
 def test_reynolds_dimension_evaluation(label):
-    for ell in (2, 4, 6):
-        assert invariant_dimension_evaluation(label, ell) == harmonic_invariant_dim(
-            label, ell
-        )
+    assert invariant_dimensions(label, (2, 4, 6)) == {
+        ell: harmonic_invariant_dim(label, ell) for ell in (2, 4, 6)
+    }
 
 
 def test_reynolds_dimension_coefficients_2T():
-    for ell in (2, 4, 6):
-        assert invariant_dimension_coefficients("2T", ell) == harmonic_invariant_dim(
-            "2T", ell
-        )
-    with pytest.raises(ValueError):
-        invariant_dimension_coefficients("2O", 4)
+    # the coefficient route on the harmonic basis is the oracle for 2T
+    assert invariant_dimensions("2T", (2, 4, 6)) == {
+        ell: oracles.invariant_dimension_coefficients("2T", ell) for ell in (2, 4, 6)
+    }
+    assert invariant_dimensions("2O", (4,)) == {4: harmonic_invariant_dim("2O", 4)}
+
+
+_MINUS_X4_SQUARED = {(2, 0, 0, 0): rat(-1), (0, 2, 0, 0): rat(-1), (0, 0, 2, 0): rat(-1)}
+
+
+def _mod_r2(poly):
+    """poly with x4^2 replaced by -(x1^2 + x2^2 + x3^2) until no x4-degree
+    exceeds 1."""
+    while True:
+        high = [mono for mono in poly if mono[3] > 1]
+        if not high:
+            return poly
+        for mono in high:
+            rest = {mono[:3] + (mono[3] - 2,): poly.pop(mono)}
+            poly = oracles.poly4_add(poly, oracles.poly4_mul(rest, _MINUS_X4_SQUARED))
+
+
+@pytest.mark.parametrize("label", ["2T", "2O", "2I"])
+def test_quotient_images_match_naive_expansion(label):
+    tag = theta.FIELD_TAG[label]
+    rho2 = theta.PAIR_MUL[tag](0, 1, 0, 1)
+    group = list(build_group(label))
+    for eps in random.Random(label).sample(group, 3):
+        rows = to_matrix(eps).rows
+        cols = tuple(zip(*(scaled_pairs(row, 2) for row in rows)))
+        # (xA)_j = sum_i x_i 2 M[i][j], as polynomials over QuadElem
+        linear = [
+            {tuple(int(k == i) for k in range(4)): 2 * rows[i][j] for i in range(4) if rows[i][j]}
+            for j in range(4)
+        ]
+        for d, level in enumerate(theta._quotient_images(rho2, cols, 4)):
+            basis = quotient_monomials(d)
+            for mono, (va, vb) in zip(basis, level):
+                naive = {(0, 0, 0, 0): rat(1)}
+                for j, e in enumerate(mono):
+                    for _ in range(e):
+                        naive = oracles.poly4_mul(naive, linear[j])
+                got = {m: QuadElem(tag, a, b) for m, a, b in zip(basis, va, vb) if a or b}
+                assert _mod_r2(naive) == got
+
+
+def test_reynolds_batches_match_single_degrees():
+    for label in ("2T", "2O", "2I"):
+        assert invariant_dimensions(label, (4, 5)) == {
+            4: invariant_dimensions(label, (4,))[4], 5: invariant_dimensions(label, (5,))[5]
+        }
+    # a mixed batch sums over all of G; l = 6 is nonzero for 2T
+    assert invariant_dimensions("2T", (5, 6)) == {5: 0, 6: 7}
+    assert invariant_dimensions("2T", (1, 3, 5)) == {1: 0, 3: 0, 5: 0}
+
+
+def test_harmonic_molien_check_names_reynolds(reynolds_calls, monkeypatch):
+    # a series off by one at (2O, 8) must fail the Reynolds comparison
+    dim = verify.harmonic_invariant_dim
+    monkeypatch.setattr(
+        verify, "harmonic_invariant_dim",
+        lambda label, ell: dim(label, ell) + ((label, ell) == ("2O", 8)),
+    )
+    result = verify.check_harmonic_molien_table(get_budget("desk"))
+    assert not result.passed
+    assert result.details == "2O l=8: Reynolds 9 != 10"
+    assert reynolds_calls == [(label, (2, 4, 6, 8, 10)) for label in ("2T", "2O", "2I")]
 
 
 def test_vanishing_entries_small_full_tables():
