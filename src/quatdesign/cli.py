@@ -133,12 +133,17 @@ def cmd_molien(args, budget: Budget) -> int:
     return EXIT_OK
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def cmd_gegenbauer(args, budget: Budget) -> int:
     if args.expand:
-        from .unipoly import UniPoly
-
-        coeffs = [Fraction(c) for c in args.expand.split(",")]
-        expansion = gegenbauer_expand(UniPoly(coeffs), args.d)
+        coeffs = [_rational(c) for c in args.expand.split(",")]
+        expansion = gegenbauer_expand(coeffs, args.d)
         payload = {
             "input": [_frac(c) for c in coeffs],
             "d": args.d,
@@ -147,14 +152,14 @@ def cmd_gegenbauer(args, budget: Budget) -> int:
         _emit(payload, args.format)
         return EXIT_OK
     if args.lam is not None:
-        poly = gegenbauer(args.ell, Fraction(args.lam))
+        poly = gegenbauer(args.ell, _rational(args.lam))
         name = f"C_{args.ell}^{args.lam}"
     else:
         poly = scaled_q(args.ell, args.d)
         name = f"Q_{args.ell}^({args.d})"
     payload = {
         "polynomial": name,
-        "coefficients": [_frac(c) for c in poly.rational_coeffs()],
+        "coefficients": [_frac(c) for c in poly],
     }
     _emit(
         payload, args.format,
@@ -172,7 +177,7 @@ def cmd_lp(args, budget: Budget) -> int:
     report = verify_certificate(tf)
     payload = {
         "name": tf.name,
-        "degree": int(tf.expanded.degree),
+        "degree": len(tf.expanded) - 1,
         "design_set": list(tf.design_set),
         "gegenbauer_coefficients": {
             str(k): _frac(v) for k, v in sorted(tf.coefficients.items())

@@ -1,15 +1,61 @@
-"""Exact Gegenbauer polynomials C_l^lambda and the scaled Q_l^(d) family."""
+"""Exact Gegenbauer polynomials C_l^lambda and the scaled Q_l^(d) family.
+
+A polynomial is a tuple of Fraction coefficients, low degree first, with no
+trailing zero; the zero polynomial is ().
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 
-from .unipoly import UniPoly
+
+def trim(coeffs) -> tuple:
+    """The coefficients as a tuple, without trailing zeros."""
+    cs = list(coeffs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def poly_mul(p, q) -> tuple:
+    if not p or not q:
+        return ()
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        if c:
+            for j, d in enumerate(q):
+                out[i + j] += c * d
+    return trim(out)
+
+
+def poly_divmod(p, q) -> tuple[tuple, tuple]:
+    """(quotient, remainder) of p by a nonzero q, exactly."""
+    rem, dq = list(p), len(q) - 1
+    quot = [Fraction(0)] * max(len(rem) - dq, 0)
+    for k in range(len(rem) - 1, dq - 1, -1):
+        if rem[k]:
+            f = quot[k - dq] = rem[k] / q[-1]
+            for j, c in enumerate(q):
+                rem[k - dq + j] -= f * c
+    return trim(quot), trim(rem)
+
+
+def horner(p, x):
+    """p(x) at a Fraction or a QuadElem x, in the kind of x."""
+    acc = 0 * x
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _check_dimension(d: int) -> None:
+    if d < 3:
+        raise ValueError("scaled Gegenbauer polynomials require d >= 3")
 
 
 @lru_cache(maxsize=None)
-def gegenbauer(ell: int, lam: Fraction) -> UniPoly:
+def gegenbauer(ell: int, lam: Fraction) -> tuple:
     """C_l^lambda(s) via the three-term recurrence.
 
     l C_l = 2(l + lam - 1) s C_{l-1} - (l + 2 lam - 2) C_{l-2},
@@ -20,49 +66,38 @@ def gegenbauer(ell: int, lam: Fraction) -> UniPoly:
         raise ValueError("Gegenbauer parameter lambda must be positive")
     if ell < 0:
         raise ValueError("degree must be nonnegative")
-    if ell == 0:
-        return UniPoly([1])
-    if ell == 1:
-        return UniPoly([0, 2 * lam])
-    s = UniPoly([0, 1])
-    prev2, prev1 = UniPoly([1]), UniPoly([0, 2 * lam])
-    for k in range(2, ell + 1):
-        cur = s * prev1 * Fraction(2 * (k + lam - 1), k) - prev2 * Fraction(
-            k + 2 * lam - 2, k
-        )
-        prev2, prev1 = prev1, cur
+    prev2, prev1 = (), (Fraction(1),)
+    for k in range(1, ell + 1):
+        a, b = Fraction(2 * (k + lam - 1), k), Fraction(k + 2 * lam - 2, k)
+        cur = [Fraction(0)] + [a * c for c in prev1]  # the s C_{l-1} term
+        for i, c in enumerate(prev2):
+            cur[i] -= b * c
+        prev2, prev1 = prev1, trim(cur)
     return prev1
 
 
 @lru_cache(maxsize=None)
-def scaled_q(ell: int, d: int) -> UniPoly:
+def scaled_q(ell: int, d: int) -> tuple:
     """Q_l^(d) = ((d + 2l - 2)/(d - 2)) C_l^{(d-2)/2}; Q_l^(d)(1) = dim Harm_l(R^d)."""
-    if d < 3:
-        raise ValueError("scaled Gegenbauer polynomials require d >= 3")
-    lam = Fraction(d - 2, 2)
-    return gegenbauer(ell, lam) * Fraction(d + 2 * ell - 2, d - 2)
+    _check_dimension(d)
+    factor = Fraction(d + 2 * ell - 2, d - 2)
+    return tuple(c * factor for c in gegenbauer(ell, Fraction(d - 2, 2)))
 
 
-def gegenbauer_expand(F: UniPoly, d: int) -> list[Fraction]:
+def gegenbauer_expand(F, d: int) -> list[Fraction]:
     """Coefficients f_0..f_r with F = sum f_l Q_l^(d), by back-substitution.
 
     Each Q_l has exact degree l, so the change of basis is triangular and the
     expansion is unique; no integration is involved.
     """
-    if not F.is_rational():
-        raise ValueError("Gegenbauer expansion requires rational coefficients")
-    rem = F
-    deg = rem.degree
-    if rem.is_zero():
-        return []
-    out = [Fraction(0)] * (int(deg) + 1)
-    while not rem.is_zero():
-        k = int(rem.degree)
+    _check_dimension(d)
+    rem = trim(F)
+    out = [Fraction(0)] * len(rem)
+    while rem:
+        k = len(rem) - 1
         qk = scaled_q(k, d)
-        f = rem.coeffs[-1].a / qk.coeffs[-1].a
-        out[k] = f
-        rem = rem - qk * f
-        if not rem.is_zero() and rem.degree >= k:
+        f = out[k] = rem[-1] / qk[-1]
+        rem = trim(r - f * c for r, c in zip(rem, qk))
+        if len(rem) > k:
             raise AssertionError("triangular solve failed to reduce degree")
     return out
-

@@ -290,14 +290,18 @@ class Gram:
     def value(self, key) -> QuadElem:
         return QuadElem(self.tag, *(Fraction(k, self.unit[0]) for k in key))
 
+    def pair_counts(self) -> Counter:
+        """The counts of D^2 <x, y> over all ordered pairs."""
+        return sum(self.rows, Counter())
+
     def distribution(self, counts=None) -> dict[QuadElem, int]:
         """counts (by default over all ordered pairs) keyed by <x, y>."""
-        counts = sum(self.rows, Counter()) if counts is None else counts
+        counts = self.pair_counts() if counts is None else counts
         return {self.value(k): n for k, n in counts.items()}
 
     def angles(self) -> set[QuadElem]:
         """A(X) = { <x,y> : x != y }; 1 is in it only when a point repeats."""
-        counts = sum(self.rows, Counter())
+        counts = self.pair_counts()
         counts[self.unit] -= len(self.rows)
         return {self.value(k) for k, n in counts.items() if n}
 

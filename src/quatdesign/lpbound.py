@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import QuadElem, rat, sqrt2_elem, golden_elem
-from .gegenbauer import gegenbauer_expand, scaled_q
+from .gegenbauer import gegenbauer_expand, horner, poly_divmod, poly_mul, scaled_q, trim
 from .groups import NotAntipodal, gram_of
 from .strength import pair_sums
-from .unipoly import UniPoly
 
 
 class CertificateError(ValueError):
@@ -93,18 +92,18 @@ def _roots_for(name: str) -> list[QuadElem]:
 @dataclass(frozen=True)
 class TestFunction:
     name: str
-    expanded: UniPoly                       # rational coefficients
+    expanded: tuple[Fraction, ...]          # F(s), low degree first
     coefficients: dict[int, Fraction]       # full Gegenbauer expansion
     design_set: tuple[int, ...]
     factored_roots: tuple[QuadElem, ...]    # even-multiplicity roots in [-1,1)
-    residual: UniPoly                       # strictly positive factor on [-1,1]
+    residual: tuple[Fraction, ...]          # strictly positive factor on [-1,1]
 
     @property
     def f0(self) -> Fraction:
         return self.coefficients.get(0, Fraction(0))
 
     def value_at_one(self) -> Fraction:
-        return self.expanded(rat(1)).a
+        return horner(self.expanded, Fraction(1))
 
 
 @dataclass(frozen=True)
@@ -126,15 +125,20 @@ class EqualityReport:
     is_design: bool
 
 
-def _square_factor_poly(roots) -> UniPoly:
-    """prod (s - r)^2 over the claimed roots, collapsed to rationals."""
-    total = UniPoly([1])
+def _square_factor_poly(roots) -> tuple[Fraction, ...]:
+    """prod (s - r)^2 over the claimed roots.
+
+    prod (s - r) is built on QuadElem one linear factor at a time and only
+    then collapsed to rationals: a single r^2 may be irrational (tau/2 for
+    F2I), the product over a conjugation-closed root list is not.
+    """
+    prod = [rat(1)]
     for r in roots:
-        lin = UniPoly([-r, 1])
-        total = total * lin * lin
-    if not total.is_rational():
+        prod = [a - r * b for a, b in zip([rat(0)] + prod, prod + [rat(0)])]
+    if not all(c.is_rational() for c in prod):
         raise CertificateError("square-factor product failed to rationalize")
-    return UniPoly([c.a for c in total.coeffs])
+    half = tuple(c.a for c in prod)
+    return poly_mul(half, half)
 
 
 def build_test_function(name: str, override: dict[int, Fraction] | None = None) -> TestFunction:
@@ -144,15 +148,17 @@ def build_test_function(name: str, override: dict[int, Fraction] | None = None) 
     data = dict(_GEGENBAUER_DATA[name])
     if override:
         data.update(override)
-    expanded = UniPoly.zero()
+    total = [Fraction(0)] * (max(data) + 1)
     for ell, f in data.items():
-        expanded = expanded + scaled_q(ell, 4) * f
+        for k, c in enumerate(scaled_q(ell, 4)):
+            total[k] += f * c
+    expanded = trim(total)
 
     roots = _roots_for(name)
     squares = _square_factor_poly(roots)
-    quotient, rem = expanded.divmod(squares)
+    quotient, rem = poly_divmod(expanded, squares)
     if override is None:
-        if not rem.is_zero():
+        if rem:
             raise CertificateError(
                 f"{name}: claimed roots do not divide the expansion"
             )
@@ -175,35 +181,28 @@ def build_test_function(name: str, override: dict[int, Fraction] | None = None) 
 
 def _check_factored_identity(name, expanded, squares, residual) -> None:
     """Integrity: squares * residual must reproduce the expansion exactly."""
-    recomposed = squares * residual
-    if not all(
-        (recomposed.coeff(k) - expanded.coeff(k)).is_zero()
-        for k in range(max(len(recomposed.coeffs), len(expanded.coeffs)))
-    ):
+    if poly_mul(squares, residual) != expanded:
         raise CertificateError(f"{name}: factored and Gegenbauer forms differ")
 
 
-def _residual_positive_on_interval(residual: UniPoly) -> bool:
+def _residual_positive_on_interval(residual) -> bool:
     """Exact positivity of the residual factor on [-1, 1].
 
     The residuals take one of two shapes: (s^2 - a)^2 + c with c > 0
     (positive everywhere), or b - s^2 with b > 1 (positive on the interval,
     checked at the endpoints since it decreases in s^2).
     """
-    deg = residual.degree
-    if deg == 4:
-        cs = [residual.coeff(k) for k in range(5)]
-        if not (cs[1].is_zero() and cs[3].is_zero() and cs[4] == 1):
+    if len(residual) == 5:
+        c0, c1, c2, c3, c4 = residual
+        if c1 or c3 or c4 != 1:
             return False
         # (s^2 - a)^2 + c = s^4 - 2a s^2 + a^2 + c
-        a = -cs[2].a / 2
-        c = cs[0].a - a * a
-        return c > 0
-    if deg == 2:
-        lead = residual.coeff(2)
-        if lead.sign() >= 0 or not residual.coeff(1).is_zero():
+        a = -c2 / 2
+        return c0 - a * a > 0
+    if len(residual) == 3:
+        if residual[2] >= 0 or residual[1]:
             return False
-        return residual(rat(1)).sign() > 0 and residual(rat(-1)).sign() > 0
+        return horner(residual, Fraction(1)) > 0 and horner(residual, Fraction(-1)) > 0
     return False
 
 
@@ -229,7 +228,7 @@ def verify_certificate(tf: TestFunction) -> CertificateReport:
         messages.append("residual factor is not certified positive on [-1, 1]")
 
     for r in tf.factored_roots:
-        if not tf.expanded(r).is_zero():
+        if not horner(tf.expanded, r).is_zero():
             nonneg = False
             messages.append(f"claimed root {r} is not a root")
 
@@ -277,12 +276,11 @@ def check_equality_case(points, tf: TestFunction) -> EqualityReport:
     gram = gram_of(points)
     if not gram.antipodal():
         raise NotAntipodal("the LP equality case needs an antipodal point set")
-    dist = gram.distribution().items()
     bound = full_set_lower_bound(tf)
     return EqualityReport(
         cardinality=len(gram.points),
         bound=bound,
         attained=Fraction(len(gram.points)) == bound,
         inner_products_are_roots=gram.angles() <= angle_certificate(tf),
-        is_design=all(v.is_zero() for v in pair_sums(dist, tf.design_set).values()),
+        is_design=all(v.is_zero() for v in pair_sums(gram, tf.design_set).values()),
     )

@@ -1,7 +1,7 @@
 """Harmonic strength, two independent ways.
 
-Route 1 (direct): the pair-sum zero test through the distance distribution,
-    sum_s A_s(X) C_l^1(s) = 0  iff  l in T(X)   (points on S^3).
+Route 1 (direct): the pair-sum zero test over the Gram pass,
+    sum_{x,y in X} C_l^1(<x,y>) = 0  iff  l in T(X)   (points on S^3).
 
 Route 2 (invariant theory, groups only): l in T(G) iff the coefficient of
 u^l vanishes in the Molien series
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import QuadElem, RAT, FieldTagMismatch, rat
-from .groups import UnitGroup, build_group, pair_distance_distribution
+from .exactnum import QuadElem, RAT, FieldTagMismatch
+from .groups import Gram, UnitGroup, build_group, gram_of
 from .quat import PAIR_MUL, scaled_pairs
 
 
@@ -141,41 +141,53 @@ def molien_closed_form(label: str, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _distribution_of(points) -> list:
-    if isinstance(points, UnitGroup):  # the group's own pass, made once
-        return list(points.gram.distribution().items())
-    return list(pair_distance_distribution(points).items())
+def _pair_totals(gram: Gram, ells) -> dict[int, tuple[int, int]]:
+    """D^(2l) sum_{x,y} U_l(<x,y>) on integer pairs, for each l in ells.
 
-
-def pair_sums(dist, ells) -> dict[int, QuadElem]:
-    """sum_s A_s C_l^1(s) for each l in ells, over the (s, A_s) of a distance
-    distribution; C_l^1 = U_l runs one recurrence per s, to the largest l."""
-    totals = dict.fromkeys(ells, rat(0))
+    With g = D^2 <x,y> the pair the Gram pass counts, V_k = D^(2k) U_k(s)
+    obeys V_0 = 1, V_1 = 2g, V_(k+1) = 2g V_k - D^4 V_(k-1); one recurrence
+    per distinct g runs to the largest l.
+    """
+    totals = dict.fromkeys(ells, (0, 0))
+    if any(ell < 0 for ell in totals):
+        raise IndexError(f"pair sum at degree {min(totals)}: degrees start at 0")
     top = max(totals, default=0)
-    for s, count in dist:
-        two_s = s + s
-        u = [rat(1), two_s]  # U_(k+1) = 2s U_k - U_(k-1)
-        while len(u) <= top:
-            u.append(two_s * u[-1] - u[-2])
-        for ell in totals:
-            totals[ell] = totals[ell] + u[ell] * count
+    pmul = PAIR_MUL[gram.tag]
+    d4 = gram.unit[0] ** 2
+    for (g0, g1), count in gram.pair_counts().items():
+        a, b = g0 + g0, g1 + g1
+        v = [(1, 0), (a, b)]
+        while len(v) <= top:
+            (p0, p1), (q0, q1) = v[-1], v[-2]
+            t0, t1 = pmul(a, b, p0, p1)
+            v.append((t0 - d4 * q0, t1 - d4 * q1))
+        for ell, (s0, s1) in totals.items():
+            totals[ell] = (s0 + v[ell][0] * count, s1 + v[ell][1] * count)
     return totals
 
 
+def pair_sums(gram: Gram, ells) -> dict[int, QuadElem]:
+    """sum_{x,y} C_l^1(<x,y>) for each l in ells, over one Gram pass;
+    C_l^1 = U_l.  IndexError for a negative degree."""
+    scale = gram.unit[0]
+    return {ell: QuadElem(gram.tag, Fraction(a, scale ** ell), Fraction(b, scale ** ell))
+            for ell, (a, b) in _pair_totals(gram, ells).items()}
+
+
 def pair_sum_value(points, ell: int) -> QuadElem:
-    """sum_{x,y in X} C_l^1(<x,y>), via the distance distribution."""
-    return pair_sums(_distribution_of(points), (ell,))[ell]
+    """sum_{x,y in X} C_l^1(<x,y>), over the Gram pass of X."""
+    return pair_sums(gram_of(points), (ell,))[ell]
 
 
 def pair_sum_test(points, ell: int) -> bool:
     """True iff l lies in the harmonic strength of X (Gegenbauer pair test);
     ValueError unless every point has unit norm."""
-    return pair_sum_value(points, ell).is_zero()
+    return _pair_totals(gram_of(points), (ell,))[ell] == (0, 0)
 
 
 def pair_sum_tests_bulk(points, ells) -> dict[int, bool]:
-    """pair_sum_test for several degrees with one distance-distribution scan."""
-    return {ell: v.is_zero() for ell, v in pair_sums(_distribution_of(points), ells).items()}
+    """pair_sum_test for several degrees over one Gram pass."""
+    return {ell: t == (0, 0) for ell, t in _pair_totals(gram_of(points), ells).items()}
 
 
 def harmonic_strength(source, n: int) -> StrengthReport:

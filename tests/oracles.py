@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb, gcd
 from operator import mul
 
-from quatdesign import theta
+from quatdesign import lpbound, theta
 from quatdesign.exactnum import QuadElem, rat
 from quatdesign.groups import build_group
 from quatdesign.harmonics import harm_basis, laplacian
@@ -251,3 +251,163 @@ def _action_columns(scaled_rows, ell):
                 nxt[key] = out
         level = nxt
     return level
+
+
+# -- univariate polynomials over QuadElem, and the polynomial layers on them ---
+
+NEG_INF = float("-inf")  # degree of the zero polynomial
+
+
+class UniPoly:
+    """Polynomial sum_k c_k u^k; trailing zero coefficients are trimmed."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        cs = [QuadElem.coerce(c) for c in coeffs]
+        while cs and cs[-1].is_zero():
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @staticmethod
+    def zero() -> "UniPoly":
+        return UniPoly([])
+
+    @staticmethod
+    def monomial(k: int, c=1) -> "UniPoly":
+        return UniPoly([0] * k + [c])
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+
+    def coeff(self, k: int) -> QuadElem:
+        if 0 <= k < len(self.coeffs):
+            return self.coeffs[k]
+        return rat(0)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __eq__(self, other):
+        if not isinstance(other, UniPoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        return UniPoly([self.coeff(k) + other.coeff(k) for k in range(n)])
+
+    def __sub__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        return UniPoly([self.coeff(k) - other.coeff(k) for k in range(n)])
+
+    def __neg__(self):
+        return UniPoly([-c for c in self.coeffs])
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, QuadElem)):
+            c = QuadElem.coerce(other)
+            return UniPoly([ci * c for ci in self.coeffs])
+        if self.is_zero() or other.is_zero():
+            return UniPoly.zero()
+        out = [rat(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, ci in enumerate(self.coeffs):
+            if ci.is_zero():
+                continue
+            for j, cj in enumerate(other.coeffs):
+                out[i + j] = out[i + j] + ci * cj
+        return UniPoly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        result = UniPoly([1])
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
+        """Exact polynomial division (coefficients live in a field)."""
+        if other.is_zero():
+            raise ZeroDivisionError("division by the zero polynomial")
+        rem = list(self.coeffs)
+        dq = len(other.coeffs) - 1
+        lead = other.coeffs[-1]
+        if len(rem) <= dq:
+            return UniPoly.zero(), UniPoly(rem)
+        quot = [rat(0)] * (len(rem) - dq)
+        for k in range(len(rem) - 1, dq - 1, -1):
+            c = rem[k]
+            if c.is_zero():
+                continue
+            q = c / lead
+            quot[k - dq] = q
+            for j, oc in enumerate(other.coeffs):
+                rem[k - dq + j] = rem[k - dq + j] - q * oc
+        return UniPoly(quot), UniPoly(rem)
+
+    def __call__(self, x) -> QuadElem:
+        """Horner evaluation at a QuadElem (or rational) point."""
+        x = QuadElem.coerce(x)
+        acc = rat(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def is_rational(self) -> bool:
+        return all(c.is_rational() for c in self.coeffs)
+
+    def rational_coeffs(self) -> list[Fraction]:
+        if not self.is_rational():
+            raise ValueError("polynomial has irrational coefficients")
+        return [c.a for c in self.coeffs]
+
+    def __repr__(self):
+        if self.is_zero():
+            return "UniPoly(0)"
+        terms = []
+        for k, c in enumerate(self.coeffs):
+            if not c.is_zero():
+                terms.append(f"({c})*u^{k}" if k else f"({c})")
+        return "UniPoly(" + " + ".join(terms) + ")"
+
+
+def rational_tuple(p: UniPoly) -> tuple:
+    """The coefficients of a rational UniPoly as a tuple of Fractions."""
+    return tuple(p.rational_coeffs())
+
+
+def gegenbauer_unipoly(ell: int, lam: Fraction) -> UniPoly:
+    """C_l^lambda(s) by the three-term recurrence, on UniPoly."""
+    s = UniPoly([0, 1])
+    prev2, prev1 = UniPoly.zero(), UniPoly([1])
+    for k in range(1, ell + 1):
+        cur = s * prev1 * Fraction(2 * (k + lam - 1), k) - prev2 * Fraction(
+            k + 2 * lam - 2, k
+        )
+        prev2, prev1 = prev1, cur
+    return prev1
+
+
+def scaled_q_unipoly(ell: int, d: int) -> UniPoly:
+    """Q_l^(d) = ((d + 2l - 2)/(d - 2)) C_l^{(d-2)/2}, on UniPoly."""
+    return gegenbauer_unipoly(ell, Fraction(d - 2, 2)) * Fraction(d + 2 * ell - 2, d - 2)
+
+
+def lp_polynomials_unipoly(name: str) -> tuple[UniPoly, UniPoly, UniPoly]:
+    """(F, prod (s - r)^2, F / prod (s - r)^2) of a test function, built from
+    its Gegenbauer data and claimed roots on UniPoly over QuadElem."""
+    expanded = UniPoly.zero()
+    for ell, f in lpbound._GEGENBAUER_DATA[name].items():
+        expanded = expanded + scaled_q_unipoly(ell, 4) * f
+    squares = UniPoly([1])
+    for r in lpbound._roots_for(name):
+        lin = UniPoly([-r, 1])
+        squares = squares * lin * lin
+    residual, rem = expanded.divmod(squares)
+    assert rem.is_zero()
+    return expanded, squares, residual

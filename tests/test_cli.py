@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +107,44 @@ def test_gegenbauer_expand(capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob["expansion"] == {"0": "1/4", "2": "1/12"}
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (("--ell", "2", "--lam", "1/0"), "1/0"),
+    (("--ell", "0", "--expand", "1/0"), "1/0"),
+    (("--ell", "0", "--expand", "1,2/0,3"), "2/0"),
+])
+def test_zero_denominators_are_bad_input(capsys, argv, bad):
+    assert main(["gegenbauer", *argv]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and bad in captured.err
+
+
+@pytest.mark.parametrize("expand", ["0", "1", "0,0"])
+@pytest.mark.parametrize("d", ["2", "-7"])
+def test_gegenbauer_expand_checks_the_dimension(capsys, expand, d):
+    code, out = run_cli(capsys, "gegenbauer", "--ell", "0", "--expand", expand, "--d", d)
+    assert code == 4 and out == ""
+
+
+# every gegenbauer, lp and strength call that the benchmark makes, with the
+# digest of its output recorded in perfbench/expected.json (read only)
+_EXPECTED = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "expected.json").read_text()
+)
+_POLY_CALLS = sorted(k for k in _EXPECTED if k.split()[0] in ("gegenbauer", "lp", "strength"))
+
+
+def test_benchmark_menu_has_polynomial_calls():
+    assert {k.split()[0] for k in _POLY_CALLS} == {"gegenbauer", "lp", "strength"}
+
+
+@pytest.mark.parametrize("call", _POLY_CALLS)
+def test_output_matches_the_benchmark_digest(capsys, call):
+    code, out = run_cli(capsys, *call.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _EXPECTED[call]
 
 
 def test_lp_json(capsys):

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from quatdesign.exactnum import golden_elem, rat, sqrt2_elem
-from quatdesign.gegenbauer import gegenbauer_expand
-from quatdesign import groups, verify
+from quatdesign.gegenbauer import gegenbauer_expand, horner, poly_mul
+from quatdesign import groups, lpbound, verify
 from quatdesign.budget import get_budget
 from quatdesign.groups import NotAntipodal, build_group, orbit
 from quatdesign.lpbound import (
@@ -17,16 +17,17 @@ from quatdesign.lpbound import (
     verify_certificate,
 )
 from quatdesign.quat import Quaternion
-from quatdesign.unipoly import UniPoly
+
+from oracles import lp_polynomials_unipoly, rational_tuple
 
 HALF = Fraction(1, 2)
 
 
 def test_degrees():
-    assert build_test_function("F2T").expanded.degree == 10
-    assert build_test_function("F2O").expanded.degree == 14
+    assert len(build_test_function("F2T").expanded) == 11
+    assert len(build_test_function("F2O").expanded) == 15
     # both published forms of the icosahedral function have degree 16
-    assert build_test_function("F2I").expanded.degree == 16
+    assert len(build_test_function("F2I").expanded) == 17
 
 
 def test_f2t_gegenbauer_data():
@@ -60,14 +61,40 @@ def test_factored_residuals():
     # the residual constants 3/64 and 1/192 make the factored forms equal
     # the Gegenbauer combinations exactly (the published 3/4 and 1/4 do not)
     tf = build_test_function("F2T")
-    assert tf.residual == UniPoly([Fraction(13, 16), 0, Fraction(-7, 4), 0, 1])
+    assert tf.residual == (Fraction(13, 16), 0, Fraction(-7, 4), 0, 1)
     const = Fraction(13, 16) - Fraction(49, 64)
     assert const == Fraction(3, 64)
     tf = build_test_function("F2O")
-    assert tf.residual == UniPoly([Fraction(37, 48), 0, Fraction(-7, 4), 0, 1])
+    assert tf.residual == (Fraction(37, 48), 0, Fraction(-7, 4), 0, 1)
     assert Fraction(37, 48) - Fraction(49, 64) == Fraction(1, 192)
     tf = build_test_function("F2I")
-    assert tf.residual == UniPoly([Fraction(6, 5), 0, -1])
+    assert tf.residual == (Fraction(6, 5), 0, -1)
+
+
+@pytest.mark.parametrize("name", ["F2T", "F2O", "F2I"])
+def test_test_functions_match_the_unipoly_oracle(name):
+    tf = build_test_function(name)
+    expanded, squares, residual = lp_polynomials_unipoly(name)
+    assert tf.expanded == rational_tuple(expanded)
+    assert tf.residual == rational_tuple(residual)
+    assert lpbound._square_factor_poly(tf.factored_roots) == rational_tuple(squares)
+
+
+def test_f2i_square_factor_is_a_rational_square():
+    # tau/2 and (tau-1)/2 have irrational squares; only the whole product
+    # s (s^2 - 1/4)(s^4 - (3/4) s^2 + 1/16) is rational
+    half = (Fraction(-1, 4), 0, 1)
+    quartic = (Fraction(1, 16), 0, Fraction(-3, 4), 0, 1)
+    root_poly = poly_mul((0, 1), poly_mul(half, quartic))
+    squares = lpbound._square_factor_poly(build_test_function("F2I").factored_roots)
+    assert squares == poly_mul(root_poly, root_poly)
+
+
+def test_square_factor_needs_conjugate_roots():
+    # tau/2 without its conjugate (1 - tau)/2 leaves sqrt5 in the product
+    tau_half = golden_elem(0, HALF)
+    with pytest.raises(CertificateError, match="failed to rationalize"):
+        lpbound._square_factor_poly([rat(0), tau_half, -tau_half])
 
 
 def test_bounds():
@@ -99,7 +126,7 @@ def test_roots_are_roots():
     for name in ("F2T", "F2O", "F2I"):
         tf = build_test_function(name)
         for r in tf.factored_roots:
-            assert tf.expanded(r).is_zero()
+            assert horner(tf.expanded, r).is_zero()
 
 
 def test_corrupted_coefficient_rejected():

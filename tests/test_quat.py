@@ -19,7 +19,8 @@ from quatdesign.quat import (
     scaled_pairs,
     to_matrix,
 )
-from quatdesign.unipoly import UniPoly
+
+from oracles import UniPoly
 
 I = Quaternion(0, 1, 0, 0)
 J = Quaternion(0, 0, 1, 0)

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from quatdesign.exactnum import rat
-from quatdesign.groups import UnitGroup, alpha, build_group, half_set, omega
+from quatdesign import groups
+from quatdesign.groups import UnitGroup, alpha, build_group, half_set, omega, orbit
 from quatdesign.quat import Quaternion
-from quatdesign import strength
 from quatdesign.strength import (
     StrengthReport,
     class_sum_series,
@@ -76,16 +76,32 @@ def test_route_consistency(label):
 @pytest.mark.parametrize("label", ["2T", "2O", "2I", "C5", "D2n3"])
 def test_pair_sums_match_the_recurrence_from_degree_zero(label):
     group = build_group(label)
-    dist = list(group.gram.distribution().items())
-    ells = (7, 0, 30, 1, 2, 12)  # unsorted, with both starting degrees
-    want = {ell: sum((chebyshev_u_value(ell, s) * count for s, count in dist), rat(0))
-            for ell in ells}
-    got = pair_sums(dist, ells)
-    assert got == want and list(got) == list(ells)
-    assert pair_sums(dist, ()) == {}
-    bulk = pair_sum_tests_bulk(group.elements, range(31))
-    assert bulk == {ell: sum((chebyshev_u_value(ell, s) * count for s, count in dist),
-                             rat(0)).is_zero() for ell in range(31)}
+    # the group's own pass and a pass over a point list with denominators 10
+    for points in (group, orbit(Quaternion(Fraction(3, 5), Fraction(4, 5), 0, 0), group)):
+        gram = groups.gram_of(points)
+        dist = list(gram.distribution().items())
+        ells = (7, 0, 30, 1, 2, 12)  # unsorted, with both starting degrees
+        want = {ell: sum((chebyshev_u_value(ell, s) * count for s, count in dist), rat(0))
+                for ell in ells}
+        got = pair_sums(gram, ells)
+        assert got == want and list(got) == list(ells)
+        assert pair_sums(gram, ()) == {}
+        elements = points.elements if isinstance(points, UnitGroup) else points
+        bulk = pair_sum_tests_bulk(elements, range(31))
+        assert bulk == {ell: sum((chebyshev_u_value(ell, s) * count for s, count in dist),
+                                 rat(0)).is_zero() for ell in range(31)}
+
+
+def test_pair_sums_reject_negative_degrees():
+    group = build_group("2T")
+    with pytest.raises(IndexError):
+        pair_sums(group.gram, (2, -1))
+    with pytest.raises(IndexError):
+        pair_sum_test(group, -1)
+    with pytest.raises(IndexError):
+        pair_sum_value(group, -2)
+    with pytest.raises(IndexError):
+        pair_sum_tests_bulk(group.elements, range(-1, 5))
 
 
 def test_pair_sum_rejects_non_unit_points():
@@ -214,13 +230,13 @@ def test_group_pair_sums_read_the_group_not_its_label():
 def test_point_list_strength_scans_pair_distances_once(monkeypatch):
     points = list(build_group("2O").elements)
     scans = []
-    scan = strength.pair_distance_distribution
+    scan = groups.gram_pass
 
     def counting(pts):
         scans.append(1)
         return scan(pts)
 
-    monkeypatch.setattr(strength, "pair_distance_distribution", counting)
+    monkeypatch.setattr(groups, "gram_pass", counting)
     report = harmonic_strength(points, 30)
     assert report.all_odd_in
     assert report.even_members == group_strength("2O", 30).even_members
