@@ -15,6 +15,7 @@ All values are immutable; all operations are pure and exact.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 RAT = "RAT"
@@ -224,7 +225,8 @@ class QuadElem:
 
     @staticmethod
     def from_json(obj: dict) -> "QuadElem":
-        return QuadElem(obj["tag"], Fraction(obj["a"]), Fraction(obj["b"]))
+        """The inverse of to_json; "a" and "b" are "p/q" strings or ints."""
+        return QuadElem(obj["tag"], _json_fraction(obj["a"]), _json_fraction(obj["b"]))
 
 
 def _sign_quadratic(a: Fraction, b: Fraction, d: int) -> int:
@@ -244,6 +246,17 @@ def _sign_quadratic(a: Fraction, b: Fraction, d: int) -> int:
         return 0
     bigger_is_a = lhs > rhs
     return (1 if a > 0 else -1) if bigger_is_a else (1 if b > 0 else -1)
+
+
+_P_OVER_Q = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # q > 0
+
+
+def _json_fraction(v) -> Fraction:
+    """A "p/q" string with q > 0 or a non-bool int as a Fraction; ValueError
+    for any other value, floats and bools included."""
+    if (isinstance(v, str) and _P_OVER_Q.fullmatch(v)) or type(v) is int:
+        return Fraction(v)
+    raise ValueError(f"a rational must be a 'p/q' string with q > 0 or an int, not {v!r}")
 
 
 def _frac_str(q: Fraction) -> str:

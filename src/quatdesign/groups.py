@@ -119,6 +119,17 @@ class UnitGroup:
         return True
 
     @cached_property
+    def tag(self) -> str:
+        """The one field of the irrational coordinates, RAT when there are none."""
+        return _field_tag(self.elements, self.label)
+
+    @cached_property
+    def doubled(self) -> tuple:
+        """2 eps on integer pairs for every element eps, in element order;
+        ValueError when some 2 eps is not integral."""
+        return tuple(scaled_pairs(e.coords, 2) for e in self.elements)
+
+    @cached_property
     def gram(self) -> "Gram":
         """The Gram pass over the elements, made once per group."""
         return gram_pass(self.elements)
@@ -263,17 +274,22 @@ def build_group(label: str) -> UnitGroup:
 
 # -- point-set statistics ----------------------------------------------------
 
-def _integer_frame(points, name: str):
-    """(tag, D, [D*x as integer pairs]) with D the lcm of all coordinate
-    denominators; the tag is the one field of the irrational coordinates."""
+def _field_tag(points, name: str) -> str:
+    """The one field of the irrational coordinates, RAT when there are none;
+    FieldTagMismatch when they come from both Q(sqrt2) and Q(sqrt5)."""
     tags = {c.tag for x in points for c in x.coords if c.b}
     if len(tags) > 1:
         raise FieldTagMismatch(f"{name} mixes the fields {sorted(tags)}")
+    return tags.pop() if tags else RAT
+
+
+def _integer_frame(points, name: str):
+    """(tag, D, [D*x as integer pairs]) with D the lcm of all coordinate
+    denominators and tag from `_field_tag`."""
     scale = lcm(*(
         q.denominator for x in points for c in x.coords for q in (c.a, c.b)
     ))
-    scaled = [scaled_pairs(x.coords, scale) for x in points]
-    return tags.pop() if tags else RAT, scale, scaled
+    return _field_tag(points, name), scale, [scaled_pairs(x.coords, scale) for x in points]
 
 
 class Gram:

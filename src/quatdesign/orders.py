@@ -418,9 +418,6 @@ class Shell:
     def __len__(self):
         return len(self.points)
 
-    def elements(self):
-        return [OrderElement(self.group_label, p) for p in self.points]
-
     def embedded(self):
         return [embed_coords(self.group_label, p) for p in self.points]
 
@@ -448,10 +445,9 @@ def right_multiplication_matrices(label: str) -> tuple[tuple[tuple[int, ...], ..
 
     Row i is solved from (2 b_i)(2 eps) = 4 b_i eps on integer pairs.
     """
-    tag, basis = FIELD_TAG[label], order_basis(label)
+    tag, basis, group = FIELD_TAG[label], order_basis(label), build_group(label)
     mats = []
-    for eps in build_group(label):
-        doubled = scaled_pairs(eps.coords, 2)
+    for eps, doubled in zip(group, group.doubled):
         rows = tuple(_solve(label, flat(qmul_pairs(tag, pair, doubled)), 2)
                      for pair in _doubled_basis(label)[0])
         if None in rows:

@@ -1,17 +1,13 @@
 """Quaternion algebra over QuadElem scalars.
 
 A quaternion x1 + x2 i + x3 j + x4 k is identified with the row vector
-(x1, x2, x3, x4).  Left multiplication y -> x*y by a unit quaternion acts on
-row vectors as y -> y . M_x with M_x the orthogonal 4x4 matrix below.
+(x1, x2, x3, x4).  Left multiplication y -> x*y acts on row vectors as
+y -> y . M_x, with the rows of M_x given by `left_matrix_pairs`.
 """
 
 from __future__ import annotations
 
 from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, FieldTagMismatch, rat
-
-
-class NonUnitQuaternion(ValueError):
-    """Raised when an operation requires norm exactly 1."""
 
 
 class Quaternion:
@@ -232,33 +228,14 @@ def char_coeffs_pairs(tag, rows) -> tuple[tuple[int, int], ...]:
     return tuple(e[1:])
 
 
-class Matrix4:
-    """Dense 4x4 matrix of QuadElem entries."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        self.rows = tuple(tuple(QuadElem.coerce(e) for e in row) for row in rows)
-        if len(self.rows) != 4 or any(len(r) != 4 for r in self.rows):
-            raise ValueError("Matrix4 requires a 4x4 array")
-
-    def __eq__(self, other):
-        return isinstance(other, Matrix4) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-
-def to_matrix(x: Quaternion) -> Matrix4:
-    """Matrix M_x of y -> x*y on row vectors, for unit x (no square roots)."""
-    if not x.is_unit():
-        raise NonUnitQuaternion("to_matrix requires a unit quaternion")
-    x1, x2, x3, x4 = x.coords
-    return Matrix4(
-        [
-            [x1, x2, x3, x4],
-            [-x2, x1, x4, -x3],
-            [-x3, -x4, x1, x2],
-            [-x4, x3, -x2, x1],
-        ]
+def left_matrix_pairs(x):
+    """The rows of M_x, y -> x*y on row vectors, for a quaternion x of
+    integer pairs; for x = 2 eps they are the rows of 2 M_eps."""
+    x1, x2, x3, x4 = x
+    n2, n3, n4 = ((-a, -b) for a, b in (x2, x3, x4))
+    return (
+        (x1, x2, x3, x4),
+        (n2, x1, x4, n3),
+        (n3, n4, x1, x2),
+        (n4, x3, n2, x1),
     )

@@ -16,11 +16,12 @@ exact; their agreement is part of the acceptance suite.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import QuadElem, RAT, FieldTagMismatch
+from .exactnum import QuadElem
 from .groups import Gram, UnitGroup, build_group, gram_of
 from .quat import PAIR_MUL, scaled_pairs
 
@@ -43,35 +44,23 @@ class StrengthReport:
         }
 
 
-def first_coordinate_distribution(points) -> dict[QuadElem, int]:
-    counts: dict[QuadElem, int] = {}
-    for x in points:
-        counts[x.x1] = counts.get(x.x1, 0) + 1
-    return counts
-
-
-def class_sum_series(classes, order: int, num, n: int) -> tuple[int, ...]:
+def class_sum_series(tag: str, classes, order: int, num, n: int) -> tuple[int, ...]:
     """(1/order) sum_classes count * num(u)/p(u) to u^n, as dimensions.
 
-    `classes` holds (p, count) with p = (1, p_1, ..., p_d) the coefficients
-    of a polynomial shared by `count` group elements, each in Z[rho]
-    (ValueError otherwise); `num` holds the integer coefficients of the
-    numerator.  Each quotient f = num/p follows from p * f = num:
-    f_k = num_k - (p_1 f_(k-1) + ... + p_d f_(k-d)), on integer pairs.
-    Every coefficient must come out a nonnegative integer.
+    `classes` holds (p, count) with p = ((1, 0), p_1, ..., p_d) the
+    coefficients of a polynomial shared by `count` group elements, each an
+    integer pair (a, b) for a + b rho in the field `tag`; `num` holds the
+    integer coefficients of the numerator.  Each quotient f = num/p follows
+    from p * f = num: f_k = num_k - (p_1 f_(k-1) + ... + p_d f_(k-d)), on
+    integer pairs.  Every coefficient must come out a nonnegative integer.
     """
     if n < 0:
         raise IndexError(f"series to u^{n}: degrees start at 0")
-    tags = {c.tag for p, _ in classes for c in p if isinstance(c, QuadElem) and c.b}
-    if len(tags) > 1:
-        raise FieldTagMismatch(f"class coefficients in several fields: {sorted(tags)}")
-    tag = tags.pop() if tags else RAT
     pmul = PAIR_MUL[tag]
     sums = [(0, 0)] * (n + 1)
     for p, count in classes:
-        # the nonzero p_j in rising j, as integer pairs a + b rho
-        pairs = scaled_pairs([QuadElem.coerce(c) for c in p], 1)
-        steps = [(j, c) for j, c in enumerate(pairs) if j and c != (0, 0)]
+        # the nonzero p_j in rising j
+        steps = [(j, c) for j, c in enumerate(p) if j and c != (0, 0)]
         f = []
         for k in range(n + 1):
             a, b = num[k] if k < len(num) else 0, 0
@@ -96,12 +85,14 @@ def class_sum_series(classes, order: int, num, n: int) -> tuple[int, ...]:
 
 
 def molien_series(group: UnitGroup, n: int) -> tuple[int, ...]:
-    """Psi_G(u) to u^n: 1/(1 - 2 eps_1 u + u^2) summed over eps_1 classes."""
-    classes = [
-        ((1, -(x1 + x1), 1), count)
-        for x1, count in first_coordinate_distribution(group).items()
-    ]
-    return class_sum_series(classes, len(group), (1,), n)
+    """Psi_G(u) to u^n: 1/(1 - x u + u^2) summed over the classes of
+    x = 2 eps_1, an integer pair (ValueError when x is not in Z[rho])."""
+    classes = Counter(scaled_pairs((eps.x1,), 2)[0] for eps in group)
+    return class_sum_series(
+        group.tag,
+        [(((1, 0), (-a, -b), (1, 0)), count) for (a, b), count in classes.items()],
+        len(group), (1,), n,
+    )
 
 
 _CLOSED_FORM = {

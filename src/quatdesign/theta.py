@@ -22,6 +22,7 @@ is cross-checked against the translate engine in the tests.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,15 +34,10 @@ from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, insert
 from .groups import build_group
 from .harmonics import harm_basis, quotient_monomials
 from .orders import (
-    FIELD_TAG, ball_size, enumerate_shell, enumerate_shells, orbit_decompose, order_basis,
+    FIELD_TAG, _doubled_basis, ball_size, enumerate_shell, enumerate_shells, orbit_decompose,
 )
-from .quat import PAIR_MUL, char_coeffs_pairs, flat, qmul_pairs, scaled_pairs, to_matrix
-from .strength import (
-    class_sum_series,
-    first_coordinate_distribution,
-    molien_closed_form,
-    molien_series,
-)
+from .quat import PAIR_MUL, char_coeffs_pairs, flat, left_matrix_pairs, qmul_pairs
+from .strength import class_sum_series, molien_closed_form, molien_series
 
 
 # -- flat integer kernel ------------------------------------------------------
@@ -113,9 +109,8 @@ def _reynolds_holomorphic(label: str, p: int, q: int) -> dict:
     with a + b = p + q."""
     cmul = _CMUL[FIELD_TAG[label]]
     out: dict = {}
-    for eps in build_group(label):
-        # 2 eps = W1 + W2 j, integral in every order (ValueError otherwise)
-        x = flat(scaled_pairs(eps.coords, 2))
+    for x in map(flat, build_group(label).doubled):
+        # 2 eps = W1 + W2 j on flat integer pairs
         w1, w2 = x[:4], x[4:]
         # (z1 W1 - z2 conj W2)^p and (z1 W2 + z2 conj W1)^q
         a_pows = _binom_powers(cmul, w1, (-x[4], -x[5], x[6], x[7]), p)
@@ -194,10 +189,7 @@ def _point_map(label: str, y=_QUAT_ONE) -> tuple:
     """Columns c_0..c_7 with flat pairs of y * 2x = sum(map(mul, coords, c_k))
     for the order coordinates coords of x; y is an integer-pair quaternion."""
     tag = FIELD_TAG[label]
-    images = [
-        flat(qmul_pairs(tag, y, scaled_pairs(g.coords, 2)))
-        for g in order_basis(label)
-    ]
+    images = [flat(qmul_pairs(tag, y, pair)) for pair in _doubled_basis(label)[0]]
     return tuple(zip(*images))
 
 
@@ -500,22 +492,21 @@ def _checked_det_classes(label: str) -> tuple:
     expanded on integer pairs and checked against the SU(2) factorization
     det(I - u M_eps) = (1 - 2 eps_1 u + u^2)^2, i.e. e_1..e_4 of A equal
     (4x, 8 + 4x^2, 16x, 16) with x = 2 eps_1.  So the determinant depends
-    on eps only through eps_1, and each class takes the verified factor.
+    on eps only through eps_1, and each class takes the verified factor
+    (1, -2x, x^2 + 2, -2x, 1), on integer pairs.
     """
     tag = FIELD_TAG[label]
     pmul = PAIR_MUL[tag]
-    group = build_group(label)
-    for eps in group:
-        rows = [scaled_pairs(row, 2) for row in to_matrix(eps).rows]
-        ((xa, xb),) = scaled_pairs((eps.x1,), 2)
+    classes = Counter()
+    for doubled in build_group(label).doubled:
+        xa, xb = doubled[0]
         sa, sb = pmul(xa, xb, xa, xb)
         want = ((4 * xa, 4 * xb), (8 + 4 * sa, 4 * sb), (16 * xa, 16 * xb), (16, 0))
-        if char_coeffs_pairs(tag, rows) != want:
+        if char_coeffs_pairs(tag, left_matrix_pairs(doubled)) != want:
             raise AssertionError("det(I - uM) != su2 factor squared")
-    return tuple(
-        ((1, -4 * x1, 4 * x1 * x1 + 2, -4 * x1, 1), count)
-        for x1, count in first_coordinate_distribution(group).items()
-    )
+        x = (-2 * xa, -2 * xb)
+        classes[((1, 0), x, (sa + 2, sb), x, (1, 0))] += 1
+    return tuple(classes.items())
 
 
 @lru_cache(maxsize=None)
@@ -526,7 +517,7 @@ def harmonic_molien(label: str, n: int) -> tuple[int, ...]:
     as the Molien series Psi_G.
     """
     classes = _checked_det_classes(label)
-    return class_sum_series(classes, len(build_group(label)), (1, 0, -1), n)
+    return class_sum_series(FIELD_TAG[label], classes, len(build_group(label)), (1, 0, -1), n)
 
 
 def harmonic_invariant_dim(label: str, ell: int) -> int:
@@ -603,12 +594,12 @@ def invariant_dimensions(label: str, ells) -> dict:
         raise IndexError("degree must be nonnegative")
     tag = FIELD_TAG[label]
     rho2 = PAIR_MUL[tag](0, 1, 0, 1)
-    elements = build_group(label)
+    doubled = build_group(label).doubled
     if all(ell % 2 == 0 for ell in ells):
-        elements = [eps for eps in elements if (-eps).sort_key() < eps.sort_key()]
+        doubled = [x for x in doubled if x > tuple((-a, -b) for a, b in x)]
     sums: dict = {}
-    for eps in elements:
-        cols = tuple(zip(*(scaled_pairs(row, 2) for row in to_matrix(eps).rows)))
+    for x in doubled:
+        cols = tuple(zip(*left_matrix_pairs(x)))
         for d, level in enumerate(_quotient_images(rho2, cols, max(ells, default=0))):
             if d in ells:
                 sums[d] = [(list(map(add, sa, ia)), list(map(add, sb, ib)))

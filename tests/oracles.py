@@ -9,7 +9,7 @@ from quatdesign.exactnum import QuadElem, rat
 from quatdesign.groups import build_group
 from quatdesign.harmonics import harm_basis, laplacian
 from quatdesign.orders import FIELD_TAG, enumerate_shells, right_multiplication_matrices
-from quatdesign.quat import to_matrix
+from quatdesign.quat import left_matrix_pairs
 
 
 def harm_dim(ell: int, d: int) -> int:
@@ -193,16 +193,9 @@ def invariant_dimension_coefficients(label: str, ell: int) -> int:
     if label != "2T":
         raise ValueError("coefficient-level Reynolds is supported for 2T only")
     reynolds_cols: dict = {}
-    for eps in group:
-        mat = to_matrix(eps)
-        scaled_rows = []
-        for i in range(4):
-            row = {}
-            for j in range(4):
-                v = 2 * mat.rows[i][j].a
-                if v:
-                    row[j] = int(v)
-            scaled_rows.append(row)
+    for x in group.doubled:
+        # 2 M_eps, integral on 2T
+        scaled_rows = [{j: a for j, (a, _) in enumerate(row) if a} for row in left_matrix_pairs(x)]
         cols = _action_columns(scaled_rows, ell)
         for mono, vec in cols.items():
             acc = reynolds_cols.setdefault(mono, {})

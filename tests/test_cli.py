@@ -66,6 +66,23 @@ def test_strength_rejects_a_mixed_field_point_file(tmp_path, capsys):
     assert code == 4 and out == ""
 
 
+@pytest.mark.parametrize("slot, value", [(0, True), (1, 0.0), (0, -1.0), (1, "1/0")],
+                         ids=["bool", "float-zero", "float-minus-one", "zero-denominator"])
+def test_point_file_scalars_are_p_over_q_strings_or_ints(tmp_path, capsys, slot, value):
+    # the unit point (1, 0, 0, 0), with an int and with "p/q" strings
+    zero = {"tag": "RAT", "a": "0", "b": "0/1"}
+    point = [{"tag": "RAT", "a": 1, "b": "0"}, zero, zero, zero]
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"points": [point]}))
+    assert run_cli(capsys, "strength", "--points", str(path))[0] == 0
+    point[slot] = {**point[slot], "a": value}
+    path.write_text(json.dumps({"points": [point]}))
+    assert main(["strength", "--points", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read point file")
+
+
 def test_missing_point_file_is_bad_input(tmp_path, capsys):
     code, _ = run_cli(capsys, "strength", "--points", str(tmp_path / "missing.json"))
     assert code == 4
@@ -128,19 +145,26 @@ def test_gegenbauer_expand_checks_the_dimension(capsys, expand, d):
     assert code == 4 and out == ""
 
 
-# every gegenbauer, lp and strength call that the benchmark makes, with the
-# digest of its output recorded in perfbench/expected.json (read only)
+# every gegenbauer, lp, strength, molien and group call and every 2T theta
+# call that the benchmark makes, with the digest of its output recorded in
+# perfbench/expected.json (read only)
 _EXPECTED = json.loads(
     (Path(__file__).resolve().parent.parent / "perfbench" / "expected.json").read_text()
 )
-_POLY_CALLS = sorted(k for k in _EXPECTED if k.split()[0] in ("gegenbauer", "lp", "strength"))
+_DIGEST_CALLS = sorted(
+    k for k in _EXPECTED
+    if k.split()[0] in ("gegenbauer", "lp", "strength", "molien", "group")
+    or k.startswith("theta --group 2T ")
+)
 
 
 def test_benchmark_menu_has_polynomial_calls():
-    assert {k.split()[0] for k in _POLY_CALLS} == {"gegenbauer", "lp", "strength"}
+    assert {k.split()[0] for k in _DIGEST_CALLS} == {
+        "gegenbauer", "lp", "strength", "molien", "group", "theta"}
+    assert {k.split()[2] for k in _DIGEST_CALLS if k.startswith("theta ")} == {"2T"}
 
 
-@pytest.mark.parametrize("call", _POLY_CALLS)
+@pytest.mark.parametrize("call", _DIGEST_CALLS)
 def test_output_matches_the_benchmark_digest(capsys, call):
     code, out = run_cli(capsys, *call.split())
     assert code == 0

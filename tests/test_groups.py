@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from collections import Counter
 
-from quatdesign.exactnum import GOLDEN, SQRT2, FieldTagMismatch, golden_elem, rat, sqrt2_elem
+from quatdesign.exactnum import (
+    GOLDEN, RAT, SQRT2, FieldTagMismatch, QuadElem, golden_elem, rat, sqrt2_elem,
+)
 from quatdesign.groups import (
     NotAntipodal,
     UnitGroup,
@@ -243,3 +245,17 @@ def test_gram_pass_rejects_mixed_fields():
         pair_distance_distribution([alpha(), zeta()])
     with pytest.raises(FieldTagMismatch):
         inner_product_set(list(build_group("2O")) + list(build_group("2I")))
+
+
+def test_unit_group_refuses_a_non_unit():
+    with pytest.raises(ValueError, match="non-unit element in bad"):
+        UnitGroup("bad", [Quaternion(1, 0, 0, 0), Quaternion(1, 1, 0, 0)])
+
+
+@pytest.mark.parametrize("label, tag", [("2T", RAT), ("2O", SQRT2), ("2I", GOLDEN), ("C8", SQRT2)])
+def test_doubled_elements_halve_to_the_elements(label, tag):
+    group = build_group(label)
+    assert group.tag == tag
+    assert len(group.doubled) == len(group)
+    for x, e in zip(group.doubled, group):
+        assert Quaternion(*(QuadElem(tag, Fraction(a, 2), Fraction(b, 2)) for a, b in x)) == e

@@ -6,7 +6,7 @@ import pytest
 
 from quatdesign.budget import ResourceBudgetError, get_budget
 from quatdesign.exactnum import GOLDEN, golden_elem, insert, iota, rat, reduce
-from quatdesign.groups import build_group, omega
+from quatdesign.groups import UnitGroup, build_group, omega
 from quatdesign import orders, verify
 from quatdesign.orders import (
     IntegrityError,
@@ -342,7 +342,7 @@ def test_coords_of_rejects_integral_doubles_outside_the_order():
 
 
 def test_right_action_rejects_a_product_outside_the_order(monkeypatch):
-    monkeypatch.setattr(orders, "build_group", lambda label: [ODD_ICOSIAN])
+    monkeypatch.setattr(orders, "build_group", lambda label: UnitGroup(label, [ODD_ICOSIAN]))
     right_multiplication_matrices.cache_clear()
     try:
         with pytest.raises(ValueError, match="not in the order"):

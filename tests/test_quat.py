@@ -8,16 +8,15 @@ from quatdesign import theta
 from quatdesign.exactnum import QuadElem, rat, sqrt2_elem
 from quatdesign.groups import alpha, build_group, omega, zeta
 from quatdesign.quat import (
-    Matrix4,
-    NonUnitQuaternion,
+    PAIR_MUL,
     Quaternion,
     char_coeffs_pairs,
     conj,
     inner,
+    left_matrix_pairs,
     norm,
     qmul,
     scaled_pairs,
-    to_matrix,
 )
 
 from oracles import UniPoly
@@ -31,7 +30,7 @@ ONE = Quaternion(1, 0, 0, 0)
 def su2_factor(x: Quaternion) -> UniPoly:
     """det(I - u C_x) = 1 - 2 x1 u + u^2 for unit x."""
     if not x.is_unit():
-        raise NonUnitQuaternion("su2_factor requires a unit quaternion")
+        raise ValueError("su2_factor requires a unit quaternion")
     return UniPoly([1, rat(-2) * x.x1, 1])
 
 
@@ -75,59 +74,56 @@ def test_inner_via_left_translation():
             assert inner(x, y) == qmul(conj(x), y).x1
 
 
-IDENTITY = Matrix4([[1 if i == j else 0 for j in range(4)] for i in range(4)])
+def doubled(x: Quaternion):
+    return scaled_pairs(x.coords, 2)
 
 
-def matmul(a: Matrix4, b: Matrix4) -> Matrix4:
-    return Matrix4([
-        [sum((a.rows[i][k] * b.rows[k][j] for k in range(4)), rat(0)) for j in range(4)]
-        for i in range(4)
-    ])
+def pair_matrix(entries):
+    return tuple(tuple((a, 0) for a in row) for row in entries)
 
 
-def transpose(m: Matrix4) -> Matrix4:
-    return Matrix4([[m.rows[j][i] for j in range(4)] for i in range(4)])
+def pair_matmul(tag, a, b):
+    pmul = PAIR_MUL[tag]
 
+    def dot(u, v):
+        terms = [pmul(*p, *q) for p, q in zip(u, v)]
+        return sum(t[0] for t in terms), sum(t[1] for t in terms)
 
-def apply_row(m: Matrix4, v) -> tuple[QuadElem, ...]:
-    """Row vector times matrix: v . M."""
-    return tuple(sum((v[k] * m.rows[k][j] for k in range(4)), rat(0)) for j in range(4))
+    return tuple(tuple(dot(row, col) for col in zip(*b)) for row in a)
 
 
 def test_to_matrix_identity_and_i():
-    assert to_matrix(ONE) == IDENTITY
-    m = to_matrix(I)
-    assert m == Matrix4([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    assert left_matrix_pairs(doubled(ONE)) == pair_matrix(
+        [[2 if i == j else 0 for j in range(4)] for i in range(4)])
+    assert left_matrix_pairs(doubled(I)) == pair_matrix(
+        [[0, 2, 0, 0], [-2, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]])
 
 
 def test_to_matrix_is_left_multiplication():
+    # y . (2 M_w) = 2 (w y), one product per column
     w = omega()
-    m = to_matrix(w)
     y = Quaternion(1, 2, 3, 4)
-    assert apply_row(m, y.coords) == qmul(w, y).coords
+    (row,) = pair_matmul("RAT", (doubled(y),), left_matrix_pairs(doubled(w)))
+    assert row == scaled_pairs(qmul(w, y).coords, 4)
 
 
 def test_to_matrix_orthogonal_on_2O_sample():
+    four = pair_matrix([[4 if i == j else 0 for j in range(4)] for i in range(4)])
     g = build_group("2O")
     for x in g.elements[::3][:20]:
-        m = to_matrix(x)
-        assert matmul(m, transpose(m)) == IDENTITY
+        m = left_matrix_pairs(doubled(x))
+        assert pair_matmul("SQRT2", m, tuple(zip(*m))) == four
 
 
 def test_to_matrix_homomorphism_on_2T():
-    # row-vector convention: v.M_{xy} = (v.M_y).M_x, i.e. M_{xy} = M_y M_x
+    # row-vector convention: v.M_{xy} = (v.M_y).M_x, i.e. M_{xy} = M_y M_x,
+    # so (2 M_y)(2 M_x) is 4 M_{xy}, twice the doubled matrix of qmul(x, y)
     g = build_group("2T")
-    mats = {x: to_matrix(x) for x in g}
+    mats = {x: left_matrix_pairs(doubled(x)) for x in g}
     for x in g:
         for y in g:
-            assert mats[qmul(x, y)] == matmul(mats[y], mats[x])
-
-
-def test_to_matrix_rejects_non_unit():
-    with pytest.raises(NonUnitQuaternion):
-        to_matrix(Quaternion(1, 1, 0, 0))
-    with pytest.raises(NonUnitQuaternion):
-        su2_factor(Quaternion(2, 0, 0, 0))
+            want = tuple(tuple((2 * a, 2 * b) for a, b in row) for row in mats[qmul(x, y)])
+            assert pair_matmul("RAT", mats[y], mats[x]) == want
 
 
 def test_su2_factor_examples():
@@ -157,10 +153,11 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-def det_poly_i_minus_u(mat: Matrix4) -> UniPoly:
-    """det(I - u M) by the permutation expansion over UniPoly (test oracle)."""
+def det_poly_i_minus_u(mat) -> UniPoly:
+    """det(I - u M) by the permutation expansion over UniPoly (test oracle),
+    for the rows of a 4x4 matrix of QuadElem entries."""
     entries = [
-        [UniPoly([1 if i == j else 0, -mat.rows[i][j]]) for j in range(4)]
+        [UniPoly([1 if i == j else 0, -mat[i][j]]) for j in range(4)]
         for i in range(4)
     ]
     total = UniPoly.zero()
@@ -179,11 +176,14 @@ def test_det_factors_as_su2_square_on_every_element(label):
     tag = theta.FIELD_TAG[label]
     for eps in build_group(label):
         factor = su2_factor(eps)
-        mat = to_matrix(eps)
+        rows = left_matrix_pairs(doubled(eps))
+        mat = [[QuadElem(tag, Fraction(a, 2), Fraction(b, 2)) for a, b in row] for row in rows]
+        # row i of M_eps is eps times the i-th unit quaternion
+        assert [tuple(row) for row in mat] == [qmul(eps, e).coords for e in (ONE, I, J, K)]
         det = det_poly_i_minus_u(mat)
         assert det == factor * factor
         # the coefficient of u^k is (-1)^k e_k(2M) / 2^k
-        e = char_coeffs_pairs(tag, [scaled_pairs(row, 2) for row in mat.rows])
+        e = char_coeffs_pairs(tag, rows)
         scaled = [QuadElem(tag, a, b) * Fraction((-1) ** k, 2**k)
                   for k, (a, b) in enumerate(e, 1)]
         assert det == UniPoly([1] + scaled)
@@ -204,13 +204,13 @@ def test_char_coeffs_pairs_examples():
 
 @pytest.mark.parametrize("label", ["2T", "2O", "2I"])
 def test_det_tripwire_rejects_a_wrong_matrix(label, monkeypatch):
-    def swapped(eps):  # keeps the trace, so e_2..e_4 must catch it
-        rows = [list(row) for row in to_matrix(eps).rows]
+    def swapped(x):  # keeps the trace, so e_2..e_4 must catch it
+        rows = [list(row) for row in left_matrix_pairs(x)]
         rows[0][1], rows[0][2] = rows[0][2], rows[0][1]
-        return Matrix4(rows)
+        return rows
 
     assert theta._checked_det_classes.__wrapped__(label)
-    monkeypatch.setattr(theta, "to_matrix", swapped)
+    monkeypatch.setattr(theta, "left_matrix_pairs", swapped)
     with pytest.raises(AssertionError, match="su2 factor"):
         theta._checked_det_classes.__wrapped__(label)
 

@@ -1,9 +1,11 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from quatdesign.budget import get_budget
 from quatdesign.exactnum import rat
-from quatdesign import groups
+from quatdesign import groups, verify
 from quatdesign.groups import UnitGroup, alpha, build_group, half_set, omega, orbit
 from quatdesign.quat import Quaternion
 from quatdesign.strength import (
@@ -124,10 +126,27 @@ def test_molien_tripwires():
         molien_series(UnitGroup("w", [Quaternion(1, 0, 0, 0), omega()]), 2)
 
 
+def test_class_sum_series_on_integer_pairs():
+    # 1/(1 - u)^2 = sum (k + 1) u^k; 1/(1 + u^2) = 1 - u^2 + u^4 - ...
+    assert class_sum_series("RAT", [(((1, 0), (-2, 0), (1, 0)), 1)], 1, (1,), 3) == (1, 2, 3, 4)
+    classes = [(((1, 0), (-2, 0), (1, 0)), 1), (((1, 0), (0, 0), (1, 0)), 1)]
+    assert class_sum_series("SQRT2", classes, 2, (1, 0, 1), 4) == (1, 1, 2, 3, 4)
+
+
 def test_class_sums_need_coefficients_in_z_rho():
-    # 1/(1 - u/2) has no integer-pair recurrence
+    # 2 eps_1 = 6/5: 1/(1 - (6/5) u + u^2) has no integer-pair recurrence
+    unit = Quaternion(Fraction(3, 5), Fraction(4, 5), 0, 0)
     with pytest.raises(ValueError, match="not integral"):
-        class_sum_series([((1, Fraction(-1, 2)), 1)], 1, (1,), 3)
+        molien_series(UnitGroup("r", [unit]), 3)
+
+
+def test_molien_needs_only_2_eps_1_integral():
+    # a conjugate of C4: 2 eps is not integral, 2 eps_1 is
+    g = Quaternion(0, Fraction(3, 5), Fraction(4, 5), 0)
+    c4 = UnitGroup("C4 conjugate", [g ** k for k in range(4)])
+    with pytest.raises(ValueError, match="not integral"):
+        c4.doubled
+    assert molien_series(c4, 8) == (1, 0, 1, 0, 3, 0, 3, 0, 5) == molien_closed_form("C4", 8)
 
 
 def test_molien_negative_degree_is_rejected():
@@ -241,3 +260,33 @@ def test_point_list_strength_scans_pair_distances_once(monkeypatch):
     assert report.all_odd_in
     assert report.even_members == group_strength("2O", 30).even_members
     assert len(scans) == 1
+
+
+def test_strength_molien_check_names_the_group(monkeypatch):
+    # one coefficient off at (2O, u^8) must fail the closed-form comparison
+    series = verify.molien_series
+
+    def corrupted(group, n):
+        out = series(group, n)
+        return out[:8] + (out[8] + 1,) + out[9:] if group.label == "2O" else out
+
+    monkeypatch.setattr(verify, "molien_series", corrupted)
+    result = verify.check_strength_molien(get_budget("desk"))
+    assert not result.passed
+    assert result.details == "2O: Molien from points != closed form"
+
+
+def test_dihedral_cyclic_check_names_the_group(monkeypatch):
+    # D2n4 reported without its even member 2 must fail the dihedral formula
+    strength_of = verify.group_strength
+
+    def corrupted(label, n):
+        report = strength_of(label, n)
+        if label == "D2n4":
+            report = dataclasses.replace(report, even_members=report.even_members[1:])
+        return report
+
+    monkeypatch.setattr(verify, "group_strength", corrupted)
+    result = verify.check_dihedral_cyclic(get_budget("desk"))
+    assert not result.passed
+    assert result.details == "D2n4: even part (6,) != [2, 6]"

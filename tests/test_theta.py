@@ -16,7 +16,7 @@ from quatdesign.orders import (
 from quatdesign.qseries import qseries
 from quatdesign.strength import molien_closed_form, molien_series
 from quatdesign import theta, verify
-from quatdesign.quat import flat, qmul_pairs, scaled_pairs, to_matrix
+from quatdesign.quat import flat, left_matrix_pairs, qmul_pairs, scaled_pairs
 from quatdesign.theta import (
     dimension_hypothesis,
     exact_rank,
@@ -450,13 +450,13 @@ def _mod_r2(poly):
 def test_quotient_images_match_naive_expansion(label):
     tag = theta.FIELD_TAG[label]
     rho2 = theta.PAIR_MUL[tag](0, 1, 0, 1)
-    group = list(build_group(label))
-    for eps in random.Random(label).sample(group, 3):
-        rows = to_matrix(eps).rows
-        cols = tuple(zip(*(scaled_pairs(row, 2) for row in rows)))
-        # (xA)_j = sum_i x_i 2 M[i][j], as polynomials over QuadElem
+    for x in random.Random(label).sample(build_group(label).doubled, 3):
+        rows = left_matrix_pairs(x)
+        cols = tuple(zip(*rows))
+        # (xA)_j = sum_i x_i A[i][j] with A = 2 M, as polynomials over QuadElem
         linear = [
-            {tuple(int(k == i) for k in range(4)): 2 * rows[i][j] for i in range(4) if rows[i][j]}
+            {tuple(int(k == i) for k in range(4)): QuadElem(tag, *rows[i][j])
+             for i in range(4) if rows[i][j] != (0, 0)}
             for j in range(4)
         ]
         for d, level in enumerate(theta._quotient_images(rho2, cols, 4)):
