@@ -7,7 +7,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from quatdesign.orders import shell_count_formula, enumerate_shells
+from quatdesign.orders import shell_count_formula, shell_counts
 from quatdesign.qseries import qseries
 from quatdesign.strength import group_strength, molien_closed_form
 from quatdesign.theta import harmonic_molien, theta_table
@@ -31,11 +31,9 @@ def main():
 
     print("\nshell sizes |O_(G,m)| (enumerated == divisor formula):")
     for label, m_max in (("2T", 8), ("2O", 6), ("2I", 5)):
-        counts = []
-        for shell in enumerate_shells(label, m_max):
-            assert len(shell) == shell_count_formula(label, shell.m)
-            counts.append(len(shell))
-        print(f"  {label}: {counts}")
+        counts = shell_counts(label, m_max)
+        assert all(size == shell_count_formula(label, m) for m, size in counts.items())
+        print(f"  {label}: {list(counts.values())}")
 
     print("\ndim Harm_l(R^4)^G for even l = 2..24:")
     for label in ("2T", "2O", "2I"):

@@ -23,7 +23,7 @@ from .lpbound import (
     lp_lower_bound,
     verify_certificate,
 )
-from .orders import enumerate_shell, enumerate_shells, shell_count_formula
+from .orders import enumerate_shell, shell_count_formula, shell_counts
 from .qseries import QSERIES_NAMES, qseries
 from .quat import Quaternion
 from .strength import harmonic_strength, molien_closed_form, molien_series
@@ -209,8 +209,8 @@ def cmd_shells(args, budget: Budget) -> int:
     label = args.group
     if args.count_only:
         counts = {
-            shell.m: {"formula": shell_count_formula(label, shell.m), "enumerated": len(shell)}
-            for shell in enumerate_shells(label, args.m, budget)
+            m: {"formula": shell_count_formula(label, m), "enumerated": size}
+            for m, size in shell_counts(label, args.m, budget).items()
         }
         payload = {"group": label, "counts": counts}
         _emit(

@@ -18,7 +18,8 @@ signs of the conjugated basis vector -conj(w) rather than w itself).
 Shell enumeration is exact Fincke-Pohst: rational LDL^T completion of the
 Gram matrix, integer bounds from floor/ceil of quadratic irrationalities via
 integer square roots, no floating point anywhere.  One pass yields every
-shell up to a bound, each already in lexicographic order.
+shell up to a bound, each already in lexicographic order, or only the size of
+each shell.
 """
 
 from __future__ import annotations
@@ -341,17 +342,20 @@ def _enum_levels(label: str):
     return n, rho, centers, delta, mu, nu, rfac, rden
 
 
-def _enumerate_ball(label: str, bound: int) -> dict[int, tuple[tuple[int, ...], ...]]:
+def _enumerate_ball(label: str, bound: int, *, count: bool = False) -> dict:
     """All nonzero integer vectors with Q_G <= bound, bucketed by value, each
-    bucket in lexicographic order.
+    bucket in lexicographic order; with `count`, only the size of each bucket.
 
     With x_0 outermost and every level rising, the recursion meets the
     half-ball H (first nonzero coordinate > 0) in lexicographic order.  Every
     point of -H sorts before every point of H, and negation reverses the
-    order, so a bucket is -H_m reversed followed by H_m, with no sort.
+    order, so a bucket is -H_m reversed followed by H_m, with no sort.  The
+    counting leaf adds 2 per point of H (the point and its negation) and
+    builds no point.
     """
     n, rho, centers, delta, mu, nu, rfac, rden = _enum_levels(label)
     half = {m: [] for m in range(1, bound + 1)}
+    tally = [0] * (bound + 1)
     x = [0] * n
     last, d0 = n - 1, delta[0]
 
@@ -364,6 +368,13 @@ def _enumerate_ball(label: str, bound: int) -> dict[int, tuple[tuple[int, ...], 
         hi = _floor_affine_sqrt(-ncenter * rd, c_big, r * rd)
         lo = 0 if leading_zero else -_floor_affine_sqrt(ncenter * rd, c_big, r * rd)
         m_lvl, n_lvl = mu[level], nu[level]
+        if level == 0 and count:  # the last coordinate: count, x = 0 excluded
+            for xi in range(1 if leading_zero else lo, hi + 1):
+                k = xi * r + ncenter
+                t_next = m_lvl * t - n_lvl * k * k
+                if t_next >= 0:
+                    tally[bound - t_next // d0] += 2
+            return
         if level == 0:  # the last coordinate: record the points, x = 0 excluded
             prefix = tuple(x[:last])
             for xi in range(1 if leading_zero else lo, hi + 1):
@@ -383,6 +394,8 @@ def _enumerate_ball(label: str, bound: int) -> dict[int, tuple[tuple[int, ...], 
         x[coord] = 0
 
     descend(last, bound * delta[n], True)
+    if count:
+        return {m: tally[m] for m in range(1, bound + 1)}
     for m, points in half.items():
         half[m] = tuple(chain([tuple(map(neg, p)) for p in reversed(points)], points))
     return half
@@ -396,12 +409,18 @@ def ball_size(label: str, m: int) -> int:
     return sum(shell_count_formula(label, k) for k in range(1, m + 1))
 
 
-def _ball(label: str, m: int, budget: Budget | None) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """The cached enumeration ball of O_G, enumerated again only to grow past m."""
+def _shell_budget(label: str, m: int, budget: Budget | None) -> Budget:
+    """The budget, after the shell check that precedes every enumeration."""
     if m < 1:
         raise ValueError("shells are indexed by m >= 1")
     budget = budget or get_budget()
     budget.check_shell(label, m)
+    return budget
+
+
+def _ball(label: str, m: int, budget: Budget | None) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """The cached enumeration ball of O_G, enumerated again only to grow past m."""
+    budget = _shell_budget(label, m, budget)
     cached = _BALL_CACHE.get(label)
     if cached is None or cached[0] < m:
         budget.check_enum_points(label, ball_size(label, m))
@@ -435,6 +454,17 @@ def enumerate_shells(label: str, bound: int, budget: Budget | None = None) -> li
     """
     top = enumerate_shell(label, bound, budget)
     return [enumerate_shell(label, m, budget) for m in range(1, bound)] + [top]
+
+
+def shell_counts(label: str, bound: int, budget: Budget | None = None) -> dict[int, int]:
+    """{m: |O_{G,m}|} for m = 1..bound, counted in the leaf of one pass.
+
+    The budget checks are those of `enumerate_shells(label, bound)`, in the
+    same order; no point is stored and the ball cache is left untouched.
+    """
+    budget = _shell_budget(label, bound, budget)
+    budget.check_enum_points(label, ball_size(label, bound))
+    return _enumerate_ball(label, bound, count=True)
 
 
 # -- group action on shells ---------------------------------------------------

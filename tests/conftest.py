@@ -5,14 +5,14 @@ from quatdesign import orders, theta, verify
 
 @pytest.fixture
 def ball_calls(monkeypatch):
-    """(label, bound) of every enumeration ball made in the test, which
-    starts on an empty ball cache."""
+    """(label, bound) of every enumeration pass made in the test, counting
+    or recording, which starts on an empty ball cache."""
     calls = []
     enumerate_ball = orders._enumerate_ball
 
-    def counting(label, bound):
+    def counting(label, bound, **leaf):
         calls.append((label, bound))
-        return enumerate_ball(label, bound)
+        return enumerate_ball(label, bound, **leaf)
 
     monkeypatch.setattr(orders, "_enumerate_ball", counting)
     monkeypatch.setattr(orders, "_BALL_CACHE", {})

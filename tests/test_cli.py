@@ -1,10 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from quatdesign import cli
+from quatdesign import cli, orders
 from quatdesign.cli import main
 from quatdesign.orders import shell_count_formula
 
@@ -244,9 +247,39 @@ def test_shells_count_only_enumerates_one_ball(capsys, ball_calls):
                         "--count-only", "--format", "json")
     assert code == 0
     assert ball_calls == [("2O", 5)]
+    assert orders._BALL_CACHE == {}
     counts = json.loads(out)["counts"]
     assert [counts[str(m)]["enumerated"] for m in range(1, 6)] == [
         shell_count_formula("2O", m) for m in range(1, 6)]
+
+
+_PEAK_CHILD = """
+import contextlib, io, json, sys
+from quatdesign.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps({"code": code, "peak_kb": peak, "out": out.getvalue()}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="peak memory is read from /proc/self/status (VmHWM)")
+def test_shells_count_only_peak_memory():
+    # counting in the leaf stores no point: 2O m<=12 is a ball of 414,768
+    # points, which took over 110 MB to hold and takes under 20 MB to count
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "QUATDESIGN_"))}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    argv = ["shells", "--group", "2O", "--m", "12", "--count-only", "--format", "json"]
+    done = subprocess.run([sys.executable, "-c", _PEAK_CHILD, *argv], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    report = json.loads(done.stdout)
+    assert report["code"] == 0
+    counts = json.loads(report["out"])["counts"]
+    assert counts["12"] == {"enumerated": 146496, "formula": 146496}
+    assert report["peak_kb"] / 1024 < 40
 
 
 def test_unsupported_group_exit_code(capsys):

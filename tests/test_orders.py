@@ -4,7 +4,7 @@ from operator import mul
 
 import pytest
 
-from quatdesign.budget import ResourceBudgetError, get_budget
+from quatdesign.budget import Budget, ResourceBudgetError, get_budget
 from quatdesign.exactnum import GOLDEN, golden_elem, insert, iota, rat, reduce
 from quatdesign.groups import UnitGroup, build_group, omega
 from quatdesign import orders, verify
@@ -181,10 +181,50 @@ def test_enumerate_shells_serves_every_shell_from_one_ball(ball_calls):
     assert ball_calls == [("2I", 3)]
 
 
+@pytest.mark.parametrize("label, bound", ORACLE_BALLS)
+def test_counting_leaf_matches_the_recorded_shells(label, bound):
+    want = {sh.m: len(sh) for sh in orders.enumerate_shells(label, bound)}
+    assert orders.shell_counts(label, bound) == want
+    assert list(orders.shell_counts(label, bound)) == list(range(1, bound + 1))
+
+
+def test_shell_counts_leave_the_ball_cache_alone(ball_calls):
+    enumerate_shell("2O", 2)
+    cached = orders._BALL_CACHE["2O"]
+    assert orders.shell_counts("2O", 5) == {
+        m: shell_count_formula("2O", m) for m in range(1, 6)}
+    assert ball_calls == [("2O", 2), ("2O", 5)]
+    assert orders._BALL_CACHE == {"2O": cached}
+
+
+def test_shell_counts_refuse_like_the_recorded_shells(ball_calls):
+    # a shell cap, an enumeration cap and an invalid index, each refused
+    # before any enumeration with the same error as the recorded shells
+    tiny = Budget("tiny", max_shell_m={"2I": 4}, max_enum_points=1000)
+    for label, m in (("2I", 8), ("2O", 3), ("2T", 0)):
+        errors = []
+        for run in (orders.shell_counts, orders.enumerate_shells):
+            with pytest.raises((ResourceBudgetError, ValueError)) as err:
+                run(label, m, tiny)
+            errors.append((type(err.value), str(err.value)))
+        assert errors[0] == errors[1]
+    assert ball_calls == []
+
+
 def test_shell_counts_check_makes_one_ball_per_label(ball_calls):
     result = verify.check_shell_counts(get_budget("desk"))
     assert result.passed
     assert ball_calls == [("2T", 30), ("2O", 12), ("2I", 8)]
+    assert orders._BALL_CACHE == {}
+    assert result.details == "2T m<=30, 2O m<=12, 2I m<=8 all exact"
+
+
+def test_shell_counts_check_names_the_covered_range(ball_calls, monkeypatch):
+    monkeypatch.setattr(verify, "SHELL_RANGES", {"2T": 9, "2O": 3, "2I": 2})
+    result = verify.check_shell_counts(get_budget("desk"))
+    assert result.passed
+    assert result.details == "2T m<=9, 2O m<=3, 2I m<=2 all exact"
+    assert ball_calls == [("2T", 9), ("2O", 3), ("2I", 2)]
 
 
 # -- the embedding as a sum of Quaternion * rational products, kept as the
