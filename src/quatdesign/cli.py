@@ -248,18 +248,9 @@ def cmd_shells(args, budget: Budget) -> int:
 
 def cmd_theta(args, budget: Budget) -> int:
     table = theta_table(args.group, args.ell, args.shells, args.kind, budget)
-    rank = table.rank()
-    payload = {
-        "group": args.group,
-        "ell": args.ell,
-        "shells": args.shells,
-        "kind": table.kind,
-        "rank": rank,
-        "invariant_dimension_bound": harmonic_invariant_dim(args.group, args.ell),
-        "columns": list(table.column_labels),
-        "matrix": [[e.to_json() for e in row] for row in table.matrix],
-    }
-    if rank == 1:
+    payload = table.to_json()
+    payload["invariant_dimension_bound"] = harmonic_invariant_dim(args.group, args.ell)
+    if payload["rank"] == 1:
         payload["generator"] = [_frac(c) for c in table.normalized_generator()]
     _emit(
         payload, args.format,

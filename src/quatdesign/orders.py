@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from math import isqrt, lcm
 from operator import mul, neg
@@ -401,7 +401,8 @@ def _enumerate_ball(label: str, bound: int, *, count: bool = False) -> dict:
     return half
 
 
-_BALL_CACHE: dict[str, tuple[int, dict[int, tuple[tuple[int, ...], ...]]]] = {}
+# label -> (M, (O_{G,1}, .., O_{G,M})): the largest ball enumerated, as shells
+_BALL_CACHE: dict[str, tuple[int, tuple[Shell, ...]]] = {}
 
 
 def ball_size(label: str, m: int) -> int:
@@ -418,16 +419,6 @@ def _shell_budget(label: str, m: int, budget: Budget | None) -> Budget:
     return budget
 
 
-def _ball(label: str, m: int, budget: Budget | None) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """The cached enumeration ball of O_G, enumerated again only to grow past m."""
-    budget = _shell_budget(label, m, budget)
-    cached = _BALL_CACHE.get(label)
-    if cached is None or cached[0] < m:
-        budget.check_enum_points(label, ball_size(label, m))
-        _BALL_CACHE[label] = cached = (m, _enumerate_ball(label, m))
-    return cached[1]
-
-
 @dataclass(frozen=True)
 class Shell:
     group_label: str
@@ -440,9 +431,22 @@ class Shell:
     def embedded(self):
         return [embed_coords(self.group_label, p) for p in self.points]
 
+    @cached_property
+    def orbit_reps(self) -> tuple[tuple[int, ...], ...]:
+        """The orbit representatives, decomposed once per shell."""
+        return tuple(orbit_decompose(self))
+
 
 def enumerate_shell(label: str, m: int, budget: Budget | None = None) -> Shell:
-    return Shell(label, m, _ball(label, m, budget)[m])
+    """O_{G,m} from the cached enumeration ball, enumerated again only to
+    grow past m."""
+    budget = _shell_budget(label, m, budget)
+    cached = _BALL_CACHE.get(label)
+    if cached is None or cached[0] < m:
+        budget.check_enum_points(label, ball_size(label, m))
+        ball = _enumerate_ball(label, m)
+        _BALL_CACHE[label] = cached = (m, tuple(Shell(label, k, ball[k]) for k in ball))
+    return cached[1][m - 1]
 
 
 def enumerate_shells(label: str, bound: int, budget: Budget | None = None) -> list[Shell]:
@@ -502,20 +506,21 @@ def orbit_decompose(shell: Shell) -> list[tuple[int, ...]]:
                 raise IntegrityError("group action on the shell is not free")
             unpaired.discard(partner)
             actions.append(tuple(zip(*mat)))
-    point_set = set(shell.points)
-    seen: set[tuple[int, ...]] = set()
+    # the points of the shell in no orbit yet; orbits are disjoint, so an
+    # orbit that is not inside them is not inside the shell
+    remaining = set(shell.points)
     reps = []
     for p in shell.points:
-        if p in seen:
+        if p not in remaining:
             continue
         images = [tuple([sum(map(mul, p, col)) for col in cols]) for cols in actions]
         orbit = set(images)
         orbit.update(tuple(map(neg, v)) for v in images)
         if len(orbit) != order:
             raise IntegrityError("group action on the shell is not free")
-        if not orbit <= point_set:
+        if not orbit <= remaining:
             raise IntegrityError("shell is not stable under the group action")
-        seen |= orbit
+        remaining -= orbit
         reps.append(p)
     if len(reps) * order != len(shell.points):
         raise IntegrityError("orbit decomposition does not partition the shell")

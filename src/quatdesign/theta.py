@@ -33,9 +33,7 @@ from .budget import Budget, get_budget
 from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, insert
 from .groups import build_group
 from .harmonics import harm_basis, quotient_monomials
-from .orders import (
-    FIELD_TAG, _doubled_basis, ball_size, enumerate_shell, enumerate_shells, orbit_decompose,
-)
+from .orders import FIELD_TAG, _doubled_basis, ball_size, enumerate_shells
 from .quat import PAIR_MUL, char_coeffs_pairs, flat, left_matrix_pairs, qmul_pairs
 from .strength import class_sum_series, molien_closed_form, molien_series
 
@@ -280,12 +278,6 @@ def _translate_pool():
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def shell_orbit_reps(label: str, m: int) -> tuple:
-    shell = enumerate_shell(label, m)
-    return tuple(orbit_decompose(shell))
-
-
 # -- theta tables -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -378,7 +370,7 @@ def _invariant_tables(label, ells, shells, budget: Budget) -> dict:
             for cols in maps:
                 acc = [[0] * len(monos) for _ in range(4)]
                 ra_acc, rb_acc, ia_acc, ib_acc = acc
-                for coords in shell_orbit_reps(label, shell.m):
+                for coords in shell.orbit_reps:
                     z = _map_point(cols, coords)
                     p1, p2 = [_C_ONE, _cpow(cmul, z[:4], g)], [_C_ONE, _cpow(cmul, z[4:], g)]
                     for _ in range(top1 - 1):
@@ -418,9 +410,11 @@ def _invariant_tables(label, ells, shells, budget: Budget) -> dict:
 
 
 def _full_table(label, ell, shells, budget: Budget) -> ThetaTable:
+    # harm_basis(ell) has (ell + 1)^2 polynomials (and refuses ell < 0):
+    # the cell count is checked before the basis is built
+    budget.check_table_cells(ball_size(label, shells) * max(ell + 1, 0) ** 2)
     tag = FIELD_TAG[label]
     basis = _integer_basis(ell)
-    budget.check_table_cells(ball_size(label, shells) * len(basis))
 
     cols = _point_map(label)
     rows = []

@@ -29,7 +29,7 @@ from .lpbound import (
     full_set_lower_bound,
     verify_certificate,
 )
-from .orders import enumerate_shell, orbit_decompose, shell_count_formula, shell_counts
+from .orders import enumerate_shell, shell_count_formula, shell_counts
 from .qseries import qseries
 from .strength import (
     cyclic_odd_part,
@@ -298,9 +298,8 @@ def check_order_unit_identities(budget: Budget) -> CheckResult:
     expected = set(g.elements) | {e * tau for e in g.elements}
     if set(sh.embedded()) != expected:
         problems.append("O_(2I,1) != 2I u tau 2I")
-    reps = orbit_decompose(sh)
-    if len(reps) != 2:
-        problems.append(f"O_(2I,1) has {len(reps)} orbits, expected 2")
+    if len(sh.orbit_reps) != 2:
+        problems.append(f"O_(2I,1) has {len(sh.orbit_reps)} orbits, expected 2")
     return _result(
         "order-units", "unit shells recover the groups (2I doubled by tau)",
         not problems, "; ".join(problems) or "set equalities exact", t0,

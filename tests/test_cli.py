@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from quatdesign import cli, orders
+from quatdesign import cli, orders, theta
 from quatdesign.cli import main
 from quatdesign.orders import shell_count_formula
 
@@ -240,6 +240,30 @@ def test_budget_exit_code(capsys, ball_calls):
     assert code == 3
     assert ball_calls == []
     assert "shell index 8 for 2I" in capsys.readouterr().err
+
+
+def test_an_explicit_budget_governs_every_shell(capsys, monkeypatch, ball_calls):
+    # $QUATDESIGN_BUDGET only sets the default: shell 13 of 2T is past the
+    # small budget's cap (12) but inside the desk budget asked for
+    monkeypatch.setenv("QUATDESIGN_BUDGET", "small")
+    code, out = run_cli(capsys, "--budget", "desk", "theta", "--group", "2T",
+                        "--ell", "6", "--shells", "13", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rank"] == 1
+    assert ball_calls == [("2T", 13)]
+
+
+def test_an_over_budget_full_table_is_refused_before_its_basis(
+        capsys, monkeypatch, ball_calls):
+    def no_basis(ell):
+        raise AssertionError("the harmonic basis was built")
+
+    monkeypatch.setattr(theta, "_integer_basis", no_basis)
+    code = main(["theta", "--group", "2I", "--ell", "24", "--shells", "10",
+                 "--kind", "full"])
+    assert code == 3
+    assert "full theta table with 496350000 cells" in capsys.readouterr().err
+    assert ball_calls == []
 
 
 def test_shells_count_only_enumerates_one_ball(capsys, ball_calls):

@@ -227,6 +227,14 @@ def test_shell_counts_check_names_the_covered_range(ball_calls, monkeypatch):
     assert ball_calls == [("2T", 9), ("2O", 3), ("2I", 2)]
 
 
+def test_order_units_check_names_the_icosian_shell(monkeypatch):
+    # with tau replaced by 1, the expected O_(2I,1) collapses to 2I itself
+    monkeypatch.setattr(verify, "golden_elem", lambda a, b: 1)
+    result = verify.check_order_unit_identities(get_budget("desk"))
+    assert not result.passed
+    assert result.details == "O_(2I,1) != 2I u tau 2I"
+
+
 # -- the embedding as a sum of Quaternion * rational products, kept as the
 # oracle for the integer embedding
 

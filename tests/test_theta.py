@@ -15,7 +15,7 @@ from quatdesign.orders import (
 )
 from quatdesign.qseries import qseries
 from quatdesign.strength import molien_closed_form, molien_series
-from quatdesign import theta, verify
+from quatdesign import orders, theta, verify
 from quatdesign.quat import flat, left_matrix_pairs, qmul_pairs, scaled_pairs
 from quatdesign.theta import (
     dimension_hypothesis,
@@ -298,6 +298,48 @@ def test_theta_vanishing_check_builds_once_per_label(table_builds):
         (label, in_t + not_in_t, 6)
         for label, (in_t, not_in_t) in verify.THETA_SAMPLES.items()
     ]
+
+
+def test_theta_tables_read_the_orbit_representatives_of_the_cached_shells(
+        ball_calls, table_builds, monkeypatch):
+    # the ranks decompose each shell of the ball once; a later table on the
+    # same ball reads those representatives and decomposes nothing
+    theta_ranks("2O", (8,), 6)
+    decomposed = []
+    decompose = orders.orbit_decompose
+
+    def counting(shell):
+        decomposed.append(shell.m)
+        return decompose(shell)
+
+    monkeypatch.setattr(orders, "orbit_decompose", counting)
+    assert theta_table("2O", 8, 5).rank() == 1
+    assert decomposed == []
+    assert enumerate_shell("2O", 3) is enumerate_shell("2O", 3)
+    assert ball_calls == [("2O", 6)]
+
+
+def test_theta_vanishing_check_names_the_degree(table_builds, monkeypatch):
+    # l = 6 is not in T(2T), so claiming rank 0 there must fail
+    monkeypatch.setattr(verify, "THETA_SAMPLES", {"2T": ((2, 4, 6), ())})
+    result = verify.check_theta_vanishing(get_budget("desk"))
+    assert not result.passed
+    assert result.details == "2T l=6: rank 1 != 0"
+
+
+def test_theta_generators_check_names_the_space(monkeypatch):
+    # one coefficient of Delta + 64 Delta(2z) off by one must fail Theta(2O,8)
+    series = verify.qseries
+
+    def corrupted(name, terms):
+        out = series(name, terms)
+        return out[:3] + [out[3] + 1] + out[4:] if name == "DeltaPlus64Delta2" else out
+
+    monkeypatch.setattr(verify, "qseries", corrupted)
+    result = verify.check_rank1_generators(get_budget("desk"))
+    assert not result.passed
+    assert result.details.startswith("Theta(2O,8) generator ")
+    assert "Theta(2I,12)" not in result.details
 
 
 def test_zero_table_for_degree_in_strength():
