@@ -1,9 +1,11 @@
 """Command-line front end: `quatdesign <subcommand>`.
 
 Every run is deterministic for a fixed configuration: all arithmetic is
-exact and all orderings canonical.  Exit codes: 0 success, 1 failed checks,
+exact and all orderings canonical.  Exit codes: 0 success, 1 failed checks
+(a FAIL or ERROR row, or an internal integrity check of any subcommand),
 2 usage error (argparse, or --format csv where a subcommand has no csv
-output), 3 budget exceeded, 4 bad input.
+output), 3 budget exceeded (for verify-paper: a SKIP row and no FAIL or
+ERROR row), 4 bad input.
 """
 
 from __future__ import annotations
@@ -287,6 +289,7 @@ def cmd_verify_paper(args, budget: Budget) -> int:
             {
                 "id": r.check_id,
                 "title": r.title,
+                "status": r.status,
                 "passed": r.passed,
                 "blocking": r.blocking,
                 "details": r.details,
@@ -299,12 +302,16 @@ def cmd_verify_paper(args, budget: Budget) -> int:
         print("verification matrix:")
         for r in results:
             print("  " + r.line())
-        failed = [r for r in results if r.blocking and not r.passed]
-        print(
-            f"{len(results) - len(failed)}/{len(results)} checks passed"
-            + (f"; FAILED: {[r.check_id for r in failed]}" if failed else "")
-        )
-    return EXIT_OK if all(r.passed or not r.blocking for r in results) else EXIT_CHECK_FAILED
+        summary = f"{sum(r.passed for r in results)}/{len(results)} checks passed"
+        for status, label in (("FAIL", "FAILED"), ("ERROR", "ERROR"), ("SKIP", "SKIPPED")):
+            ids = [r.check_id for r in results if r.status == status]
+            if ids:
+                summary += f"; {label}: {ids}"
+        print(summary)
+    statuses = {r.status for r in results}
+    if statuses & {"FAIL", "ERROR"}:
+        return EXIT_CHECK_FAILED
+    return EXIT_BUDGET if "SKIP" in statuses else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,6 +434,9 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
     except SystemExit:
         raise
+    except AssertionError as exc:  # an internal integrity check, e.g. orders.IntegrityError
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -1,8 +1,11 @@
 """The reproduction suite: every check is exact, each maps to one headline
 statement about the three groups (strengths, minimality, shells, theta spaces).
 
-Each check returns a CheckResult; `run_all` powers both the acceptance tests
-and the `quatdesign verify-paper` command.
+A check returns only its problems and the detail shown when there are none.
+`run_check` is the one runner: it times a check, labels its row with the id,
+title and blocking flag registered by `_check`, and turns a budget refusal
+into a SKIP row and any other exception into an ERROR row.  `run_all` runs
+the checks through it, for the acceptance tests and `quatdesign verify-paper`.
 """
 
 from __future__ import annotations
@@ -10,8 +13,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
-from .budget import Budget, get_budget
+from .budget import Budget, ResourceBudgetError, get_budget
 from .exactnum import golden_elem, rat, sqrt2_elem
 from .groups import (
     build_group,
@@ -83,22 +87,34 @@ SHELL_RANGES = {"2T": 30, "2O": 12, "2I": 8}
 class CheckResult:
     check_id: str
     title: str
-    passed: bool
+    status: str  # PASS, INFO (non-blocking), FAIL, SKIP (over budget) or ERROR
     blocking: bool
     details: str
     seconds: float
 
+    @property
+    def passed(self) -> bool:
+        return self.status in ("PASS", "INFO")
+
     def line(self) -> str:
-        status = "PASS" if self.passed else ("FAIL" if self.blocking else "INFO")
-        return f"[{status}] {self.check_id:<22} {self.title} ({self.seconds:.1f}s): {self.details}"
+        return f"[{self.status}] {self.check_id:<22} {self.title} ({self.seconds:.1f}s): {self.details}"
 
 
-def _result(check_id, title, passed, details, t0, blocking=True) -> CheckResult:
-    return CheckResult(check_id, title, passed, blocking, details, time.perf_counter() - t0)
+Outcome = tuple[list[str], str]  # (problems, detail shown when there are none)
+
+_ROWS = {}  # check id -> (title, blocking, check), in the order the checks run
 
 
-def check_group_construction(budget: Budget) -> CheckResult:
-    t0 = time.perf_counter()
+def _check(check_id: str, title: str, blocking: bool = True):
+    """Register the decorated function as the check `check_id`."""
+    def register(fn):
+        _ROWS[check_id] = (title, blocking, fn)
+        return fn
+    return register
+
+
+@_check("groups", "orders 24/48/120, closure, antipodality, unit relations")
+def check_group_construction(budget: Budget) -> Outcome:
     problems = []
     for label, size in (("2T", 24), ("2O", 48), ("2I", 120)):
         g = build_group(label)
@@ -119,11 +135,7 @@ def check_group_construction(budget: Budget) -> CheckResult:
         problems.append("alpha^4 != -1")
     if zeta() ** 5 != -unit:
         problems.append("zeta^5 != -1")
-    passed = not problems
-    return _result(
-        "groups", "orders 24/48/120, closure, antipodality, unit relations",
-        passed, "; ".join(problems) or "all exact", t0,
-    )
+    return problems, "all exact"
 
 
 def _even_zeros(series) -> tuple[int, ...]:
@@ -131,8 +143,8 @@ def _even_zeros(series) -> tuple[int, ...]:
     return tuple(k for k in range(2, len(series), 2) if series[k] == 0)
 
 
-def check_strength_molien(budget: Budget) -> CheckResult:
-    t0 = time.perf_counter()
+@_check("strength-molien", "even strengths via Molien zero sets, to u^60")
+def check_strength_molien(budget: Budget) -> Outcome:
     problems = []
     for label, expected in EXPECTED_EVEN_STRENGTH.items():
         closed = molien_closed_form(label, 60)
@@ -144,14 +156,11 @@ def check_strength_molien(budget: Budget) -> CheckResult:
         report = group_strength(label, 60)
         if report.even_members != expected or not report.all_odd_in:
             problems.append(f"{label}: strength report {report.even_members}")
-    return _result(
-        "strength-molien", "even strengths via Molien zero sets, to u^60",
-        not problems, "; ".join(problems) or "all three groups exact", t0,
-    )
+    return problems, "all three groups exact"
 
 
-def check_strength_direct(budget: Budget) -> CheckResult:
-    t0 = time.perf_counter()
+@_check("strength-direct", "pair-sum route agrees with Molien (even l<=40, odd l<=15)")
+def check_strength_direct(budget: Budget) -> Outcome:
     problems = []
     for label in ("2T", "2O", "2I"):
         group = build_group(label)
@@ -163,14 +172,11 @@ def check_strength_direct(budget: Budget) -> CheckResult:
         for ell in range(1, 16, 2):
             if not direct[ell]:
                 problems.append(f"{label} odd l={ell}: pair sum nonzero")
-    return _result(
-        "strength-direct", "pair-sum route agrees with Molien (even l<=40, odd l<=15)",
-        not problems, "; ".join(problems) or "exact agreement", t0,
-    )
+    return problems, "exact agreement"
 
 
-def check_dihedral_cyclic(budget: Budget) -> CheckResult:
-    t0 = time.perf_counter()
+@_check("dihedral-cyclic", "cyclic/dihedral strength formulas, n in {2..6}, l<=20")
+def check_dihedral_cyclic(budget: Budget) -> Outcome:
     problems = []
     notes = []
     limit = 20
@@ -201,15 +207,11 @@ def check_dihedral_cyclic(budget: Budget) -> CheckResult:
         problems.append(f"D2n6: closed-form even part {sorted(zero_evens)}")
     else:
         notes.append("D2n6 via closed form (order-12 elements need sqrt3)")
-    detail = "; ".join(problems) if problems else "formulas verified; " + "; ".join(notes)
-    return _result(
-        "dihedral-cyclic", "cyclic/dihedral strength formulas, n in {2..6}, l<=20",
-        not problems, detail, t0,
-    )
+    return problems, "formulas verified; " + "; ".join(notes)
 
 
-def check_lp_certificates(budget: Budget) -> CheckResult:
-    t0 = time.perf_counter()
+@_check("lp-certificates", "test-function certificates and bounds 24/48/120")
+def check_lp_certificates(budget: Budget) -> Outcome:
     problems = []
     for name, expected in EXPECTED_FULL_BOUNDS.items():
         tf = build_test_function(name)
@@ -224,14 +226,11 @@ def check_lp_certificates(budget: Budget) -> CheckResult:
     report = verify_certificate(corrupted)
     if report.passed or 6 not in report.off_design_violations:
         problems.append("corrupted F2T was not rejected at l=6")
-    return _result(
-        "lp-certificates", "test-function certificates and bounds 24/48/120",
-        not problems, "; ".join(problems) or "certified; negative control rejected", t0,
-    )
+    return problems, "certified; negative control rejected"
 
 
-def check_equality_cases(budget: Budget) -> CheckResult:
-    t0 = time.perf_counter()
+@_check("equality-cases", "bounds attained; angle sets; 2O distribution (1,6,8,18,8,6,1)")
+def check_equality_cases(budget: Budget) -> Outcome:
     problems = []
     for name, label in (("F2T", "2T"), ("F2O", "2O"), ("F2I", "2I")):
         tf = build_test_function(name)
@@ -255,14 +254,11 @@ def check_equality_cases(budget: Budget) -> CheckResult:
     }
     if dist != expected:
         problems.append(f"2O distance distribution {dist}")
-    return _result(
-        "equality-cases", "bounds attained; angle sets; 2O distribution (1,6,8,18,8,6,1)",
-        not problems, "; ".join(problems) or "all equality data exact", t0,
-    )
+    return problems, "all equality data exact"
 
 
-def check_shell_counts(budget: Budget) -> CheckResult:
-    t0 = time.perf_counter()
+@_check("shell-counts", "enumerated shell sizes equal divisor formulas and q-expansions")
+def check_shell_counts(budget: Budget) -> Outcome:
     problems = []
     for label, m_max in SHELL_RANGES.items():
         for m, size in shell_counts(label, m_max, budget).items():
@@ -279,14 +275,11 @@ def check_shell_counts(budget: Budget) -> CheckResult:
             if m <= SHELL_RANGES[label] and shell_count_formula(label, m) != coeffs[m]:
                 problems.append(f"{label} m={m}: formula != q-series")
     covered = ", ".join(f"{label} m<={m_max}" for label, m_max in SHELL_RANGES.items())
-    return _result(
-        "shell-counts", "enumerated shell sizes equal divisor formulas and q-expansions",
-        not problems, "; ".join(problems) or f"{covered} all exact", t0,
-    )
+    return problems, f"{covered} all exact"
 
 
-def check_order_unit_identities(budget: Budget) -> CheckResult:
-    t0 = time.perf_counter()
+@_check("order-units", "unit shells recover the groups (2I doubled by tau)")
+def check_order_unit_identities(budget: Budget) -> Outcome:
     problems = []
     for label in ("2T", "2O"):
         sh = enumerate_shell(label, 1, budget)
@@ -300,14 +293,11 @@ def check_order_unit_identities(budget: Budget) -> CheckResult:
         problems.append("O_(2I,1) != 2I u tau 2I")
     if len(sh.orbit_reps) != 2:
         problems.append(f"O_(2I,1) has {len(sh.orbit_reps)} orbits, expected 2")
-    return _result(
-        "order-units", "unit shells recover the groups (2I doubled by tau)",
-        not problems, "; ".join(problems) or "set equalities exact", t0,
-    )
+    return problems, "set equalities exact"
 
 
-def check_theta_vanishing(budget: Budget) -> CheckResult:
-    t0 = time.perf_counter()
+@_check("theta-vanishing", "rank 0 inside T(G), rank >= 1 outside (M = 6)")
+def check_theta_vanishing(budget: Budget) -> Outcome:
     problems = []
     # every even strength member up to 22 has a vanishing invariant space,
     # which closes the zero direction for all shells at once
@@ -333,15 +323,11 @@ def check_theta_vanishing(budget: Budget) -> CheckResult:
     for label, ell, m in (("2T", 2, 6), ("2T", 10, 4), ("2O", 2, 3), ("2I", 2, 2)):
         if not theta_table(label, ell, m, "full", budget).is_zero():
             problems.append(f"{label} l={ell}: full table has nonzero entries")
-    return _result(
-        "theta-vanishing", "rank 0 inside T(G), rank >= 1 outside (M = 6)",
-        not problems, "; ".join(problems) or
-        "sampled degrees certified both directions", t0,
-    )
+    return problems, "sampled degrees certified both directions"
 
 
-def check_rank1_generators(budget: Budget) -> CheckResult:
-    t0 = time.perf_counter()
+@_check("theta-generators", "rank-1 spaces match Delta+64Delta(2z) and E4*Delta")
+def check_rank1_generators(budget: Budget) -> Outcome:
     problems = []
     tbl = theta_table("2O", 8, 5, "invariant", budget)
     gen = tbl.normalized_generator()
@@ -353,14 +339,11 @@ def check_rank1_generators(budget: Budget) -> CheckResult:
     target = qseries("E4Delta", 4)[1:]
     if gen is None or gen != [Fraction(v) for v in target]:
         problems.append(f"Theta(2I,12) generator {gen} != {target}")
-    return _result(
-        "theta-generators", "rank-1 spaces match Delta+64Delta(2z) and E4*Delta",
-        not problems, "; ".join(problems) or "q-expansions match exactly", t0,
-    )
+    return problems, "q-expansions match exactly"
 
 
-def check_harmonic_molien_table(budget: Budget) -> CheckResult:
-    t0 = time.perf_counter()
+@_check("harmonic-molien", "d_(G,l) table (l<=24) plus Reynolds cross-checks (l<=10)")
+def check_harmonic_molien_table(budget: Budget) -> Outcome:
     problems = []
     for label, row in EXPECTED_D_TABLE.items():
         got = harmonic_molien(label, 24)[2::2]
@@ -371,14 +354,12 @@ def check_harmonic_molien_table(budget: Budget) -> CheckResult:
             d = harmonic_invariant_dim(label, ell)
             if dr != d:
                 problems.append(f"{label} l={ell}: Reynolds {dr} != {d}")
-    return _result(
-        "harmonic-molien", "d_(G,l) table (l<=24) plus Reynolds cross-checks (l<=10)",
-        not problems, "; ".join(problems) or "table and Reynolds dims agree", t0,
-    )
+    return problems, "table and Reynolds dims agree"
 
 
-def check_hypothesis_reports(budget: Budget) -> CheckResult:
-    t0 = time.perf_counter()
+@_check("dimension-hypotheses", "informational: rank lower bounds vs dimension series",
+        blocking=False)
+def check_hypothesis_reports(budget: Budget) -> Outcome:
     lines = []
     samples = {
         "2T": (6, 8, 12, 14),
@@ -395,35 +376,39 @@ def check_hypothesis_reports(budget: Budget) -> CheckResult:
                 f"{label} l={ell}: rank>={rep.rank_lower_bound} vs {tag} "
                 f"dim {rep.conjectured_dim} ({mark})"
             )
-    return _result(
-        "dimension-hypotheses", "informational: rank lower bounds vs dimension series",
-        True, "; ".join(lines), t0, blocking=False,
-    )
+    return [], "; ".join(lines)
 
 
-ALL_CHECKS = (
-    ("groups", check_group_construction),
-    ("strength-molien", check_strength_molien),
-    ("strength-direct", check_strength_direct),
-    ("dihedral-cyclic", check_dihedral_cyclic),
-    ("lp-certificates", check_lp_certificates),
-    ("equality-cases", check_equality_cases),
-    ("shell-counts", check_shell_counts),
-    ("order-units", check_order_unit_identities),
-    ("theta-vanishing", check_theta_vanishing),
-    ("theta-generators", check_rank1_generators),
-    ("harmonic-molien", check_harmonic_molien_table),
-    ("dimension-hypotheses", check_hypothesis_reports),
-)
+ALL_CHECKS = tuple((cid, fn) for cid, (_, _, fn) in _ROWS.items())
 
 
-def run_all(budget: Budget | None = None, only=None):
+def run_check(check_id: str, budget: Budget) -> CheckResult:
+    """Run one check and turn whatever it does into its row: a budget refusal
+    is a SKIP row and any other exception an ERROR row, so a caller always
+    gets a row back.  The callable is looked up in ALL_CHECKS at call time."""
+    title, blocking, _ = _ROWS[check_id]
+    check = dict(ALL_CHECKS)[check_id]
+    t0 = time.perf_counter()
+    try:
+        problems, detail = check(budget)
+    except ResourceBudgetError as exc:
+        status, details = "SKIP", f"budget: {exc}"
+    except Exception as exc:  # the row reports it; the other checks still run
+        import traceback  # only here: it would add to every CLI call's start-up
+
+        frame = traceback.extract_tb(exc.__traceback__)[-1]  # the stage that raised
+        stage = f"{Path(frame.filename).stem}.{frame.name}"
+        status, details = "ERROR", f"{type(exc).__name__} in {stage}: {exc}"
+    else:
+        status = "FAIL" if problems else ("PASS" if blocking else "INFO")
+        details = "; ".join(problems) or detail
+    return CheckResult(check_id, title, status, blocking, details, time.perf_counter() - t0)
+
+
+def run_all(budget: Budget | None = None, only=None) -> list[CheckResult]:
     budget = budget or get_budget()
-    selected = [
-        (cid, fn) for cid, fn in ALL_CHECKS if only is None or cid in only
-    ]
     if only is not None:
-        unknown = set(only) - {cid for cid, _ in ALL_CHECKS}
+        unknown = set(only) - set(_ROWS)
         if unknown:
             raise ValueError(f"unknown check ids: {sorted(unknown)}")
-    return [fn(budget) for _, fn in selected]
+    return [run_check(cid, budget) for cid in _ROWS if only is None or cid in only]

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,10 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quatdesign import cli, orders, theta
 from quatdesign.cli import main
-from quatdesign.orders import shell_count_formula
+from quatdesign.orders import IntegrityError, shell_count_formula
+from quatdesign.qseries import QSERIES_NAMES
 
 
 def run_cli(capsys, *argv):
@@ -306,6 +310,18 @@ def test_shells_count_only_peak_memory():
     assert report["peak_kb"] / 1024 < 40
 
 
+def test_an_internal_check_failure_is_one_line_and_exit_1(capsys, monkeypatch):
+    def corrupted_counts(label, m_max, budget):
+        raise IntegrityError("group action on the shell is not free")
+
+    monkeypatch.setattr(cli, "shell_counts", corrupted_counts)
+    code = main(["shells", "--group", "2T", "--m", "2", "--count-only"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: internal check failed: group action on the shell is not free\n"
+
+
 def test_unsupported_group_exit_code(capsys):
     code, _ = run_cli(capsys, "group", "--name", "C12")
     assert code == 4
@@ -345,3 +361,72 @@ def test_deterministic_output(capsys):
     _, out4 = run_cli(capsys, "theta", "--group", "2T", "--ell", "6",
                       "--shells", "3")
     assert out3 == out4
+
+
+# -- fuzzing the cheap subcommands: small ints only, so no call asks for a
+# large ball, table or series
+
+def _ints(high):
+    return st.one_of(st.integers(-1, high).map(str), st.sampled_from(["x", "1.5", ""]))
+
+
+_LABELS = st.sampled_from(["2T", "2O", "2I", "Q8", "C3", "C5", "C12", "D2n4", "E8", ""])
+_ORDER_LABELS = st.sampled_from(["2T", "2O", "2I", "Q8"])
+_RATIONALS = st.sampled_from(["0", "1", "-1/2", "3/4", "1/0", "x", ""])
+_CHEAP_CHECKS = st.sampled_from([
+    "groups", "strength-molien", "strength-direct", "dihedral-cyclic",
+    "lp-certificates", "equality-cases", "order-units", "nonsense"])
+
+
+@st.composite
+def _cheap_argv(draw):
+    def maybe(*args):
+        return list(args) if draw(st.booleans()) else []
+
+    sub = draw(st.sampled_from([
+        "group", "strength", "molien", "gegenbauer", "lp", "shells", "theta",
+        "qseries", "verify-paper"]))
+    argv = maybe("--budget", draw(st.sampled_from(["desk", "small", "unbounded", "huge"])))
+    argv.append(sub)
+    if sub == "group":
+        argv += ["--name", draw(_LABELS)]
+    elif sub in ("strength", "molien"):
+        argv += ["--group", draw(_LABELS), "--max", draw(_ints(30))]
+        argv += maybe("--closed-form") if sub == "molien" else []
+    elif sub == "gegenbauer":
+        argv += ["--ell", draw(_ints(6))]
+        argv += maybe("--d", draw(st.integers(-3, 6).map(str)))
+        argv += maybe("--lam", draw(_RATIONALS))
+        argv += maybe("--expand", ",".join(draw(st.lists(_RATIONALS, max_size=4))))
+    elif sub == "lp":
+        argv += ["--name", draw(st.sampled_from(["F2T", "F2O", "F2I", "F2X"]))]
+    elif sub == "shells":
+        argv += ["--group", draw(_ORDER_LABELS), "--m", draw(_ints(3))]
+        argv += maybe("--count-only")
+    elif sub == "theta":
+        argv += ["--group", draw(_ORDER_LABELS), "--ell", draw(_ints(6)),
+                 "--shells", draw(_ints(2))]
+        argv += maybe("--kind", draw(st.sampled_from(["invariant", "full", "half"])))
+    elif sub == "qseries":
+        argv += ["--name", draw(st.sampled_from(QSERIES_NAMES + ("nope",))),
+                 "--terms", draw(_ints(30))]
+    else:
+        for _ in range(draw(st.integers(0, 2))):
+            argv += ["--check", draw(_CHEAP_CHECKS)]
+        if "--check" not in argv:
+            argv += ["--check", "groups"]
+    argv += maybe("--format", draw(st.sampled_from(["json", "csv", "text", "xml"])))
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cheap_argv())
+def test_every_exit_code_is_documented(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse and the csv refusal
+            code = exc.code
+    failed_check = "FAIL" in out.getvalue()  # a verify-paper row or an lp certificate
+    assert code in (0, 2, 3, 4) or (code == 1 and failed_check), (argv, code, err.getvalue())

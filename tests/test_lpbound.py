@@ -177,6 +177,6 @@ def test_equality_cases_check_makes_one_gram_pass_per_group(monkeypatch):
     monkeypatch.setattr(groups, "gram_pass", counting)
     for label in ("2T", "2O", "2I"):  # drop each group's cached pass for this test
         monkeypatch.delitem(vars(build_group(label)), "gram", raising=False)
-    result = verify.check_equality_cases(get_budget())
+    result = verify.run_check("equality-cases", get_budget())
     assert result.passed, result.details
     assert sorted(sizes) == [24, 48, 120]

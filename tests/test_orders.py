@@ -212,7 +212,7 @@ def test_shell_counts_refuse_like_the_recorded_shells(ball_calls):
 
 
 def test_shell_counts_check_makes_one_ball_per_label(ball_calls):
-    result = verify.check_shell_counts(get_budget("desk"))
+    result = verify.run_check("shell-counts", get_budget("desk"))
     assert result.passed
     assert ball_calls == [("2T", 30), ("2O", 12), ("2I", 8)]
     assert orders._BALL_CACHE == {}
@@ -221,7 +221,7 @@ def test_shell_counts_check_makes_one_ball_per_label(ball_calls):
 
 def test_shell_counts_check_names_the_covered_range(ball_calls, monkeypatch):
     monkeypatch.setattr(verify, "SHELL_RANGES", {"2T": 9, "2O": 3, "2I": 2})
-    result = verify.check_shell_counts(get_budget("desk"))
+    result = verify.run_check("shell-counts", get_budget("desk"))
     assert result.passed
     assert result.details == "2T m<=9, 2O m<=3, 2I m<=2 all exact"
     assert ball_calls == [("2T", 9), ("2O", 3), ("2I", 2)]
@@ -230,7 +230,7 @@ def test_shell_counts_check_names_the_covered_range(ball_calls, monkeypatch):
 def test_order_units_check_names_the_icosian_shell(monkeypatch):
     # with tau replaced by 1, the expected O_(2I,1) collapses to 2I itself
     monkeypatch.setattr(verify, "golden_elem", lambda a, b: 1)
-    result = verify.check_order_unit_identities(get_budget("desk"))
+    result = verify.run_check("order-units", get_budget("desk"))
     assert not result.passed
     assert result.details == "O_(2I,1) != 2I u tau 2I"
 

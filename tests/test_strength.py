@@ -271,7 +271,7 @@ def test_strength_molien_check_names_the_group(monkeypatch):
         return out[:8] + (out[8] + 1,) + out[9:] if group.label == "2O" else out
 
     monkeypatch.setattr(verify, "molien_series", corrupted)
-    result = verify.check_strength_molien(get_budget("desk"))
+    result = verify.run_check("strength-molien", get_budget("desk"))
     assert not result.passed
     assert result.details == "2O: Molien from points != closed form"
 
@@ -287,6 +287,6 @@ def test_dihedral_cyclic_check_names_the_group(monkeypatch):
         return report
 
     monkeypatch.setattr(verify, "group_strength", corrupted)
-    result = verify.check_dihedral_cyclic(get_budget("desk"))
+    result = verify.run_check("dihedral-cyclic", get_budget("desk"))
     assert not result.passed
     assert result.details == "D2n4: even part (6,) != [2, 6]"

@@ -293,7 +293,7 @@ def test_an_all_vanishing_batch_enumerates_no_ball(ball_calls, table_builds, mon
 
 
 def test_theta_vanishing_check_builds_once_per_label(table_builds):
-    assert verify.check_theta_vanishing(get_budget("desk")).passed
+    assert verify.run_check("theta-vanishing", get_budget("desk")).passed
     assert table_builds == [
         (label, in_t + not_in_t, 6)
         for label, (in_t, not_in_t) in verify.THETA_SAMPLES.items()
@@ -322,7 +322,7 @@ def test_theta_tables_read_the_orbit_representatives_of_the_cached_shells(
 def test_theta_vanishing_check_names_the_degree(table_builds, monkeypatch):
     # l = 6 is not in T(2T), so claiming rank 0 there must fail
     monkeypatch.setattr(verify, "THETA_SAMPLES", {"2T": ((2, 4, 6), ())})
-    result = verify.check_theta_vanishing(get_budget("desk"))
+    result = verify.run_check("theta-vanishing", get_budget("desk"))
     assert not result.passed
     assert result.details == "2T l=6: rank 1 != 0"
 
@@ -336,7 +336,7 @@ def test_theta_generators_check_names_the_space(monkeypatch):
         return out[:3] + [out[3] + 1] + out[4:] if name == "DeltaPlus64Delta2" else out
 
     monkeypatch.setattr(verify, "qseries", corrupted)
-    result = verify.check_rank1_generators(get_budget("desk"))
+    result = verify.run_check("theta-generators", get_budget("desk"))
     assert not result.passed
     assert result.details.startswith("Theta(2O,8) generator ")
     assert "Theta(2I,12)" not in result.details
@@ -529,7 +529,7 @@ def test_harmonic_molien_check_names_reynolds(reynolds_calls, monkeypatch):
         verify, "harmonic_invariant_dim",
         lambda label, ell: dim(label, ell) + ((label, ell) == ("2O", 8)),
     )
-    result = verify.check_harmonic_molien_table(get_budget("desk"))
+    result = verify.run_check("harmonic-molien", get_budget("desk"))
     assert not result.passed
     assert result.details == "2O l=8: Reynolds 9 != 10"
     assert reynolds_calls == [(label, (2, 4, 6, 8, 10)) for label in ("2T", "2O", "2I")]
