@@ -112,11 +112,13 @@ def test_a_small_budget_prints_the_whole_matrix(capsys, fmt):
 
 
 def test_a_raising_check_is_an_error_row_and_the_others_still_run(capsys, monkeypatch):
+    # under the small budget two later checks are SKIP too: ERROR (exit 1)
+    # takes precedence over SKIP (exit 3)
     def corrupted_counts(label, m_max, budget):
         raise IntegrityError(f"Q_{label} is not positive definite")
 
     monkeypatch.setattr(verify, "shell_counts", corrupted_counts)
-    code = cli.main(["verify-paper", "--budget", "desk"])
+    code = cli.main(["verify-paper", "--budget", "small"])
     out = capsys.readouterr().out
     assert code == 1
     rows = _text_rows(out)
@@ -125,5 +127,8 @@ def test_a_raising_check_is_an_error_row_and_the_others_still_run(capsys, monkey
         "ERROR",
         "IntegrityError in test_verify.corrupted_counts: Q_2T is not positive definite",
     )
-    assert {status for status, _ in rows.values()} == {"PASS", "INFO"}
-    assert out.splitlines()[-1] == "11/12 checks passed; ERROR: ['shell-counts']"
+    assert {cid for cid, (status, _) in rows.items() if status != "PASS"} == {
+        "theta-vanishing", "dimension-hypotheses"}
+    assert out.splitlines()[-1] == (
+        "9/12 checks passed; ERROR: ['shell-counts']; "
+        "SKIPPED: ['theta-vanishing', 'dimension-hypotheses']")
