@@ -26,13 +26,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import comb, gcd, isqrt, lcm
-from operator import add, mul
+from operator import mul
 
 from .budget import Budget, get_budget
 from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, insert
 from .groups import build_group
-from .harmonics import harm_basis, quotient_monomials
+from .harmonics import harm_basis
 from .orders import FIELD_TAG, _doubled_basis, ball_size, enumerate_shells
 from .quat import PAIR_MUL, char_coeffs_pairs, flat, left_matrix_pairs, qmul_pairs
 from .strength import class_sum_series, molien_closed_form, molien_series
@@ -142,22 +143,16 @@ def _real_split(tag, form) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
-def holomorphic_invariants(label: str, ell: int) -> tuple:
-    """A basis (length m_l) of G-invariant holomorphic forms of degree l.
+def _independent_images(label: str, ell: int):
+    """Yield, for a = ell..0, the Reynolds image of z1^a z2^(ell - a) when it
+    is K(i)-independent of the images yielded before it.
 
-    Each form f is returned as 2^l f, {(a, b): coefficient of z1^a z2^b} with
-    flat complex coefficients (re_a, re_b, im_a, im_b).  Found by
-    Reynolds-averaging seed monomials until the span is full; the span
-    dimension is certified against the Molien coefficient.
-    Independence is over K(i): the echelon over K holds the real splits of
-    every accepted f and of i f, which together span the K(i)-span.
+    Each image is 2^l f, {(a, b): coefficient of z1^a z2^b} with flat complex
+    coefficients (re_a, re_b, im_a, im_b).  Independence is over K(i): the
+    echelon over K holds the real splits of every yielded f and of i f, which
+    together span the K(i)-span.
     """
-    m = invariant_multiplicity(label, ell)
-    if m == 0:
-        return ()
     tag = FIELD_TAG[label]
-    basis: list[dict] = []
     echelon: dict = {}
     for a in range(ell, -1, -1):
         cand = _reynolds_holomorphic(label, a, ell - a)
@@ -166,15 +161,44 @@ def holomorphic_invariants(label: str, ell: int) -> tuple:
         times_i = {k: (-ia, -ib, ra, rb) for k, (ra, rb, ia, ib) in cand.items()}
         if not insert(_real_split(tag, times_i), echelon):
             raise AssertionError(f"i f lies in the K-span for {label} deg {ell}")
-        basis.append(cand)
-        if len(basis) == m:
-            break
+        yield cand
+
+
+@lru_cache(maxsize=None)
+def holomorphic_invariants(label: str, ell: int) -> tuple:
+    """A basis (length m_l) of G-invariant holomorphic forms of degree l.
+
+    Each form is an image of `_independent_images`, taken until the span is
+    full; the span dimension is certified against the Molien coefficient.
+    """
+    m = invariant_multiplicity(label, ell)
+    if m == 0:
+        return ()
+    basis = tuple(islice(_independent_images(label, ell), m))
     if len(basis) != m:
         raise AssertionError(
             f"found {len(basis)} holomorphic invariants for {label} deg {ell}, "
             f"Molien predicts {m}"
         )
-    return tuple(basis)
+    return basis
+
+
+def invariant_dimensions(label: str, ells) -> dict:
+    """{ell: dim Harm_ell^G} by Reynolds averaging on binary forms, exact in
+    both directions and with no Molien series.
+
+    G acts on S^3 = SU(2) from one side, and under SU(2) x SU(2) the
+    restriction Harm_l|S^3 is V_l (x) V_l, V_l the binary forms of degree l;
+    so dim Harm_l^G = (l + 1) dim V_l^G.  A Reynolds operator maps V_l onto
+    V_l^G, so dim V_l^G is the K(i)-rank of the images of the l + 1
+    monomials z1^a z2^(l - a).
+    """
+    if label not in FIELD_TAG:
+        raise ValueError(f"no Reynolds route for group {label!r}")
+    ells = tuple(ells)
+    if any(ell < 0 for ell in ells):
+        raise IndexError("degree must be nonnegative")
+    return {ell: (ell + 1) * sum(1 for _ in _independent_images(label, ell)) for ell in ells}
 
 
 # -- scaled integer evaluation layer ------------------------------------------
@@ -273,7 +297,8 @@ def _translate_pool():
     for y in pool:
         n = sum(a * a for a, _ in y)
         root = isqrt(n)
-        assert root * root == n
+        if root * root != n:
+            raise AssertionError(f"translate {tuple(a for a, _ in y)} has norm {n}, not a square")
         out.append((y, root))
     return tuple(out)
 
@@ -507,8 +532,11 @@ def _checked_det_classes(label: str) -> tuple:
 def harmonic_molien(label: str, n: int) -> tuple[int, ...]:
     """Psi^H_G(u) = (1/|G|) sum_eps (1 - u^2)/det(I - u M_eps), to u^n.
 
-    The sum runs over first-coordinate classes, through the same class sum
-    as the Molien series Psi_G.
+    Molien's theorem on R^4 gives the invariants of every degree in the
+    polynomial ring; Hom_l = Harm_l + r^2 Hom_(l-2) (Fischer decomposition)
+    with r^2 fixed by G, hence the factor (1 - u^2).  The sum runs over
+    first-coordinate classes, through the same class sum as the Molien
+    series Psi_G.
     """
     classes = _checked_det_classes(label)
     return class_sum_series(FIELD_TAG[label], classes, len(build_group(label)), (1, 0, -1), n)
@@ -516,93 +544,6 @@ def harmonic_molien(label: str, n: int) -> tuple[int, ...]:
 
 def harmonic_invariant_dim(label: str, ell: int) -> int:
     return harmonic_molien(label, ell)[ell]
-
-
-# -- Reynolds dimensions on Hom_l mod r^2 -------------------------------------
-
-@lru_cache(maxsize=None)
-def _quotient_steps(d: int) -> tuple:
-    """(parents, products) on the quotient_monomials bases of degrees d - 1
-    and d >= 1.  Monomial k of degree d is x^p x_j for parents[k] = (p, j),
-    x_j the first of x1..x3 in it (x4 only for x4 itself), and NF(x^p x_i)
-    is the sum of sign x^t over (t, sign) in products[p][i]."""
-    index = {mono: k for k, mono in enumerate(quotient_monomials(d))}
-    below = {mono: k for k, mono in enumerate(quotient_monomials(d - 1))}
-    parents = []
-    for mono in index:
-        j = next((i for i in range(3) if mono[i]), 3)
-        parents.append((below[tuple(e - (k == j) for k, e in enumerate(mono))], j))
-    products = []
-    for mono in below:
-        ups = [tuple(e + (k == i) for k, e in enumerate(mono)) for i in range(4)]
-        row = [((index[up], 1),) for up in ups if up[3] < 2]
-        if mono[3]:  # x^p x4 = x^(p - e4) x4^2 and x4^2 = -(x1^2 + x2^2 + x3^2)
-            ups = [tuple(e + 2 * (k == i) for k, e in enumerate(mono[:3])) + (0,) for i in range(3)]
-            row.append(tuple((index[up], -1) for up in ups))
-        products.append(tuple(row))
-    return tuple(parents), tuple(products)
-
-
-def _quotient_images(rho2, cols, top: int):
-    """Yield, for d = 0..top, NF((xA)^a) for every degree-d basis monomial a,
-    each as (a-parts, b-parts) of its integer pairs on the degree-d basis.
-    (xA)_j = sum_i x_i cols[j][i], and rho^2 = r0 + r1 rho for rho2 = (r0, r1)."""
-    r0, r1 = rho2
-    # (va + vb rho)(ca + cb rho) = (va ca + vb cb r0) + (va cb + vb (ca + cb r1)) rho
-    factors = [[(i, ca, cb * r0, cb, ca + cb * r1) for i, (ca, cb) in enumerate(col) if ca or cb]
-               for col in cols]
-    level = [([1], [0])]
-    yield level
-    for d in range(1, top + 1):
-        parents, products = _quotient_steps(d)
-        size = (d + 1) ** 2
-        nxt = []
-        for p, j in parents:
-            out_a, out_b = [0] * size, [0] * size
-            for va, vb, targets in zip(*level[p], products):
-                if va or vb:
-                    for i, c1, c2, c3, c4 in factors[j]:
-                        ma, mb = va * c1 + vb * c2, va * c3 + vb * c4
-                        for t, sign in targets[i]:
-                            out_a[t] += sign * ma
-                            out_b[t] += sign * mb
-            nxt.append((out_a, out_b))
-        level = nxt
-        yield level
-
-
-def invariant_dimensions(label: str, ells) -> dict:
-    """{ell: dim Harm_ell^G} by Reynolds averaging, exact in both directions.
-
-    G is orthogonal, so it fixes r^2 and acts on Hom_l / r^2 Hom_(l-2), which
-    is Harm_l as a G-module (Fischer decomposition).  The rank of the summed
-    NF((xA)^a) over the basis monomials a is dim Harm_l^G; A = 2 M_eps is
-    integral on pairs and scales degree l by 2^l.  One pass per element
-    serves every ell.  When every ell is even, one of each pair +-eps is
-    summed: -1 lies in G and (x(-A))^a = (-1)^l (xA)^a.
-    """
-    if label not in FIELD_TAG:
-        raise ValueError(f"no Reynolds route for group {label!r}")
-    ells = tuple(ells)
-    if any(ell < 0 for ell in ells):
-        raise IndexError("degree must be nonnegative")
-    tag = FIELD_TAG[label]
-    rho2 = PAIR_MUL[tag](0, 1, 0, 1)
-    doubled = build_group(label).doubled
-    if all(ell % 2 == 0 for ell in ells):
-        doubled = [x for x in doubled if x > tuple((-a, -b) for a, b in x)]
-    sums: dict = {}
-    for x in doubled:
-        cols = tuple(zip(*left_matrix_pairs(x)))
-        for d, level in enumerate(_quotient_images(rho2, cols, max(ells, default=0))):
-            if d in ells:
-                sums[d] = [(list(map(add, sa, ia)), list(map(add, sb, ib)))
-                           for (sa, sb), (ia, ib) in zip(sums[d], level)] if d in sums else level
-    return {
-        ell: exact_rank({t: QuadElem(tag, a, b) for t, (a, b) in enumerate(zip(*image)) if a or b}
-                        for image in sums[ell])
-        for ell in ells
-    }
 
 
 # -- dimension-series hypotheses -----------------------------------------------

@@ -1,15 +1,16 @@
 """Reference implementations shared by several test modules."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd
-from operator import mul
+from operator import add, mul
 
 from quatdesign import lpbound, theta
 from quatdesign.exactnum import QuadElem, rat
 from quatdesign.groups import build_group
-from quatdesign.harmonics import harm_basis, laplacian
+from quatdesign.harmonics import harm_basis, laplacian, quotient_monomials
 from quatdesign.orders import FIELD_TAG, enumerate_shells, right_multiplication_matrices
-from quatdesign.quat import left_matrix_pairs
+from quatdesign.quat import PAIR_MUL, left_matrix_pairs
 
 
 def harm_dim(ell: int, d: int) -> int:
@@ -244,6 +245,91 @@ def _action_columns(scaled_rows, ell):
                 nxt[key] = out
         level = nxt
     return level
+
+
+# -- Reynolds dimensions on Hom_l mod r^2 -------------------------------------
+
+@lru_cache(maxsize=None)
+def _quotient_steps(d: int) -> tuple:
+    """(parents, products) on the quotient_monomials bases of degrees d - 1
+    and d >= 1.  Monomial k of degree d is x^p x_j for parents[k] = (p, j),
+    x_j the first of x1..x3 in it (x4 only for x4 itself), and NF(x^p x_i)
+    is the sum of sign x^t over (t, sign) in products[p][i]."""
+    index = {mono: k for k, mono in enumerate(quotient_monomials(d))}
+    below = {mono: k for k, mono in enumerate(quotient_monomials(d - 1))}
+    parents = []
+    for mono in index:
+        j = next((i for i in range(3) if mono[i]), 3)
+        parents.append((below[tuple(e - (k == j) for k, e in enumerate(mono))], j))
+    products = []
+    for mono in below:
+        ups = [tuple(e + (k == i) for k, e in enumerate(mono)) for i in range(4)]
+        row = [((index[up], 1),) for up in ups if up[3] < 2]
+        if mono[3]:  # x^p x4 = x^(p - e4) x4^2 and x4^2 = -(x1^2 + x2^2 + x3^2)
+            ups = [tuple(e + 2 * (k == i) for k, e in enumerate(mono[:3])) + (0,) for i in range(3)]
+            row.append(tuple((index[up], -1) for up in ups))
+        products.append(tuple(row))
+    return tuple(parents), tuple(products)
+
+
+def _quotient_images(rho2, cols, top: int):
+    """Yield, for d = 0..top, NF((xA)^a) for every degree-d basis monomial a,
+    each as (a-parts, b-parts) of its integer pairs on the degree-d basis.
+    (xA)_j = sum_i x_i cols[j][i], and rho^2 = r0 + r1 rho for rho2 = (r0, r1)."""
+    r0, r1 = rho2
+    # (va + vb rho)(ca + cb rho) = (va ca + vb cb r0) + (va cb + vb (ca + cb r1)) rho
+    factors = [[(i, ca, cb * r0, cb, ca + cb * r1) for i, (ca, cb) in enumerate(col) if ca or cb]
+               for col in cols]
+    level = [([1], [0])]
+    yield level
+    for d in range(1, top + 1):
+        parents, products = _quotient_steps(d)
+        size = (d + 1) ** 2
+        nxt = []
+        for p, j in parents:
+            out_a, out_b = [0] * size, [0] * size
+            for va, vb, targets in zip(*level[p], products):
+                if va or vb:
+                    for i, c1, c2, c3, c4 in factors[j]:
+                        ma, mb = va * c1 + vb * c2, va * c3 + vb * c4
+                        for t, sign in targets[i]:
+                            out_a[t] += sign * ma
+                            out_b[t] += sign * mb
+            nxt.append((out_a, out_b))
+        level = nxt
+        yield level
+
+
+def hom_quotient_dimensions(label: str, ells) -> dict:
+    """{ell: dim Harm_ell^G} by Reynolds averaging on Hom_l mod r^2.
+
+    G is orthogonal, so it fixes r^2 and acts on Hom_l / r^2 Hom_(l-2), which
+    is Harm_l as a G-module (Fischer decomposition).  The rank of the summed
+    NF((xA)^a) over the basis monomials a is dim Harm_l^G; A = 2 M_eps is
+    integral on pairs and scales degree l by 2^l.  One pass per element
+    serves every ell.  When every ell is even, one of each pair +-eps is
+    summed: -1 lies in G and (x(-A))^a = (-1)^l (xA)^a.
+    """
+    ells = tuple(ells)
+    tag = FIELD_TAG[label]
+    rho2 = PAIR_MUL[tag](0, 1, 0, 1)
+    doubled = build_group(label).doubled
+    if all(ell % 2 == 0 for ell in ells):
+        doubled = [x for x in doubled if x > tuple((-a, -b) for a, b in x)]
+    sums: dict = {}
+    for x in doubled:
+        cols = tuple(zip(*left_matrix_pairs(x)))
+        for d, level in enumerate(_quotient_images(rho2, cols, max(ells, default=0))):
+            if d in ells:
+                sums[d] = [(list(map(add, sa, ia)), list(map(add, sb, ib)))
+                           for (sa, sb), (ia, ib) in zip(sums[d], level)] if d in sums else level
+    return {
+        ell: theta.exact_rank(
+            {t: QuadElem(tag, a, b) for t, (a, b) in enumerate(zip(*image)) if a or b}
+            for image in sums[ell]
+        )
+        for ell in ells
+    }
 
 
 # -- univariate polynomials over QuadElem, and the polynomial layers on them ---

@@ -292,6 +292,15 @@ def test_an_all_vanishing_batch_enumerates_no_ball(ball_calls, table_builds, mon
     assert ball_calls == []
 
 
+def test_a_translate_of_non_square_norm_is_refused(monkeypatch):
+    # 1 + i has norm 2, not a square: refused with or without python -O
+    monkeypatch.setattr(theta, "_POOL_GENERATORS", (((1, 0), (1, 0), (0, 0), (0, 0)),))
+    theta._translate_pool.cache_clear()
+    with pytest.raises(AssertionError, match=r"translate \(1, 1, 0, 0\) has norm 2, not a square"):
+        theta._translate_pool()
+    theta._translate_pool.cache_clear()
+
+
 def test_theta_vanishing_check_builds_once_per_label(table_builds):
     assert verify.run_check("theta-vanishing", get_budget("desk")).passed
     assert table_builds == [
@@ -501,7 +510,7 @@ def test_quotient_images_match_naive_expansion(label):
              for i in range(4) if rows[i][j] != (0, 0)}
             for j in range(4)
         ]
-        for d, level in enumerate(theta._quotient_images(rho2, cols, 4)):
+        for d, level in enumerate(oracles._quotient_images(rho2, cols, 4)):
             basis = quotient_monomials(d)
             for mono, (va, vb) in zip(basis, level):
                 naive = {(0, 0, 0, 0): rat(1)}
@@ -510,6 +519,13 @@ def test_quotient_images_match_naive_expansion(label):
                         naive = oracles.poly4_mul(naive, linear[j])
                 got = {m: QuadElem(tag, a, b) for m, a, b in zip(basis, va, vb) if a or b}
                 assert _mod_r2(naive) == got
+
+
+@pytest.mark.parametrize("label", ["2T", "2O", "2I"])
+def test_binary_route_matches_hom_quotient_oracle(label):
+    # the binary forms V_l against Hom_l mod r^2, odd degrees included
+    ells = range(11)
+    assert invariant_dimensions(label, ells) == oracles.hom_quotient_dimensions(label, ells)
 
 
 def test_reynolds_batches_match_single_degrees():

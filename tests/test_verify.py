@@ -78,6 +78,16 @@ def test_shell_counts_check_names_the_shell(monkeypatch):
     assert result.details == "2O m=7: 16512 != 16513; 2O m=7: formula != q-series"
 
 
+def test_harmonic_molien_check_names_the_d_row(monkeypatch):
+    # the paper's d_(2O, 24) claimed as 49: the series row no longer matches
+    monkeypatch.setitem(
+        verify.EXPECTED_D_TABLE, "2O", (0, 0, 0, 9, 0, 13, 0, 17, 19, 21, 0, 49)
+    )
+    result = verify.run_check("harmonic-molien", DESK)
+    assert result.status == "FAIL"
+    assert result.details == "2O: d-row (0, 0, 0, 9, 0, 13, 0, 17, 19, 21, 0, 50)"
+
+
 # -- the whole matrix prints when a check is refused or raises
 
 def _text_rows(out: str) -> dict:
