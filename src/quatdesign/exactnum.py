@@ -96,9 +96,6 @@ class QuadElem:
         x, y, tag = self._join(other)
         return QuadElem(tag, x.a - y.a, x.b - y.b)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         x, y, tag = self._join(other)
         if tag == RAT:
@@ -141,18 +138,6 @@ class QuadElem:
 
     def __rtruediv__(self, other):
         return QuadElem.coerce(other) * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = QuadElem(self.tag, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     # -- order and equality -----------------------------------------------
 
@@ -204,9 +189,6 @@ class QuadElem:
     def __gt__(self, other):
         return not self <= other
 
-    def __ge__(self, other):
-        return not self < other
-
     def __repr__(self):
         if self.b == 0:
             return f"QuadElem({self.tag}, {self.a})"
@@ -230,9 +212,8 @@ class QuadElem:
 
 
 def _sign_quadratic(a: Fraction, b: Fraction, d: int) -> int:
-    """Exact sign of a + b*sqrt(d) for rational a, b and squarefree d > 1."""
-    if b == 0:
-        return (a > 0) - (a < 0)
+    """Exact sign of a + b*sqrt(d) for rational a, b != 0 and squarefree
+    d > 1, where sqrt(d) is irrational and so a + b*sqrt(d) != 0."""
     if a == 0:
         return 1 if b > 0 else -1
     if a > 0 and b > 0:
@@ -242,8 +223,6 @@ def _sign_quadratic(a: Fraction, b: Fraction, d: int) -> int:
     # opposite signs: |a| vs |b| sqrt(d)  <=>  a^2 vs d b^2
     lhs = a * a
     rhs = d * b * b
-    if lhs == rhs:
-        return 0
     bigger_is_a = lhs > rhs
     return (1 if a > 0 else -1) if bigger_is_a else (1 if b > 0 else -1)
 

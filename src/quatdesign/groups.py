@@ -25,7 +25,7 @@ from itertools import repeat
 from math import lcm
 
 from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, FieldTagMismatch
-from .quat import PAIR_MUL, Quaternion, conj, norm, qmul, qmul_pairs, scaled_pairs
+from .quat import PAIR_MUL, Quaternion, conj, qmul, qmul_pairs, scaled_pairs
 
 CYCLIC_SUPPORTED = (1, 2, 3, 4, 5, 6, 8, 10)
 DIHEDRAL_SUPPORTED = (1, 2, 3, 4, 5)
@@ -84,7 +84,7 @@ class UnitGroup:
             if not e.is_unit():
                 raise ValueError(f"non-unit element in {label}: {e!r}")
         self.label = label
-        self.elements = sorted(unique, key=lambda q: q.sort_key())
+        self.elements = sorted(unique, key=lambda q: q.coords)
         self._set = frozenset(self.elements)
 
     def __len__(self):
@@ -92,9 +92,6 @@ class UnitGroup:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def __contains__(self, q):
-        return q in self._set
 
     def as_set(self) -> frozenset:
         return self._set
@@ -310,9 +307,8 @@ class Gram:
         """The counts of D^2 <x, y> over all ordered pairs."""
         return sum(self.rows, Counter())
 
-    def distribution(self, counts=None) -> dict[QuadElem, int]:
-        """counts (by default over all ordered pairs) keyed by <x, y>."""
-        counts = self.pair_counts() if counts is None else counts
+    def distribution(self, counts) -> dict[QuadElem, int]:
+        """counts of D^2 <x, y>, keyed by <x, y>."""
         return {self.value(k): n for k, n in counts.items()}
 
     def angles(self) -> set[QuadElem]:
@@ -371,38 +367,7 @@ def distance_distribution(points, basepoint: Quaternion) -> dict[QuadElem, int]:
     return gram.distribution(gram.rows[gram.points.index(basepoint)])
 
 
-def pair_distance_distribution(points) -> dict[QuadElem, int]:
-    """A_s(X) over all ordered pairs; sums to |X|^2."""
-    return gram_of(points).distribution()
-
-
 def is_distance_invariant(points) -> bool:
     rows = gram_of(points).rows
     return all(row == rows[0] for row in rows)
 
-
-def half_set(points) -> list[Quaternion]:
-    """A canonical half set X' with X = X' u (-X'), for antipodal X."""
-    pts = sorted(points, key=lambda q: q.sort_key())
-    pset = set(pts)
-    if any(-x not in pset for x in pts):
-        raise NotAntipodal("half_set requires an antipodal point set")
-    chosen: list[Quaternion] = []
-    excluded: set[Quaternion] = set()
-    for x in pts:
-        if x in excluded:
-            continue
-        chosen.append(x)
-        excluded.add(x)
-        excluded.add(-x)
-    return chosen
-
-
-def orbit(x: Quaternion, group: UnitGroup) -> list[Quaternion]:
-    """Right coset xG; |xG| = |G| for x != 0."""
-    if norm(x).is_zero():
-        raise ValueError("orbit of the zero quaternion is not defined")
-    pts = [qmul(x, eps) for eps in group]
-    if len(set(pts)) != len(group):
-        raise AssertionError("orbit collapsed; group action not free")
-    return sorted(pts, key=lambda q: q.sort_key())

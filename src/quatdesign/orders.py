@@ -34,7 +34,7 @@ from operator import mul, neg
 from .budget import Budget, get_budget
 from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, insert, iota, reduce
 from .groups import build_group, omega, alpha, beta, zeta
-from .quat import Quaternion, flat, inner, norm, qmul, qmul_pairs, scaled_pairs
+from .quat import Quaternion, flat, inner, qmul, qmul_pairs, scaled_pairs
 
 ORDER_LABELS = ("2T", "2O", "2I")
 FIELD_TAG = {"2T": RAT, "2O": SQRT2, "2I": GOLDEN}
@@ -111,15 +111,6 @@ def order_basis(label: str) -> tuple[Quaternion, ...]:
     raise ValueError(f"no maximal order attached to {label!r}")
 
 
-@dataclass(frozen=True)
-class OrderElement:
-    group_label: str
-    coords: tuple[int, ...]
-
-    def embed(self) -> Quaternion:
-        return embed_coords(self.group_label, self.coords)
-
-
 def embed_coords(label: str, coords) -> Quaternion:
     """sum_j c_j b_j, summed on the flat integer components of 2 b_j."""
     comps = _doubled_basis(label)[1]
@@ -170,19 +161,6 @@ def _solve(label: str, flat, half: int) -> tuple[int, ...] | None:
     return coords if rebuilt == tuple(flat) else None
 
 
-def coords_of(label: str, q: Quaternion) -> tuple[int, ...]:
-    """Integer coordinates of q in the order basis; raises if not integral."""
-    coords = None
-    if all(c.tag in (RAT, FIELD_TAG[label]) or not c.b for c in q.coords):
-        try:
-            coords = _solve(label, flat(scaled_pairs(q.coords, 2)), 1)
-        except ValueError:  # 2q is not integral, so q is not in the order
-            pass
-    if coords is None:
-        raise ValueError(f"{q!r} is not in the order O_{label}")
-    return coords
-
-
 # -- quadratic forms ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -190,22 +168,6 @@ class QuadraticForm:
     group_label: str
     dimension: int
     gram: tuple[tuple[Fraction, ...], ...]  # symmetric, half-integer entries
-
-    def evaluate(self, coords) -> int:
-        n = self.dimension
-        total = Fraction(0)
-        for i in range(n):
-            ci = coords[i]
-            if ci == 0:
-                continue
-            row = self.gram[i]
-            total += row[i] * ci * ci
-            for j in range(i + 1, n):
-                if coords[j]:
-                    total += 2 * row[j] * ci * coords[j]
-        if total.denominator != 1:
-            raise AssertionError("integral form produced a non-integer value")
-        return int(total)
 
     def polynomial_coefficients(self) -> dict[tuple[int, int], Fraction]:
         out = {}
@@ -526,25 +488,3 @@ def orbit_decompose(shell: Shell) -> list[tuple[int, ...]]:
         raise IntegrityError("orbit decomposition does not partition the shell")
     return reps
 
-
-# -- the E8 comparison map for the icosian order ------------------------------
-
-def kappa4(elem: OrderElement) -> tuple[Fraction, ...]:
-    """Coefficient interleaving (a_1, b_1, ..., a_4, b_4) on {1,i,j,k} coords.
-
-    The {1,i,j,k} coordinates of O_2I are half-integral (zeta already has
-    coordinate tau/2), so the image lives in (1/2)Z^8; the defining identity
-    iota(N(x)) = sum (a_c^2 + b_c^2) holds verbatim and is asserted.
-    """
-    if elem.group_label != "2I":
-        raise ValueError("kappa4 is defined on the icosian order only")
-    q = elem.embed()
-    out = []
-    for c in q.coords:
-        out.append(c.a)
-        out.append(c.b)
-    value = sum(v * v for v in out)
-    expected = iota(norm(q))
-    if value != expected:
-        raise IntegrityError("kappa4 norm identity failed")
-    return tuple(out)

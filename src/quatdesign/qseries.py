@@ -62,8 +62,6 @@ def mul(a: list[int], b: list[int]) -> list[int]:
     n = min(len(a), len(b)) - 1
     out = [0] * (n + 1)
     for i, ai in enumerate(a[: n + 1]):
-        if not ai:
-            continue
         for j in range(0, n + 1 - i):
             if b[j]:
                 out[i + j] += ai * b[j]

@@ -40,22 +40,15 @@ class Quaternion:
     def __add__(self, other):
         return Quaternion(*(a + b for a, b in zip(self.coords, other.coords)))
 
-    def __sub__(self, other):
-        return Quaternion(*(a - b for a, b in zip(self.coords, other.coords)))
-
     def __mul__(self, other):
         if isinstance(other, Quaternion):
             return qmul(self, other)
         c = QuadElem.coerce(other)
         return Quaternion(*(xi * c for xi in self.coords))
 
-    def __rmul__(self, other):
-        c = QuadElem.coerce(other)
-        return Quaternion(*(c * xi for xi in self.coords))
-
     def __pow__(self, n: int):
         if n < 0:
-            return self.inverse() ** (-n)
+            raise ValueError(f"quaternion power {n}: exponents start at 0")
         result = Quaternion(1, 0, 0, 0)
         base = self
         while n:
@@ -65,24 +58,8 @@ class Quaternion:
             n >>= 1
         return result
 
-    def inverse(self) -> "Quaternion":
-        n = norm(self)
-        if n.is_zero():
-            raise ZeroDivisionError("inverse of the zero quaternion")
-        return conj(self) * n.inverse()
-
     def is_unit(self) -> bool:
         return norm(self) == 1
-
-    def sort_key(self):
-        """Total-order key: exact lexicographic comparison on coordinates.
-
-        Keys are the rational pairs (a, b) per coordinate mapped through the
-        real embedding ordering; since comparing two group elements only ever
-        happens inside one field, (a, b) with exact sign comparison suffices.
-        We sort via the embedding order using QuadElem comparisons.
-        """
-        return _CoordKey(self.coords)
 
     def to_json(self):
         return [c.to_json() for c in self.coords]
@@ -90,23 +67,6 @@ class Quaternion:
     @staticmethod
     def from_json(arr) -> "Quaternion":
         return Quaternion(*(QuadElem.from_json(c) for c in arr))
-
-
-class _CoordKey:
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        self.coords = coords
-
-    def __lt__(self, other):
-        for a, b in zip(self.coords, other.coords):
-            if a == b:
-                continue
-            return a < b
-        return False
-
-    def __eq__(self, other):
-        return self.coords == other.coords
 
 
 def qmul(x: Quaternion, y: Quaternion) -> Quaternion:

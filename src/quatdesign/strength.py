@@ -165,11 +165,6 @@ def pair_sums(gram: Gram, ells) -> dict[int, QuadElem]:
             for ell, (a, b) in _pair_totals(gram, ells).items()}
 
 
-def pair_sum_value(points, ell: int) -> QuadElem:
-    """sum_{x,y in X} C_l^1(<x,y>), over the Gram pass of X."""
-    return pair_sums(gram_of(points), (ell,))[ell]
-
-
 def pair_sum_test(points, ell: int) -> bool:
     """True iff l lies in the harmonic strength of X (Gegenbauer pair test);
     ValueError unless every point has unit norm."""

@@ -5,12 +5,19 @@ from functools import lru_cache
 from math import comb, gcd
 from operator import add, mul
 
-from quatdesign import lpbound, theta
-from quatdesign.exactnum import QuadElem, rat
-from quatdesign.groups import build_group
+from quatdesign import lpbound, orders, theta
+from quatdesign.exactnum import RAT, QuadElem, iota, rat
+from quatdesign.groups import NotAntipodal, build_group, gram_of
 from quatdesign.harmonics import harm_basis, laplacian, quotient_monomials
-from quatdesign.orders import FIELD_TAG, enumerate_shells, right_multiplication_matrices
-from quatdesign.quat import PAIR_MUL, left_matrix_pairs
+from quatdesign.orders import (
+    FIELD_TAG,
+    IntegrityError,
+    embed_coords,
+    enumerate_shells,
+    right_multiplication_matrices,
+)
+from quatdesign.quat import PAIR_MUL, flat, left_matrix_pairs, norm, qmul, scaled_pairs
+from quatdesign.strength import pair_sums
 
 
 def harm_dim(ell: int, d: int) -> int:
@@ -103,6 +110,97 @@ def harmonic_projection(mono):
         coeff = coeff * Fraction(-1, 4 * k * (ell - k + 1))
         out = poly4_add(out, poly4_scale(poly4_mul(r2k, lap), coeff))
     return out
+
+
+# -- point sets, order coordinates and forms, one value at a time -------------
+
+def pair_distance_distribution(points) -> dict:
+    """A_s(X) over all ordered pairs; sums to |X|^2."""
+    gram = gram_of(points)
+    return gram.distribution(gram.pair_counts())
+
+
+def half_set(points) -> list:
+    """A canonical half set X' with X = X' u (-X'), for antipodal X."""
+    pts = sorted(points, key=lambda q: q.coords)
+    pset = set(pts)
+    if any(-x not in pset for x in pts):
+        raise NotAntipodal("half_set requires an antipodal point set")
+    chosen, excluded = [], set()
+    for x in pts:
+        if x in excluded:
+            continue
+        chosen.append(x)
+        excluded.add(x)
+        excluded.add(-x)
+    return chosen
+
+
+def orbit(x, group) -> list:
+    """Right coset xG; |xG| = |G| for x != 0."""
+    if norm(x).is_zero():
+        raise ValueError("orbit of the zero quaternion is not defined")
+    pts = [qmul(x, eps) for eps in group]
+    if len(set(pts)) != len(group):
+        raise AssertionError("orbit collapsed; group action not free")
+    return sorted(pts, key=lambda q: q.coords)
+
+
+def pair_sum_value(points, ell: int) -> QuadElem:
+    """sum_{x,y in X} C_l^1(<x,y>), over the Gram pass of X."""
+    return pair_sums(gram_of(points), (ell,))[ell]
+
+
+def coords_of(label: str, q) -> tuple:
+    """Integer coordinates of q in the order basis, through the program's
+    solve; ValueError when q is not in the order."""
+    coords = None
+    if all(c.tag in (RAT, FIELD_TAG[label]) or not c.b for c in q.coords):
+        try:
+            coords = orders._solve(label, flat(scaled_pairs(q.coords, 2)), 1)
+        except ValueError:  # 2q is not integral, so q is not in the order
+            pass
+    if coords is None:
+        raise ValueError(f"{q!r} is not in the order O_{label}")
+    return coords
+
+
+def form_value(form, coords) -> int:
+    """Q_G(coords) = sum_ij coords_i coords_j gram_ij, which must be an integer."""
+    n = form.dimension
+    total = Fraction(0)
+    for i in range(n):
+        ci = coords[i]
+        if ci == 0:
+            continue
+        row = form.gram[i]
+        total += row[i] * ci * ci
+        for j in range(i + 1, n):
+            if coords[j]:
+                total += 2 * row[j] * ci * coords[j]
+    if total.denominator != 1:
+        raise AssertionError("integral form produced a non-integer value")
+    return int(total)
+
+
+def kappa4(label: str, coords) -> tuple:
+    """The E8 comparison map: the interleaved (a_1, b_1, ..., a_4, b_4) of the
+    {1,i,j,k} coordinates of an icosian given by its order coordinates.
+
+    Those coordinates are half-integral (zeta already has coordinate tau/2),
+    so the image lives in (1/2)Z^8; the defining identity
+    iota(N(x)) = sum (a_c^2 + b_c^2) holds verbatim and is asserted.
+    """
+    if label != "2I":
+        raise ValueError("kappa4 is defined on the icosian order only")
+    q = embed_coords(label, coords)
+    out = []
+    for c in q.coords:
+        out.append(c.a)
+        out.append(c.b)
+    if sum(v * v for v in out) != iota(norm(q)):
+        raise IntegrityError("kappa4 norm identity failed")
+    return tuple(out)
 
 
 # -- orbits and invariant theta tables, one element and one degree at a time --

@@ -15,15 +15,14 @@ from quatdesign.groups import (
     alpha,
     build_group,
     distance_distribution,
-    half_set,
     inner_product_set,
     is_distance_invariant,
     omega,
-    orbit,
-    pair_distance_distribution,
     zeta,
 )
 from quatdesign.quat import Quaternion, inner, norm, qmul, qmul_pairs, scaled_pairs
+
+from oracles import half_set, orbit, pair_distance_distribution
 
 HALF = Fraction(1, 2)
 

@@ -6,7 +6,7 @@ from quatdesign.exactnum import golden_elem, rat, sqrt2_elem
 from quatdesign.gegenbauer import gegenbauer_expand, horner, poly_mul
 from quatdesign import groups, lpbound, verify
 from quatdesign.budget import get_budget
-from quatdesign.groups import NotAntipodal, build_group, orbit
+from quatdesign.groups import NotAntipodal, build_group
 from quatdesign.lpbound import (
     CertificateError,
     angle_certificate,
@@ -18,7 +18,7 @@ from quatdesign.lpbound import (
 )
 from quatdesign.quat import Quaternion
 
-from oracles import lp_polynomials_unipoly, rational_tuple
+from oracles import lp_polynomials_unipoly, orbit, rational_tuple
 
 HALF = Fraction(1, 2)
 

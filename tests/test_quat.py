@@ -51,6 +51,12 @@ def test_unit_relations():
     assert zeta() ** 5 == -ONE
 
 
+def test_a_negative_power_is_refused():
+    # there is no quaternion inverse; -1 >> 1 == -1 would never end the loop
+    with pytest.raises(ValueError, match="power -1"):
+        omega() ** -1
+
+
 def test_norm_and_inner_examples():
     assert norm(omega()) == rat(1)
     assert inner(ONE, alpha()) == sqrt2_elem(0, Fraction(1, 2))

@@ -1,6 +1,8 @@
 """The scripts in scripts/ run end to end against the library's API."""
 
+import re
 import runpy
+import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -13,3 +15,24 @@ def test_reproduce_tables(capsys):
     assert "Psi_2I = 1 + u^12 + u^20 + u^24 + u^30 + u^32 + ..." in out
     assert "2O: [0, 0, 0, 9, 0, 13, 0, 17, 19, 21, 0, 50]" in out
     assert "2I: [240, 2160, 6720, 17520, 30240]" in out
+
+
+def test_coverage_src_reports_unexecuted_statements_by_function(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["coverage_src.py", "group --name Q8 --format json"])
+    try:
+        runpy.run_path(str(SCRIPTS / "coverage_src.py"), run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code == 0
+    *functions, summary = capsys.readouterr().out.splitlines()
+    assert functions
+    for line in functions:
+        assert re.fullmatch(r"\w+\.py:[\w.]+ \d+(,\d+)*", line), line
+    # the parser was built in this process; the verification runner was not run
+    names = [line.split()[0] for line in functions]
+    assert "cli.py:build_parser" not in names and "verify.py:run_all" in names
+    match = re.fullmatch(r"(\d+) of (\d+) statements in src/quatdesign executed, "
+                         r"(\d+) not, in (\d+) functions; exit codes \[0\]", summary)
+    assert match, summary
+    executed, total, missed, count = map(int, match.groups())
+    assert executed + missed == total and count == len(functions)
+    assert missed == sum(len(line.split()[1].split(",")) for line in functions)

@@ -5,13 +5,16 @@ a check that is over budget or raises costs its own row only.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from quatdesign import cli, verify
 from quatdesign.budget import get_budget
 from quatdesign.exactnum import rat
+from quatdesign.groups import UnitGroup
 from quatdesign.orders import IntegrityError
+from quatdesign.quat import Quaternion, conj
 
 DESK = get_budget("desk")
 
@@ -26,6 +29,51 @@ def test_groups_check_names_the_unit_relation(monkeypatch):
     result = verify.run_check("groups", DESK)
     assert result.status == "FAIL"
     assert result.details == "omega^3 != 1"
+
+
+def _route_2t(monkeypatch, group):
+    build = verify.build_group
+    monkeypatch.setattr(verify, "build_group",
+                        lambda label: group if label == "2T" else build(label))
+
+
+def test_groups_check_names_a_group_not_closed(monkeypatch):
+    # 2T with +-w and +-conj(w) traded for +-x and +-conj(x), x = (3 + 4i)/5:
+    # still 24 antipodal units closed under inverses, but x^2 is not among them
+    w, x = verify.omega(), Quaternion(Fraction(3, 5), Fraction(4, 5), 0, 0)
+    traded = {w, -w, conj(w), -conj(w)}
+    elements = [e for e in verify.build_group("2T") if e not in traded]
+    _route_2t(monkeypatch, UnitGroup("2T", elements + [x, -x, conj(x), -conj(x)]))
+    result = verify.run_check("groups", DESK)
+    assert result.status == "FAIL"
+    assert result.details == "2T not closed under multiplication"
+
+
+# An antipodal set has even size, and a closed finite set of units is a group,
+# so antipodal and inverse-closed: no set of quaternions fails the other three
+# group guards alone.  The real 2T answers every question but one.
+@pytest.mark.parametrize("method, answer, details", [
+    ("__len__", 23, "|2T| = 23 != 24"),
+    ("is_antipodal", False, "2T not antipodal"),
+    ("contains_inverse_of_all", False, "2T not inverse-closed"),
+])
+def test_groups_check_names_a_wrong_group_property(monkeypatch, method, answer, details):
+    corrupted = type("Corrupted2T", (UnitGroup,), {method: lambda self: answer})
+    _route_2t(monkeypatch, corrupted("2T", verify.build_group("2T")))
+    result = verify.run_check("groups", DESK)
+    assert result.status == "FAIL"
+    assert result.details == details
+
+
+@pytest.mark.parametrize("name, stand_in, details", [
+    ("alpha", "omega", "alpha^4 != -1"),  # omega^4 = omega
+    ("zeta", "alpha", "zeta^5 != -1"),    # alpha^5 = -alpha
+])
+def test_groups_check_names_each_unit_relation(monkeypatch, name, stand_in, details):
+    monkeypatch.setattr(verify, name, getattr(verify, stand_in))
+    result = verify.run_check("groups", DESK)
+    assert result.status == "FAIL"
+    assert result.details == details
 
 
 def test_strength_direct_check_names_the_degree(monkeypatch):
