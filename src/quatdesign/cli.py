@@ -16,6 +16,7 @@ import sys
 from fractions import Fraction
 
 from .budget import Budget, ResourceBudgetError, get_budget
+from .exactnum import frac_str
 from .gegenbauer import gegenbauer, gegenbauer_expand, scaled_q
 from .groups import UnsupportedAngle, build_group
 from .lpbound import (
@@ -37,10 +38,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_BAD_INPUT = 4
-
-
-def _frac(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def _csv_undefined():
@@ -147,9 +144,9 @@ def cmd_gegenbauer(args, budget: Budget) -> int:
         coeffs = [_rational(c) for c in args.expand.split(",")]
         expansion = gegenbauer_expand(coeffs, args.d)
         payload = {
-            "input": [_frac(c) for c in coeffs],
+            "input": [frac_str(c) for c in coeffs],
             "d": args.d,
-            "expansion": {str(k): _frac(f) for k, f in enumerate(expansion) if f},
+            "expansion": {str(k): frac_str(f) for k, f in enumerate(expansion) if f},
         }
         _emit(payload, args.format)
         return EXIT_OK
@@ -161,7 +158,7 @@ def cmd_gegenbauer(args, budget: Budget) -> int:
         name = f"Q_{args.ell}^({args.d})"
     payload = {
         "polynomial": name,
-        "coefficients": [_frac(c) for c in poly],
+        "coefficients": [frac_str(c) for c in poly],
     }
     _emit(
         payload, args.format,
@@ -182,15 +179,15 @@ def cmd_lp(args, budget: Budget) -> int:
         "degree": len(tf.expanded) - 1,
         "design_set": list(tf.design_set),
         "gegenbauer_coefficients": {
-            str(k): _frac(v) for k, v in sorted(tf.coefficients.items())
+            str(k): frac_str(v) for k, v in sorted(tf.coefficients.items())
         },
         "certificate": {
             "passed": report.passed,
             "negative_allowed": list(report.negative_allowed),
             "messages": list(report.messages),
         },
-        "half_set_bound": _frac(lp_lower_bound(tf)) if report.passed else None,
-        "full_set_bound": _frac(full_set_lower_bound(tf)) if report.passed else None,
+        "half_set_bound": frac_str(lp_lower_bound(tf)) if report.passed else None,
+        "full_set_bound": frac_str(full_set_lower_bound(tf)) if report.passed else None,
         "angle_set": sorted(str(s) for s in angle_certificate(tf))
         if report.passed
         else None,
@@ -253,7 +250,7 @@ def cmd_theta(args, budget: Budget) -> int:
     payload = table.to_json()
     payload["invariant_dimension_bound"] = harmonic_invariant_dim(args.group, args.ell)
     if payload["rank"] == 1:
-        payload["generator"] = [_frac(c) for c in table.normalized_generator()]
+        payload["generator"] = [frac_str(c) for c in table.normalized_generator()]
     _emit(
         payload, args.format,
         text_renderer=lambda p: [

@@ -29,6 +29,16 @@ class FieldTagMismatch(ValueError):
     """Raised when combining elements of incompatible quadratic fields."""
 
 
+# (a + b rho)(c + d rho) on coefficient pairs, one function per field;
+# rho^2 = 2 for SQRT2 and tau^2 = tau + 1 for GOLDEN.  QuadElem multiplies
+# with it on Fractions, the integer kernels on integer pairs.
+PAIR_MUL = {
+    RAT: lambda a, b, c, d: (a * c, 0),
+    SQRT2: lambda a, b, c, d: (a * c + 2 * b * d, a * d + b * c),
+    GOLDEN: lambda a, b, c, d: (a * c + b * d, a * d + b * c + b * d),
+}
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -98,14 +108,7 @@ class QuadElem:
 
     def __mul__(self, other):
         x, y, tag = self._join(other)
-        if tag == RAT:
-            return QuadElem(RAT, x.a * y.a)
-        if tag == SQRT2:
-            # (a + b rho)(c + d rho) = (ac + 2bd) + (ad + bc) rho
-            return QuadElem(tag, x.a * y.a + 2 * x.b * y.b, x.a * y.b + x.b * y.a)
-        # tau^2 = tau + 1
-        bd = x.b * y.b
-        return QuadElem(tag, x.a * y.a + bd, x.a * y.b + x.b * y.a + bd)
+        return QuadElem(tag, *PAIR_MUL[tag](x.a, x.b, y.a, y.b))
 
     __rmul__ = __mul__
 
@@ -203,7 +206,7 @@ class QuadElem:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"tag": self.tag, "a": _frac_str(self.a), "b": _frac_str(self.b)}
+        return {"tag": self.tag, "a": frac_str(self.a), "b": frac_str(self.b)}
 
     @staticmethod
     def from_json(obj: dict) -> "QuadElem":
@@ -238,7 +241,7 @@ def _json_fraction(v) -> Fraction:
     raise ValueError(f"a rational must be a 'p/q' string with q > 0 or an int, not {v!r}")
 
 
-def _frac_str(q: Fraction) -> str:
+def frac_str(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

@@ -4,16 +4,19 @@ Constructions follow the coset unions
 
     2T = Q8 u wQ8 u w^2 Q8,   2O = 2T u a 2T,   2I = U_k z^k 2T
 
-with w = (-1+i+j+k)/2, a = (1+i)/sqrt2, z = (tau + i/tau + j)/2.
+with w = (-1+i+j+k)/2, a = (1+i)/sqrt2, z = (tau + i/tau + j)/2; Q8 is
+<i>{1, j}, C_n the powers of its generator and D_2n = C_2n {1, w'}.  Every
+group is one such coset product, and a product that repeats is refused.
 
-Cyclic and dihedral groups are built from a quaternionic generator of the
-right order whose real part equals cos(2pi/n) exactly.  For n where the
-planar embedding (cos, sin, 0, 0) leaves the quadratic tower (the sine is
-irrational over it), an isometric conjugate inside the tower is used instead;
-all inner products, hence all design-theoretic data, agree with the planar
-model.  n is supported only when cos(pi/n)-type values stay inside
-Q, Q(sqrt2) or Q(sqrt5): C_n for n in {1,2,3,4,5,6,8,10}, D_2n (order 4n)
-for n in {1,2,3,4,5}.
+Cyclic and dihedral groups are built from tables of a quaternionic generator
+of the right order, whose real part equals cos(2pi/n) exactly, and of a flip
+w' orthogonal to its axis.  For n where the planar embedding
+(cos, sin, 0, 0) leaves the quadratic tower (the sine is irrational over it),
+an isometric conjugate inside the tower is used instead; all inner products,
+hence all design-theoretic data, agree with the planar model.  n is
+supported only when cos(pi/n)-type values stay inside Q, Q(sqrt2) or
+Q(sqrt5): C_n for n in {1,2,3,4,5,6,8,10}, D_2n (order 4n) for
+n in {1,2,3,4,5}.
 """
 
 from __future__ import annotations
@@ -24,11 +27,8 @@ from functools import cached_property, lru_cache
 from itertools import repeat
 from math import lcm
 
-from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, FieldTagMismatch
-from .quat import PAIR_MUL, Quaternion, conj, qmul, qmul_pairs, scaled_pairs
-
-CYCLIC_SUPPORTED = (1, 2, 3, 4, 5, 6, 8, 10)
-DIHEDRAL_SUPPORTED = (1, 2, 3, 4, 5)
+from .exactnum import PAIR_MUL, QuadElem, RAT, SQRT2, GOLDEN, FieldTagMismatch
+from .quat import Quaternion, conj, qmul, qmul_pairs, scaled_pairs
 
 
 class UnsupportedAngle(ValueError):
@@ -45,18 +45,17 @@ def omega() -> Quaternion:
     return Quaternion(-h, h, h, h)
 
 
+_HALF_SQRT2 = QuadElem(SQRT2, 0, Fraction(1, 2))  # 1/sqrt2
+
+
 def alpha() -> Quaternion:
     """a = (1 + i)/sqrt2 = (sqrt2/2)(1 + i), with a^4 = -1."""
-    c = QuadElem(SQRT2, 0, Fraction(1, 2))
-    z = QuadElem(SQRT2, 0)
-    return Quaternion(c, c, z, z)
+    return Quaternion(_HALF_SQRT2, _HALF_SQRT2, 0, 0, SQRT2)
 
 
 def beta() -> Quaternion:
     """b = (1 + j)/sqrt2."""
-    c = QuadElem(SQRT2, 0, Fraction(1, 2))
-    z = QuadElem(SQRT2, 0)
-    return Quaternion(c, z, c, z)
+    return Quaternion(_HALF_SQRT2, 0, _HALF_SQRT2, 0, SQRT2)
 
 
 def zeta() -> Quaternion:
@@ -74,17 +73,15 @@ class UnitGroup:
     def __init__(self, label: str, elements):
         elems = list(elements)
         seen = set()
-        unique = []
         for e in elems:
             if e in seen:
                 raise ValueError(f"duplicate element in {label}: {e!r}")
             seen.add(e)
-            unique.append(e)
-        for e in unique:
+        for e in elems:
             if not e.is_unit():
                 raise ValueError(f"non-unit element in {label}: {e!r}")
         self.label = label
-        self.elements = sorted(unique, key=lambda q: q.coords)
+        self.elements = sorted(elems, key=lambda q: q.coords)
         self._set = frozenset(self.elements)
 
     def __len__(self):
@@ -145,62 +142,48 @@ class UnitGroup:
         }
 
 
-def _coset_union(label, gens_powers, base):
-    elems = []
-    seen = set()
-    for g in gens_powers:
-        for h in base:
-            e = qmul(g, h)
-            if e not in seen:
-                seen.add(e)
-                elems.append(e)
-    return UnitGroup(label, elems)
+def _coset_union(label, gens, base):
+    """{g h : g in gens, h in base}; UnitGroup refuses a repeated product."""
+    return UnitGroup(label, [qmul(g, h) for g in gens for h in base])
+
+
+def _powers(g: Quaternion, n: int) -> list[Quaternion]:
+    """[1, g, ..., g^(n-1)]."""
+    out = [Quaternion(1, 0, 0, 0)]
+    for _ in range(n - 1):
+        out.append(qmul(out[-1], g))
+    return out
 
 
 def _retag(q: Quaternion, tag: str) -> Quaternion:
     return Quaternion(*(QuadElem(tag, c.a, c.b) if c.tag == RAT else c for c in q.coords))
 
 
-def _cyclic_generator(n: int) -> Quaternion:
-    """A unit quaternion of multiplicative order n inside the tower."""
-    if n == 1:
-        return Quaternion(1, 0, 0, 0)
-    if n == 2:
-        return Quaternion(-1, 0, 0, 0)
-    if n == 3:
-        return omega()
-    if n == 4:
-        return Quaternion(0, 1, 0, 0)
-    if n == 5:
-        return qmul(zeta(), zeta())
-    if n == 6:
-        return -omega()
-    if n == 8:
-        return alpha()
-    if n == 10:
-        return zeta()
-    raise UnsupportedAngle(
-        f"C_{n}: cos(2pi/{n}) does not lie in Q, Q(sqrt2) or Q(sqrt5)"
-    )
+# n -> a unit quaternion of multiplicative order n inside the tower
+_CYCLIC_GENERATORS = {
+    1: lambda: Quaternion(1, 0, 0, 0),
+    2: lambda: Quaternion(-1, 0, 0, 0),
+    3: omega,
+    4: lambda: Quaternion(0, 1, 0, 0),
+    5: lambda: qmul(zeta(), zeta()),
+    6: lambda: -omega(),
+    8: alpha,
+    10: zeta,
+}
 
+# n -> a unit imaginary w orthogonal to the axis of the C_2n generator, w^2 = -1
+_DIHEDRAL_FLIPS = {
+    1: lambda: Quaternion(0, 0, 1, 0),  # j; the axis of g is i (or g = -1)
+    2: lambda: Quaternion(0, 0, 1, 0),
+    # -w has axis i + j + k; no rational unit vector is orthogonal to it,
+    # but (i - j)/sqrt2 is and stays in Q(sqrt2)
+    3: lambda: Quaternion(0, _HALF_SQRT2, -_HALF_SQRT2, 0, SQRT2),
+    4: lambda: Quaternion(0, 0, 1, 0),  # the axis of alpha is i
+    5: lambda: Quaternion(0, 0, 0, 1),  # zeta has no k-component
+}
 
-def _dihedral_flip(n: int) -> Quaternion:
-    """Unit imaginary w orthogonal to the C_2n generator axis, w^2 = -1."""
-    if n in (1, 2):
-        return Quaternion(0, 0, 1, 0)  # j, axis of g is i (or g = -1)
-    if n == 3:
-        # generator -w has axis (i+j+k); no rational unit vector is
-        # orthogonal to it, but (i - j)/sqrt2 is and stays in Q(sqrt2)
-        c = QuadElem(SQRT2, 0, Fraction(1, 2))
-        z = QuadElem(SQRT2, 0)
-        return Quaternion(z, c, -c, z)
-    if n == 4:
-        return Quaternion(0, 0, 1, 0)  # axis of alpha is i
-    if n == 5:
-        return Quaternion(0, 0, 0, 1)  # zeta has no k-component
-    raise UnsupportedAngle(
-        f"D_{2 * n}: needs an order-{2 * n} element; cos(pi/{n}) leaves the tower"
-    )
+CYCLIC_SUPPORTED = tuple(_CYCLIC_GENERATORS)
+DIHEDRAL_SUPPORTED = tuple(_DIHEDRAL_FLIPS)
 
 
 @lru_cache(maxsize=None)
@@ -210,31 +193,19 @@ def build_group(label: str) -> UnitGroup:
     Labels: "Q8", "2T", "2O", "2I", "C<n>", "D2n<n>" (e.g. "C6", "D2n4").
     """
     if label == "Q8":
-        one, i, j, k = (
-            Quaternion(1, 0, 0, 0),
-            Quaternion(0, 1, 0, 0),
-            Quaternion(0, 0, 1, 0),
-            Quaternion(0, 0, 0, 1),
-        )
-        return UnitGroup("Q8", [one, -one, i, -i, j, -j, k, -k])
+        return _coset_union("Q8", _powers(Quaternion(0, 1, 0, 0), 4),
+                            [Quaternion(1, 0, 0, 0), Quaternion(0, 0, 1, 0)])
 
     if label == "2T":
-        q8 = build_group("Q8")
-        w = omega()
-        return _coset_union("2T", [Quaternion(1, 0, 0, 0), w, qmul(w, w)], list(q8))
+        return _coset_union("2T", _powers(omega(), 3), build_group("Q8"))
 
     if label == "2O":
         t = [_retag(e, SQRT2) for e in build_group("2T")]
-        a = alpha()
-        return _coset_union("2O", [Quaternion(1, 0, 0, 0), a], t)
+        return _coset_union("2O", _powers(alpha(), 2), t)
 
     if label == "2I":
         t = [_retag(e, GOLDEN) for e in build_group("2T")]
-        z = zeta()
-        powers = [Quaternion(1, 0, 0, 0)]
-        for _ in range(4):
-            powers.append(qmul(powers[-1], z))
-        return _coset_union("2I", powers, t)
+        return _coset_union("2I", _powers(zeta(), 5), t)
 
     if label.startswith("D2n"):
         n = int(label[3:])
@@ -242,15 +213,8 @@ def build_group(label: str) -> UnitGroup:
             raise UnsupportedAngle(
                 f"D_2n with n={n} is not constructible in the quadratic tower"
             )
-        g = _cyclic_generator(2 * n)
-        w = _dihedral_flip(n)
-        elems = []
-        cur = Quaternion(1, 0, 0, 0)
-        for _ in range(2 * n):
-            elems.append(cur)
-            cur = qmul(cur, g)
-        elems.extend(qmul(e, w) for e in list(elems))
-        return UnitGroup(label, elems)
+        flips = [Quaternion(1, 0, 0, 0), _DIHEDRAL_FLIPS[n]()]
+        return _coset_union(label, _powers(_CYCLIC_GENERATORS[2 * n](), 2 * n), flips)
 
     if label.startswith("C"):
         n = int(label[1:])
@@ -258,13 +222,8 @@ def build_group(label: str) -> UnitGroup:
             raise UnsupportedAngle(
                 f"C_{n} is not constructible in the quadratic tower"
             )
-        g = _cyclic_generator(n)
-        elems = []
-        cur = Quaternion(1, 0, 0, 0)
-        for _ in range(n):
-            elems.append(cur)
-            cur = qmul(cur, g)
-        return UnitGroup(label, elems)
+        return _coset_union(label, _powers(_CYCLIC_GENERATORS[n](), n),
+                            [Quaternion(1, 0, 0, 0)])
 
     raise ValueError(f"unknown group label {label!r}")
 

@@ -14,7 +14,6 @@ at most one can only be divisible by r^2 if it vanishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -79,15 +78,6 @@ def harmonic_projection(mono: Monomial) -> Poly4:
     return {m: Fraction(c, den) for m, c in numerator.items()}
 
 
-@dataclass(frozen=True)
-class HarmonicBasis:
-    degree: int
-    polynomials: tuple  # tuple of Poly4 (read-only by convention)
-
-    def __len__(self):
-        return len(self.polynomials)
-
-
 @lru_cache(maxsize=None)
 def quotient_monomials(ell: int) -> tuple:
     """The degree-l monomials with a_4 <= 1, a basis of Hom_l mod r^2 Hom_(l-2)."""
@@ -100,8 +90,9 @@ def quotient_monomials(ell: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def harm_basis(ell: int) -> HarmonicBasis:
-    """Basis of Harm_l(R^4): (l+1)^2 independent rational harmonics."""
+def harm_basis(ell: int) -> tuple:
+    """Basis of Harm_l(R^4): (l+1)^2 independent rational harmonics, as a
+    tuple of Poly4 (read-only by convention)."""
     if ell < 0:
         raise ValueError("degree must be nonnegative")
     polys = [harmonic_projection(mono) for mono in quotient_monomials(ell)]
@@ -110,4 +101,4 @@ def harm_basis(ell: int) -> HarmonicBasis:
         raise AssertionError(
             f"harmonic basis size {len(polys)} != expected {expected}"
         )
-    return HarmonicBasis(ell, tuple(polys))
+    return tuple(polys)

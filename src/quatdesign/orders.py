@@ -111,12 +111,17 @@ def order_basis(label: str) -> tuple[Quaternion, ...]:
     raise ValueError(f"no maximal order attached to {label!r}")
 
 
+def doubled_point(label: str, coords) -> tuple[int, ...]:
+    """The flat integer components of 2x for x = sum_j coords_j b_j."""
+    return tuple([sum(map(mul, coords, comp)) for comp in _doubled_basis(label)[1]])
+
+
 def embed_coords(label: str, coords) -> Quaternion:
     """sum_j c_j b_j, summed on the flat integer components of 2 b_j."""
-    comps = _doubled_basis(label)[1]
-    if len(coords) != len(comps[0]):
-        raise ValueError(f"{label} expects {len(comps[0])} coordinates")
-    flat = [sum(map(mul, coords, comp)) for comp in comps]
+    n = len(order_basis(label))
+    if len(coords) != n:
+        raise ValueError(f"{label} expects {n} coordinates")
+    flat = doubled_point(label, coords)
     tag = FIELD_TAG[label]
     return Quaternion(*(QuadElem(tag, Fraction(a, 2), Fraction(b, 2))
                         for a, b in zip(flat[::2], flat[1::2])))
@@ -151,13 +156,13 @@ def _doubled_basis(label: str):
 def _solve(label: str, flat, half: int) -> tuple[int, ...] | None:
     """Integer c with x = sum_j c_j b_j, from the flat components of
     2*half*x; None when x is not in the order."""
-    _, comps, cols, inv, den = _doubled_basis(label)
+    _, _, cols, inv, den = _doubled_basis(label)
     sums = [sum(flat[k] * a for k, a in zip(cols, col)) for col in inv]
     if any(t % (den * half) for t in sums):
         return None
     coords = tuple(t // (den * half) for t in sums)
     # the solve reads only `cols`; the coordinates must rebuild every component
-    rebuilt = tuple(half * sum(map(mul, coords, comp)) for comp in comps)
+    rebuilt = tuple(half * v for v in doubled_point(label, coords))
     return coords if rebuilt == tuple(flat) else None
 
 
@@ -249,23 +254,22 @@ def quadratic_form(label: str) -> QuadraticForm:
 def _ldl_completion(gram):
     """Rational coefficients for Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2.
 
-    The pivot d_i is the ratio of the i-th to the (i-1)-th leading minor;
-    raises ValueError at the first pivot that is not positive.
+    Row i of the Gram matrix, reduced against the rows before it on the
+    shared echelon, is d_i u_i with u_ii = 1, and u_i is stored as echelon
+    row i; raises ValueError at the first pivot d_i that is not positive.
+    The result is (d, u) with u as an n x n table, zero on and below the
+    diagonal.
     """
     n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    d = [Fraction(0)] * n
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = a[i][i]
-        if d[i] <= 0:
+    d, echelon = [], {}
+    for i, row in enumerate(gram):
+        cur = reduce({j: Fraction(x) for j, x in enumerate(row)}, echelon)
+        if cur.get(i, 0) <= 0:
             raise ValueError("form is not positive definite")
-        for j in range(i + 1, n):
-            u[i][j] = a[i][j] / d[i]
-        for r in range(i + 1, n):
-            for c in range(r, n):
-                a[r][c] -= d[i] * u[i][r] * u[i][c]
-                a[c][r] = a[r][c]
+        d.append(cur[i])
+        echelon[i] = {j: v / cur[i] for j, v in cur.items()}
+    u = [[echelon[i].get(j, Fraction(0)) if j > i else Fraction(0) for j in range(n)]
+         for i in range(n)]
     return d, u
 
 

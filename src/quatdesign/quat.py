@@ -7,7 +7,7 @@ y -> y . M_x, with the rows of M_x given by `left_matrix_pairs`.
 
 from __future__ import annotations
 
-from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, FieldTagMismatch, rat
+from .exactnum import PAIR_MUL, FieldTagMismatch, QuadElem, RAT, rat
 
 
 class Quaternion:
@@ -120,15 +120,6 @@ def scaled_pairs(coords, scale: int) -> tuple[tuple[int, int], ...]:
 def flat(pairs) -> tuple[int, ...]:
     """The integer components (a_1, b_1, a_2, b_2, ...) of a tuple of pairs."""
     return tuple(v for pair in pairs for v in pair)
-
-
-# (a + b rho)(c + d rho) on integer pairs, one function per field;
-# rho^2 = 2 for SQRT2 and tau^2 = tau + 1 for GOLDEN
-PAIR_MUL = {
-    RAT: lambda a, b, c, d: (a * c, 0),
-    SQRT2: lambda a, b, c, d: (a * c + 2 * b * d, a * d + b * c),
-    GOLDEN: lambda a, b, c, d: (a * c + b * d, a * d + b * c + b * d),
-}
 
 
 def qmul_pairs(tag, x, y):

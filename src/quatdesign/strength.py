@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import QuadElem
+from .exactnum import PAIR_MUL, QuadElem
 from .groups import Gram, UnitGroup, build_group, gram_of
-from .quat import PAIR_MUL, scaled_pairs
+from .quat import scaled_pairs
 
 
 @dataclass(frozen=True)

@@ -31,11 +31,11 @@ from math import comb, gcd, isqrt, lcm
 from operator import mul
 
 from .budget import Budget, get_budget
-from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, insert
+from .exactnum import PAIR_MUL, QuadElem, RAT, SQRT2, GOLDEN, insert
 from .groups import build_group
 from .harmonics import harm_basis
-from .orders import FIELD_TAG, _doubled_basis, ball_size, enumerate_shells
-from .quat import PAIR_MUL, char_coeffs_pairs, flat, left_matrix_pairs, qmul_pairs
+from .orders import FIELD_TAG, _doubled_basis, ball_size, doubled_point, enumerate_shells
+from .quat import char_coeffs_pairs, flat, left_matrix_pairs, qmul_pairs
 from .strength import class_sum_series, molien_closed_form, molien_series
 
 
@@ -43,7 +43,9 @@ from .strength import class_sum_series, molien_closed_form, molien_series
 #
 # A scalar a + b*rho with integers a, b is the pair (a, b); a complex value
 # re + i*im with re, im in Z[rho] is the flat 4-tuple (re_a, re_b, im_a, im_b).
-# A caller looks up its field's multiply once, in PAIR_MUL or _CMUL.
+# A caller looks up its field's multiply once, in PAIR_MUL or _CMUL.  The
+# complex products are written out rather than built from PAIR_MUL: one
+# profiled verify-desk run made about 1.4 M of them.
 
 def _cmul_rat(u, v):
     ra, _, ia, _ = u
@@ -207,7 +209,7 @@ _QUAT_ONE = ((1, 0), (0, 0), (0, 0), (0, 0))
 
 
 @lru_cache(maxsize=None)
-def _point_map(label: str, y=_QUAT_ONE) -> tuple:
+def _point_map(label: str, y) -> tuple:
     """Columns c_0..c_7 with flat pairs of y * 2x = sum(map(mul, coords, c_k))
     for the order coordinates coords of x; y is an integer-pair quaternion."""
     tag = FIELD_TAG[label]
@@ -258,7 +260,7 @@ def _integer_basis(ell: int) -> tuple:
     """(den * P, den) for each P in harm_basis(ell), den clearing its
     denominators."""
     out = []
-    for p in harm_basis(ell).polynomials:
+    for p in harm_basis(ell):
         den = lcm(*(c.denominator for c in p.values()))
         out.append(({m: int(c * den) for m, c in p.items()}, den))
     return tuple(out)
@@ -279,22 +281,15 @@ def _translate_pool():
     """_POOL_SIZE integer quaternions y with N(y) a perfect square, words in
     two non-commuting generators whose rotation group is infinite (dense)."""
     pool = [_QUAT_ONE]
-    frontier = [_QUAT_ONE]
-    while len(pool) < _POOL_SIZE:
-        nxt = []
-        for w in frontier:
-            for g in _POOL_GENERATORS:
-                c = qmul_pairs(RAT, w, g)
-                if c not in pool:
-                    pool.append(c)
-                    nxt.append(c)
-                if len(pool) >= _POOL_SIZE:
-                    break
-            if len(pool) >= _POOL_SIZE:
-                break
-        frontier = nxt
+    for w in pool:  # breadth first: the list is read while it grows
+        if len(pool) >= _POOL_SIZE:
+            break
+        for g in _POOL_GENERATORS:
+            c = qmul_pairs(RAT, w, g)
+            if c not in pool:
+                pool.append(c)
     out = []
-    for y in pool:
+    for y in pool[:_POOL_SIZE]:
         n = sum(a * a for a, _ in y)
         root = isqrt(n)
         if root * root != n:
@@ -321,14 +316,6 @@ class ThetaTable:
     def rank(self) -> int:
         return exact_rank(self.matrix)
 
-    def nonzero_column_vectors(self):
-        cols = []
-        for j in range(self.n_columns):
-            col = [row[j] for row in self.matrix]
-            if any(not e.is_zero() for e in col):
-                cols.append((self.column_labels[j], col))
-        return cols
-
     def normalized_generator(self) -> list[Fraction] | None:
         """When rank is 1: the common column, scaled to leading coefficient 1.
 
@@ -337,8 +324,7 @@ class ThetaTable:
         """
         if self.rank() != 1:
             return None
-        _, col = self.nonzero_column_vectors()[0]
-        lead = next(e for e in col if not e.is_zero())
+        col, lead = next((col, e) for col in zip(*self.matrix) for e in col if e)
         inv = lead.inverse()
         out = []
         for e in col:
@@ -441,11 +427,10 @@ def _full_table(label, ell, shells, budget: Budget) -> ThetaTable:
     tag = FIELD_TAG[label]
     basis = _integer_basis(ell)
 
-    cols = _point_map(label)
     rows = []
     for shell in enumerate_shells(label, shells, budget):
         # points are 2x, so a degree-l sum is 2^l times the true one
-        sums = _monomial_sums(tag, [_map_point(cols, c) for c in shell.points], ell)
+        sums = _monomial_sums(tag, [doubled_point(label, c) for c in shell.points], ell)
         row = []
         for poly, den in basis:
             sa = sum(c * sums[mono][0] for mono, c in poly.items())

@@ -301,7 +301,7 @@ def invariant_dimension_coefficients(label: str, ell: int) -> int:
             for m2, c in vec.items():
                 acc[m2] = acc.get(m2, 0) + c
     images = []
-    for p in harm_basis(ell).polynomials:
+    for p in harm_basis(ell):
         img: dict = {}
         for mono, c in p.items():
             col = reynolds_cols.get(mono)

@@ -8,6 +8,7 @@ from collections import Counter
 from quatdesign.exactnum import (
     GOLDEN, RAT, SQRT2, FieldTagMismatch, QuadElem, golden_elem, rat, sqrt2_elem,
 )
+from quatdesign import groups
 from quatdesign.groups import (
     NotAntipodal,
     UnitGroup,
@@ -68,6 +69,18 @@ def test_coset_union_structure():
     assert all(e in i for e in t)
     assert zeta() in i
     assert zeta() ** 5 == -Quaternion(1, 0, 0, 0)
+
+
+def test_a_wrong_generator_repeats_a_coset_product(monkeypatch):
+    # omega (order 3) standing in for zeta (order 10): z^3 = 1, so the coset
+    # product repeats 2T; it is refused, not shrunk to a 24-element "2I"
+    monkeypatch.setattr(groups, "zeta", lambda: groups._retag(omega(), GOLDEN))
+    build_group.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="duplicate element in 2I"):
+            build_group("2I")
+    finally:
+        build_group.cache_clear()
 
 
 def test_d2n2_is_q8():

@@ -68,12 +68,12 @@ def test_basis_counts(ell):
 
 @pytest.mark.parametrize("ell", [2, 4, 6, 8])
 def test_basis_is_harmonic(ell):
-    for p in harm_basis(ell).polynomials:
+    for p in harm_basis(ell):
         assert laplacian(p) == {}
 
 
 def test_basis_degree_one():
-    polys = harm_basis(1).polynomials
+    polys = harm_basis(1)
     monos = sorted(next(iter(p)) for p in polys)
     assert monos == [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)]
 
@@ -84,7 +84,7 @@ def test_basis_independent(ell):
     basis = harm_basis(ell)
     echelon = []
     rank = 0
-    for p in basis.polynomials:
+    for p in basis:
         cur = dict(p)
         for pivot, vec in echelon:
             c = cur.get(pivot)

@@ -4,12 +4,13 @@ Each blocking check can fail on one corrupted input and names what failed;
 a check that is over budget or raises costs its own row only.
 """
 
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
-from quatdesign import cli, verify
+from quatdesign import cli, orders, verify
 from quatdesign.budget import get_budget
 from quatdesign.exactnum import rat
 from quatdesign.groups import UnitGroup
@@ -124,6 +125,70 @@ def test_shell_counts_check_names_the_shell(monkeypatch):
     result = verify.run_check("shell-counts", DESK)
     assert result.status == "FAIL"
     assert result.details == "2O m=7: 16512 != 16513; 2O m=7: formula != q-series"
+
+
+def _corrupt_report(monkeypatch, label, **fields):
+    """group_strength with some fields of `label`'s report replaced."""
+    strength = verify.group_strength
+
+    def corrupted(name, limit):
+        report = strength(name, limit)
+        return dataclasses.replace(report, **fields) if name == label else report
+
+    monkeypatch.setattr(verify, "group_strength", corrupted)
+
+
+@pytest.mark.parametrize("label, fields, details", [
+    ("C3", {"even_members": (2,)}, "C3: nonempty even part (2,)"),
+    ("C4", {"all_odd_in": False}, "C4: odd degrees missing"),
+    # T(C_5) holds the odd degrees below 5 only
+    ("C5", {"odd_members": (1, 3, 5)}, "C5: odd part [1, 3, 5] != [1, 3]"),
+])
+def test_dihedral_cyclic_check_names_the_cyclic_report(monkeypatch, label, fields, details):
+    _corrupt_report(monkeypatch, label, **fields)
+    result = verify.run_check("dihedral-cyclic", DESK)
+    assert result.status == "FAIL"
+    assert result.details == details
+
+
+def test_dihedral_cyclic_check_names_the_closed_form_of_d12(monkeypatch):
+    # the u^4 coefficient of Psi_(D_12) zeroed: 4 joins the zero set {2, 6, 10}
+    closed_form = verify.molien_closed_form
+
+    def corrupted(label, n):
+        series = closed_form(label, n)
+        return series[:4] + (0,) + series[5:] if label == "D2n6" else series
+
+    monkeypatch.setattr(verify, "molien_closed_form", corrupted)
+    result = verify.run_check("dihedral-cyclic", DESK)
+    assert result.status == "FAIL"
+    assert result.details == "D2n6: closed-form even part [2, 4, 6, 10]"
+
+
+def test_shell_counts_check_names_the_printed_head(monkeypatch):
+    monkeypatch.setitem(verify.PRINTED_SHELL_HEADS, "2I", (240, 2160, 6720, 17521))
+    result = verify.run_check("shell-counts", DESK)
+    assert result.status == "FAIL"
+    assert result.details == "2I: first counts (240, 2160, 6720, 17520)"
+
+
+def test_order_units_check_names_the_unit_shell(monkeypatch):
+    # Q8 standing in for 2T: the 24 units of the Hurwitz order are not its 8
+    _route_2t(monkeypatch, verify.build_group("Q8"))
+    result = verify.run_check("order-units", DESK)
+    assert result.status == "FAIL"
+    assert result.details == "O_(2T,1) != 2T"
+
+
+def test_order_units_check_names_the_orbit_count(monkeypatch):
+    # one orbit representative of the 240 units of O_2I kept, not two; the
+    # shells are enumerated afresh so that none has its orbits cached
+    decompose = orders.orbit_decompose
+    monkeypatch.setattr(orders, "orbit_decompose", lambda shell: decompose(shell)[:1])
+    monkeypatch.setattr(orders, "_BALL_CACHE", {})
+    result = verify.run_check("order-units", DESK)
+    assert result.status == "FAIL"
+    assert result.details == "O_(2I,1) has 1 orbits, expected 2"
 
 
 def test_harmonic_molien_check_names_the_d_row(monkeypatch):
