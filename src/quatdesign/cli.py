@@ -342,8 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gegenbauer", help="exact Gegenbauer / scaled polynomials")
     p.add_argument("--ell", type=_nonnegative_int, required=True)
     p.add_argument("--d", type=int, default=4)
-    p.add_argument("--lam", help="rational lambda (default: use scaled Q_l^(d))")
-    p.add_argument("--expand", help="comma-separated rational coefficients to expand")
+    what = p.add_mutually_exclusive_group()
+    what.add_argument("--lam", help="rational lambda (default: use scaled Q_l^(d))")
+    what.add_argument("--expand", help="comma-separated rational coefficients to expand")
     _fmt(p)
 
     p = sub.add_parser("lp", help="linear-programming certificate report")
@@ -353,8 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shells", help="enumerate shells of a maximal order")
     p.add_argument("--group", required=True, choices=("2T", "2O", "2I"))
     p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--emit", help="write the point list to a JSON file")
+    what = p.add_mutually_exclusive_group()
+    what.add_argument("--count-only", action="store_true")
+    what.add_argument("--emit", help="write the point list to a JSON file")
     _fmt(p)
 
     p = sub.add_parser("theta", help="spherical theta coefficient table")

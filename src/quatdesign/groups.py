@@ -129,10 +129,10 @@ class UnitGroup:
         return gram_pass(self.elements)
 
     def is_antipodal(self) -> bool:
-        return all(-g in self._set for g in self.elements)
+        return self.gram.antipodal()
 
     def contains_inverse_of_all(self) -> bool:
-        return all(conj(g) in self._set for g in self.elements)
+        return self._set.issuperset(map(conj, self.elements))
 
     def to_json(self):
         return {

@@ -2,7 +2,8 @@
 
 A quaternion x1 + x2 i + x3 j + x4 k is identified with the row vector
 (x1, x2, x3, x4).  Left multiplication y -> x*y acts on row vectors as
-y -> y . M_x, with the rows of M_x given by `left_matrix_pairs`.
+y -> y . M_x, with the rows of M_x given by `left_matrix_pairs`.  Hamilton's
+rule is written once, in `HAMILTON`, and every product reads it.
 """
 
 from __future__ import annotations
@@ -69,21 +70,31 @@ class Quaternion:
         return Quaternion(*(QuadElem.from_json(c) for c in arr))
 
 
+# Hamilton's rule: (i, j, k, s) says e_i e_j = s e_k, with e_0 = 1 and
+# (e_1, e_2, e_3) = (i, j, k).  The entries of each k are in the order of the
+# written-out formula, the first with s = +1; qmul adds them in that order, so
+# each coordinate takes the field tag the formula gave it.
+HAMILTON = (
+    (0, 0, 0, 1), (1, 1, 0, -1), (2, 2, 0, -1), (3, 3, 0, -1),
+    (1, 0, 1, 1), (0, 1, 1, 1), (3, 2, 1, -1), (2, 3, 1, 1),
+    (2, 0, 2, 1), (3, 1, 2, 1), (0, 2, 2, 1), (1, 3, 2, -1),
+    (3, 0, 3, 1), (2, 1, 3, -1), (1, 2, 3, 1), (0, 3, 3, 1),
+)
+
+
 def qmul(x: Quaternion, y: Quaternion) -> Quaternion:
     """Hamilton product with ij = k = -ji."""
-    x1, x2, x3, x4 = x.coords
-    y1, y2, y3, y4 = y.coords
+    xs, ys = x.coords, y.coords
+    out = [None] * 4
     try:
-        return Quaternion(
-            x1 * y1 - x2 * y2 - x3 * y3 - x4 * y4,
-            x2 * y1 + x1 * y2 - x4 * y3 + x3 * y4,
-            x3 * y1 + x4 * y2 + x1 * y3 - x2 * y4,
-            x4 * y1 - x3 * y2 + x2 * y3 + x1 * y4,
-        )
+        for i, j, k, s in HAMILTON:
+            term, acc = xs[i] * ys[j], out[k]
+            out[k] = term if acc is None else acc + term if s > 0 else acc - term
     except FieldTagMismatch:
         raise FieldTagMismatch(
             "quaternion product requires compatible coefficient fields"
         ) from None
+    return Quaternion(*out)
 
 
 def conj(x: Quaternion) -> Quaternion:
@@ -125,68 +136,20 @@ def flat(pairs) -> tuple[int, ...]:
 def qmul_pairs(tag, x, y):
     """Hamilton product on 4-tuples of integer pairs."""
     pmul = PAIR_MUL[tag]
-
-    def mul(i, j):
-        return pmul(x[i][0], x[i][1], y[j][0], y[j][1])
-
-    def add(*terms):
-        return (sum(t[0] for t in terms), sum(t[1] for t in terms))
-
-    def neg(t):
-        return (-t[0], -t[1])
-
-    p11, p22, p33, p44 = mul(0, 0), mul(1, 1), mul(2, 2), mul(3, 3)
-    return (
-        add(p11, neg(p22), neg(p33), neg(p44)),
-        add(mul(1, 0), mul(0, 1), neg(mul(3, 2)), mul(2, 3)),
-        add(mul(2, 0), mul(3, 1), mul(0, 2), neg(mul(1, 3))),
-        add(mul(3, 0), neg(mul(2, 1)), mul(1, 2), mul(0, 3)),
-    )
-
-
-def char_coeffs_pairs(tag, rows) -> tuple[tuple[int, int], ...]:
-    """(e1, e2, e3, e4) with det(tI - A) = t^4 - e1 t^3 + e2 t^2 - e3 t + e4,
-    for a 4x4 matrix A of integer pairs.
-
-    Newton's identities k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i with the
-    power traces p_i = tr(A^i); the divisions by 2, 3 and 4 are exact on
-    Z[rho] and raise AssertionError on a remainder.
-    """
-    pmul = PAIR_MUL[tag]
-
-    def dot(u, v):
-        terms = [pmul(*x, *y) for x, y in zip(u, v)]
-        return sum(t[0] for t in terms), sum(t[1] for t in terms)
-
-    cols = tuple(zip(*rows))
-    power, traces = rows, []
-    for k in range(4):
-        if k:
-            power = [[dot(r, c) for c in cols] for r in power]
-        diag = [power[i][i] for i in range(4)]
-        traces.append((sum(t[0] for t in diag), sum(t[1] for t in diag)))
-    e = [(1, 0)]
-    for k in range(1, 5):
-        acc_a = acc_b = 0
-        for i in range(1, k + 1):
-            ta, tb = pmul(*e[k - i], *traces[i - 1])
-            sign = 1 if i % 2 else -1
-            acc_a += sign * ta
-            acc_b += sign * tb
-        if acc_a % k or acc_b % k:
-            raise AssertionError(f"Newton identity for e_{k} leaves a remainder")
-        e.append((acc_a // k, acc_b // k))
-    return tuple(e[1:])
+    out = [0] * 8
+    for i, j, k, s in HAMILTON:
+        a, b = pmul(*x[i], *y[j])
+        out[2 * k] += s * a
+        out[2 * k + 1] += s * b
+    return tuple(zip(out[::2], out[1::2]))
 
 
 def left_matrix_pairs(x):
     """The rows of M_x, y -> x*y on row vectors, for a quaternion x of
-    integer pairs; for x = 2 eps they are the rows of 2 M_eps."""
-    x1, x2, x3, x4 = x
-    n2, n3, n4 = ((-a, -b) for a, b in (x2, x3, x4))
-    return (
-        (x1, x2, x3, x4),
-        (n2, x1, x4, n3),
-        (n3, n4, x1, x2),
-        (n4, x3, n2, x1),
-    )
+    integer pairs: M_x[j][k] = s x_i for each (i, j, k, s) in HAMILTON.
+    For x = 2 eps they are the rows of 2 M_eps."""
+    rows = [[None] * 4 for _ in range(4)]
+    for i, j, k, s in HAMILTON:
+        a, b = x[i]
+        rows[j][k] = (s * a, s * b)
+    return tuple(map(tuple, rows))

@@ -186,23 +186,21 @@ def harmonic_strength(source, n: int) -> StrengthReport:
     and lie on the unit sphere.
     """
     if isinstance(source, UnitGroup):
-        label = source.label
-        points = source.elements
+        label, gram = source.label, source.gram
         vanishes = [c == 0 for c in molien_series(source, n)]
     else:
         label = "points"
         points = list(source)
         if not points:
             raise ValueError("the strength of an empty point set is not defined")
-        # one scan serves the degrees up to n and the spot checks below, and
-        # checks that every point has unit norm
-        vanishes = pair_sum_tests_bulk(points, range(max(n, 15) + 1))
+        # one scan serves the degrees up to n, the spot checks below and
+        # antipodality, and checks that every point has unit norm
+        gram = gram_of(points)
+        vanishes = {k: t == (0, 0) for k, t in _pair_totals(gram, range(max(n, 15) + 1)).items()}
     zero_evens = tuple(k for k in range(2, n + 1, 2) if vanishes[k])
     odd_nonzero = [k for k in range(1, n + 1, 2) if not vanishes[k]]
 
-    pset = set(points)
-    antipodal = all(-x in pset for x in points)
-    if antipodal:
+    if gram.antipodal():
         if odd_nonzero:
             raise AssertionError(
                 f"antipodal set with nonzero odd pair sum at l={odd_nonzero[0]}"

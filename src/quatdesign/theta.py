@@ -35,8 +35,8 @@ from .exactnum import PAIR_MUL, QuadElem, RAT, SQRT2, GOLDEN, insert
 from .groups import build_group
 from .harmonics import harm_basis
 from .orders import FIELD_TAG, _doubled_basis, ball_size, doubled_point, enumerate_shells
-from .quat import char_coeffs_pairs, flat, left_matrix_pairs, qmul_pairs
-from .strength import class_sum_series, molien_closed_form, molien_series
+from .quat import flat, left_matrix_pairs, qmul_pairs
+from .strength import class_sum_series, molien_series
 
 
 # -- flat integer kernel ------------------------------------------------------
@@ -465,9 +465,11 @@ _RANKS: dict = {}
 
 
 def theta_ranks(label: str, ells, shells: int, budget: Budget | None = None) -> dict:
-    """{ell: theta_rank(label, ell, shells)}, the ranks not yet known from one
-    batch of tables.  The budget checks all run first, on every call, so a
-    smaller budget still refuses a rank that a larger one computed."""
+    """{ell: exact rank of the theta table}, the ranks not yet known from one
+    batch of tables.  A rank is a lower bound for dim Theta(G, ell), and 0
+    whenever Harm_ell^G = 0 (in particular for ell in T(G)).  The budget
+    checks all run first, on every call, so a smaller budget still refuses a
+    rank that a larger one computed."""
     budget = budget or get_budget()
     for ell in ells:
         budget.check_theta(label, ell)
@@ -480,36 +482,33 @@ def theta_ranks(label: str, ells, shells: int, budget: Budget | None = None) -> 
     return {ell: _RANKS[(label, ell, shells)] for ell in ells}
 
 
-def theta_rank(label: str, ell: int, shells: int, budget: Budget | None = None) -> int:
-    """Exact rank of the theta table: a lower bound for dim Theta(G, ell);
-    exactly 0 whenever Harm_ell^G = 0 (in particular for ell in T(G))."""
-    return theta_ranks(label, (ell,), shells, budget)[ell]
-
-
 # -- harmonic Molien series ----------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _checked_det_classes(label: str) -> tuple:
     """(coefficients of det(I - u M_eps), count) per first-coordinate class.
 
-    For every element of G the characteristic polynomial of A = 2 M_eps is
-    expanded on integer pairs and checked against the SU(2) factorization
-    det(I - u M_eps) = (1 - 2 eps_1 u + u^2)^2, i.e. e_1..e_4 of A equal
-    (4x, 8 + 4x^2, 16x, 16) with x = 2 eps_1.  So the determinant depends
-    on eps only through eps_1, and each class takes the verified factor
-    (1, -2x, x^2 + 2, -2x, 1), on integer pairs.
+    Each element is checked, on integer pairs, to satisfy A^2 - 2xA + 4I = 0
+    with A = 2 M_eps and x = 2 eps_1.  That gives det(tI - A) = (t^2 - 2xt + 4)^2:
+    every eps is a unit (UnitGroup refuses others), so |x| <= 2.  For |x| < 2
+    the quadratic has no real root, so it is the minimal polynomial of the
+    real matrix A and det(tI - A) is its square; for x = +-2 every eigenvalue
+    of A is x and det(tI - A) = (t - x)^4, the same square.  Hence
+    det(I - u M_eps) = (1 - 2 eps_1 u + u^2)^2 depends on eps only through
+    eps_1, and each class takes (1, -2x, x^2 + 2, -2x, 1) on integer pairs.
     """
-    tag = FIELD_TAG[label]
-    pmul = PAIR_MUL[tag]
+    pmul = PAIR_MUL[FIELD_TAG[label]]
     classes = Counter()
     for doubled in build_group(label).doubled:
-        xa, xb = doubled[0]
+        (xa, xb), rows = doubled[0], left_matrix_pairs(doubled)
+        lin = (-2 * xa, -2 * xb)  # -2x
+        for i, row in enumerate(rows):
+            for k, col in enumerate(zip(*rows)):
+                terms = [pmul(*p, *q) for p, q in zip(row, col)] + [pmul(*lin, *row[k])]
+                if (sum(t[0] for t in terms) + 4 * (i == k), sum(t[1] for t in terms)) != (0, 0):
+                    raise AssertionError("det(I - uM) != su2 factor squared")
         sa, sb = pmul(xa, xb, xa, xb)
-        want = ((4 * xa, 4 * xb), (8 + 4 * sa, 4 * sb), (16 * xa, 16 * xb), (16, 0))
-        if char_coeffs_pairs(tag, left_matrix_pairs(doubled)) != want:
-            raise AssertionError("det(I - uM) != su2 factor squared")
-        x = (-2 * xa, -2 * xb)
-        classes[((1, 0), x, (sa + 2, sb), x, (1, 0))] += 1
+        classes[((1, 0), lin, (sa + 2, sb), lin, (1, 0))] += 1
     return tuple(classes.items())
 
 
@@ -529,35 +528,3 @@ def harmonic_molien(label: str, n: int) -> tuple[int, ...]:
 
 def harmonic_invariant_dim(label: str, ell: int) -> int:
     return harmonic_molien(label, ell)[ell]
-
-
-# -- dimension-series hypotheses -----------------------------------------------
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    group_label: str
-    ell: int
-    rank_lower_bound: int
-    conjectured_dim: int
-    agrees: bool
-    proven: bool  # True for 2T, where the series is established, not guessed
-
-
-def dimension_hypothesis(
-    label: str, ell: int, shells: int, budget: Budget | None = None
-) -> HypothesisReport:
-    """Compare theta_rank with the (partly conjectural) dimension series.
-
-    The series equals the Molien closed form for each group; for 2O and 2I
-    the equality is conjectural, so disagreement is reported, never asserted.
-    """
-    conj = molien_closed_form(label, ell)[ell]
-    rank = theta_rank(label, ell, shells, budget)
-    return HypothesisReport(
-        group_label=label,
-        ell=ell,
-        rank_lower_bound=rank,
-        conjectured_dim=conj,
-        agrees=(rank == conj),
-        proven=(label == "2T"),
-    )

@@ -203,6 +203,56 @@ def kappa4(label: str, coords) -> tuple:
     return tuple(out)
 
 
+# -- the Hamilton product written out, and Newton's identities ---------------
+
+def hamilton_formula(x, y):
+    """The 16-term Hamilton product with ij = k = -ji, written out, on any
+    4-tuples of ring elements."""
+    x1, x2, x3, x4 = x
+    y1, y2, y3, y4 = y
+    return (
+        x1 * y1 - x2 * y2 - x3 * y3 - x4 * y4,
+        x2 * y1 + x1 * y2 - x4 * y3 + x3 * y4,
+        x3 * y1 + x4 * y2 + x1 * y3 - x2 * y4,
+        x4 * y1 - x3 * y2 + x2 * y3 + x1 * y4,
+    )
+
+
+def char_coeffs_pairs(tag, rows) -> tuple[tuple[int, int], ...]:
+    """(e1, e2, e3, e4) with det(tI - A) = t^4 - e1 t^3 + e2 t^2 - e3 t + e4,
+    for a 4x4 matrix A of integer pairs.
+
+    Newton's identities k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i with the
+    power traces p_i = tr(A^i); the divisions by 2, 3 and 4 are exact on
+    Z[rho] and raise AssertionError on a remainder.
+    """
+    pmul = PAIR_MUL[tag]
+
+    def dot(u, v):
+        terms = [pmul(*x, *y) for x, y in zip(u, v)]
+        return sum(t[0] for t in terms), sum(t[1] for t in terms)
+
+    cols = tuple(zip(*rows))
+    power, traces = rows, []
+    for k in range(4):
+        if k:
+            power = [[dot(r, c) for c in cols] for r in power]
+        diag = [power[i][i] for i in range(4)]
+        traces.append((sum(t[0] for t in diag), sum(t[1] for t in diag)))
+    e = [(1, 0)]
+    for k in range(1, 5):
+        acc_a = acc_b = 0
+        for i in range(1, k + 1):
+            ta, tb = pmul(*e[k - i], *traces[i - 1])
+            sign = 1 if i % 2 else -1
+            acc_a += sign * ta
+            acc_b += sign * tb
+        if acc_a % k or acc_b % k:
+            raise AssertionError(f"Newton identity for e_{k} leaves a remainder")
+        e.append((acc_a // k, acc_b // k))
+    return tuple(e[1:])
+
+
 # -- orbits and invariant theta tables, one element and one degree at a time --
 
 def orbit_reps(shell):

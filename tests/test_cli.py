@@ -352,6 +352,23 @@ def test_out_of_range_counts_are_usage_errors(argv):
     assert err.value.code == 2
 
 
+def test_shells_refuses_count_only_with_emit(tmp_path):
+    # counts alone would be printed and no point file written
+    path = tmp_path / "pts.json"
+    with pytest.raises(SystemExit) as err:
+        main(["shells", "--group", "2T", "--m", "2", "--count-only", "--emit", str(path)])
+    assert err.value.code == 2
+    assert not path.exists()
+
+
+def test_gegenbauer_refuses_lam_with_expand(capsys):
+    # the expansion would be printed and lambda ignored
+    with pytest.raises(SystemExit) as err:
+        main(["gegenbauer", "--ell", "5", "--lam", "3", "--expand", "0,0,1"])
+    assert err.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_deterministic_output(capsys):
     _, out1 = run_cli(capsys, "group", "--name", "2I", "--format", "json")
     _, out2 = run_cli(capsys, "group", "--name", "2I", "--format", "json")

@@ -47,6 +47,8 @@ def test_closure_fails_on_non_groups():
     q8 = list(build_group("Q8"))
     assert not UnitGroup("Q8+w", q8 + [omega(), -omega()]).is_closed()
     assert not UnitGroup("Q8+a", q8 + [alpha(), -alpha()]).is_closed()
+    # the inverse conj(w) of w is not among them either
+    assert not UnitGroup("Q8+w", q8 + [omega(), -omega()]).contains_inverse_of_all()
 
 
 @pytest.mark.parametrize("label, tag", [("2O", SQRT2), ("2I", GOLDEN)])
@@ -92,6 +94,7 @@ def test_cyclic_sizes_and_closure():
         g = build_group(f"C{n}")
         assert len(g) == n
         assert g.is_closed()
+        assert g.is_antipodal() == (n % 2 == 0)  # -1 is in C_n for even n only
 
 
 def test_dihedral_sizes():

@@ -1,25 +1,25 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatdesign import theta
-from quatdesign.exactnum import QuadElem, rat, sqrt2_elem
+from quatdesign.exactnum import GOLDEN, RAT, SQRT2, QuadElem, rat, sqrt2_elem
 from quatdesign.groups import alpha, build_group, omega, zeta
 from quatdesign.quat import (
     PAIR_MUL,
     Quaternion,
-    char_coeffs_pairs,
     conj,
     inner,
     left_matrix_pairs,
     norm,
     qmul,
+    qmul_pairs,
     scaled_pairs,
 )
 
-from oracles import UniPoly
+from oracles import UniPoly, char_coeffs_pairs, hamilton_formula
 
 I = Quaternion(0, 1, 0, 0)
 J = Quaternion(0, 0, 1, 0)
@@ -70,6 +70,53 @@ def test_norm_and_inner_examples():
 @settings(max_examples=50, deadline=None)
 def test_norm_multiplicative(x, y):
     assert norm(qmul(x, y)) == norm(x) * norm(y)
+
+
+@st.composite
+def pair_operands(draw):
+    """(tag, x, y): two quaternions over one field, as QuadElem coordinates
+    and as integer pairs.  A rational coordinate carries any of the three
+    tags, so the products must join tags in the order of the formula."""
+    tags = st.sampled_from([RAT, SQRT2, GOLDEN])
+    tag, ints = draw(tags), st.integers(-9, 9)
+    out = []
+    for _ in range(2):
+        elems, pairs = [], []
+        for _ in range(4):
+            a, b = draw(ints), draw(ints) if tag != RAT else 0
+            elems.append(QuadElem(draw(tags) if b == 0 else tag, a, b))
+            pairs.append((a, b))
+        out.append((tuple(elems), tuple(pairs)))
+    return tag, out[0], out[1]
+
+
+def tagged(coords):
+    return [(c.tag, c.a, c.b) for c in coords]
+
+
+@given(pair_operands())
+@settings(max_examples=80, deadline=None)
+def test_hamilton_table_matches_the_written_out_formula(operands):
+    tag, (xe, xp), (ye, yp) = operands
+    want = hamilton_formula(xe, ye)
+    assert tagged(qmul(Quaternion(*xe), Quaternion(*ye)).coords) == tagged(want)
+    assert qmul_pairs(tag, xp, yp) == scaled_pairs(want, 1)
+    # row j of M_x is x e_j
+    basis = [[rat(int(i == j)) for i in range(4)] for j in range(4)]
+    assert left_matrix_pairs(xp) == tuple(
+        scaled_pairs(hamilton_formula(xe, e), 1) for e in basis)
+
+
+def test_qmul_joins_tags_in_the_order_of_the_formula():
+    # a sum of rationals takes the last non-RAT tag it adds, and a product
+    # with a RAT factor the other factor's tag: the tag patterns of one
+    # operand against an all-RAT other tell any two orders of the terms apart
+    ones = (rat(1),) * 4
+    for tags in product((RAT, SQRT2, GOLDEN), repeat=4):
+        v = tuple(QuadElem(t, 1) for t in tags)
+        for x, y in ((v, ones), (ones, v)):
+            assert tagged(qmul(Quaternion(*x), Quaternion(*y)).coords) == tagged(
+                hamilton_formula(x, y))
 
 
 def test_inner_via_left_translation():
@@ -210,7 +257,9 @@ def test_char_coeffs_pairs_examples():
 
 @pytest.mark.parametrize("label", ["2T", "2O", "2I"])
 def test_det_tripwire_rejects_a_wrong_matrix(label, monkeypatch):
-    def swapped(x):  # keeps the trace, so e_2..e_4 must catch it
+    # two entries of the first row traded: where x2 != x3 the matrix is no
+    # longer M_x, and A^2 - 2xA + 4I = 0 fails for it
+    def swapped(x):
         rows = [list(row) for row in left_matrix_pairs(x)]
         rows[0][1], rows[0][2] = rows[0][2], rows[0][1]
         return rows

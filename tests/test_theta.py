@@ -18,20 +18,22 @@ from quatdesign.strength import molien_closed_form, molien_series
 from quatdesign import orders, theta, verify
 from quatdesign.quat import flat, left_matrix_pairs, qmul_pairs, scaled_pairs
 from quatdesign.theta import (
-    dimension_hypothesis,
     exact_rank,
     harmonic_invariant_dim,
     harmonic_molien,
     holomorphic_invariants,
     invariant_dimensions,
     invariant_multiplicity,
-    theta_rank,
     theta_ranks,
     theta_table,
 )
 
 import oracles
 from oracles import poly4_eval
+
+
+def theta_rank(label, ell, shells, budget=None):
+    return theta_ranks(label, (ell,), shells, budget)[ell]
 
 D_TABLE = {
     "2T": (0, 0, 7, 9, 0, 26, 15, 17, 38, 42, 23, 75),
@@ -562,12 +564,23 @@ def test_nonvanishing_even_degrees():
 
 
 def test_hypothesis_reports():
-    rep = dimension_hypothesis("2T", 12, 8)
-    assert rep.proven and rep.conjectured_dim == 2 and rep.agrees
-    rep = dimension_hypothesis("2O", 8, 6)
-    assert not rep.proven and rep.conjectured_dim == 1 and rep.agrees
-    # conjectured dimension equals the Molien closed-form coefficient
-    assert rep.conjectured_dim == molien_closed_form("2O", 8)[8]
+    # the dimension series is the Molien closed form; the ranks reach it
+    assert theta_rank("2T", 12, 8) == molien_closed_form("2T", 12)[12] == 2
+    assert theta_rank("2O", 8, 6) == molien_closed_form("2O", 8)[8] == 1
+
+
+def test_dimension_hypotheses_row_marks_a_rank_below_the_series(monkeypatch):
+    # every rank claimed as 1: only Theta(2T, 12), of dimension 2, falls short
+    monkeypatch.setattr(verify, "theta_ranks",
+                        lambda label, ells, shells, budget: dict.fromkeys(ells, 1))
+    result = verify.run_check("dimension-hypotheses", get_budget("desk"))
+    assert result.status == "INFO"
+    rows = [f"2T l={ell}: rank>=1 vs proven dim {d} ({mark})" for ell, d, mark in (
+        (6, 1, "agrees"), (8, 1, "agrees"), (12, 2, "rank below conjecture"), (14, 1, "agrees"))]
+    rows += [f"{label} l={ell}: rank>=1 vs conjectured dim 1 (agrees)"
+             for label, ells in (("2O", (8, 12, 16, 18, 20)), ("2I", (12, 20, 24)))
+             for ell in ells]
+    assert result.details == "; ".join(rows)
 
 
 def test_budget_guards():

@@ -201,6 +201,72 @@ def test_harmonic_molien_check_names_the_d_row(monkeypatch):
     assert result.details == "2O: d-row (0, 0, 0, 9, 0, 13, 0, 17, 19, 21, 0, 50)"
 
 
+@pytest.mark.parametrize("name, key, value, details", [
+    ("invariant_multiplicity", ("2T", 4), 1, "2T l=4: invariant multiplicity nonzero"),
+    ("harmonic_invariant_dim", ("2T", 4), 1, "2T l=4: harmonic invariants nonzero"),
+    # the rank of Theta(2T, 12) at M = 6 is 2, above a claimed dim Harm^G of 1
+    ("harmonic_invariant_dim", ("2T", 12), 1, "2T l=12: rank 2 > dim Harm^G 1"),
+])
+def test_theta_vanishing_check_names_a_wrong_dimension(monkeypatch, name, key, value, details):
+    dimension = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda label, ell: value if (label, ell) == key
+                        else dimension(label, ell))
+    result = verify.run_check("theta-vanishing", DESK)
+    assert result.status == "FAIL"
+    assert result.details == details
+
+
+def test_theta_vanishing_check_names_a_rank_below_one(monkeypatch):
+    # the rank of Theta(2O, 8) claimed as 0; 8 is not in T(2O)
+    ranks = verify.theta_ranks
+
+    def corrupted(label, ells, shells, budget):
+        out = ranks(label, ells, shells, budget)
+        return {**out, 8: 0} if label == "2O" else out
+
+    monkeypatch.setattr(verify, "theta_ranks", corrupted)
+    result = verify.run_check("theta-vanishing", DESK)
+    assert result.status == "FAIL"
+    assert result.details == "2O l=8: rank 0 < 1"
+
+
+def test_theta_vanishing_check_names_a_nonzero_full_table(monkeypatch):
+    # one entry of the full table of (2T, l = 10, M = 4) set to 1
+    table = verify.theta_table
+
+    def corrupted(label, ell, shells, kind, budget):
+        out = table(label, ell, shells, kind, budget)
+        if (label, ell) != ("2T", 10):
+            return out
+        first, *rest = out.matrix
+        return dataclasses.replace(out, matrix=((rat(1),) + first[1:], *rest))
+
+    monkeypatch.setattr(verify, "theta_table", corrupted)
+    result = verify.run_check("theta-vanishing", DESK)
+    assert result.status == "FAIL"
+    assert result.details == "2T l=10: full table has nonzero entries"
+
+
+def test_strength_molien_check_names_the_closed_form_zero_set(monkeypatch):
+    # a zero scan that misses the last zero: corrupting the closed form itself
+    # would also break "Molien from points", and the expected sets the report
+    even_zeros = verify._even_zeros
+    monkeypatch.setattr(verify, "_even_zeros", lambda series: even_zeros(series)[:-1])
+    result = verify.run_check("strength-molien", DESK)
+    assert result.status == "FAIL"
+    assert result.details == "; ".join(
+        f"{label}: closed-form zero set {evens[:-1]}"
+        for label, evens in verify.EXPECTED_EVEN_STRENGTH.items())
+
+
+def test_strength_molien_check_names_the_strength_report(monkeypatch):
+    _corrupt_report(monkeypatch, "2I", all_odd_in=False)
+    result = verify.run_check("strength-molien", DESK)
+    assert result.status == "FAIL"
+    assert result.details == (
+        "2I: strength report (2, 4, 6, 8, 10, 14, 16, 18, 22, 26, 28, 34, 38, 46, 58)")
+
+
 # -- the whole matrix prints when a check is refused or raises
 
 def _text_rows(out: str) -> dict:
