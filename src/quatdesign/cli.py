@@ -3,9 +3,9 @@
 Every run is deterministic for a fixed configuration: all arithmetic is
 exact and all orderings canonical.  Exit codes: 0 success, 1 failed checks
 (a FAIL or ERROR row, or an internal integrity check of any subcommand),
-2 usage error (argparse, or --format csv where a subcommand has no csv
-output), 3 budget exceeded (for verify-paper: a SKIP row and no FAIL or
-ERROR row), 4 bad input.
+2 usage error (argparse, --format csv where a subcommand has no csv
+output, or shells --emit with --format csv or text), 3 budget exceeded
+(for verify-paper: a SKIP row and no FAIL or ERROR row), 4 bad input.
 """
 
 from __future__ import annotations
@@ -206,6 +206,11 @@ def cmd_lp(args, budget: Budget) -> int:
 
 def cmd_shells(args, budget: Budget) -> int:
     label = args.group
+    if args.emit and args.format not in (None, "json"):  # refused before any enumeration
+        print(f"error: --emit writes JSON; --format {args.format} does not apply",
+              file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    fmt = args.format or "text"
     if args.count_only:
         counts = {
             m: {"formula": shell_count_formula(label, m), "enumerated": size}
@@ -213,7 +218,7 @@ def cmd_shells(args, budget: Budget) -> int:
         }
         payload = {"group": label, "counts": counts}
         _emit(
-            payload, args.format,
+            payload, fmt,
             text_renderer=lambda p: [f"shells of O_{p['group']}:"] + [
                 f"  m={m}: {v['enumerated']} points (formula {v['formula']})"
                 for m, v in p["counts"].items()
@@ -238,7 +243,7 @@ def cmd_shells(args, budget: Budget) -> int:
             json.dump(payload, fh, indent=1, sort_keys=True)
         print(f"wrote {len(shell)} points to {args.emit}")
         return EXIT_OK
-    _emit(payload, args.format,
+    _emit(payload, fmt,
           text_renderer=lambda p: [f"O_({p['group']},{p['m']}): {p['size']} points"] + [
               "  " + " ".join(str(x) for x in pt["coords"]) for pt in p["points"]
           ])
@@ -357,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     what = p.add_mutually_exclusive_group()
     what.add_argument("--count-only", action="store_true")
     what.add_argument("--emit", help="write the point list to a JSON file")
-    _fmt(p)
+    _fmt(p, default=None)  # text, or json; --emit writes json only
 
     p = sub.add_parser("theta", help="spherical theta coefficient table")
     p.add_argument("--group", required=True, choices=("2T", "2O", "2I"))

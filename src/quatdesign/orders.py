@@ -20,14 +20,28 @@ Gram matrix, integer bounds from floor/ceil of quadratic irrationalities via
 integer square roots, no floating point anywhere.  One pass yields every
 shell up to a bound, each already in lexicographic order, or only the size of
 each shell.
+
+A shell is stored as one `bytes` block of fixed-width records, one per point:
+`struct.pack("<nh", *coords)`, n little-endian int16 fields (8 bytes for 2T,
+16 for 2O and 2I).  `struct` refuses a coordinate outside int16 rather than
+wrapping it, and a ball whose radius would let a coordinate reach 2^15 is
+refused before it is enumerated.  The cached balls hold these blocks and no
+point tuple; `Shell.points` decodes a block on demand.
+
+The orbit decomposition applies the |G|/2 matrices of G/{+-1} to a point in
+one big-integer pass (see `orbit_decompose`), refused when a 16-bit field
+could wrap, and matches the images against the pairs {p, -p} of the shell,
+each keyed by the lesser of its two records.  Its representatives are the
+first point of each orbit in shell order, so they depend on the shell order
+and the orbits only, not on how the images are computed or matched.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
 from math import isqrt, lcm
 from operator import mul, neg
 
@@ -38,10 +52,13 @@ from .quat import Quaternion, flat, inner, qmul, qmul_pairs, scaled_pairs
 
 ORDER_LABELS = ("2T", "2O", "2I")
 FIELD_TAG = {"2T": RAT, "2O": SQRT2, "2I": GOLDEN}
+# one point of a shell: its coordinates as little-endian int16 fields
+RECORD = {"2T": struct.Struct("<4h"), "2O": struct.Struct("<8h"), "2I": struct.Struct("<8h")}
 
 
 class IntegrityError(AssertionError):
-    """Symbolically derived data disagrees with recorded reference data."""
+    """Symbolically derived data disagrees with recorded reference data, or
+    a shell does not fit its int16 records."""
 
 
 def sigma(k: int, m: int) -> int:
@@ -273,6 +290,23 @@ def _ldl_completion(gram):
     return d, u
 
 
+@lru_cache(maxsize=None)
+def _int16_radius(label: str) -> Fraction:
+    """The least ball radius at which a coordinate may leave int16.
+
+    Over Q_G <= b, x_i reaches sqrt(b (G^-1)_ii), and 1/(G^-1)_ii is the
+    last LDL^T pivot with x_i completed last; so every coordinate lies in
+    [-(2^15 - 1), 2^15 - 1] while b < 2^30 min_i 1/(G^-1)_ii.
+    """
+    gram = quadratic_form(label).gram
+    n = len(gram)
+    pivots = []
+    for i in range(n):
+        order = [j for j in range(n) if j != i] + [i]
+        pivots.append(_ldl_completion([[gram[a][b] for b in order] for a in order])[0][-1])
+    return min(pivots) * 2**30
+
+
 def _floor_affine_sqrt(a: int, c: int, den: int) -> int:
     """floor((a + sqrt(c)) / den) exactly, for c >= 0, den > 0."""
     s = isqrt(c)
@@ -310,17 +344,28 @@ def _enum_levels(label: str):
 
 def _enumerate_ball(label: str, bound: int, *, count: bool = False) -> dict:
     """All nonzero integer vectors with Q_G <= bound, bucketed by value, each
-    bucket in lexicographic order; with `count`, only the size of each bucket.
+    bucket one block of `RECORD[label]` records in lexicographic order; with
+    `count`, only the size of each bucket.
 
     With x_0 outermost and every level rising, the recursion meets the
     half-ball H (first nonzero coordinate > 0) in lexicographic order.  Every
     point of -H sorts before every point of H, and negation reverses the
     order, so a bucket is -H_m reversed followed by H_m, with no sort.  The
-    counting leaf adds 2 per point of H (the point and its negation) and
-    builds no point.
+    leaf packs -p big-endian with its fields reversed, so reversing the bytes
+    of that block gives -H_m reversed in little-endian records.  The counting
+    leaf adds 2 per point of H (the point and its negation) and builds no
+    point.
     """
+    if not count and bound >= _int16_radius(label):
+        raise IntegrityError(
+            f"the {label} ball of radius {bound} reaches coordinates outside int16")
     n, rho, centers, delta, mu, nu, rfac, rden = _enum_levels(label)
-    half = {m: [] for m in range(1, bound + 1)}
+    half = {m: bytearray() for m in range(1, bound + 1)}
+    mirror = {m: bytearray() for m in range(1, bound + 1)}
+    # a record of H is the n-1 leading fields, packed once per leaf, then
+    # x_(n-1); the mirrored record of -p is -x_(n-1), then the others reversed
+    lead, lead_mirrored = struct.Struct(f"<{n - 1}h").pack, struct.Struct(f">{n - 1}h").pack
+    last_field, last_mirrored = struct.Struct("<h").pack, struct.Struct(">h").pack
     tally = [0] * (bound + 1)
     x = [0] * n
     last, d0 = n - 1, delta[0]
@@ -342,12 +387,15 @@ def _enumerate_ball(label: str, bound: int, *, count: bool = False) -> dict:
                     tally[bound - t_next // d0] += 2
             return
         if level == 0:  # the last coordinate: record the points, x = 0 excluded
-            prefix = tuple(x[:last])
+            head = lead(*x[:last])
+            tail = lead_mirrored(*[-c for c in reversed(x[:last])])
             for xi in range(1 if leading_zero else lo, hi + 1):
                 k = xi * r + ncenter
                 t_next = m_lvl * t - n_lvl * k * k
                 if t_next >= 0:
-                    half[bound - t_next // d0].append(prefix + (xi,))
+                    m = bound - t_next // d0
+                    half[m] += head + last_field(xi)
+                    mirror[m] += last_mirrored(-xi) + tail
             return
         coord = last - level
         for xi in range(lo, hi + 1):
@@ -362,9 +410,13 @@ def _enumerate_ball(label: str, bound: int, *, count: bool = False) -> dict:
     descend(last, bound * delta[n], True)
     if count:
         return {m: tally[m] for m in range(1, bound + 1)}
-    for m, points in half.items():
-        half[m] = tuple(chain([tuple(map(neg, p)) for p in reversed(points)], points))
-    return half
+    blocks = {}
+    for m in range(1, bound + 1):  # popped, so each bucket is freed once joined
+        block = mirror.pop(m)
+        block.reverse()
+        block += half.pop(m)
+        blocks[m] = bytes(block)
+    return blocks
 
 
 # label -> (M, (O_{G,1}, .., O_{G,M})): the largest ball enumerated, as shells
@@ -387,12 +439,23 @@ def _shell_budget(label: str, m: int, budget: Budget | None) -> Budget:
 
 @dataclass(frozen=True)
 class Shell:
+    """O_{G,m} as one block of `RECORD[group_label]` records, one per point
+    (8 bytes for 2T, 16 for 2O and 2I), in lexicographic order.
+
+    `points` decodes the block on every call and keeps no tuple; the orbit
+    representatives, a few per hundred points, are kept once decomposed.
+    """
+
     group_label: str
     m: int
-    points: tuple[tuple[int, ...], ...]  # sorted coordinate vectors
+    records: bytes
 
     def __len__(self):
-        return len(self.points)
+        return len(self.records) // RECORD[self.group_label].size
+
+    @property
+    def points(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(RECORD[self.group_label].iter_unpack(self.records))
 
     def embedded(self):
         return [embed_coords(self.group_label, p) for p in self.points]
@@ -457,11 +520,37 @@ def right_multiplication_matrices(label: str) -> tuple[tuple[tuple[int, ...], ..
     return tuple(mats)
 
 
+def _with_negations(shell: Shell):
+    """Each record of the shell with the record of its negation, negated
+    4,096 records to a `struct` call; `struct` refuses to negate -2^15."""
+    size = RECORD[shell.group_label].size
+    step = 4096 * size
+    for start in range(0, len(shell.records), step):
+        block = shell.records[start:start + step]
+        fields = f"<{len(block) // 2}h"
+        negated = struct.pack(fields, *map(neg, struct.unpack(fields, block)))
+        for i in range(0, len(block), size):
+            yield block[i:i + size], negated[i:i + size]
+
+
 def orbit_decompose(shell: Shell) -> list[tuple[int, ...]]:
-    """Representatives S_m with shell = disjoint union of x G (exact check)."""
-    # coords(x eps)_j = sum_i coords(x)_i R_eps[i][j]: each R_eps by columns.
+    """Representatives S_m with shell = disjoint union of x G (exact check).
+
+    The sweep visits the records in shell order and takes the first point of
+    each orbit not yet seen as its representative.  -1 lies in G, so orbits
+    and stable shells are unions of pairs {p, -p}: the sweep keeps the pairs
+    of the shell not yet in an orbit, each under the lesser of its two
+    records, half as many keys as points.
+
+    The |G|/2 matrices R_k of G/{+-1} are stacked into one integer per
+    coordinate, row_i = sum_k sum_j R_k[i][j] 2^(16(nk+j)), so that the
+    16-bit fields of V = sum_i p_i row_i are the coordinates of every p R_k.
+    A field cannot spill into the next one while |(p R_k)_j| <=
+    max_i |p_i| * sum_i |R_k[i][j]| < 2^15, which is checked before V is
+    packed.
+    """
     # -1 lies in G and R_(-eps) = -R_eps, so one matrix of each pair
-    # {R, -R} is applied and the other image is its negation
+    # {R, -R} is stacked and the other image is read from -V
     mats = right_multiplication_matrices(shell.group_label)
     order, unpaired, actions = len(mats), set(mats), []
     for mat in mats:
@@ -471,24 +560,48 @@ def orbit_decompose(shell: Shell) -> list[tuple[int, ...]]:
             if partner not in unpaired:
                 raise IntegrityError("group action on the shell is not free")
             unpaired.discard(partner)
-            actions.append(tuple(zip(*mat)))
-    # the points of the shell in no orbit yet; orbits are disjoint, so an
-    # orbit that is not inside them is not inside the shell
-    remaining = set(shell.points)
+            actions.append(mat)
+    record = RECORD[shell.group_label]
+    size, n, fields = record.size, len(mats[0]), len(mats[0]) * len(actions)
+    rows = [sum(mat[i][j] << 16 * (n * k + j) for k, mat in enumerate(actions)
+                for j in range(n)) for i in range(n)]
+    column = max(sum(abs(row[j]) for row in mat) for mat in actions for j in range(n))
+    # 2^15 in every field: V + bias is V in offset binary, without carries,
+    # and the xor turns offset binary into two's complement
+    bias = int.from_bytes(b"\x00\x80" * fields, "little")
+    # the pairs of the shell in no orbit yet, each under the lesser of its
+    # records, with the signs seen (1 for the key itself, 2 for its
+    # negation); a stable shell holds both of each
+    remaining = {}
+    for key, twin in _with_negations(shell):
+        pair, sign = (key, 1) if key < twin else (twin, 2)
+        remaining[pair] = remaining.get(pair, 0) | sign
+    if any(signs != 3 for signs in remaining.values()):
+        raise IntegrityError("shell is not stable under the group action")
     reps = []
-    for p in shell.points:
-        if p not in remaining:
+    for key, twin in _with_negations(shell):
+        if min(key, twin) not in remaining:
             continue
-        images = [tuple([sum(map(mul, p, col)) for col in cols]) for cols in actions]
-        orbit = set(images)
-        orbit.update(tuple(map(neg, v)) for v in images)
-        if len(orbit) != order:
+        p = record.unpack(key)
+        if max(map(abs, p)) * column >= 1 << 15:
+            raise IntegrityError(
+                f"the images of {p} under {shell.group_label} do not fit int16 fields")
+        v = sum(map(mul, p, rows))
+        images = ((v + bias) ^ bias).to_bytes(2 * fields, "little")
+        negated = ((bias - v) ^ bias).to_bytes(2 * fields, "little")
+        orbit = {min(images[i:i + size], negated[i:i + size])
+                 for i in range(0, len(images), size)}
+        if 2 * len(orbit) != order:
             raise IntegrityError("group action on the shell is not free")
-        if not orbit <= remaining:
+        # orbits are disjoint, so an orbit not inside the remaining pairs is
+        # not inside the shell
+        if not orbit <= remaining.keys():
             raise IntegrityError("shell is not stable under the group action")
-        remaining -= orbit
+        for pair in orbit:
+            del remaining[pair]
         reps.append(p)
-    if len(reps) * order != len(shell.points):
+        if not remaining:  # every later record repeats a point of an orbit
+            break
+    if len(reps) * order != len(shell):
         raise IntegrityError("orbit decomposition does not partition the shell")
     return reps
-

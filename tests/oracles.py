@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import comb, gcd
 from operator import add, mul
 
@@ -251,6 +252,60 @@ def char_coeffs_pairs(tag, rows) -> tuple[tuple[int, int], ...]:
             raise AssertionError(f"Newton identity for e_{k} leaves a remainder")
         e.append((acc_a // k, acc_b // k))
     return tuple(e[1:])
+
+
+# -- shells as point tuples ----------------------------------------------------
+
+def shell_of(label, m, points):
+    """A Shell holding `points` as int16 records, in the given order."""
+    record = orders.RECORD[label]
+    return orders.Shell(label, m, b"".join(record.pack(*p) for p in points))
+
+
+def tuple_ball(label, bound):
+    """{m: O_{G,m} as coordinate tuples} for m = 1..bound: the half-ball H of
+    the Fincke-Pohst recursion as tuples, then -H_m reversed chained with H_m."""
+    n, rho, centers, delta, mu, nu, rfac, rden = orders._enum_levels(label)
+    half = {m: [] for m in range(1, bound + 1)}
+    x = [0] * n
+    last = n - 1
+
+    def descend(level, t, leading_zero):
+        r, rd = rho[level], rden[level]
+        ncenter = sum(map(mul, centers[level], x))
+        c_big = t * rfac[level] * rd
+        hi = orders._floor_affine_sqrt(-ncenter * rd, c_big, r * rd)
+        lo = 0 if leading_zero else -orders._floor_affine_sqrt(ncenter * rd, c_big, r * rd)
+        for xi in range(lo, hi + 1):
+            k = xi * r + ncenter
+            t_next = mu[level] * t - nu[level] * k * k
+            if t_next < 0:
+                continue
+            x[last - level] = xi
+            if level == 0:
+                if not (leading_zero and xi == 0):
+                    half[bound - t_next // delta[0]].append(tuple(x))
+            else:
+                descend(level - 1, t_next, leading_zero and xi == 0)
+        x[last - level] = 0
+
+    descend(last, bound * delta[n], True)
+    return {m: tuple(chain([tuple(-c for c in p) for p in reversed(points)], points))
+            for m, points in half.items()}
+
+
+def inverse_diagonal(gram, i):
+    """(G^-1)_ii, from G y = e_i by Gauss-Jordan elimination on Fractions."""
+    n = len(gram)
+    rows = [[Fraction(v) for v in row] + [Fraction(int(r == i))] for r, row in enumerate(gram)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                rows[r] = [v - rows[r][c] * w for v, w in zip(rows[r], rows[c])]
+    return rows[i][n]
 
 
 # -- orbits and invariant theta tables, one element and one degree at a time --

@@ -204,6 +204,30 @@ def test_shells_emit_round_trip(tmp_path, capsys):
     assert len(blob["points"]) == 24
 
 
+@pytest.mark.parametrize("fmt", [(), ("--format", "json")])
+def test_shells_emit_writes_json_with_or_without_format_json(tmp_path, capsys, fmt):
+    path = tmp_path / "shell.json"
+    code, out = run_cli(capsys, "shells", "--group", "2T", "--m", "1",
+                        "--emit", str(path), *fmt)
+    assert (code, out) == (0, f"wrote 24 points to {path}\n")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "9950e98b0b76b328d2460ce8cfeaa6386c669e5e5ba55160fa223210469f3a4e")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_shells_emit_refuses_csv_and_text(tmp_path, capsys, ball_calls, fmt):
+    # the point file is JSON only: no file, no stdout and no enumeration
+    path = tmp_path / "shell.json"
+    with pytest.raises(SystemExit) as err:
+        main(["shells", "--group", "2T", "--m", "1", "--emit", str(path), "--format", fmt])
+    assert err.value.code == 2
+    assert not path.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --emit writes JSON; --format {fmt} does not apply\n"
+    assert ball_calls == []
+
+
 def test_theta_json(capsys):
     code, out = run_cli(capsys, "theta", "--group", "2O", "--ell", "8",
                         "--shells", "5")

@@ -1,3 +1,4 @@
+import struct
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -11,7 +12,6 @@ from quatdesign import orders, verify
 from quatdesign.orders import (
     IntegrityError,
     QuadraticForm,
-    Shell,
     embed_coords,
     enumerate_shell,
     orbit_decompose,
@@ -153,7 +153,64 @@ ORACLE_BALLS = [("2T", 30), ("2O", 6), ("2I", 4)]
 @pytest.mark.parametrize("label, bound", ORACLE_BALLS)
 def test_ball_matches_the_sorting_oracle_in_order(label, bound):
     want = {m: tuple(points) for m, points in _oracle_ball(label, bound).items()}
-    assert orders._enumerate_ball(label, bound) == want
+    record = orders.RECORD[label]
+    assert {m: tuple(record.iter_unpack(block))
+            for m, block in orders._enumerate_ball(label, bound).items()} == want
+
+
+@pytest.mark.parametrize("label, bound", [("2T", 10), ("2O", 4), ("2I", 3)])
+def test_shell_points_match_the_tuple_ball_oracle(label, bound):
+    want = oracles.tuple_ball(label, bound)
+    for m in range(1, bound + 1):
+        assert enumerate_shell(label, m).points == want[m]
+
+
+def test_a_ball_past_the_int16_records_is_refused_before_enumeration():
+    radius = orders._int16_radius("2T")
+    with pytest.raises(IntegrityError, match="outside int16"):
+        orders._enumerate_ball("2T", int(radius) + 1)
+    # over Q <= b, x_i reaches sqrt(b (G^-1)_ii): 2^15 at the radius
+    gram = quadratic_form("2T").gram
+    assert radius == 2**30 / max(oracles.inverse_diagonal(gram, i) for i in range(4))
+
+
+def test_a_coordinate_outside_int16_is_no_record():
+    with pytest.raises(struct.error, match="32767"):
+        oracles.shell_of("2T", 1, [(1, 0, 0, 0), (0, 2**15, 0, 0)])
+    with pytest.raises(struct.error, match="32767"):
+        oracles.shell_of("2I", 1, [(0,) * 7 + (-(2**15) - 1,)])
+    # -2^15 is a record, but its negation is not, so no pair is keyed
+    with pytest.raises(struct.error, match="32767"):
+        orbit_decompose(oracles.shell_of("2T", 1, [(-(2**15), 0, 0, 0)]))
+
+
+def test_orbit_decomposition_rejects_a_shell_missing_a_whole_pair():
+    # every remaining point has its negation, but the orbit of p does not
+    # lie in the shell without p and -p
+    points = enumerate_shell("2O", 2).points
+    p = points[len(points) // 3]
+    pts = [q for q in points if q not in (p, tuple(-c for c in p))]
+    with pytest.raises(IntegrityError, match="not stable"):
+        orbit_decompose(oracles.shell_of("2O", 2, pts))
+
+
+def test_orbit_images_that_would_wrap_are_refused(monkeypatch):
+    # the pair {p, -p} of a point whose images reach 2^15 in some field, and
+    # of one just under the bound, whose orbit is not inside the pair
+    sh = enumerate_shell("2T", 1)
+    column = max(sum(abs(row[j]) for row in mat)
+                 for mat in right_multiplication_matrices("2T") for j in range(4))
+    for a, message in ((-(-2**15 // column), "do not fit int16 fields"),
+                       ((2**15 - 1) // column, "not stable")):
+        with pytest.raises(IntegrityError, match=message):
+            orbit_decompose(oracles.shell_of("2T", 1, [(a, 0, 0, 0), (-a, 0, 0, 0)]))
+    # an action whose column sum reaches 2^15 on a unit shell
+    mats = right_multiplication_matrices("2T")
+    scale = 2**15 // column + 1
+    monkeypatch.setattr(orders, "right_multiplication_matrices", lambda label: tuple(
+        tuple(tuple(scale * v for v in row) for row in mat) for mat in mats))
+    with pytest.raises(IntegrityError, match="do not fit int16 fields"):
+        orbit_decompose(sh)
 
 
 def test_shell_values_and_sortedness():
@@ -294,7 +351,7 @@ def test_orbit_decomposition_rejects_broken_shells(label, m):
     ]
     for pts, message in broken:
         with pytest.raises(IntegrityError, match=message):
-            orbit_decompose(Shell(label, m, pts))
+            orbit_decompose(oracles.shell_of(label, m, pts))
 
 
 def test_orbit_decomposition_rejects_a_non_free_action(monkeypatch):

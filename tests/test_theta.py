@@ -12,6 +12,7 @@ from quatdesign.orders import (
     embed_coords,
     enumerate_shell,
     right_multiplication_matrices,
+    shell_count_formula,
 )
 from quatdesign.qseries import qseries
 from quatdesign.strength import molien_closed_form, molien_series
@@ -328,6 +329,19 @@ def test_theta_tables_read_the_orbit_representatives_of_the_cached_shells(
     assert decomposed == []
     assert enumerate_shell("2O", 3) is enumerate_shell("2O", 3)
     assert ball_calls == [("2O", 6)]
+
+
+def test_the_cached_ball_holds_records_and_no_point_tuples(ball_calls, table_builds):
+    # the ranks read orbit representatives only: each cached shell keeps one
+    # block of 16-byte records, and nothing decodes it for the cache
+    theta_ranks("2I", (12,), 6)
+    assert ball_calls == [("2I", 6)]
+    top, shells = orders._BALL_CACHE["2I"]
+    assert top == 6 and [sh.m for sh in shells] == list(range(1, 7))
+    for sh in shells:
+        assert type(sh.records) is bytes
+        assert len(sh.records) == 16 * len(sh) == 16 * shell_count_formula("2I", sh.m)
+        assert set(vars(sh)) == {"group_label", "m", "records", "orbit_reps"}
 
 
 def test_theta_vanishing_check_names_the_degree(table_builds, monkeypatch):
