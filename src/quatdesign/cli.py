@@ -4,7 +4,8 @@ Every run is deterministic for a fixed configuration: all arithmetic is
 exact and all orderings canonical.  Exit codes: 0 success, 1 failed checks
 (a FAIL or ERROR row, or an internal integrity check of any subcommand),
 2 usage error (argparse, --format csv where a subcommand has no csv
-output, or shells --emit with --format csv or text), 3 budget exceeded
+output, shells --emit with --format csv or text, or gegenbauer with both or
+neither of --ell and --expand), 3 budget exceeded
 (for verify-paper: a SKIP row and no FAIL or ERROR row), 4 bad input.
 """
 
@@ -140,7 +141,12 @@ def _rational(text: str) -> Fraction:
 
 
 def cmd_gegenbauer(args, budget: Budget) -> int:
-    if args.expand:
+    if (args.ell is None) == (args.expand is None):  # both or neither
+        problem = ("--ell does not apply to --expand" if args.ell is not None
+                   else "--ell is required without --expand")
+        print(f"error: {problem}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    if args.expand is not None:
         coeffs = [_rational(c) for c in args.expand.split(",")]
         expansion = gegenbauer_expand(coeffs, args.d)
         payload = {
@@ -345,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     _fmt(p)
 
     p = sub.add_parser("gegenbauer", help="exact Gegenbauer / scaled polynomials")
-    p.add_argument("--ell", type=_nonnegative_int, required=True)
+    p.add_argument("--ell", type=_nonnegative_int, help="degree (not with --expand)")
     p.add_argument("--d", type=int, default=4)
     what = p.add_mutually_exclusive_group()
     what.add_argument("--lam", help="rational lambda (default: use scaled Q_l^(d))")

@@ -16,6 +16,12 @@ series of a harmonic polynomial, so the computed rank is an exact lower
 bound for dim Theta(G, l); when m = 0 the space Harm_l^G itself vanishes
 (two independent exact computations) and the rank is exactly zero.
 
+Only a K(i)-basis of the translates is evaluated on the shells.  O_G is an
+order containing G, so left multiplication by G maps every shell onto
+itself, and a shell sum of f_t . L_y is then linear in the values
+(f_1(y), ..., f_m(y)): the columns of any other translate are an exact
+combination of the basis translates' columns (`_invariant_tables`).
+
 A full-basis table over harm_basis(l) is available for small instances and
 is cross-checked against the translate engine in the tests.
 """
@@ -31,7 +37,7 @@ from math import comb, gcd, isqrt, lcm
 from operator import mul
 
 from .budget import Budget, get_budget
-from .exactnum import PAIR_MUL, QuadElem, RAT, SQRT2, GOLDEN, insert
+from .exactnum import PAIR_MUL, QuadElem, RAT, SQRT2, GOLDEN, insert, reduce
 from .groups import build_group
 from .harmonics import harm_basis
 from .orders import FIELD_TAG, _doubled_basis, ball_size, doubled_point, enumerate_shells
@@ -358,61 +364,175 @@ def exact_rank(rows) -> int:
     )
 
 
+def _power_sums(cmul, monos, points) -> dict:
+    """{(a, b): flat complex sum of z1^a z2^b over the moved points} for the
+    monomials (a, b) in monos; a moved point is the flat 8-tuple of (z1, z2)."""
+    # each monomial is z1^(g i) z2^(g j), g the gcd of all the exponents, so
+    # per point one power list in z1^g and one in z2^g give every monomial
+    # with one product
+    g = gcd(*(e for mono in monos for e in mono)) or 1  # l = 0 has z1^0 z2^0
+    steps = [(a // g, b // g) for a, b in monos]
+    top1, top2 = max(i for i, _ in steps), max(j for _, j in steps)
+    acc = [[0] * len(monos) for _ in range(4)]
+    ra_acc, rb_acc, ia_acc, ib_acc = acc
+    for z in points:
+        p1, p2 = [_C_ONE, _cpow(cmul, z[:4], g)], [_C_ONE, _cpow(cmul, z[4:], g)]
+        for _ in range(top1 - 1):
+            p1.append(cmul(p1[-1], p1[1]))
+        for _ in range(top2 - 1):
+            p2.append(cmul(p2[-1], p2[1]))
+        for k, (i, j) in enumerate(steps):
+            ra, rb, ia, ib = cmul(p1[i], p2[j])
+            ra_acc[k] += ra
+            rb_acc[k] += rb
+            ia_acc[k] += ia
+            ib_acc[k] += ib
+    return dict(zip(monos, zip(*acc)))
+
+
+def _form_sums(cmul, forms, sums) -> list:
+    """[sum c_(a,b) S[a, b] over the monomials of f] for each form f, from the
+    monomial sums S."""
+    return [_csum(cmul(c, sums[mono]) for mono, c in form.items()) for form in forms]
+
+
+def _derived_sums(cmul, raw, terms, n_forms: int) -> list:
+    """D times the form sums of a derived translate: sum_j N_j S_(y_j) per
+    form, from the form sums raw[j] of the basis translates."""
+    return [_csum(cmul(n, raw[j][t]) for j, n in terms) for t in range(n_forms)]
+
+
+@lru_cache(maxsize=None)
+def _translate_plan(label: str, ell: int) -> tuple:
+    """(basis, derived): the pool translates whose degree-ell sums are
+    evaluated, and how every other translate's sums follow from theirs.
+
+    basis lists, in pool order, the indices j whose value vector
+    v(y_j) = (f_s(r(y_j)))_s, r(q) = (q0 + q1 i, q2 + q3 i), is
+    K(i)-independent of the vectors before it, so it has at most m_l
+    entries.  derived holds (k, D, ((j, N_j), ...)) for every other index k:
+    v(y_k) = sum_j (N_j / D) v(y_j) over basis indices j, with D a positive
+    integer and each N_j a nonzero flat integer complex number.  The echelon
+    over K holds the real splits of v(y_j) and of i v(y_j), each with a tag
+    key that sorts after the value keys, so a dependent v reduces to the
+    tags alone, -a_j and -b_j for beta_j = a_j + b_j i.
+    """
+    tag = FIELD_TAG[label]
+    cmul = _CMUL[tag]
+    forms = holomorphic_invariants(label, ell)
+    monos = {mono for form in forms for mono in form}
+    one = QuadElem(tag, 1)
+    echelon: dict = {}
+    basis, derived = [], []
+    for k, (y, _) in enumerate(_translate_pool()):
+        z = flat(y)
+        powers = {mono: cmul(_cpow(cmul, z[:4], mono[0]), _cpow(cmul, z[4:], mono[1]))
+                  for mono in monos}
+        v = {(0, s): c for s, c in enumerate(_form_sums(cmul, forms, powers))}
+        split = _real_split(tag, v)
+        cur = reduce(split, echelon)
+        if any(key[0] == 0 for key, _ in cur):  # a value key is left
+            basis.append(k)
+            times_i = {key: (-ia, -ib, ra, rb) for key, (ra, rb, ia, ib) in v.items()}
+            insert({**split, ((1, k), 0): one}, echelon)
+            insert({**_real_split(tag, times_i), ((1, k), 1): one}, echelon)
+            continue
+        beta = {j: [0, 0, 0, 0] for j in basis}  # flat a_j + b_j i
+        for ((_, j), part), c in cur.items():
+            beta[j][2 * part:2 * part + 2] = -c.a, -c.b
+        den = lcm(*(Fraction(x).denominator for b in beta.values() for x in b))
+        derived.append((k, den, tuple(
+            (j, tuple(int(x * den) for x in b)) for j, b in beta.items() if any(b))))
+    return tuple(basis), tuple(derived)
+
+
+def _certify_derived(label, ell, plan, reps, sums) -> None:
+    """Raise unless the last derived translate of the plan, evaluated
+    directly on the representatives reps from y times each doubled point,
+    equals its sum derived from the basis translates' monomial sums."""
+    basis, derived = plan
+    if not derived:
+        return
+    tag = FIELD_TAG[label]
+    cmul = _CMUL[tag]
+    forms = holomorphic_invariants(label, ell)
+    k, den, terms = derived[-1]
+    y = _translate_pool()[k][0]
+    moved = []
+    for coords in reps:
+        x = doubled_point(label, coords)
+        moved.append(flat(qmul_pairs(tag, y, tuple(zip(x[::2], x[1::2])))))
+    monos = sorted({mono for form in forms for mono in form})
+    direct = _form_sums(cmul, forms, _power_sums(cmul, monos, moved))
+    raw = {j: _form_sums(cmul, forms, sums[j]) for j in basis}
+    if [tuple(den * c for c in s) for s in direct] != _derived_sums(cmul, raw, terms, len(forms)):
+        raise AssertionError(
+            f"{label} deg {ell}: translate {k} differs from its derived sum")
+
+
 def _invariant_tables(label, ells, shells, budget: Budget) -> dict:
     """{ell: invariant ThetaTable} for every ell in ells, from one pass over
-    the orbit representatives of each shell."""
+    the orbit representatives of each shell.
+
+    Only the basis translates of `_translate_plan` are evaluated; the sums of
+    any other translate y are sum_j beta_j S_(y_j), where
+    v(y) = sum_j beta_j v(y_j).  This is exact.  O_G is an order containing
+    G, so g S = S for every g in G and every shell S, and
+    r(y x) = r(y) X_x with X_x the matrix of right multiplication by x.
+    Hence sum_(x in S) f_t(r(y x)) = sum_x (1/|G|) sum_g f_t(r(y) X_g X_x);
+    for fixed x the inner average is the Reynolds projection of
+    u -> f_t(u X_x) onto V_l^G = span{f_s}, so the sum is
+    sum_s f_s(r(y)) Theta_st(S), linear in v(y).  The same holds for the
+    doubled points y (2x) the sums are taken over, and for the sums over
+    orbit representatives, which are 1/|G| of the shell sums.
+    """
     tag = FIELD_TAG[label]
     cmul = _CMUL[tag]
     forms = {ell: holomorphic_invariants(label, ell) for ell in ells}
-    monos = sorted({mono for fs in forms.values() for form in fs for mono in form})
-    pool, per_shell = (), [()] * shells  # no pool, map or ball when every m_l = 0
-    if monos:
-        # each used monomial is z1^(g i) z2^(g j), g the gcd of all the
-        # exponents, so per moved point one power list in z1^g and one in
-        # z2^g give every monomial with one product
-        g = gcd(*(e for mono in monos for e in mono)) or 1  # l = 0 has z1^0 z2^0
-        steps = [(a // g, b // g) for a, b in monos]
-        top1, top2 = max(i for i, _ in steps), max(j for _, j in steps)
+    plans = {ell: _translate_plan(label, ell) for ell, fs in forms.items() if fs}
+    needed: dict = {}  # per basis translate: the monomials of its degrees
+    for ell, (basis, _) in plans.items():
+        for j in basis:
+            needed.setdefault(j, set()).update(mono for form in forms[ell] for mono in form)
+    pool, per_shell = (), [{}] * shells  # no pool, map or ball when every m_l = 0
+    if plans:
         pool = _translate_pool()
-        maps = [_point_map(label, y) for y, _ in pool]
-        per_shell = []  # per shell and translate: {mono: flat complex sum}
+        maps = {j: (_point_map(label, pool[j][0]), sorted(needed[j])) for j in sorted(needed)}
+        per_shell = []  # per shell: {basis translate: {mono: flat complex sum}}
+        certified = False
         for shell in enumerate_shells(label, shells, budget):
-            per_y = []
-            for cols in maps:
-                acc = [[0] * len(monos) for _ in range(4)]
-                ra_acc, rb_acc, ia_acc, ib_acc = acc
-                for coords in shell.orbit_reps:
-                    z = _map_point(cols, coords)
-                    p1, p2 = [_C_ONE, _cpow(cmul, z[:4], g)], [_C_ONE, _cpow(cmul, z[4:], g)]
-                    for _ in range(top1 - 1):
-                        p1.append(cmul(p1[-1], p1[1]))
-                    for _ in range(top2 - 1):
-                        p2.append(cmul(p2[-1], p2[1]))
-                    for k, (i, j) in enumerate(steps):
-                        ra, rb, ia, ib = cmul(p1[i], p2[j])
-                        ra_acc[k] += ra
-                        rb_acc[k] += rb
-                        ia_acc[k] += ia
-                        ib_acc[k] += ib
-                per_y.append(dict(zip(monos, zip(*acc))))
-            per_shell.append(per_y)
+            reps = shell.orbit_reps
+            sums = {j: _power_sums(cmul, monos, (_map_point(cols, c) for c in reps))
+                    for j, (cols, monos) in maps.items()}
+            per_shell.append(sums)
+            if reps and not certified:
+                certified = True
+                for ell, plan in plans.items():
+                    _certify_derived(label, ell, plan, reps, sums)
 
     group_order = len(build_group(label))
     tables = {}
     for ell, fs in forms.items():
+        basis, derived = plans.get(ell, ((), ()))
         # each form is 2^l f and the moved point is 2 root (y/root) x, so a
-        # sum over orbit representatives is (4 root)^l sum f(y x / root)
-        scales = [Fraction(group_order, (4 * root) ** ell) for _, root in pool]
+        # sum over orbit representatives is (4 root)^l sum f(y x / root); a
+        # derived translate's sums are D times its true ones
+        dens = {k: den for k, den, _ in derived}
+        scales = [Fraction(group_order, (4 * root) ** ell * dens.get(k, 1))
+                  for k, (_, root) in enumerate(pool)]
         col_labels = tuple(
             f"f{t}.L{tuple(a for a, _ in y)}.{part}"
             for t in range(len(fs)) for y, _ in pool for part in ("re", "im")
         )
         rows = []
-        for per_y in per_shell:
+        for sums in per_shell:
+            raw = {j: _form_sums(cmul, fs, sums[j]) for j in basis}
+            for k, _, terms in derived:
+                raw[k] = _derived_sums(cmul, raw, terms, len(fs))
             row = []
-            for form in fs:
-                for sums, scale in zip(per_y, scales):
-                    ra, rb, ia, ib = _csum(cmul(c, sums[mono]) for mono, c in form.items())
+            for t in range(len(fs)):
+                for k, scale in enumerate(scales):
+                    ra, rb, ia, ib = raw[k][t]
                     row.append(QuadElem(tag, ra * scale, rb * scale))
                     row.append(QuadElem(tag, ia * scale, ib * scale))
             rows.append(tuple(row))

@@ -126,7 +126,7 @@ def test_gegenbauer_text(capsys):
 
 
 def test_gegenbauer_expand(capsys):
-    code, out = run_cli(capsys, "gegenbauer", "--ell", "0", "--expand", "0,0,1",
+    code, out = run_cli(capsys, "gegenbauer", "--expand", "0,0,1",
                         "--format", "json")
     assert code == 0
     blob = json.loads(out)
@@ -135,8 +135,8 @@ def test_gegenbauer_expand(capsys):
 
 @pytest.mark.parametrize("argv, bad", [
     (("--ell", "2", "--lam", "1/0"), "1/0"),
-    (("--ell", "0", "--expand", "1/0"), "1/0"),
-    (("--ell", "0", "--expand", "1,2/0,3"), "2/0"),
+    (("--expand", "1/0"), "1/0"),
+    (("--expand", "1,2/0,3"), "2/0"),
 ])
 def test_zero_denominators_are_bad_input(capsys, argv, bad):
     assert main(["gegenbauer", *argv]) == 4
@@ -148,7 +148,7 @@ def test_zero_denominators_are_bad_input(capsys, argv, bad):
 @pytest.mark.parametrize("expand", ["0", "1", "0,0"])
 @pytest.mark.parametrize("d", ["2", "-7"])
 def test_gegenbauer_expand_checks_the_dimension(capsys, expand, d):
-    code, out = run_cli(capsys, "gegenbauer", "--ell", "0", "--expand", expand, "--d", d)
+    code, out = run_cli(capsys, "gegenbauer", "--expand", expand, "--d", d)
     assert code == 4 and out == ""
 
 
@@ -393,6 +393,22 @@ def test_gegenbauer_refuses_lam_with_expand(capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--ell", "5", "--expand", "0,0,1"), "--ell does not apply to --expand"),
+    (("--ell", "0", "--expand", "0,0,1", "--format", "json"), "--ell does not apply to --expand"),
+    (("--d", "4",), "--ell is required without --expand"),
+    (("--lam", "3",), "--ell is required without --expand"),
+])
+def test_gegenbauer_needs_exactly_one_of_ell_and_expand(capsys, argv, message):
+    # --expand expands its own coefficients: a degree beside it would be ignored
+    with pytest.raises(SystemExit) as err:
+        main(["gegenbauer", *argv])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_deterministic_output(capsys):
     _, out1 = run_cli(capsys, "group", "--name", "2I", "--format", "json")
     _, out2 = run_cli(capsys, "group", "--name", "2I", "--format", "json")
@@ -435,7 +451,7 @@ def _cheap_argv(draw):
         argv += ["--group", draw(_LABELS), "--max", draw(_ints(30))]
         argv += maybe("--closed-form") if sub == "molien" else []
     elif sub == "gegenbauer":
-        argv += ["--ell", draw(_ints(6))]
+        argv += maybe("--ell", draw(_ints(6)))
         argv += maybe("--d", draw(st.integers(-3, 6).map(str)))
         argv += maybe("--lam", draw(_RATIONALS))
         argv += maybe("--expand", ",".join(draw(st.lists(_RATIONALS, max_size=4))))

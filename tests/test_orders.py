@@ -1,5 +1,6 @@
 import struct
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from operator import mul
 
@@ -361,6 +362,17 @@ def test_orbit_decomposition_rejects_a_non_free_action(monkeypatch):
                         lambda label: (mats[0],) + mats[:-1])
     with pytest.raises(IntegrityError, match="not free"):
         orbit_decompose(enumerate_shell("2T", 1))
+
+
+def test_orbit_decomposition_rejects_an_orbit_with_a_stabilizer(monkeypatch):
+    # the sixteen sign matrices diag(+-1, +-1, +-1, +-1) pair up under
+    # negation, but each fixes (1, 0, 0, 0) or its negation: the orbit of that
+    # point is one pair, not |G|/2 = 8
+    signs = [tuple(tuple(s[i] if i == j else 0 for j in range(4)) for i in range(4))
+             for s in product((1, -1), repeat=4)]
+    monkeypatch.setattr(orders, "right_multiplication_matrices", lambda label: tuple(signs))
+    with pytest.raises(IntegrityError, match="not free"):
+        orbit_decompose(oracles.shell_of("2T", 1, [(-1, 0, 0, 0), (1, 0, 0, 0)]))
 
 
 @pytest.mark.parametrize("label, m_max", [("2T", 10), ("2O", 4), ("2I", 3)])

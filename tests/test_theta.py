@@ -263,7 +263,10 @@ def test_theta_rank_is_built_once_and_budget_checked_every_call(table_builds):
 
 @pytest.mark.parametrize(
     "label, ells, shells",
-    [("2T", (6, 8, 12, 14, 16), 6), ("2O", (8, 12, 16), 4), ("2I", (12, 20), 3)],
+    [("2T", (6, 8, 12, 14, 16), 6), ("2O", (8, 12, 16), 4), ("2I", (12, 20), 3),
+     # derived translates from two and from three basis translates, and nine
+     # derived from one at every degree
+     ("2T", (12, 24), 6), ("2I", (12, 20, 24), 4)],
 )
 def test_invariant_tables_match_the_per_degree_oracle(label, ells, shells):
     desk = get_budget("desk")
@@ -274,6 +277,88 @@ def test_invariant_tables_match_the_per_degree_oracle(label, ells, shells):
         assert tables[ell] == oracles.invariant_table(label, ell, shells, desk)
         assert tables[ell] == theta._invariant_tables(label, (ell,), shells, desk)[ell]
         assert tables[ell] == theta_table(label, ell, shells)
+
+
+@pytest.mark.parametrize("label, ells, shells, basis", [
+    ("2I", (12, 20, 24), 4, (0,)), ("2T", (24,), 6, (0, 1, 2)), ("2T", (12,), 6, (0, 1)),
+    ("2O", (12, 18, 20), 3, (1,))])
+def test_only_the_basis_translates_are_evaluated(label, ells, shells, basis, monkeypatch):
+    # with the plan warm, the one point map a batch builds per evaluated
+    # translate is the work it does per representative
+    desk = get_budget("desk")
+    assert {theta._translate_plan(label, ell)[0] for ell in ells} == {basis}
+    pool = theta._translate_pool()
+    mapped = []
+    point_map = theta._point_map
+
+    def counting(lab, y):
+        mapped.append(y)
+        return point_map(lab, y)
+
+    monkeypatch.setattr(theta, "_point_map", counting)
+    tables = theta._invariant_tables(label, ells, shells, desk)
+    assert mapped == [pool[j][0] for j in basis]
+    for ell in ells:
+        assert tables[ell].n_columns == 2 * len(pool) * invariant_multiplicity(label, ell)
+
+
+def test_a_plan_reproduces_the_value_vectors():
+    # v(y_k) = sum_j (N_j / D) v(y_j), with each f_s(r(y)) summed on (re, im)
+    # pairs by the plain product below, not by the tables' kernel
+    def cadd(u, v):
+        return tuple((p[0] + q[0], p[1] + q[1]) for p, q in zip(u, v))
+
+    def as_pairs(c):
+        return (c[0], c[1]), (c[2], c[3])
+
+    pool = theta._translate_pool()
+    for label, ell in (("2T", 12), ("2T", 24), ("2O", 18), ("2I", 20)):
+        tag = theta.FIELD_TAG[label]
+        forms = holomorphic_invariants(label, ell)
+
+        def value(k):  # r(y) = (y0 + y1 i, y2 + y3 i) on integer pairs
+            y = pool[k][0]
+            z1p, z2p = _complex_powers(tag, y[:2], ell), _complex_powers(tag, y[2:], ell)
+            out = []
+            for form in forms:
+                acc = ((0, 0), (0, 0))
+                for (a, b), c in form.items():
+                    acc = cadd(acc, _complex_mul(tag, as_pairs(c),
+                                                 _complex_mul(tag, z1p[a], z2p[b])))
+                out.append(acc)
+            return out
+
+        basis, derived = theta._translate_plan(label, ell)
+        assert len(basis) <= len(forms)
+        assert sorted(basis + tuple(k for k, _, _ in derived)) == list(range(len(pool)))
+        for k, den, terms in derived:
+            assert den >= 1 and all(j in basis and any(n) for j, n in terms)
+            for s, v in enumerate(value(k)):
+                combined = ((0, 0), (0, 0))
+                for j, n in terms:
+                    combined = cadd(combined, _complex_mul(tag, as_pairs(n), value(j)[s]))
+                assert combined == tuple((den * a, den * b) for a, b in v)
+
+
+def test_a_wrong_derived_coefficient_is_caught(table_builds, monkeypatch):
+    # the last derived translate's first coefficient beta one too large
+    plan = theta._translate_plan
+
+    def corrupted(label, ell):
+        basis, derived = plan(label, ell)
+        k, den, ((j, n), *rest) = derived[-1]
+        off = (j, (n[0] + den,) + n[1:])
+        return basis, derived[:-1] + ((k, den, (off, *rest)),)
+
+    monkeypatch.setattr(theta, "_translate_plan", corrupted)
+    with pytest.raises(AssertionError,
+                       match=r"^2I deg 12: translate 9 differs from its derived sum$"):
+        theta._invariant_tables("2I", (12,), 2, get_budget("desk"))
+    result = verify.run_check("theta-vanishing", get_budget("desk"))
+    assert result.status == "ERROR"
+    assert result.details == (
+        "AssertionError in theta._certify_derived: "
+        "2T deg 6: translate 9 differs from its derived sum")
 
 
 def test_invariant_tables_with_a_vanishing_degree():
@@ -365,6 +450,21 @@ def test_theta_generators_check_names_the_space(monkeypatch):
     assert not result.passed
     assert result.details.startswith("Theta(2O,8) generator ")
     assert "Theta(2I,12)" not in result.details
+
+
+def test_theta_generators_check_names_the_2i_space(monkeypatch):
+    # one coefficient of E4 Delta off by one must fail Theta(2I,12) alone
+    series = verify.qseries
+
+    def corrupted(name, terms):
+        out = series(name, terms)
+        return out[:3] + [out[3] + 1] + out[4:] if name == "E4Delta" else out
+
+    monkeypatch.setattr(verify, "qseries", corrupted)
+    result = verify.run_check("theta-generators", get_budget("desk"))
+    assert result.status == "FAIL"
+    assert result.details.startswith("Theta(2I,12) generator ")
+    assert "Theta(2O,8)" not in result.details
 
 
 def test_zero_table_for_degree_in_strength():
