@@ -16,24 +16,25 @@ substitution r_2 -> -r_2, r_3 -> -r_3: the published cross terms carry the
 signs of the conjugated basis vector -conj(w) rather than w itself).
 
 Shell enumeration is exact Fincke-Pohst: rational LDL^T completion of the
-Gram matrix, integer bounds from floor/ceil of quadratic irrationalities via
-integer square roots, no floating point anywhere.  One pass yields every
-shell up to a bound, each already in lexicographic order, or only the size of
-each shell.
+Gram matrix, integer bounds from one integer square root per node, no
+floating point anywhere.  One pass yields every shell up to a bound, each
+already in lexicographic order, or only the size of each shell.
 
-A shell is stored as one `bytes` block of fixed-width records, one per point:
+Every shell is symmetric under -1: it is -H_m reversed followed by H_m, for
+the half-ball H whose first nonzero coordinate is positive.  A shell is
+stored as one `bytes` block of fixed-width records, one per point of H_m:
 `struct.pack("<nh", *coords)`, n little-endian int16 fields (8 bytes for 2T,
 16 for 2O and 2I).  `struct` refuses a coordinate outside int16 rather than
 wrapping it, and a ball whose radius would let a coordinate reach 2^15 is
 refused before it is enumerated.  The cached balls hold these blocks and no
-point tuple; `Shell.points` decodes a block on demand.
+point tuple; `Shell.points` decodes a block on demand, -H_m first.
 
 The orbit decomposition applies the |G|/2 matrices of G/{+-1} to a point in
 one big-integer pass (see `orbit_decompose`), refused when a 16-bit field
-could wrap, and matches the images against the pairs {p, -p} of the shell,
-each keyed by the lesser of its two records.  Its representatives are the
-first point of each orbit in shell order, so they depend on the shell order
-and the orbits only, not on how the images are computed or matched.
+could wrap, and matches the images against the records of H_m, one per
+pair {p, -p} of the shell.  Its representatives are the first point of each
+orbit in shell order, so they depend on the shell order and the orbits
+only, not on how the images are computed or matched.
 """
 
 from __future__ import annotations
@@ -307,13 +308,6 @@ def _int16_radius(label: str) -> Fraction:
     return min(pivots) * 2**30
 
 
-def _floor_affine_sqrt(a: int, c: int, den: int) -> int:
-    """floor((a + sqrt(c)) / den) exactly, for c >= 0, den > 0."""
-    s = isqrt(c)
-    # sqrt(c) lies in [s, s+1), and t -> floor((a+t)/den) is constant there
-    return (a + s) // den
-
-
 def _enum_levels(label: str):
     """Precomputed integer data for the scaled Fincke-Pohst recursion.
 
@@ -343,80 +337,74 @@ def _enum_levels(label: str):
 
 
 def _enumerate_ball(label: str, bound: int, *, count: bool = False) -> dict:
-    """All nonzero integer vectors with Q_G <= bound, bucketed by value, each
-    bucket one block of `RECORD[label]` records in lexicographic order; with
-    `count`, only the size of each bucket.
+    """The half-ball H of all integer vectors with 0 < Q_G <= bound and first
+    nonzero coordinate positive, bucketed by value, each bucket H_m one block
+    of `RECORD[label]` records in lexicographic order; with `count`, the
+    size 2 |H_m| of each shell instead.
 
-    With x_0 outermost and every level rising, the recursion meets the
-    half-ball H (first nonzero coordinate > 0) in lexicographic order.  Every
-    point of -H sorts before every point of H, and negation reverses the
-    order, so a bucket is -H_m reversed followed by H_m, with no sort.  The
-    leaf packs -p big-endian with its fields reversed, so reversing the bytes
-    of that block gives -H_m reversed in little-endian records.  The counting
-    leaf adds 2 per point of H (the point and its negation) and builds no
-    point.
+    With x_0 outermost, x_0 >= 0 and every level rising, the recursion meets
+    H in lexicographic order.  The shell is -H_m reversed followed by H_m
+    (`Shell.points`), so H_m is all that is stored or counted.
+
+    A node takes one integer square root: the budget holds at x_i iff
+    |k| rd <= sqrt(t rfac rd) for k = x_i rho + center, and |k| rd is an
+    integer, so with s = isqrt(t rfac rd) the range is exactly
+    -s <= k rd <= s, and every x_i in [lo, hi] meets the budget.  The last
+    coordinate runs inside the loop of the one before it, whose center moves
+    by a fixed step per value.
     """
     if not count and bound >= _int16_radius(label):
         raise IntegrityError(
             f"the {label} ball of radius {bound} reaches coordinates outside int16")
     n, rho, centers, delta, mu, nu, rfac, rden = _enum_levels(label)
     half = {m: bytearray() for m in range(1, bound + 1)}
-    mirror = {m: bytearray() for m in range(1, bound + 1)}
-    # a record of H is the n-1 leading fields, packed once per leaf, then
-    # x_(n-1); the mirrored record of -p is -x_(n-1), then the others reversed
-    lead, lead_mirrored = struct.Struct(f"<{n - 1}h").pack, struct.Struct(f">{n - 1}h").pack
-    last_field, last_mirrored = struct.Struct("<h").pack, struct.Struct(">h").pack
+    # a record is the n-1 leading fields, packed once per level-1 value, then x_(n-1)
+    lead, last_field = struct.Struct(f"<{n - 1}h").pack, struct.Struct("<h").pack
     tally = [0] * (bound + 1)
     x = [0] * n
-    last, d0 = n - 1, delta[0]
+    d0, r0, m0, n0 = delta[0], rho[0], mu[0], nu[0]
+    rd0, f0, step0 = rden[0], rfac[0] * rden[0], centers[0][n - 2]
 
     def descend(level: int, t: int, leading_zero: bool):
         # t = (remaining budget at this level) * delta[level+1]; the levels
         # inside this one have reset their coordinates to 0
         r, rd = rho[level], rden[level]
         ncenter = sum(map(mul, centers[level], x))
-        c_big = t * rfac[level] * rd
-        hi = _floor_affine_sqrt(-ncenter * rd, c_big, r * rd)
-        lo = 0 if leading_zero else -_floor_affine_sqrt(ncenter * rd, c_big, r * rd)
-        m_lvl, n_lvl = mu[level], nu[level]
-        if level == 0 and count:  # the last coordinate: count, x = 0 excluded
-            for xi in range(1 if leading_zero else lo, hi + 1):
+        s = isqrt(t * rfac[level] * rd)
+        hi = (s - ncenter * rd) // (r * rd)
+        lo = 0 if leading_zero else -((s + ncenter * rd) // (r * rd))
+        m_lvl, n_lvl, coord = mu[level], nu[level], n - 1 - level
+        if level > 1:
+            for xi in range(lo, hi + 1):
                 k = xi * r + ncenter
-                t_next = m_lvl * t - n_lvl * k * k
-                if t_next >= 0:
-                    tally[bound - t_next // d0] += 2
+                x[coord] = xi
+                descend(level - 1, m_lvl * t - n_lvl * k * k, leading_zero and xi == 0)
+            x[coord] = 0
             return
-        if level == 0:  # the last coordinate: record the points, x = 0 excluded
-            head = lead(*x[:last])
-            tail = lead_mirrored(*[-c for c in reversed(x[:last])])
-            for xi in range(1 if leading_zero else lo, hi + 1):
-                k = xi * r + ncenter
-                t_next = m_lvl * t - n_lvl * k * k
-                if t_next >= 0:
-                    m = bound - t_next // d0
-                    half[m] += head + last_field(xi)
-                    mirror[m] += last_mirrored(-xi) + tail
-            return
-        coord = last - level
+        # level 1 fixes x_(n-2); the center of level 0 is base0 + step0 x_(n-2)
+        center0 = sum(map(mul, centers[0], x)) + step0 * lo
         for xi in range(lo, hi + 1):
             k = xi * r + ncenter
-            t_next = m_lvl * t - n_lvl * k * k
-            if t_next < 0:
-                continue
-            x[coord] = xi
-            descend(level - 1, t_next, leading_zero and xi == 0)
-        x[coord] = 0
+            t1 = m_lvl * t - n_lvl * k * k
+            s0 = isqrt(t1 * f0)
+            hi0 = (s0 - center0 * rd0) // (r0 * rd0)
+            lo0 = 1 if leading_zero and xi == 0 else -((s0 + center0 * rd0) // (r0 * rd0))
+            if count:  # the last coordinate: count, x = 0 excluded
+                for y in range(lo0, hi0 + 1):
+                    k = y * r0 + center0
+                    tally[bound - (m0 * t1 - n0 * k * k) // d0] += 2
+            else:  # the last coordinate: record the points, x = 0 excluded
+                head = lead(*x[:coord], xi)
+                for y in range(lo0, hi0 + 1):
+                    k = y * r0 + center0
+                    half[bound - (m0 * t1 - n0 * k * k) // d0] += head + last_field(y)
+            center0 += step0
 
-    descend(last, bound * delta[n], True)
+    descend(n - 1, bound * delta[n], True)
     if count:
         return {m: tally[m] for m in range(1, bound + 1)}
-    blocks = {}
-    for m in range(1, bound + 1):  # popped, so each bucket is freed once joined
-        block = mirror.pop(m)
-        block.reverse()
-        block += half.pop(m)
-        blocks[m] = bytes(block)
-    return blocks
+    # popped, so each bucket is freed once copied
+    return {m: bytes(half.pop(m)) for m in range(1, bound + 1)}
 
 
 # label -> (M, (O_{G,1}, .., O_{G,M})): the largest ball enumerated, as shells
@@ -439,11 +427,14 @@ def _shell_budget(label: str, m: int, budget: Budget | None) -> Budget:
 
 @dataclass(frozen=True)
 class Shell:
-    """O_{G,m} as one block of `RECORD[group_label]` records, one per point
-    (8 bytes for 2T, 16 for 2O and 2I), in lexicographic order.
+    """O_{G,m} = -H_m u H_m, stored as the block of its half H_m: one
+    `RECORD[group_label]` record per point of H_m (8 bytes for 2T, 16 for 2O
+    and 2I), in lexicographic order.
 
-    `points` decodes the block on every call and keeps no tuple; the orbit
-    representatives, a few per hundred points, are kept once decomposed.
+    `points` decodes the block on every call and keeps no tuple: -H_m
+    reversed, then H_m, which is the whole shell in lexicographic order.  The
+    orbit representatives, a few per hundred points, are kept once
+    decomposed.
     """
 
     group_label: str
@@ -451,11 +442,17 @@ class Shell:
     records: bytes
 
     def __len__(self):
-        return len(self.records) // RECORD[self.group_label].size
+        return 2 * len(self.records) // RECORD[self.group_label].size
+
+    @property
+    def half(self) -> tuple[tuple[int, ...], ...]:
+        """H_m: the points whose first nonzero coordinate is positive."""
+        return tuple(RECORD[self.group_label].iter_unpack(self.records))
 
     @property
     def points(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(RECORD[self.group_label].iter_unpack(self.records))
+        half = self.half
+        return tuple([tuple(map(neg, p)) for p in reversed(half)]) + half
 
     def embedded(self):
         return [embed_coords(self.group_label, p) for p in self.points]
@@ -520,34 +517,25 @@ def right_multiplication_matrices(label: str) -> tuple[tuple[tuple[int, ...], ..
     return tuple(mats)
 
 
-def _with_negations(shell: Shell):
-    """Each record of the shell with the record of its negation, negated
-    4,096 records to a `struct` call; `struct` refuses to negate -2^15."""
-    size = RECORD[shell.group_label].size
-    step = 4096 * size
-    for start in range(0, len(shell.records), step):
-        block = shell.records[start:start + step]
-        fields = f"<{len(block) // 2}h"
-        negated = struct.pack(fields, *map(neg, struct.unpack(fields, block)))
-        for i in range(0, len(block), size):
-            yield block[i:i + size], negated[i:i + size]
-
-
 def orbit_decompose(shell: Shell) -> list[tuple[int, ...]]:
     """Representatives S_m with shell = disjoint union of x G (exact check).
 
-    The sweep visits the records in shell order and takes the first point of
-    each orbit not yet seen as its representative.  -1 lies in G, so orbits
-    and stable shells are unions of pairs {p, -p}: the sweep keeps the pairs
-    of the shell not yet in an orbit, each under the lesser of its two
-    records, half as many keys as points.
+    The representative of an orbit is its first point in shell order.  -1
+    lies in G, so every orbit is a union of pairs {p, -p} and meets -H_m,
+    which comes first in the shell: the sweep visits H_m in reverse, which
+    is -H_m in shell order negated, and takes the negation of each record
+    not yet in an orbit.  The records not yet in an orbit are one set, and
+    each pair of the shell is there as its one record in H_m.
 
     The |G|/2 matrices R_k of G/{+-1} are stacked into one integer per
     coordinate, row_i = sum_k sum_j R_k[i][j] 2^(16(nk+j)), so that the
-    16-bit fields of V = sum_i p_i row_i are the coordinates of every p R_k.
-    A field cannot spill into the next one while |(p R_k)_j| <=
-    max_i |p_i| * sum_i |R_k[i][j]| < 2^15, which is checked before V is
-    packed.
+    16-bit fields of V = sum_i p_i row_i are the coordinates of every p R_k,
+    and those of -V the other |G|/2 images.  A field cannot spill into the
+    next one while |(p R_k)_j| <= max_i |p_i| * sum_i |R_k[i][j]| < 2^15,
+    which is checked before V is packed.  The action is free on the orbit
+    iff its |G| images are distinct; they are then |G|/2 pairs, each with
+    one record in H, and the orbit lies in the shell iff exactly |G|/2 of
+    the images are records not yet in an orbit (orbits are disjoint).
     """
     # -1 lies in G and R_(-eps) = -R_eps, so one matrix of each pair
     # {R, -R} is stacked and the other image is read from -V
@@ -569,38 +557,29 @@ def orbit_decompose(shell: Shell) -> list[tuple[int, ...]]:
     # 2^15 in every field: V + bias is V in offset binary, without carries,
     # and the xor turns offset binary into two's complement
     bias = int.from_bytes(b"\x00\x80" * fields, "little")
-    # the pairs of the shell in no orbit yet, each under the lesser of its
-    # records, with the signs seen (1 for the key itself, 2 for its
-    # negation); a stable shell holds both of each
-    remaining = {}
-    for key, twin in _with_negations(shell):
-        pair, sign = (key, 1) if key < twin else (twin, 2)
-        remaining[pair] = remaining.get(pair, 0) | sign
-    if any(signs != 3 for signs in remaining.values()):
-        raise IntegrityError("shell is not stable under the group action")
+    half = shell.records
+    remaining = {half[i:i + size] for i in range(0, len(half), size)}
     reps = []
-    for key, twin in _with_negations(shell):
-        if min(key, twin) not in remaining:
+    for start in range(len(half) - size, -1, -size):
+        key = half[start:start + size]
+        if key not in remaining:
             continue
-        p = record.unpack(key)
+        p = tuple(map(neg, record.unpack(key)))
         if max(map(abs, p)) * column >= 1 << 15:
             raise IntegrityError(
                 f"the images of {p} under {shell.group_label} do not fit int16 fields")
         v = sum(map(mul, p, rows))
-        images = ((v + bias) ^ bias).to_bytes(2 * fields, "little")
-        negated = ((bias - v) ^ bias).to_bytes(2 * fields, "little")
-        orbit = {min(images[i:i + size], negated[i:i + size])
-                 for i in range(0, len(images), size)}
-        if 2 * len(orbit) != order:
+        images = ((v + bias) ^ bias).to_bytes(2 * fields, "little") \
+            + ((bias - v) ^ bias).to_bytes(2 * fields, "little")
+        orbit = {images[i:i + size] for i in range(0, len(images), size)}
+        if len(orbit) != order:
             raise IntegrityError("group action on the shell is not free")
-        # orbits are disjoint, so an orbit not inside the remaining pairs is
-        # not inside the shell
-        if not orbit <= remaining.keys():
+        orbit &= remaining
+        if 2 * len(orbit) != order:
             raise IntegrityError("shell is not stable under the group action")
-        for pair in orbit:
-            del remaining[pair]
+        remaining -= orbit
         reps.append(p)
-        if not remaining:  # every later record repeats a point of an orbit
+        if not remaining:  # every later record is a point of an orbit
             break
     if len(reps) * order != len(shell):
         raise IntegrityError("orbit decomposition does not partition the shell")

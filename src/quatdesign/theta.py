@@ -541,6 +541,12 @@ def _invariant_tables(label, ells, shells, budget: Budget) -> dict:
 
 
 def _full_table(label, ell, shells, budget: Budget) -> ThetaTable:
+    """The table of every harmonic of degree ell, summed over every point.
+
+    A shell is -H_m u H_m, and P(-x) = (-1)^ell P(x) for P homogeneous of
+    degree ell, so its sum is (1 + (-1)^ell) times the sum over H_m: twice
+    that for even ell, and zero for odd ell.
+    """
     # harm_basis(ell) has (ell + 1)^2 polynomials (and refuses ell < 0):
     # the cell count is checked before the basis is built
     budget.check_table_cells(ball_size(label, shells) * max(ell + 1, 0) ** 2)
@@ -550,12 +556,12 @@ def _full_table(label, ell, shells, budget: Budget) -> ThetaTable:
     rows = []
     for shell in enumerate_shells(label, shells, budget):
         # points are 2x, so a degree-l sum is 2^l times the true one
-        sums = _monomial_sums(tag, [doubled_point(label, c) for c in shell.points], ell)
+        sums = _monomial_sums(tag, [doubled_point(label, c) for c in shell.half], ell)
         row = []
         for poly, den in basis:
             sa = sum(c * sums[mono][0] for mono, c in poly.items())
             sb = sum(c * sums[mono][1] for mono, c in poly.items())
-            scale = Fraction(1, den * 2**ell)
+            scale = Fraction(1 + (-1) ** ell, den * 2**ell)
             row.append(QuadElem(tag, sa * scale, sb * scale))
         rows.append(tuple(row))
     labels = tuple(f"H{idx}" for idx in range(len(basis)))

@@ -3,7 +3,7 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import comb, gcd
+from math import comb, gcd, isqrt
 from operator import add, mul
 
 from quatdesign import lpbound, orders, theta
@@ -257,9 +257,27 @@ def char_coeffs_pairs(tag, rows) -> tuple[tuple[int, int], ...]:
 # -- shells as point tuples ----------------------------------------------------
 
 def shell_of(label, m, points):
-    """A Shell holding `points` as int16 records, in the given order."""
+    """A Shell of `points`, which must be distinct and a union of pairs
+    {p, -p}.  Each point's member of the half-ball H is packed first, so
+    `struct` refuses a coordinate outside int16; then a repeated point is
+    refused, the two halves must agree, and the H records are kept in
+    lexicographic order."""
     record = orders.RECORD[label]
-    return orders.Shell(label, m, b"".join(record.pack(*p) for p in points))
+    zero = (0,) * (record.size // 2)
+    upper = [record.pack(*p) for p in points if tuple(p) > zero]
+    lower = [record.pack(*(-c for c in p)) for p in points if tuple(p) <= zero]
+    if len(set(map(tuple, points))) != len(points):
+        raise orders.IntegrityError(
+            "a point repeats: the orbit decomposition does not partition the shell")
+    if sorted(upper) != sorted(lower):
+        raise orders.IntegrityError("shell is not stable under -1")
+    return orders.Shell(label, m, b"".join(sorted(upper, key=record.unpack)))
+
+
+def floor_affine_sqrt(a, c, den):
+    """floor((a + sqrt(c)) / den) exactly, for c >= 0, den > 0."""
+    # sqrt(c) lies in [isqrt(c), isqrt(c) + 1), where t -> floor((a+t)/den) is constant
+    return (a + isqrt(c)) // den
 
 
 def tuple_ball(label, bound):
@@ -274,8 +292,8 @@ def tuple_ball(label, bound):
         r, rd = rho[level], rden[level]
         ncenter = sum(map(mul, centers[level], x))
         c_big = t * rfac[level] * rd
-        hi = orders._floor_affine_sqrt(-ncenter * rd, c_big, r * rd)
-        lo = 0 if leading_zero else -orders._floor_affine_sqrt(ncenter * rd, c_big, r * rd)
+        hi = floor_affine_sqrt(-ncenter * rd, c_big, r * rd)
+        lo = 0 if leading_zero else -floor_affine_sqrt(ncenter * rd, c_big, r * rd)
         for xi in range(lo, hi + 1):
             k = xi * r + ncenter
             t_next = mu[level] * t - nu[level] * k * k

@@ -130,8 +130,8 @@ def _oracle_ball(label, bound):
         r = rho[level]
         ncenter = sum(unum[level][j] * x[j] for j in range(level + 1, n))
         c_big = t * rfac[level] * rden[level]
-        hi = orders._floor_affine_sqrt(-ncenter * rden[level], c_big, r * rden[level])
-        lo = 0 if leading_zero else -orders._floor_affine_sqrt(
+        hi = oracles.floor_affine_sqrt(-ncenter * rden[level], c_big, r * rden[level])
+        lo = 0 if leading_zero else -oracles.floor_affine_sqrt(
             ncenter * rden[level], c_big, r * rden[level])
         for xi in range(lo, hi + 1):
             k = xi * r + ncenter
@@ -154,8 +154,7 @@ ORACLE_BALLS = [("2T", 30), ("2O", 6), ("2I", 4)]
 @pytest.mark.parametrize("label, bound", ORACLE_BALLS)
 def test_ball_matches_the_sorting_oracle_in_order(label, bound):
     want = {m: tuple(points) for m, points in _oracle_ball(label, bound).items()}
-    record = orders.RECORD[label]
-    assert {m: tuple(record.iter_unpack(block))
+    assert {m: orders.Shell(label, m, block).points
             for m, block in orders._enumerate_ball(label, bound).items()} == want
 
 
@@ -180,9 +179,20 @@ def test_a_coordinate_outside_int16_is_no_record():
         oracles.shell_of("2T", 1, [(1, 0, 0, 0), (0, 2**15, 0, 0)])
     with pytest.raises(struct.error, match="32767"):
         oracles.shell_of("2I", 1, [(0,) * 7 + (-(2**15) - 1,)])
-    # -2^15 is a record, but its negation is not, so no pair is keyed
+    # -2^15 is a record, but its negation, the point of H, is not
     with pytest.raises(struct.error, match="32767"):
         orbit_decompose(oracles.shell_of("2T", 1, [(-(2**15), 0, 0, 0)]))
+
+
+def test_a_point_list_is_a_shell_only_when_symmetric_under_minus_one():
+    shell = enumerate_shell("2T", 2)
+    points = shell.points
+    # a point of H without its negation, one of -H without its, one of no pair
+    for broken in (points[:-1], points[1:], points + ((1, 2, 3, 4),)):
+        with pytest.raises(IntegrityError, match="not stable"):
+            oracles.shell_of("2T", 2, broken)
+    # the half-ball is kept in lexicographic order, whatever the given order
+    assert oracles.shell_of("2T", 2, points[::-1]).records == shell.records
 
 
 def test_orbit_decomposition_rejects_a_shell_missing_a_whole_pair():
@@ -226,6 +236,19 @@ def test_shell_values_and_sortedness():
             for coords in points[:50]:
                 assert oracles.form_value(form, coords) == sh.m
                 assert iota(norm(embed_coords(label, coords))) == sh.m
+
+
+@pytest.mark.parametrize("label, bound", ORACLE_BALLS)
+def test_the_cached_records_are_the_half_ball(label, bound):
+    # each shell stores H_m alone: first nonzero coordinate positive, in
+    # strictly increasing lexicographic order, one record per point of H_m
+    orders.enumerate_shells(label, bound)
+    for sh in orders._BALL_CACHE[label][1]:
+        half = sh.half
+        assert len(sh.records) == orders.RECORD[label].size * len(half)
+        assert 2 * len(half) == len(sh) == shell_count_formula(label, sh.m)
+        assert all(next(c for c in p if c) > 0 for p in half)
+        assert all(a < b for a, b in zip(half, half[1:]))
 
 
 def test_enumerate_shells_serves_every_shell_from_one_ball(ball_calls):
@@ -353,6 +376,11 @@ def test_orbit_decomposition_rejects_broken_shells(label, m):
     for pts, message in broken:
         with pytest.raises(IntegrityError, match=message):
             orbit_decompose(oracles.shell_of(label, m, pts))
+    # the shell's own records with one of them twice
+    records = enumerate_shell(label, m).records
+    twice = orders.Shell(label, m, records + records[:orders.RECORD[label].size])
+    with pytest.raises(IntegrityError, match="does not partition"):
+        orbit_decompose(twice)
 
 
 def test_orbit_decomposition_rejects_a_non_free_action(monkeypatch):

@@ -219,7 +219,7 @@ def test_invariant_table_entries_are_per_point_sums(label, ell, shells):
     assert theta_table(label, ell, shells).matrix == tuple(rows)
 
 
-@pytest.mark.parametrize("label, ell, shells", [("2T", 4, 3), ("2O", 2, 2)])
+@pytest.mark.parametrize("label, ell, shells", [("2T", 4, 3), ("2O", 2, 2), ("2T", 3, 3)])
 def test_full_table_entries_are_per_point_sums(label, ell, shells):
     basis = harm_basis(ell)
     rows = []
@@ -235,7 +235,10 @@ def test_full_table_entries_are_per_point_sums(label, ell, shells):
                             term = term * xk
                     row[i] = row[i] + term
         rows.append(tuple(row))
-    assert theta_table(label, ell, shells, kind="full").matrix == tuple(rows)
+    table = theta_table(label, ell, shells, kind="full")
+    assert table.matrix == tuple(rows)
+    if ell % 2:  # P(-x) = -P(x), and every shell is symmetric under -1
+        assert table.is_zero()
 
 
 def test_theta_rank_is_built_once_and_budget_checked_every_call(table_builds):
@@ -418,14 +421,15 @@ def test_theta_tables_read_the_orbit_representatives_of_the_cached_shells(
 
 def test_the_cached_ball_holds_records_and_no_point_tuples(ball_calls, table_builds):
     # the ranks read orbit representatives only: each cached shell keeps one
-    # block of 16-byte records, and nothing decodes it for the cache
+    # block of 16-byte records of its half-ball H_m, 8 bytes per point of the
+    # shell, and nothing decodes it for the cache
     theta_ranks("2I", (12,), 6)
     assert ball_calls == [("2I", 6)]
     top, shells = orders._BALL_CACHE["2I"]
     assert top == 6 and [sh.m for sh in shells] == list(range(1, 7))
     for sh in shells:
         assert type(sh.records) is bytes
-        assert len(sh.records) == 16 * len(sh) == 16 * shell_count_formula("2I", sh.m)
+        assert len(sh.records) == 8 * len(sh) == 8 * shell_count_formula("2I", sh.m)
         assert set(vars(sh)) == {"group_label", "m", "records", "orbit_reps"}
 
 

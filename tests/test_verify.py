@@ -4,8 +4,10 @@ Each blocking check can fail on one corrupted input and names what failed;
 a check that is over budget or raises costs its own row only.
 """
 
+import copy
 import dataclasses
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -112,6 +114,92 @@ def test_equality_cases_check_names_the_distribution(monkeypatch):
     assert result.status == "FAIL"
     assert result.details.startswith("2O distance distribution {")
     assert "QuadElem(SQRT2, 0): 17" in result.details
+
+
+def test_strength_direct_check_names_an_odd_degree(monkeypatch):
+    # one pair-sum test of 2O claims l = 5 is not in its strength; -1 lies in
+    # 2O, so every odd pair sum vanishes
+    tests_bulk = verify.pair_sum_tests_bulk
+
+    def corrupted(group, ells):
+        out = tests_bulk(group, ells)
+        return {**out, 5: False} if group.label == "2O" else out
+
+    monkeypatch.setattr(verify, "pair_sum_tests_bulk", corrupted)
+    result = verify.run_check("strength-direct", DESK)
+    assert result.status == "FAIL"
+    assert result.details == "2O odd l=5: pair sum nonzero"
+
+
+def _corrupt_test_function(monkeypatch, corrupted_build):
+    build = verify.build_test_function
+    monkeypatch.setattr(verify, "build_test_function",
+                        lambda name, override=None: corrupted_build(build, name, override))
+
+
+def test_lp_certificates_check_names_a_failed_certificate(monkeypatch):
+    # F2O with a positive coefficient at l = 8, off its design set
+    _corrupt_test_function(monkeypatch, lambda build, name, override: build(
+        name, override or ({8: Fraction(1, 1000)} if name == "F2O" else None)))
+    result = verify.run_check("lp-certificates", DESK)
+    assert result.status == "FAIL"
+    # the coefficient also moves the claimed roots, which the report names next
+    assert result.details.startswith(
+        "F2O: certificate failed ('off-design coefficient f_8 = 1/1000 is positive', "
+        "'claimed root 0 is not a root'")
+
+
+def test_lp_certificates_check_names_an_unrejected_corruption(monkeypatch):
+    # the corrupted F2T loses its override, so it is the certified F2T
+    _corrupt_test_function(monkeypatch, lambda build, name, override: build(name))
+    result = verify.run_check("lp-certificates", DESK)
+    assert result.status == "FAIL"
+    assert result.details == "corrupted F2T was not rejected at l=6"
+
+
+def test_equality_cases_check_names_a_failed_equality_case(monkeypatch):
+    # the report of 2I claims it is not a design
+    check = verify.check_equality_case
+
+    def corrupted(group, tf):
+        out = check(group, tf)
+        return dataclasses.replace(out, is_design=False) if group.label == "2I" else out
+
+    monkeypatch.setattr(verify, "check_equality_case", corrupted)
+    result = verify.run_check("equality-cases", DESK)
+    assert result.status == "FAIL"
+    assert result.details.startswith("2I: equality case fails EqualityReport(")
+    assert "is_design=False" in result.details
+
+
+def test_equality_cases_check_names_an_angle_outside_the_certificate(monkeypatch):
+    # the certified angles of F2O lose 0, the inner product of 18 pairs
+    angles = verify.angle_certificate
+    monkeypatch.setattr(verify, "angle_certificate", lambda tf: angles(tf) - (
+        {rat(0)} if tf.name == "F2O" else set()))
+    result = verify.run_check("equality-cases", DESK)
+    assert result.status == "FAIL"
+    assert result.details == "2O: A(X) outside the certified angle set"
+
+
+def test_equality_cases_check_names_a_group_not_distance_invariant(monkeypatch):
+    # 2O with a Gram pass whose rows 1 and 2 trade one count between their
+    # two largest values: the pair counts, the angle set, the pair sums and
+    # the row of the first element are those of 2O, the rows are not equal
+    group = verify.build_group("2O")
+    gram = copy.copy(group.gram)
+    gram.rows = [Counter(row) for row in gram.rows]
+    (a, _), (b, _) = gram.rows[1].most_common(2)
+    gram.rows[1].update({a: -1, b: 1})
+    gram.rows[2].update({a: 1, b: -1})
+    corrupted = UnitGroup("2O", group.elements)
+    corrupted.gram = gram
+    build = verify.build_group
+    monkeypatch.setattr(verify, "build_group",
+                        lambda label: corrupted if label == "2O" else build(label))
+    result = verify.run_check("equality-cases", DESK)
+    assert result.status == "FAIL"
+    assert result.details == "2O is not distance invariant"
 
 
 def test_shell_counts_check_names_the_shell(monkeypatch):
