@@ -16,9 +16,10 @@ substitution r_2 -> -r_2, r_3 -> -r_3: the published cross terms carry the
 signs of the conjugated basis vector -conj(w) rather than w itself).
 
 Shell enumeration is exact Fincke-Pohst: rational LDL^T completion of the
-Gram matrix, integer bounds from one integer square root per node, no
-floating point anywhere.  One pass yields every shell up to a bound, each
-already in lexicographic order, or only the size of each shell.
+Gram matrix, budgets as integers on one common scale, integer bounds from
+one integer square root per node, no floating point anywhere.  One pass
+yields every shell up to a bound, each already in lexicographic order, or
+only the size of each shell.
 
 Every shell is symmetric under -1: it is -H_m reversed followed by H_m, for
 the half-ball H whose first nonzero coordinate is positive.  A shell is
@@ -309,12 +310,16 @@ def _int16_radius(label: str) -> Fraction:
 
 
 def _enum_levels(label: str):
-    """Precomputed integer data for the scaled Fincke-Pohst recursion.
+    """(n, rho, centers, weight, scale): the Fincke-Pohst recursion on one
+    integer scale.
 
     The squares are completed in reversed variable order, so that level i
-    fixes coordinate n-1-i and x_0 is the outermost level; the center of
-    level i is the dot product of centers[i] with the coordinates, by
-    coordinate index (zero at level i and inside it).
+    fixes coordinate n-1-i and x_0 is the outermost level:
+    Q = sum_i (d_i / rho_i^2) k_i^2 with k_i = rho_i x_(n-1-i) + c_i an
+    integer, where c_i is the dot product of centers[i] with the coordinates,
+    by coordinate index (zero at level i and inside it).  scale is the least
+    D that makes every weight w_i = D d_i / rho_i^2 an integer, so that
+    D Q = sum_i w_i k_i^2 is a sum of integers (D = 12 for all three forms).
     """
     form = quadratic_form(label)
     d, u = _ldl_completion([row[::-1] for row in form.gram[::-1]])
@@ -322,18 +327,9 @@ def _enum_levels(label: str):
     rho = [lcm(*(u[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
     centers = [[int(u[i][n - 1 - k] * rho[i]) if n - 1 - k > i else 0 for k in range(n)]
                for i in range(n)]
-    delta = [1] * (n + 1)  # delta[i] clears denominators of the level-i budget
-    for i in range(n - 1, -1, -1):
-        need = d[i].denominator * rho[i] * rho[i]
-        delta[i] = lcm(delta[i + 1], need)
-    mu = [delta[i] // delta[i + 1] for i in range(n)]
-    nu = [
-        d[i].numerator * delta[i] // (d[i].denominator * rho[i] * rho[i])
-        for i in range(n)
-    ]
-    rfac = [rho[i] * rho[i] * d[i].denominator for i in range(n)]
-    rden = [delta[i + 1] * d[i].numerator for i in range(n)]
-    return n, rho, centers, delta, mu, nu, rfac, rden
+    ratio = [d[i] / (rho[i] * rho[i]) for i in range(n)]
+    scale = lcm(*(q.denominator for q in ratio))
+    return n, rho, centers, [int(q * scale) for q in ratio], scale
 
 
 def _enumerate_ball(label: str, bound: int, *, count: bool = False) -> dict:
@@ -346,61 +342,60 @@ def _enumerate_ball(label: str, bound: int, *, count: bool = False) -> dict:
     H in lexicographic order.  The shell is -H_m reversed followed by H_m
     (`Shell.points`), so H_m is all that is stored or counted.
 
-    A node takes one integer square root: the budget holds at x_i iff
-    |k| rd <= sqrt(t rfac rd) for k = x_i rho + center, and |k| rd is an
-    integer, so with s = isqrt(t rfac rd) the range is exactly
-    -s <= k rd <= s, and every x_i in [lo, hi] meets the budget.  The last
-    coordinate runs inside the loop of the one before it, whose center moves
-    by a fixed step per value.
+    Budgets are integers on the scale of `_enum_levels`: a level gets
+    t = D (bound - Q of the levels outside it).  A node takes one integer
+    square root: w k^2 <= t iff k^2 <= t // w, as k^2 is an integer, so with
+    s = isqrt(t // w) the range is exactly -s <= k <= s, every x_i in
+    [lo, hi] meets the budget, and the next level gets t - w k^2.  A leaf
+    is left t = D (bound - Q) with Q an integer, so Q = bound - t // D.  The
+    last coordinate runs inside the loop of the one before it, whose center
+    moves by a fixed step per value.
     """
     if not count and bound >= _int16_radius(label):
         raise IntegrityError(
             f"the {label} ball of radius {bound} reaches coordinates outside int16")
-    n, rho, centers, delta, mu, nu, rfac, rden = _enum_levels(label)
+    n, rho, centers, weight, scale = _enum_levels(label)
     half = {m: bytearray() for m in range(1, bound + 1)}
     # a record is the n-1 leading fields, packed once per level-1 value, then x_(n-1)
     lead, last_field = struct.Struct(f"<{n - 1}h").pack, struct.Struct("<h").pack
     tally = [0] * (bound + 1)
     x = [0] * n
-    d0, r0, m0, n0 = delta[0], rho[0], mu[0], nu[0]
-    rd0, f0, step0 = rden[0], rfac[0] * rden[0], centers[0][n - 2]
+    r0, w0, step0 = rho[0], weight[0], centers[0][n - 2]
 
     def descend(level: int, t: int, leading_zero: bool):
-        # t = (remaining budget at this level) * delta[level+1]; the levels
-        # inside this one have reset their coordinates to 0
-        r, rd = rho[level], rden[level]
-        ncenter = sum(map(mul, centers[level], x))
-        s = isqrt(t * rfac[level] * rd)
-        hi = (s - ncenter * rd) // (r * rd)
-        lo = 0 if leading_zero else -((s + ncenter * rd) // (r * rd))
-        m_lvl, n_lvl, coord = mu[level], nu[level], n - 1 - level
+        # the levels inside this one have reset their coordinates to 0
+        r, w, coord = rho[level], weight[level], n - 1 - level
+        center = sum(map(mul, centers[level], x))
+        s = isqrt(t // w)
+        hi = (s - center) // r
+        lo = 0 if leading_zero else -((s + center) // r)
         if level > 1:
             for xi in range(lo, hi + 1):
-                k = xi * r + ncenter
+                k = xi * r + center
                 x[coord] = xi
-                descend(level - 1, m_lvl * t - n_lvl * k * k, leading_zero and xi == 0)
+                descend(level - 1, t - w * k * k, leading_zero and xi == 0)
             x[coord] = 0
             return
         # level 1 fixes x_(n-2); the center of level 0 is base0 + step0 x_(n-2)
         center0 = sum(map(mul, centers[0], x)) + step0 * lo
         for xi in range(lo, hi + 1):
-            k = xi * r + ncenter
-            t1 = m_lvl * t - n_lvl * k * k
-            s0 = isqrt(t1 * f0)
-            hi0 = (s0 - center0 * rd0) // (r0 * rd0)
-            lo0 = 1 if leading_zero and xi == 0 else -((s0 + center0 * rd0) // (r0 * rd0))
+            k = xi * r + center
+            t1 = t - w * k * k
+            s0 = isqrt(t1 // w0)
+            hi0 = (s0 - center0) // r0
+            lo0 = 1 if leading_zero and xi == 0 else -((s0 + center0) // r0)
             if count:  # the last coordinate: count, x = 0 excluded
                 for y in range(lo0, hi0 + 1):
                     k = y * r0 + center0
-                    tally[bound - (m0 * t1 - n0 * k * k) // d0] += 2
+                    tally[bound - (t1 - w0 * k * k) // scale] += 2
             else:  # the last coordinate: record the points, x = 0 excluded
                 head = lead(*x[:coord], xi)
                 for y in range(lo0, hi0 + 1):
                     k = y * r0 + center0
-                    half[bound - (m0 * t1 - n0 * k * k) // d0] += head + last_field(y)
+                    half[bound - (t1 - w0 * k * k) // scale] += head + last_field(y)
             center0 += step0
 
-    descend(n - 1, bound * delta[n], True)
+    descend(n - 1, bound * scale, True)
     if count:
         return {m: tally[m] for m in range(1, bound + 1)}
     # popped, so each bucket is freed once copied

@@ -420,15 +420,13 @@ def _translate_plan(label: str, ell: int) -> tuple:
     tag = FIELD_TAG[label]
     cmul = _CMUL[tag]
     forms = holomorphic_invariants(label, ell)
-    monos = {mono for form in forms for mono in form}
+    monos = sorted({mono for form in forms for mono in form})
     one = QuadElem(tag, 1)
     echelon: dict = {}
     basis, derived = [], []
     for k, (y, _) in enumerate(_translate_pool()):
-        z = flat(y)
-        powers = {mono: cmul(_cpow(cmul, z[:4], mono[0]), _cpow(cmul, z[4:], mono[1]))
-                  for mono in monos}
-        v = {(0, s): c for s, c in enumerate(_form_sums(cmul, forms, powers))}
+        sums = _power_sums(cmul, monos, (flat(y),))
+        v = {(0, s): c for s, c in enumerate(_form_sums(cmul, forms, sums))}
         split = _real_split(tag, v)
         cur = reduce(split, echelon)
         if any(key[0] == 0 for key, _ in cur):  # a value key is left

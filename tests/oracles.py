@@ -3,7 +3,7 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, lcm
 from operator import add, mul
 
 from quatdesign import lpbound, orders, theta
@@ -280,17 +280,46 @@ def floor_affine_sqrt(a, c, den):
     return (a + isqrt(c)) // den
 
 
+def rescaled_levels(gram):
+    """(n, rho, unum, delta, mu, nu, rfac, rden): the Fincke-Pohst levels of
+    Q(x) = sum_i d_i (x_i + sum_(j>i) u_ij x_j)^2 with the budget rescaled at
+    every level: the reference that the one-scale enumeration of
+    `orders._enumerate_ball` is checked against.
+
+    Level i fixes x_i, with center sum_(j>i) unum[i][j] x_j and
+    k = rho_i x_i + center; its budget is t = (what is left) * delta[i+1],
+    the next level gets mu_i t - nu_i k^2, and the budget holds iff
+    |k| rden_i <= sqrt(t rfac_i rden_i).
+    """
+    d, u = orders._ldl_completion(gram)
+    n = len(gram)
+    rho = [lcm(*(u[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
+    unum = [[int(u[i][j] * rho[i]) for j in range(n)] for i in range(n)]
+    delta = [1] * (n + 1)  # delta[i] clears denominators of the level-i budget
+    for i in range(n - 1, -1, -1):
+        delta[i] = lcm(delta[i + 1], d[i].denominator * rho[i] * rho[i])
+    mu = [delta[i] // delta[i + 1] for i in range(n)]
+    nu = [d[i].numerator * delta[i] // (d[i].denominator * rho[i] * rho[i])
+          for i in range(n)]
+    rfac = [rho[i] * rho[i] * d[i].denominator for i in range(n)]
+    rden = [delta[i + 1] * d[i].numerator for i in range(n)]
+    return n, rho, unum, delta, mu, nu, rfac, rden
+
+
 def tuple_ball(label, bound):
     """{m: O_{G,m} as coordinate tuples} for m = 1..bound: the half-ball H of
-    the Fincke-Pohst recursion as tuples, then -H_m reversed chained with H_m."""
-    n, rho, centers, delta, mu, nu, rfac, rden = orders._enum_levels(label)
+    the rescaled Fincke-Pohst recursion as tuples, with x_0 outermost and
+    two square roots per node, then -H_m reversed chained with H_m."""
+    gram = orders.quadratic_form(label).gram
+    # level i of the reversed completion fixes x_(n-1-i)
+    n, rho, unum, delta, mu, nu, rfac, rden = rescaled_levels(
+        [row[::-1] for row in gram[::-1]])
     half = {m: [] for m in range(1, bound + 1)}
-    x = [0] * n
-    last = n - 1
+    y = [0] * n  # y[i] = x_(n-1-i)
 
     def descend(level, t, leading_zero):
         r, rd = rho[level], rden[level]
-        ncenter = sum(map(mul, centers[level], x))
+        ncenter = sum(map(mul, unum[level], y))
         c_big = t * rfac[level] * rd
         hi = floor_affine_sqrt(-ncenter * rd, c_big, r * rd)
         lo = 0 if leading_zero else -floor_affine_sqrt(ncenter * rd, c_big, r * rd)
@@ -299,15 +328,15 @@ def tuple_ball(label, bound):
             t_next = mu[level] * t - nu[level] * k * k
             if t_next < 0:
                 continue
-            x[last - level] = xi
+            y[level] = xi
             if level == 0:
                 if not (leading_zero and xi == 0):
-                    half[bound - t_next // delta[0]].append(tuple(x))
+                    half[bound - t_next // delta[0]].append(tuple(reversed(y)))
             else:
                 descend(level - 1, t_next, leading_zero and xi == 0)
-        x[last - level] = 0
+        y[level] = 0
 
-    descend(last, bound * delta[n], True)
+    descend(n - 1, bound * delta[n], True)
     return {m: tuple(chain([tuple(-c for c in p) for p in reversed(points)], points))
             for m, points in half.items()}
 

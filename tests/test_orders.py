@@ -1,7 +1,6 @@
 import struct
 from fractions import Fraction
 from itertools import product
-from math import lcm
 from operator import mul
 
 import pytest
@@ -92,29 +91,9 @@ def test_shell_counts_small():
 # -- the Fincke-Pohst recursion with x_(n-1) outermost and every bucket sorted
 # afterwards, kept as the oracle for the sort-free enumeration
 
-def _oracle_levels(label):
-    form = quadratic_form(label)
-    d, u = orders._ldl_completion(form.gram)
-    n = form.dimension
-    rho = [1] * n
-    unum = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rho[i] = lcm(*(u[i][j].denominator for j in range(i + 1, n)))
-        for j in range(i + 1, n):
-            unum[i][j] = int(u[i][j] * rho[i])
-    delta = [1] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        delta[i] = lcm(delta[i + 1], d[i].denominator * rho[i] * rho[i])
-    mu = [delta[i] // delta[i + 1] for i in range(n)]
-    nu = [d[i].numerator * delta[i] // (d[i].denominator * rho[i] * rho[i])
-          for i in range(n)]
-    rfac = [rho[i] * rho[i] * d[i].denominator for i in range(n)]
-    rden = [delta[i + 1] * d[i].numerator for i in range(n)]
-    return n, rho, unum, delta, mu, nu, rfac, rden
-
-
 def _oracle_ball(label, bound):
-    n, rho, unum, delta, mu, nu, rfac, rden = _oracle_levels(label)
+    n, rho, unum, delta, mu, nu, rfac, rden = oracles.rescaled_levels(
+        quadratic_form(label).gram)
     buckets = {m: [] for m in range(1, bound + 1)}
     x = [0] * n
 
