@@ -3,20 +3,23 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple
 
 
 class ResourceBudgetError(RuntimeError):
     """A requested computation exceeds the configured budget."""
 
 
-@dataclass(frozen=True)
-class Budget:
+_NO_CAPS = MappingProxyType({})  # the read-only default: no group is capped
+
+
+class Budget(NamedTuple):
     name: str
     # largest harmonic degree probed per group (theta machinery)
-    max_theta_ell: dict = field(default_factory=dict)
+    max_theta_ell: dict = _NO_CAPS
     # largest shell index enumerated per group
-    max_shell_m: dict = field(default_factory=dict)
+    max_shell_m: dict = _NO_CAPS
     # cap on points in one enumeration ball
     max_enum_points: int = 2_000_000
     # cap on |shells| * (ell+1)^2 for full-basis theta tables
@@ -67,6 +70,8 @@ SMALL = Budget(
 
 UNBOUNDED = Budget(
     name="unbounded",
+    max_theta_ell={},
+    max_shell_m={},
     max_enum_points=10**12,
     max_table_cells=10**12,
 )

@@ -154,18 +154,8 @@ class QuadElem:
         return self.b == 0
 
     def sign(self) -> int:
-        """Exact sign of the real embedding (rho -> sqrt2 or (1+sqrt5)/2).
-
-        sign(a + b*rho) reduces to comparing a^2 against rho^2 * b^2 when a
-        and b have opposite signs; only rational comparisons are used.
-        """
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if self.tag == GOLDEN:
-            # a + b tau = (2a + b)/2 + (b/2) sqrt5
-            return _sign_quadratic(2 * a + b, b, 5)
-        return _sign_quadratic(a, b, 2)
+        """Exact sign of the real embedding (rho -> sqrt2 or (1+sqrt5)/2)."""
+        return _sign_quadratic(self.tag, self.a, self.b)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -214,20 +204,22 @@ class QuadElem:
         return QuadElem(obj["tag"], _json_fraction(obj["a"]), _json_fraction(obj["b"]))
 
 
-def _sign_quadratic(a: Fraction, b: Fraction, d: int) -> int:
-    """Exact sign of a + b*sqrt(d) for rational a, b != 0 and squarefree
-    d > 1, where sqrt(d) is irrational and so a + b*sqrt(d) != 0."""
-    if a == 0:
+def _sign_quadratic(tag: str, a, b) -> int:
+    """Exact sign of a + b*rho in the field `tag`, for a, b both rational or
+    both integers.
+
+    a + b tau = ((2a + b) + b sqrt5)/2, so every case is a + b sqrt(d) with
+    d = 2 or 5, never 0 for b != 0.  When a and b have opposite signs it
+    compares a^2 against d b^2; only rational comparisons are used.
+    """
+    if b == 0:
+        return (a > 0) - (a < 0)
+    d = 2
+    if tag == GOLDEN:
+        a, d = 2 * a + b, 5
+    if a == 0 or (a > 0) == (b > 0):
         return 1 if b > 0 else -1
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    # opposite signs: |a| vs |b| sqrt(d)  <=>  a^2 vs d b^2
-    lhs = a * a
-    rhs = d * b * b
-    bigger_is_a = lhs > rhs
-    return (1 if a > 0 else -1) if bigger_is_a else (1 if b > 0 else -1)
+    return (1 if a > 0 else -1) if a * a > d * b * b else (1 if b > 0 else -1)
 
 
 _P_OVER_Q = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # q > 0

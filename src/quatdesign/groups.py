@@ -8,6 +8,15 @@ with w = (-1+i+j+k)/2, a = (1+i)/sqrt2, z = (tau + i/tau + j)/2; Q8 is
 <i>{1, j}, C_n the powers of its generator and D_2n = C_2n {1, w'}.  Every
 group is one such coset product, and a product that repeats is refused.
 
+The products are formed on doubled integer pairs.  Twice every element of
+these groups has its coordinates in Z, Z[sqrt2] or Z[tau] (Conway & Smith,
+On Quaternions and Octonions, ch. 3), so (2g)(2h) = 4gh is a product of
+integer pairs and 2gh its exact half.  Each element's Quaternion is made
+once, from the halves; a coordinate is tagged RAT exactly when every
+coordinate of both factors is, as a QuadElem product would tag it, and
+carries the field's tag otherwise.  UnitGroup checks, sorts and tests
+closure on integer pairs as well.
+
 Cyclic and dihedral groups are built from tables of a quaternionic generator
 of the right order, whose real part equals cos(2pi/n) exactly, and of a flip
 w' orthogonal to its axis.  For n where the planar embedding
@@ -23,12 +32,14 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, cmp_to_key, lru_cache
 from itertools import repeat
 from math import lcm
 
-from .exactnum import PAIR_MUL, QuadElem, RAT, SQRT2, GOLDEN, FieldTagMismatch
-from .quat import Quaternion, conj, qmul, qmul_pairs, scaled_pairs
+from .exactnum import (
+    PAIR_MUL, QuadElem, RAT, SQRT2, GOLDEN, FieldTagMismatch, _sign_quadratic,
+)
+from .quat import Quaternion, qmul, qmul_pairs, scaled_pairs
 
 
 class UnsupportedAngle(ValueError):
@@ -67,21 +78,44 @@ def zeta() -> Quaternion:
     return Quaternion(half_tau, half_tau_inv, half, zero)
 
 
-class UnitGroup:
-    """A labeled finite set of norm-1 quaternions closed under product."""
+def _compare(tag: str, x, y) -> int:
+    """-1, 0 or 1 as x < y, x = y or x > y, for quaternions on integer pairs
+    of one scale: lexicographic in the coordinates, each compared by the
+    exact sign of its difference."""
+    for (a, b), (c, d) in zip(x, y):
+        if a != c or b != d:
+            return _sign_quadratic(tag, a - c, b - d)
+    return 0
 
-    def __init__(self, label: str, elements):
+
+class UnitGroup:
+    """A labeled finite set of norm-1 quaternions closed under product.
+
+    Every check reads the integer frame (tag, D, D*eps for each eps as integer
+    pairs), D the lcm of 2 and every coordinate denominator: a repeat is a
+    repeated tuple, a unit has integer norm (D^2, 0), and the elements are
+    sorted by `_compare`, which is the order of their coordinate tuples.
+    `frame` is that triple when the caller has it already, in the order of
+    `elements`; the group keeps it in element order.
+    """
+
+    def __init__(self, label: str, elements, frame=None):
         elems = list(elements)
-        seen = set()
-        for e in elems:
-            if e in seen:
-                raise ValueError(f"duplicate element in {label}: {e!r}")
-            seen.add(e)
-        for e in elems:
-            if not e.is_unit():
+        tag, scale, scaled = frame or _integer_frame(elems, label)
+        index = {}
+        for i, x in enumerate(scaled):
+            if index.setdefault(x, i) != i:
+                raise ValueError(f"duplicate element in {label}: {elems[i]!r}")
+        pmul, unit = PAIR_MUL[tag], (scale * scale, 0)
+        for x, e in zip(scaled, elems):
+            squares = [pmul(a, b, a, b) for a, b in x]
+            if (sum(p for p, _ in squares), sum(q for _, q in squares)) != unit:
                 raise ValueError(f"non-unit element in {label}: {e!r}")
-        self.label = label
-        self.elements = sorted(elems, key=lambda q: q.coords)
+        order = sorted(range(len(elems)),
+                       key=cmp_to_key(lambda i, j: _compare(tag, scaled[i], scaled[j])))
+        self.label, self.tag = label, tag
+        self.elements = [elems[i] for i in order]
+        self._frame = (tag, scale, tuple(scaled[i] for i in order))
         self._set = frozenset(self.elements)
 
     def __len__(self):
@@ -94,45 +128,61 @@ class UnitGroup:
         return self._set
 
     def is_closed(self) -> bool:
-        """Exact closure test on integer coordinates.
+        """S S in S for the elements S, by generators, on integer pairs.
 
-        With D the lcm of all coordinate denominators, every D*g is an
-        integer-pair quaternion and (D*g)(D*h) = D^2 * gh; gh is a member
-        exactly when that product is divisible by D and the quotient is D
-        times a member.
+        T is picked greedily in element order: an element joins T when it is
+        not yet a product of elements of T, so in the end every element is
+        one.  Then S T in S gives S S in S, as s t_1 ... t_k = ((s t_1) ...)
+        t_k.  For a group each new generator at least doubles the subgroup
+        generated so far, so |T| <= log2 |S| + 1 and the test makes at most
+        |S| |T| products.  (D x)(D y) = D^2 xy, and xy is a member exactly
+        when that product is D times a member's pairs.
         """
-        tag, scale, scaled = _integer_frame(self.elements, self.label)
-        members = set(scaled)
-        for x in scaled:
-            for y in scaled:
-                prod = qmul_pairs(tag, x, y)
-                if any(a % scale or b % scale for a, b in prod):
+        tag, scale, scaled = self._frame
+        index = {tuple((scale * a, scale * b) for a, b in x): i for i, x in enumerate(scaled)}
+        right = []        # right[k][i]: the index of s_i t_k
+        reached = set()   # the indices of the products of elements of T
+        for i, t in enumerate(scaled):
+            if i in reached:
+                continue
+            row = []
+            for x in scaled:
+                j = index.get(qmul_pairs(tag, x, t))
+                if j is None:
                     return False
-                if tuple((a // scale, b // scale) for a, b in prod) not in members:
-                    return False
+                row.append(j)
+            right.append(row)
+            reached.add(i)
+            stack = list(reached)
+            while stack:
+                j = stack.pop()
+                for times_t in right:
+                    if times_t[j] not in reached:
+                        reached.add(times_t[j])
+                        stack.append(times_t[j])
         return True
 
-    @cached_property
-    def tag(self) -> str:
-        """The one field of the irrational coordinates, RAT when there are none."""
-        return _field_tag(self.elements, self.label)
-
-    @cached_property
+    @property
     def doubled(self) -> tuple:
         """2 eps on integer pairs for every element eps, in element order;
         ValueError when some 2 eps is not integral."""
-        return tuple(scaled_pairs(e.coords, 2) for e in self.elements)
+        _, scale, scaled = self._frame
+        if scale != 2:
+            raise ValueError(f"2 eps is not integral for every element eps of {self.label}")
+        return scaled
 
     @cached_property
     def gram(self) -> "Gram":
-        """The Gram pass over the elements, made once per group."""
-        return gram_pass(self.elements)
+        """The Gram pass over the elements, made once per group on its frame."""
+        return gram_pass(self)
 
     def is_antipodal(self) -> bool:
         return self.gram.antipodal()
 
     def contains_inverse_of_all(self) -> bool:
-        return self._set.issuperset(map(conj, self.elements))
+        scaled = self._frame[2]
+        members = set(scaled)
+        return all((x[0], *((-a, -b) for a, b in x[1:])) in members for x in scaled)
 
     def to_json(self):
         return {
@@ -142,21 +192,50 @@ class UnitGroup:
         }
 
 
+_ONE = ((2, 0), (0, 0), (0, 0), (0, 0))  # 2 * 1
+
+
+def _factor(q: Quaternion):
+    """(2q on integer pairs, the tag of q's coordinates): RAT when all are
+    RAT, else the one field tag among them."""
+    tags = {c.tag for c in q.coords} - {RAT}
+    return scaled_pairs(q.coords, 2), tags.pop() if tags else RAT
+
+
+def _halve(x):
+    """x/2 for a quaternion x on integer pairs; ValueError at an odd component."""
+    if any(a % 2 or b % 2 for a, b in x):
+        raise ValueError(f"{x} / 2 is not integral")
+    return tuple((a // 2, b // 2) for a, b in x)
+
+
+@lru_cache(maxsize=None)
+def _half(tag: str, a: int, b: int) -> QuadElem:
+    """(a + b rho)/2, one shared object per value: the groups have few."""
+    return QuadElem(tag, Fraction(a, 2), Fraction(b, 2))
+
+
 def _coset_union(label, gens, base):
-    """{g h : g in gens, h in base}; UnitGroup refuses a repeated product."""
-    return UnitGroup(label, [qmul(g, h) for g in gens for h in base])
+    """{g h : g in gens, h in base} for factors (2g, tag) as `_factor` gives
+    them; UnitGroup refuses a repeated product."""
+    field = next((t for _, t in gens + base if t != RAT), RAT)
+    doubled, elements = [], []
+    for x, s in gens:
+        for y, t in base:
+            z = _halve(qmul_pairs(field, x, y))
+            tag = RAT if s == t == RAT else field
+            doubled.append(z)
+            elements.append(Quaternion(*(_half(tag, a, b) for a, b in z)))
+    return UnitGroup(label, elements, (field, 2, doubled))
 
 
-def _powers(g: Quaternion, n: int) -> list[Quaternion]:
-    """[1, g, ..., g^(n-1)]."""
-    out = [Quaternion(1, 0, 0, 0)]
+def _powers(g: Quaternion, n: int) -> list:
+    """[1, g, ..., g^(n-1)] as factors."""
+    x, tag = _factor(g)
+    out = [(_ONE, RAT)]
     for _ in range(n - 1):
-        out.append(qmul(out[-1], g))
+        out.append((_halve(qmul_pairs(tag, out[-1][0], x)), tag))
     return out
-
-
-def _retag(q: Quaternion, tag: str) -> Quaternion:
-    return Quaternion(*(QuadElem(tag, c.a, c.b) if c.tag == RAT else c for c in q.coords))
 
 
 # n -> a unit quaternion of multiplicative order n inside the tower
@@ -194,17 +273,19 @@ def build_group(label: str) -> UnitGroup:
     """
     if label == "Q8":
         return _coset_union("Q8", _powers(Quaternion(0, 1, 0, 0), 4),
-                            [Quaternion(1, 0, 0, 0), Quaternion(0, 0, 1, 0)])
+                            [(_ONE, RAT), _factor(Quaternion(0, 0, 1, 0))])
 
     if label == "2T":
-        return _coset_union("2T", _powers(omega(), 3), build_group("Q8"))
+        q8 = [(x, RAT) for x in build_group("Q8").doubled]
+        return _coset_union("2T", _powers(omega(), 3), q8)
 
+    # 2O and 2I take 2T into the field of their cosets
     if label == "2O":
-        t = [_retag(e, SQRT2) for e in build_group("2T")]
+        t = [(x, SQRT2) for x in build_group("2T").doubled]
         return _coset_union("2O", _powers(alpha(), 2), t)
 
     if label == "2I":
-        t = [_retag(e, GOLDEN) for e in build_group("2T")]
+        t = [(x, GOLDEN) for x in build_group("2T").doubled]
         return _coset_union("2I", _powers(zeta(), 5), t)
 
     if label.startswith("D2n"):
@@ -213,7 +294,7 @@ def build_group(label: str) -> UnitGroup:
             raise UnsupportedAngle(
                 f"D_2n with n={n} is not constructible in the quadratic tower"
             )
-        flips = [Quaternion(1, 0, 0, 0), _DIHEDRAL_FLIPS[n]()]
+        flips = [(_ONE, RAT), _factor(_DIHEDRAL_FLIPS[n]())]
         return _coset_union(label, _powers(_CYCLIC_GENERATORS[2 * n](), 2 * n), flips)
 
     if label.startswith("C"):
@@ -222,8 +303,7 @@ def build_group(label: str) -> UnitGroup:
             raise UnsupportedAngle(
                 f"C_{n} is not constructible in the quadratic tower"
             )
-        return _coset_union(label, _powers(_CYCLIC_GENERATORS[n](), n),
-                            [Quaternion(1, 0, 0, 0)])
+        return _coset_union(label, _powers(_CYCLIC_GENERATORS[n](), n), [(_ONE, RAT)])
 
     raise ValueError(f"unknown group label {label!r}")
 
@@ -240,9 +320,10 @@ def _field_tag(points, name: str) -> str:
 
 
 def _integer_frame(points, name: str):
-    """(tag, D, [D*x as integer pairs]) with D the lcm of all coordinate
-    denominators and tag from `_field_tag`."""
-    scale = lcm(*(
+    """(tag, D, [D*x as integer pairs]) with D the lcm of 2 and all
+    coordinate denominators, so that a group's D*x are its doubled elements
+    2 eps whenever those are integral, and tag from `_field_tag`."""
+    scale = lcm(2, *(
         q.denominator for x in points for c in x.coords for q in (c.a, c.b)
     ))
     return _field_tag(points, name), scale, [scaled_pairs(x.coords, scale) for x in points]
@@ -288,8 +369,12 @@ def gram_pass(points) -> Gram:
     D*x has integer-pair coordinates, so D^2 <x, y> is the sum of four
     integer pair products.  Every diagonal entry must be (D^2, 0), else
     ValueError; FieldTagMismatch when the points mix Q(sqrt2) and Q(sqrt5).
+    A UnitGroup lends its own frame.
     """
-    tag, scale, scaled = _integer_frame(points, "point set")
+    if isinstance(points, UnitGroup):
+        points, (tag, scale, scaled) = points.elements, points._frame
+    else:
+        tag, scale, scaled = _integer_frame(points, "point set")
     pmul = PAIR_MUL[tag]
     unit = (scale * scale, 0)
 

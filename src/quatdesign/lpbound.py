@@ -16,8 +16,8 @@ matches its published factorization as printed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactnum import QuadElem, rat, sqrt2_elem, golden_elem
 from .gegenbauer import gegenbauer_expand, horner, poly_divmod, poly_mul, scaled_q, trim
@@ -89,8 +89,7 @@ def _roots_for(name: str) -> list[QuadElem]:
     raise ValueError(f"unknown test function {name!r}")
 
 
-@dataclass(frozen=True)
-class TestFunction:
+class TestFunction(NamedTuple):
     name: str
     expanded: tuple[Fraction, ...]          # F(s), low degree first
     coefficients: dict[int, Fraction]       # full Gegenbauer expansion
@@ -106,8 +105,7 @@ class TestFunction:
         return horner(self.expanded, Fraction(1))
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     name: str
     passed: bool
     off_design_violations: tuple[int, ...]
@@ -116,8 +114,7 @@ class CertificateReport:
     messages: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class EqualityReport:
+class EqualityReport(NamedTuple):
     cardinality: int
     bound: Fraction
     attained: bool

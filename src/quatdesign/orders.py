@@ -41,11 +41,11 @@ only, not on how the images are computed or matched.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt, lcm
 from operator import mul, neg
+from typing import NamedTuple
 
 from .budget import Budget, get_budget
 from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, insert, iota, reduce
@@ -187,8 +187,7 @@ def _solve(label: str, flat, half: int) -> tuple[int, ...] | None:
 
 # -- quadratic forms ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(NamedTuple):
     group_label: str
     dimension: int
     gram: tuple[tuple[Fraction, ...], ...]  # symmetric, half-integer entries
@@ -420,7 +419,6 @@ def _shell_budget(label: str, m: int, budget: Budget | None) -> Budget:
     return budget
 
 
-@dataclass(frozen=True)
 class Shell:
     """O_{G,m} = -H_m u H_m, stored as the block of its half H_m: one
     `RECORD[group_label]` record per point of H_m (8 bytes for 2T, 16 for 2O
@@ -429,12 +427,11 @@ class Shell:
     `points` decodes the block on every call and keeps no tuple: -H_m
     reversed, then H_m, which is the whole shell in lexicographic order.  The
     orbit representatives, a few per hundred points, are kept once
-    decomposed.
+    decomposed.  `len` counts the points of the shell, 2 |H_m|.
     """
 
-    group_label: str
-    m: int
-    records: bytes
+    def __init__(self, group_label: str, m: int, records: bytes):
+        self.group_label, self.m, self.records = group_label, m, records
 
     def __len__(self):
         return 2 * len(self.records) // RECORD[self.group_label].size

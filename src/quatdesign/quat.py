@@ -59,9 +59,6 @@ class Quaternion:
             n >>= 1
         return result
 
-    def is_unit(self) -> bool:
-        return norm(self) == 1
-
     def to_json(self):
         return [c.to_json() for c in self.coords]
 
@@ -95,10 +92,6 @@ def qmul(x: Quaternion, y: Quaternion) -> Quaternion:
             "quaternion product requires compatible coefficient fields"
         ) from None
     return Quaternion(*out)
-
-
-def conj(x: Quaternion) -> Quaternion:
-    return Quaternion(x.x1, -x.x2, -x.x3, -x.x4)
 
 
 def norm(x: Quaternion) -> QuadElem:

@@ -17,17 +17,16 @@ exact; their agreement is part of the acceptance suite.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .exactnum import PAIR_MUL, QuadElem
 from .groups import Gram, UnitGroup, build_group, gram_of
 from .quat import scaled_pairs
 
 
-@dataclass(frozen=True)
-class StrengthReport:
+class StrengthReport(NamedTuple):
     group_label: str
     max_degree: int
     even_members: tuple[int, ...]

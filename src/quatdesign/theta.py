@@ -29,12 +29,12 @@ is cross-checked against the translate engine in the tests.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import comb, gcd, isqrt, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .budget import Budget, get_budget
 from .exactnum import PAIR_MUL, QuadElem, RAT, SQRT2, GOLDEN, insert, reduce
@@ -306,8 +306,7 @@ def _translate_pool():
 
 # -- theta tables -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ThetaTable:
+class ThetaTable(NamedTuple):
     group_label: str
     ell: int
     shell_limit: int

@@ -11,9 +11,9 @@ the checks through it, for the acceptance tests and `quatdesign verify-paper`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .budget import Budget, ResourceBudgetError, get_budget
 from .exactnum import golden_elem, rat, sqrt2_elem
@@ -82,8 +82,7 @@ PRINTED_SHELL_HEADS = {
 SHELL_RANGES = {"2T": 30, "2O": 12, "2I": 8}
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     title: str
     status: str  # PASS, INFO (non-blocking), FAIL, SKIP (over budget) or ERROR

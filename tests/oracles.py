@@ -6,8 +6,8 @@ from itertools import chain
 from math import comb, gcd, isqrt, lcm
 from operator import add, mul
 
-from quatdesign import lpbound, orders, theta
-from quatdesign.exactnum import RAT, QuadElem, iota, rat
+from quatdesign import groups, lpbound, orders, theta
+from quatdesign.exactnum import GOLDEN, RAT, SQRT2, QuadElem, iota, rat
 from quatdesign.groups import NotAntipodal, build_group, gram_of
 from quatdesign.harmonics import harm_basis, laplacian, quotient_monomials
 from quatdesign.orders import (
@@ -17,7 +17,9 @@ from quatdesign.orders import (
     enumerate_shells,
     right_multiplication_matrices,
 )
-from quatdesign.quat import PAIR_MUL, flat, left_matrix_pairs, norm, qmul, scaled_pairs
+from quatdesign.quat import (
+    PAIR_MUL, Quaternion, flat, left_matrix_pairs, norm, qmul, qmul_pairs, scaled_pairs,
+)
 from quatdesign.strength import pair_sums
 
 
@@ -111,6 +113,88 @@ def harmonic_projection(mono):
         coeff = coeff * Fraction(-1, 4 * k * (ell - k + 1))
         out = poly4_add(out, poly4_scale(poly4_mul(r2k, lap), coeff))
     return out
+
+
+# -- unit groups as QuadElem coset products, and closure over all pairs -------
+
+def conj(x):
+    """The quaternion conjugate x1 - x2 i - x3 j - x4 k."""
+    return Quaternion(x.x1, -x.x2, -x.x3, -x.x4)
+
+
+def retag(q, tag):
+    """q with every RAT coordinate moved into the field `tag`."""
+    return Quaternion(*(QuadElem(tag, c.a, c.b) if c.tag == RAT else c for c in q.coords))
+
+
+def _coset_union(label, gens, base):
+    """{g h : g in gens, h in base} by QuadElem products, sorted by their
+    coordinate tuples; a repeated product is refused."""
+    elements = [qmul(g, h) for g in gens for h in base]
+    if len(set(elements)) != len(elements):
+        raise ValueError(f"duplicate element in {label}")
+    return sorted(elements, key=lambda q: q.coords)
+
+
+def _powers(g, n):
+    out = [Quaternion(1, 0, 0, 0)]
+    for _ in range(n - 1):
+        out.append(qmul(out[-1], g))
+    return out
+
+
+@lru_cache(maxsize=None)
+def group_elements(label):
+    """The elements of a supported group, in order, built on Quaternion
+    products from the generator tables of `groups`: each coordinate carries
+    the field tag that QuadElem arithmetic gives it."""
+    one = Quaternion(1, 0, 0, 0)
+    if label == "Q8":
+        return _coset_union(label, _powers(Quaternion(0, 1, 0, 0), 4),
+                            [one, Quaternion(0, 0, 1, 0)])
+    if label == "2T":
+        return _coset_union(label, _powers(groups.omega(), 3), group_elements("Q8"))
+    if label in ("2O", "2I"):
+        tag, g, n = (SQRT2, groups.alpha(), 2) if label == "2O" else (GOLDEN, groups.zeta(), 5)
+        return _coset_union(label, _powers(g, n), [retag(e, tag) for e in group_elements("2T")])
+    if label.startswith("D2n"):
+        n = int(label[3:])
+        return _coset_union(label, _powers(groups._CYCLIC_GENERATORS[2 * n](), 2 * n),
+                            [one, groups._DIHEDRAL_FLIPS[n]()])
+    n = int(label[1:])
+    return _coset_union(label, _powers(groups._CYCLIC_GENERATORS[n](), n), [one])
+
+
+def orbit_closure(elements) -> list:
+    """The subgroup generated by the elements, by QuadElem products."""
+    out, frontier = set(elements), list(elements)
+    while frontier:
+        x = frontier.pop()
+        for g in elements:
+            y = qmul(x, g)
+            if y not in out:
+                out.add(y)
+                frontier.append(y)
+    return list(out)
+
+
+def is_closed(elements) -> bool:
+    """Every product of two of the elements is one of them, over all ordered
+    pairs on integer pairs: with D the lcm of the coordinate denominators,
+    (D x)(D y) = D^2 xy is a member's D-multiple times D."""
+    scale = lcm(*(q.denominator for x in elements for c in x.coords for q in (c.a, c.b)))
+    tags = {c.tag for x in elements for c in x.coords if c.b}
+    tag = tags.pop() if tags else RAT
+    scaled = [scaled_pairs(x.coords, scale) for x in elements]
+    members = set(scaled)
+    for x in scaled:
+        for y in scaled:
+            prod = qmul_pairs(tag, x, y)
+            if any(a % scale or b % scale for a, b in prod):
+                return False
+            if tuple((a // scale, b // scale) for a, b in prod) not in members:
+                return False
+    return True
 
 
 # -- point sets, order coordinates and forms, one value at a time -------------

@@ -334,6 +334,18 @@ def test_shells_count_only_peak_memory():
     assert report["peak_kb"] / 1024 < 40
 
 
+def test_cli_import_loads_no_dataclass_machinery():
+    # every CLI call pays its imports: no module of the program may pull in
+    # dataclasses, or inspect through it, beyond what the interpreter has
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "QUATDESIGN_"))}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys; bare = set(sys.modules); import quatdesign.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare)))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 def test_an_internal_check_failure_is_one_line_and_exit_1(capsys, monkeypatch):
     def corrupted_counts(label, m_max, budget):
         raise IntegrityError("group action on the shell is not free")

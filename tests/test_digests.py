@@ -6,6 +6,7 @@ records, and pass the benchmark's structural checks; the micro-kernels of
 `perfbench/kernels.py` must run and report every figure.
 """
 
+import importlib
 import json
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from quatdesign import cli
+from quatdesign import cli, groups
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -21,6 +22,7 @@ sys.path.insert(0, str(PERFBENCH))
 try:
     import checks
     import kernels
+    import shim
     import workloads
 finally:
     sys.path.remove(str(PERFBENCH))
@@ -49,3 +51,19 @@ def test_kernels_report_every_figure():
         [f"exactnum.mul_ns.{tag}" for tag in kernels.TAGS]
         + ["exactnum.add_ns", "quat.qmul_ns"])
     assert all(isinstance(ns, float) and ns > 0 for ns in figures.values())
+
+
+@pytest.mark.parametrize("module, path", [span[:2] for span in shim.SPANS],
+                         ids=[span[2] for span in shim.SPANS])
+def test_every_span_of_the_shim_resolves(module, path):
+    # a name the shim cannot find is reported missing by every traced run;
+    # the methods it wraps must stay plain functions on their classes
+    owner = importlib.import_module(f"quatdesign.{module}")
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)
+
+
+def test_the_group_build_keeps_its_cache_info():
+    # the shim reads the misses of every lru_cache'd span from cache_info()
+    assert groups.build_group.cache_info().maxsize is None

@@ -23,7 +23,8 @@ from quatdesign.groups import (
 )
 from quatdesign.quat import Quaternion, inner, norm, qmul, qmul_pairs, scaled_pairs
 
-from oracles import half_set, orbit, pair_distance_distribution
+import oracles
+from oracles import half_set, orbit, pair_distance_distribution, retag
 
 HALF = Fraction(1, 2)
 
@@ -76,13 +77,65 @@ def test_coset_union_structure():
 def test_a_wrong_generator_repeats_a_coset_product(monkeypatch):
     # omega (order 3) standing in for zeta (order 10): z^3 = 1, so the coset
     # product repeats 2T; it is refused, not shrunk to a 24-element "2I"
-    monkeypatch.setattr(groups, "zeta", lambda: groups._retag(omega(), GOLDEN))
+    monkeypatch.setattr(groups, "zeta", lambda: retag(omega(), GOLDEN))
     build_group.cache_clear()
     try:
         with pytest.raises(ValueError, match="duplicate element in 2I"):
             build_group("2I")
     finally:
         build_group.cache_clear()
+
+
+def test_a_product_off_the_doubled_lattice_is_refused(monkeypatch):
+    # g = (1 + i)/2 is no unit, but 2g, 2g^2 = i are integral and 2g^3 =
+    # (i - 1)/2 is not: its half is refused, never rounded
+    monkeypatch.setitem(groups._CYCLIC_GENERATORS, 4, lambda: Quaternion(HALF, HALF, 0, 0))
+    build_group.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="not integral"):
+            build_group("C4")
+    finally:
+        build_group.cache_clear()
+
+
+SUPPORTED = ("Q8", "2T", "2O", "2I", *(f"C{n}" for n in groups.CYCLIC_SUPPORTED),
+             *(f"D2n{n}" for n in groups.DIHEDRAL_SUPPORTED))
+
+
+@pytest.mark.parametrize("label", SUPPORTED)
+def test_integer_build_matches_the_quadelem_coset_products(label):
+    # the same elements in the same order, and every coordinate's field tag
+    group, expected = build_group(label), oracles.group_elements(label)
+    assert group.elements == expected
+    tags = [[c.tag for c in e.coords] for e in group]
+    assert tags == [[c.tag for c in e.coords] for e in expected]
+    assert group.doubled == tuple(scaled_pairs(e.coords, 2) for e in expected)
+
+
+@pytest.mark.parametrize("label", ["2O", "2I"])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_closure_by_generators_matches_all_pairs(label, data):
+    # random subsets, with and without 1, and the subgroups generated by one
+    # or two random elements, so that both answers occur
+    elements = build_group(label).elements
+    picked = data.draw(st.lists(st.sampled_from(elements), min_size=2, max_size=12, unique=True))
+    mode = data.draw(st.sampled_from(["subset", "without 1", "subgroup"]))
+    if mode == "subgroup":
+        picked = oracles.orbit_closure(picked[:data.draw(st.integers(1, 2))])
+    elif mode == "without 1":
+        picked = [e for e in picked if e != Quaternion(1, 0, 0, 0)]
+    assert UnitGroup("subset", picked).is_closed() == oracles.is_closed(picked)
+
+
+def test_closure_by_generators_refuses_a_product_outside_the_set():
+    # 2O less one element: of the 47^2 products only the 46 or 47 landing on
+    # the missing element leave the set, and the generators must meet one
+    o = build_group("2O").elements
+    for missing in (Quaternion(1, 0, 0, 0), o[0], alpha()):
+        rest = [e for e in o if e != missing]
+        assert not UnitGroup("2O minus one", rest).is_closed()
+        assert not oracles.is_closed(rest)
 
 
 def test_d2n2_is_q8():
@@ -213,27 +266,42 @@ def doubled_2I():
 
 
 def oracle_rows(points):
-    """<x, y> for every ordered pair, by QuadElem inner products on i <= j."""
-    rows = [[None] * len(points) for _ in points]
-    for i, x in enumerate(points):
+    """The counts of <x, y> in the row of each x, and the angle set, by
+    QuadElem inner products of as few pairs as two symmetries allow.
+
+    <x, y> = <y, x> and <-x, y> = -<x, y>.  So with r_x the first of x and
+    -x among the points and x = s_x r_x, <x, y> = s_x s_y <r_x, r_y>: one
+    inner product per unordered pair of representatives.  The value of each
+    unordered pair {i, j} counts once in row i and once in row j (once only
+    for i = j), and the angle set takes the values of the pairs with i < j.
+    """
+    index = {p: i for i, p in enumerate(points)}
+    reps = [min(i, index.get(-p, i)) for i, p in enumerate(points)]
+    values = {}  # (r, r') with r <= r' -> (<x_r, x_r'>, -<x_r, x_r'>)
+    rows, angles = [Counter() for _ in points], set()
+    for i in range(len(points)):
         for j in range(i, len(points)):
-            rows[i][j] = rows[j][i] = inner(x, points[j])
-    return rows
+            key = (reps[i], reps[j]) if reps[i] <= reps[j] else (reps[j], reps[i])
+            if key not in values:
+                v = inner(points[key[0]], points[key[1]])
+                values[key] = (v, -v)
+            v = values[key][(reps[i] == i) != (reps[j] == j)]
+            rows[i][v] += 1
+            if j != i:
+                rows[j][v] += 1
+                angles.add(v)
+    return rows, angles
 
 
 @pytest.mark.parametrize("name", ["Q8", "2T", "2O", "2I", "C5", "D2n3", "doubled"])
 def test_gram_readers_match_inner_product_loop(name):
     points = doubled_2I() if name == "doubled" else list(build_group(name))
-    rows = oracle_rows(points)
-    assert pair_distance_distribution(points) == Counter(s for row in rows for s in row)
-    assert inner_product_set(points) == {
-        rows[i][j] for i in range(len(points)) for j in range(i + 1, len(points))
-    }
+    rows, angles = oracle_rows(points)
+    assert pair_distance_distribution(points) == sum(rows, Counter())
+    assert inner_product_set(points) == angles
     for idx in (0, len(points) - 1):
-        assert distance_distribution(points, points[idx]) == Counter(rows[idx])
-    assert is_distance_invariant(points) == all(
-        Counter(row) == Counter(rows[0]) for row in rows
-    )
+        assert distance_distribution(points, points[idx]) == rows[idx]
+    assert is_distance_invariant(points) == all(row == rows[0] for row in rows)
     if name != "doubled":  # a group's readers share its own pass
         group = build_group(name)
         assert pair_distance_distribution(group) == pair_distance_distribution(points)

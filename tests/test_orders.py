@@ -230,6 +230,13 @@ def test_the_cached_records_are_the_half_ball(label, bound):
         assert all(a < b for a, b in zip(half, half[1:]))
 
 
+def test_a_shell_counts_its_points():
+    # len is 2 |H_m|, not the number of stored fields: a shell is no tuple
+    shell = enumerate_shell("2T", 1)
+    assert len(shell) == 24 == len(shell.points) == 2 * len(shell.half)
+    assert not isinstance(shell, tuple)
+
+
 def test_enumerate_shells_serves_every_shell_from_one_ball(ball_calls):
     shells = orders.enumerate_shells("2I", 3)
     assert ball_calls == [("2I", 3)]

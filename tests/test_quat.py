@@ -10,7 +10,6 @@ from quatdesign.groups import alpha, build_group, omega, zeta
 from quatdesign.quat import (
     PAIR_MUL,
     Quaternion,
-    conj,
     inner,
     left_matrix_pairs,
     norm,
@@ -19,7 +18,7 @@ from quatdesign.quat import (
     scaled_pairs,
 )
 
-from oracles import UniPoly, char_coeffs_pairs, hamilton_formula
+from oracles import UniPoly, char_coeffs_pairs, conj, hamilton_formula
 
 I = Quaternion(0, 1, 0, 0)
 J = Quaternion(0, 0, 1, 0)
@@ -29,7 +28,7 @@ ONE = Quaternion(1, 0, 0, 0)
 
 def su2_factor(x: Quaternion) -> UniPoly:
     """det(I - u C_x) = 1 - 2 x1 u + u^2 for unit x."""
-    if not x.is_unit():
+    if norm(x) != 1:
         raise ValueError("su2_factor requires a unit quaternion")
     return UniPoly([1, rat(-2) * x.x1, 1])
 

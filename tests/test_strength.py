@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -282,7 +281,7 @@ def test_dihedral_cyclic_check_names_the_group(monkeypatch):
     def corrupted(label, n):
         report = strength_of(label, n)
         if label == "D2n4":
-            report = dataclasses.replace(report, even_members=report.even_members[1:])
+            report = report._replace(even_members=report.even_members[1:])
         return report
 
     monkeypatch.setattr(verify, "group_strength", corrupted)

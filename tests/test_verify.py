@@ -5,7 +5,6 @@ a check that is over budget or raises costs its own row only.
 """
 
 import copy
-import dataclasses
 import json
 from collections import Counter
 from fractions import Fraction
@@ -17,7 +16,9 @@ from quatdesign.budget import get_budget
 from quatdesign.exactnum import rat
 from quatdesign.groups import UnitGroup
 from quatdesign.orders import IntegrityError
-from quatdesign.quat import Quaternion, conj
+from quatdesign.quat import Quaternion
+
+from oracles import conj
 
 DESK = get_budget("desk")
 
@@ -163,7 +164,7 @@ def test_equality_cases_check_names_a_failed_equality_case(monkeypatch):
 
     def corrupted(group, tf):
         out = check(group, tf)
-        return dataclasses.replace(out, is_design=False) if group.label == "2I" else out
+        return out._replace(is_design=False) if group.label == "2I" else out
 
     monkeypatch.setattr(verify, "check_equality_case", corrupted)
     result = verify.run_check("equality-cases", DESK)
@@ -221,7 +222,7 @@ def _corrupt_report(monkeypatch, label, **fields):
 
     def corrupted(name, limit):
         report = strength(name, limit)
-        return dataclasses.replace(report, **fields) if name == label else report
+        return report._replace(**fields) if name == label else report
 
     monkeypatch.setattr(verify, "group_strength", corrupted)
 
@@ -327,7 +328,7 @@ def test_theta_vanishing_check_names_a_nonzero_full_table(monkeypatch):
         if (label, ell) != ("2T", 10):
             return out
         first, *rest = out.matrix
-        return dataclasses.replace(out, matrix=((rat(1),) + first[1:], *rest))
+        return out._replace(matrix=((rat(1),) + first[1:], *rest))
 
     monkeypatch.setattr(verify, "theta_table", corrupted)
     result = verify.run_check("theta-vanishing", DESK)
