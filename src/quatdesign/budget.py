@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from types import MappingProxyType
-from typing import NamedTuple
 
 
 class ResourceBudgetError(RuntimeError):
@@ -14,16 +14,14 @@ class ResourceBudgetError(RuntimeError):
 _NO_CAPS = MappingProxyType({})  # the read-only default: no group is capped
 
 
-class Budget(NamedTuple):
-    name: str
-    # largest harmonic degree probed per group (theta machinery)
-    max_theta_ell: dict = _NO_CAPS
-    # largest shell index enumerated per group
-    max_shell_m: dict = _NO_CAPS
-    # cap on points in one enumeration ball
-    max_enum_points: int = 2_000_000
-    # cap on |shells| * (ell+1)^2 for full-basis theta tables
-    max_table_cells: int = 6_000_000
+class Budget(namedtuple("Budget", (
+    "name",
+    "max_theta_ell",    # largest harmonic degree probed per group (theta machinery)
+    "max_shell_m",      # largest shell index enumerated per group
+    "max_enum_points",  # cap on points in one enumeration ball
+    "max_table_cells",  # cap on |shells| * (ell+1)^2 for full-basis theta tables
+), defaults=(_NO_CAPS, _NO_CAPS, 2_000_000, 6_000_000))):
+    __slots__ = ()
 
     def check_theta(self, label: str, ell: int) -> None:
         cap = self.max_theta_ell.get(label)

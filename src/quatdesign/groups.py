@@ -14,8 +14,8 @@ On Quaternions and Octonions, ch. 3), so (2g)(2h) = 4gh is a product of
 integer pairs and 2gh its exact half.  Each element's Quaternion is made
 once, from the halves; a coordinate is tagged RAT exactly when every
 coordinate of both factors is, as a QuadElem product would tag it, and
-carries the field's tag otherwise.  UnitGroup checks, sorts and tests
-closure on integer pairs as well.
+carries the field's tag otherwise.  UnitGroup derives the integer pairs
+of its elements again and checks, sorts and tests closure on them.
 
 Cyclic and dihedral groups are built from tables of a quaternionic generator
 of the right order, whose real part equals cos(2pi/n) exactly, and of a flip
@@ -92,16 +92,16 @@ class UnitGroup:
     """A labeled finite set of norm-1 quaternions closed under product.
 
     Every check reads the integer frame (tag, D, D*eps for each eps as integer
-    pairs), D the lcm of 2 and every coordinate denominator: a repeat is a
-    repeated tuple, a unit has integer norm (D^2, 0), and the elements are
-    sorted by `_compare`, which is the order of their coordinate tuples.
-    `frame` is that triple when the caller has it already, in the order of
-    `elements`; the group keeps it in element order.
+    pairs) that `_integer_frame` derives from the elements, D the lcm of 2 and
+    every coordinate denominator: a repeat is a repeated tuple, a unit has
+    integer norm (D^2, 0), and the elements are sorted by `_compare`, which
+    is the order of their coordinate tuples.  The group keeps the frame in
+    element order.
     """
 
-    def __init__(self, label: str, elements, frame=None):
+    def __init__(self, label: str, elements):
         elems = list(elements)
-        tag, scale, scaled = frame or _integer_frame(elems, label)
+        tag, scale, scaled = _integer_frame(elems, label)
         index = {}
         for i, x in enumerate(scaled):
             if index.setdefault(x, i) != i:
@@ -128,39 +128,15 @@ class UnitGroup:
         return self._set
 
     def is_closed(self) -> bool:
-        """S S in S for the elements S, by generators, on integer pairs.
+        """Exact closure test over all ordered pairs, on the integer frame.
 
-        T is picked greedily in element order: an element joins T when it is
-        not yet a product of elements of T, so in the end every element is
-        one.  Then S T in S gives S S in S, as s t_1 ... t_k = ((s t_1) ...)
-        t_k.  For a group each new generator at least doubles the subgroup
-        generated so far, so |T| <= log2 |S| + 1 and the test makes at most
-        |S| |T| products.  (D x)(D y) = D^2 xy, and xy is a member exactly
-        when that product is D times a member's pairs.
+        (D x)(D y) = D^2 xy, so xy is a member exactly when that product is
+        D^2 times a member: the members are keyed at D^2 and every product
+        is looked up as it comes.
         """
         tag, scale, scaled = self._frame
-        index = {tuple((scale * a, scale * b) for a, b in x): i for i, x in enumerate(scaled)}
-        right = []        # right[k][i]: the index of s_i t_k
-        reached = set()   # the indices of the products of elements of T
-        for i, t in enumerate(scaled):
-            if i in reached:
-                continue
-            row = []
-            for x in scaled:
-                j = index.get(qmul_pairs(tag, x, t))
-                if j is None:
-                    return False
-                row.append(j)
-            right.append(row)
-            reached.add(i)
-            stack = list(reached)
-            while stack:
-                j = stack.pop()
-                for times_t in right:
-                    if times_t[j] not in reached:
-                        reached.add(times_t[j])
-                        stack.append(times_t[j])
-        return True
+        members = {tuple((scale * a, scale * b) for a, b in x) for x in scaled}
+        return all(qmul_pairs(tag, x, y) in members for x in scaled for y in scaled)
 
     @property
     def doubled(self) -> tuple:
@@ -173,8 +149,8 @@ class UnitGroup:
 
     @cached_property
     def gram(self) -> "Gram":
-        """The Gram pass over the elements, made once per group on its frame."""
-        return gram_pass(self)
+        """The Gram pass over the elements, made once per group."""
+        return gram_pass(self.elements)
 
     def is_antipodal(self) -> bool:
         return self.gram.antipodal()
@@ -219,14 +195,13 @@ def _coset_union(label, gens, base):
     """{g h : g in gens, h in base} for factors (2g, tag) as `_factor` gives
     them; UnitGroup refuses a repeated product."""
     field = next((t for _, t in gens + base if t != RAT), RAT)
-    doubled, elements = [], []
+    elements = []
     for x, s in gens:
         for y, t in base:
-            z = _halve(qmul_pairs(field, x, y))
             tag = RAT if s == t == RAT else field
-            doubled.append(z)
+            z = _halve(qmul_pairs(field, x, y))
             elements.append(Quaternion(*(_half(tag, a, b) for a, b in z)))
-    return UnitGroup(label, elements, (field, 2, doubled))
+    return UnitGroup(label, elements)
 
 
 def _powers(g: Quaternion, n: int) -> list:
@@ -369,12 +344,8 @@ def gram_pass(points) -> Gram:
     D*x has integer-pair coordinates, so D^2 <x, y> is the sum of four
     integer pair products.  Every diagonal entry must be (D^2, 0), else
     ValueError; FieldTagMismatch when the points mix Q(sqrt2) and Q(sqrt5).
-    A UnitGroup lends its own frame.
     """
-    if isinstance(points, UnitGroup):
-        points, (tag, scale, scaled) = points.elements, points._frame
-    else:
-        tag, scale, scaled = _integer_frame(points, "point set")
+    tag, scale, scaled = _integer_frame(points, "point set")
     pmul = PAIR_MUL[tag]
     unit = (scale * scale, 0)
 

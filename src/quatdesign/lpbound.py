@@ -16,8 +16,8 @@ matches its published factorization as printed.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .exactnum import QuadElem, rat, sqrt2_elem, golden_elem
 from .gegenbauer import gegenbauer_expand, horner, poly_divmod, poly_mul, scaled_q, trim
@@ -89,13 +89,15 @@ def _roots_for(name: str) -> list[QuadElem]:
     raise ValueError(f"unknown test function {name!r}")
 
 
-class TestFunction(NamedTuple):
-    name: str
-    expanded: tuple[Fraction, ...]          # F(s), low degree first
-    coefficients: dict[int, Fraction]       # full Gegenbauer expansion
-    design_set: tuple[int, ...]
-    factored_roots: tuple[QuadElem, ...]    # even-multiplicity roots in [-1,1)
-    residual: tuple[Fraction, ...]          # strictly positive factor on [-1,1]
+class TestFunction(namedtuple("TestFunction", (
+    "name",
+    "expanded",        # F(s) as Fractions, low degree first
+    "coefficients",    # full Gegenbauer expansion, degree -> Fraction
+    "design_set",      # degrees
+    "factored_roots",  # QuadElem even-multiplicity roots in [-1,1)
+    "residual",        # strictly positive factor on [-1,1], Fractions
+))):
+    __slots__ = ()
 
     @property
     def f0(self) -> Fraction:
@@ -105,21 +107,17 @@ class TestFunction(NamedTuple):
         return horner(self.expanded, Fraction(1))
 
 
-class CertificateReport(NamedTuple):
-    name: str
-    passed: bool
-    off_design_violations: tuple[int, ...]
-    negative_allowed: tuple[int, ...]
-    nonnegative_on_interval: bool
-    messages: tuple[str, ...]
+class CertificateReport(namedtuple("CertificateReport", (
+    "name", "passed", "off_design_violations", "negative_allowed",
+    "nonnegative_on_interval", "messages",
+))):
+    __slots__ = ()
 
 
-class EqualityReport(NamedTuple):
-    cardinality: int
-    bound: Fraction
-    attained: bool
-    inner_products_are_roots: bool
-    is_design: bool
+class EqualityReport(namedtuple("EqualityReport", (
+    "cardinality", "bound", "attained", "inner_products_are_roots", "is_design",
+))):
+    __slots__ = ()
 
 
 def _square_factor_poly(roots) -> tuple[Fraction, ...]:

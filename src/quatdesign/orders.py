@@ -41,11 +41,11 @@ only, not on how the images are computed or matched.
 from __future__ import annotations
 
 import struct
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt, lcm
 from operator import mul, neg
-from typing import NamedTuple
 
 from .budget import Budget, get_budget
 from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, insert, iota, reduce
@@ -187,10 +187,12 @@ def _solve(label: str, flat, half: int) -> tuple[int, ...] | None:
 
 # -- quadratic forms ---------------------------------------------------------
 
-class QuadraticForm(NamedTuple):
-    group_label: str
-    dimension: int
-    gram: tuple[tuple[Fraction, ...], ...]  # symmetric, half-integer entries
+class QuadraticForm(namedtuple("QuadraticForm", (
+    "group_label",
+    "dimension",
+    "gram",  # symmetric, half-integer Fraction entries
+))):
+    __slots__ = ()
 
     def polynomial_coefficients(self) -> dict[tuple[int, int], Fraction]:
         out = {}

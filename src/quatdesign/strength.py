@@ -16,22 +16,23 @@ exact; their agreement is part of the acceptance suite.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from .exactnum import PAIR_MUL, QuadElem
 from .groups import Gram, UnitGroup, build_group, gram_of
 from .quat import scaled_pairs
 
 
-class StrengthReport(NamedTuple):
-    group_label: str
-    max_degree: int
-    even_members: tuple[int, ...]
-    all_odd_in: bool
-    odd_members: tuple[int, ...] | None = None  # set only when not antipodal
+class StrengthReport(namedtuple("StrengthReport", (
+    "group_label",
+    "max_degree",
+    "even_members",
+    "all_odd_in",
+    "odd_members",  # set only when not antipodal
+), defaults=(None,))):
+    __slots__ = ()
 
     def to_json(self):
         return {

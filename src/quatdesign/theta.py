@@ -28,13 +28,12 @@ is cross-checked against the translate engine in the tests.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import comb, gcd, isqrt, lcm
 from operator import mul
-from typing import NamedTuple
 
 from .budget import Budget, get_budget
 from .exactnum import PAIR_MUL, QuadElem, RAT, SQRT2, GOLDEN, insert, reduce
@@ -306,13 +305,15 @@ def _translate_pool():
 
 # -- theta tables -------------------------------------------------------------
 
-class ThetaTable(NamedTuple):
-    group_label: str
-    ell: int
-    shell_limit: int
-    kind: str                      # "invariant" or "full"
-    column_labels: tuple
-    matrix: tuple                  # rows m = 1..M of QuadElem entries
+class ThetaTable(namedtuple("ThetaTable", (
+    "group_label",
+    "ell",
+    "shell_limit",
+    "kind",           # "invariant" or "full"
+    "column_labels",
+    "matrix",         # rows m = 1..M of QuadElem entries
+))):
+    __slots__ = ()
 
     @property
     def n_columns(self) -> int:

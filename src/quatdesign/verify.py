@@ -10,10 +10,10 @@ the checks through it, for the acceptance tests and `quatdesign verify-paper`.
 
 from __future__ import annotations
 
+import os
 import time
+from collections import namedtuple
 from fractions import Fraction
-from pathlib import Path
-from typing import NamedTuple
 
 from .budget import Budget, ResourceBudgetError, get_budget
 from .exactnum import golden_elem, rat, sqrt2_elem
@@ -82,13 +82,15 @@ PRINTED_SHELL_HEADS = {
 SHELL_RANGES = {"2T": 30, "2O": 12, "2I": 8}
 
 
-class CheckResult(NamedTuple):
-    check_id: str
-    title: str
-    status: str  # PASS, INFO (non-blocking), FAIL, SKIP (over budget) or ERROR
-    blocking: bool
-    details: str
-    seconds: float
+class CheckResult(namedtuple("CheckResult", (
+    "check_id",
+    "title",
+    "status",  # PASS, INFO (non-blocking), FAIL, SKIP (over budget) or ERROR
+    "blocking",
+    "details",
+    "seconds",
+))):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -395,7 +397,7 @@ def run_check(check_id: str, budget: Budget) -> CheckResult:
         import traceback  # only here: it would add to every CLI call's start-up
 
         frame = traceback.extract_tb(exc.__traceback__)[-1]  # the stage that raised
-        stage = f"{Path(frame.filename).stem}.{frame.name}"
+        stage = f"{os.path.splitext(os.path.basename(frame.filename))[0]}.{frame.name}"
         status, details = "ERROR", f"{type(exc).__name__} in {stage}: {exc}"
     else:
         status = "FAIL" if problems else ("PASS" if blocking else "INFO")

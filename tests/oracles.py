@@ -115,7 +115,7 @@ def harmonic_projection(mono):
     return out
 
 
-# -- unit groups as QuadElem coset products, and closure over all pairs -------
+# -- unit groups as QuadElem coset products, and a dividing closure test -----
 
 def conj(x):
     """The quaternion conjugate x1 - x2 i - x3 j - x4 k."""
@@ -181,7 +181,7 @@ def orbit_closure(elements) -> list:
 def is_closed(elements) -> bool:
     """Every product of two of the elements is one of them, over all ordered
     pairs on integer pairs: with D the lcm of the coordinate denominators,
-    (D x)(D y) = D^2 xy is a member's D-multiple times D."""
+    (D x)(D y) = D^2 xy must divide by D to a member's D-multiple."""
     scale = lcm(*(q.denominator for x in elements for c in x.coords for q in (c.a, c.b)))
     tags = {c.tag for x in elements for c in x.coords if c.b}
     tag = tags.pop() if tags else RAT

@@ -336,11 +336,12 @@ def test_shells_count_only_peak_memory():
 
 def test_cli_import_loads_no_dataclass_machinery():
     # every CLI call pays its imports: no module of the program may pull in
-    # dataclasses, or inspect through it, beyond what the interpreter has
+    # dataclasses, or inspect through it, or typing, beyond what the
+    # interpreter has
     env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "QUATDESIGN_"))}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
     code = ("import sys; bare = set(sys.modules); import quatdesign.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - bare)))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"

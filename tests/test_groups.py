@@ -115,9 +115,10 @@ def test_integer_build_matches_the_quadelem_coset_products(label):
 @pytest.mark.parametrize("label", ["2O", "2I"])
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
-def test_closure_by_generators_matches_all_pairs(label, data):
+def test_closure_matches_the_dividing_oracle(label, data):
     # random subsets, with and without 1, and the subgroups generated by one
-    # or two random elements, so that both answers occur
+    # or two random elements, so that both answers occur; the oracle divides
+    # each product by D where is_closed looks it up among the D^2-multiples
     elements = build_group(label).elements
     picked = data.draw(st.lists(st.sampled_from(elements), min_size=2, max_size=12, unique=True))
     mode = data.draw(st.sampled_from(["subset", "without 1", "subgroup"]))
@@ -128,9 +129,9 @@ def test_closure_by_generators_matches_all_pairs(label, data):
     assert UnitGroup("subset", picked).is_closed() == oracles.is_closed(picked)
 
 
-def test_closure_by_generators_refuses_a_product_outside_the_set():
+def test_closure_refuses_a_group_less_one_element():
     # 2O less one element: of the 47^2 products only the 46 or 47 landing on
-    # the missing element leave the set, and the generators must meet one
+    # the missing element leave the set
     o = build_group("2O").elements
     for missing in (Quaternion(1, 0, 0, 0), o[0], alpha()):
         rest = [e for e in o if e != missing]

@@ -276,7 +276,7 @@ def test_invariant_tables_match_the_per_degree_oracle(label, ells, shells):
     tables = theta._invariant_tables(label, ells, shells, desk)
     assert list(tables) == list(ells)
     for ell in ells:
-        # NamedTuple equality: every field, column labels and matrix alike
+        # tuple equality: every field, column labels and matrix alike
         assert tables[ell] == oracles.invariant_table(label, ell, shells, desk)
         assert tables[ell] == theta._invariant_tables(label, (ell,), shells, desk)[ell]
         assert tables[ell] == theta_table(label, ell, shells)
