@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .budget import Budget, ResourceBudgetError, get_budget
-from .exactnum import frac_str
+from .exactnum import RHO_NAME, frac_str
 from .gegenbauer import gegenbauer, gegenbauer_expand, scaled_q
 from .groups import UnsupportedAngle, build_group
 from .lpbound import (
@@ -91,8 +91,7 @@ def cmd_group(args, budget: Budget) -> int:
 def _qe_str(cjson) -> str:
     if cjson["b"] == "0":
         return cjson["a"]
-    rho = {"SQRT2": "sqrt2", "GOLDEN": "tau"}[cjson["tag"]]
-    return f"{cjson['a']}+{cjson['b']}{rho}"
+    return f"{cjson['a']}+{cjson['b']}{RHO_NAME[cjson['tag']]}"
 
 
 def cmd_strength(args, budget: Budget) -> int:

@@ -1,14 +1,18 @@
 """Exact arithmetic over Q and the real quadratic fields Q(sqrt2), Q(sqrt5).
 
 Every scalar in this package is a :class:`QuadElem`: an element ``a + b*rho``
-with rational ``a``, ``b``, where ``rho`` depends on the field tag:
+with rational ``a``, ``b``.  The field tag fixes ``rho`` and the pair
+``RHO_SQUARED[tag] = (c0, c1)`` with rho^2 = c0 + c1*rho:
 
-* ``RAT``    -- rho absent (``b`` must be 0); plain rationals.
-* ``SQRT2``  -- rho = sqrt(2),            rho^2 = 2.
-* ``GOLDEN`` -- rho = tau = (1+sqrt5)/2,  rho^2 = rho + 1.
+* ``RAT``    -- rho absent (``b`` must be 0), (0, 0); plain rationals.
+* ``SQRT2``  -- rho = sqrt(2),            (2, 0).
+* ``GOLDEN`` -- rho = tau = (1+sqrt5)/2,  (1, 1).
 
-The GOLDEN basis is (1, tau) rather than (1, sqrt5) so that Z[tau] is exactly
-the integer-coordinate lattice used by the shell enumeration.
+``RHO_SQUARED`` is read off the pair product ``PAIR_MUL``, the one place that
+states the relation; the norm, Galois conjugate and sign are written once in
+(c0, c1) for every field.  The GOLDEN basis is (1, tau) rather than
+(1, sqrt5) so that Z[tau] is exactly the integer-coordinate lattice used by
+the shell enumeration.
 
 All values are immutable; all operations are pure and exact.
 """
@@ -29,14 +33,16 @@ class FieldTagMismatch(ValueError):
     """Raised when combining elements of incompatible quadratic fields."""
 
 
-# (a + b rho)(c + d rho) on coefficient pairs, one function per field;
-# rho^2 = 2 for SQRT2 and tau^2 = tau + 1 for GOLDEN.  QuadElem multiplies
-# with it on Fractions, the integer kernels on integer pairs.
+# (a + b rho)(c + d rho) on coefficient pairs, one function per field.
+# QuadElem multiplies with it on Fractions, the integer kernels on integer
+# pairs; it is written out per field because it is the hot kernel.
 PAIR_MUL = {
     RAT: lambda a, b, c, d: (a * c, 0),
     SQRT2: lambda a, b, c, d: (a * c + 2 * b * d, a * d + b * c),
     GOLDEN: lambda a, b, c, d: (a * c + b * d, a * d + b * c + b * d),
 }
+RHO_SQUARED = {tag: mul(0, 1, 0, 1) for tag, mul in PAIR_MUL.items()}
+RHO_NAME = {SQRT2: "sqrt2", GOLDEN: "tau"}  # how rho is printed
 
 
 def _as_fraction(x) -> Fraction:
@@ -113,20 +119,15 @@ class QuadElem:
     __rmul__ = __mul__
 
     def field_norm(self) -> Fraction:
-        """Norm to Q: x * conj(x) with conj the Galois conjugate."""
-        if self.tag == SQRT2:
-            return self.a * self.a - 2 * self.b * self.b
-        if self.tag == GOLDEN:
-            return self.a * self.a + self.a * self.b - self.b * self.b
-        return self.a * self.a
+        """Norm to Q: x * conj(x) = a^2 + c1 ab - c0 b^2."""
+        c0, c1 = RHO_SQUARED[self.tag]
+        a, b = self.a, self.b
+        return a * a + c1 * a * b - c0 * b * b
 
     def galois_conj(self) -> "QuadElem":
-        """rho -> -rho for SQRT2; tau -> 1 - tau for GOLDEN."""
-        if self.tag == SQRT2:
-            return QuadElem(SQRT2, self.a, -self.b)
-        if self.tag == GOLDEN:
-            return QuadElem(GOLDEN, self.a + self.b, -self.b)
-        return self
+        """rho -> c1 - rho, the other root of rho^2 = c0 + c1 rho."""
+        c1 = RHO_SQUARED[self.tag][1]
+        return QuadElem(self.tag, self.a + c1 * self.b, -self.b)
 
     def inverse(self) -> "QuadElem":
         n = self.field_norm()
@@ -190,8 +191,7 @@ class QuadElem:
     def __str__(self):
         if self.b == 0:
             return str(self.a)
-        rho = "sqrt2" if self.tag == SQRT2 else "tau"
-        return f"{self.a} + {self.b}*{rho}"
+        return f"{self.a} + {self.b}*{RHO_NAME[self.tag]}"
 
     # -- serialization ------------------------------------------------------
 
@@ -208,15 +208,15 @@ def _sign_quadratic(tag: str, a, b) -> int:
     """Exact sign of a + b*rho in the field `tag`, for a, b both rational or
     both integers.
 
-    a + b tau = ((2a + b) + b sqrt5)/2, so every case is a + b sqrt(d) with
-    d = 2 or 5, never 0 for b != 0.  When a and b have opposite signs it
-    compares a^2 against d b^2; only rational comparisons are used.
+    rho is the positive root of rho^2 = c0 + c1 rho, so 2(a + b rho) =
+    (2a + c1 b) + b sqrt(d) with d = c1^2 + 4 c0 (8 for sqrt2, 5 for tau),
+    never 0 for b != 0.  When 2a + c1 b and b have opposite signs it compares
+    (2a + c1 b)^2 against d b^2; only rational comparisons are used.
     """
     if b == 0:
         return (a > 0) - (a < 0)
-    d = 2
-    if tag == GOLDEN:
-        a, d = 2 * a + b, 5
+    c0, c1 = RHO_SQUARED[tag]
+    a, d = 2 * a + c1 * b, c1 * c1 + 4 * c0
     if a == 0 or (a > 0) == (b > 0):
         return 1 if b > 0 else -1
     return (1 if a > 0 else -1) if a * a > d * b * b else (1 if b > 0 else -1)

@@ -36,7 +36,7 @@ from math import comb, gcd, isqrt, lcm
 from operator import mul
 
 from .budget import Budget, get_budget
-from .exactnum import PAIR_MUL, QuadElem, RAT, SQRT2, GOLDEN, insert, reduce
+from .exactnum import PAIR_MUL, RHO_SQUARED, QuadElem, RAT, insert, reduce
 from .groups import build_group
 from .harmonics import harm_basis
 from .orders import FIELD_TAG, _doubled_basis, ball_size, doubled_point, enumerate_shells
@@ -48,40 +48,27 @@ from .strength import class_sum_series, molien_series
 #
 # A scalar a + b*rho with integers a, b is the pair (a, b); a complex value
 # re + i*im with re, im in Z[rho] is the flat 4-tuple (re_a, re_b, im_a, im_b).
-# A caller looks up its field's multiply once, in PAIR_MUL or _CMUL.  The
-# complex products are written out rather than built from PAIR_MUL: one
-# profiled verify-desk run made about 1.4 M of them.
+# A caller looks up its field's multiply once, in PAIR_MUL or _CMUL.
 
-def _cmul_rat(u, v):
-    ra, _, ia, _ = u
-    sa, _, ja, _ = v
-    return ra * sa - ia * ja, 0, ra * ja + ia * sa, 0
+def _complex_mul(tag):
+    """The complex product on flat 4-tuples over Z[rho], rho^2 = c0 + c1 rho."""
+    c0, c1 = RHO_SQUARED[tag]
 
+    def cmul(u, v):
+        ra, rb, ia, ib = u
+        sa, sb, ja, jb = v
+        re2, im2 = rb * sb - ib * jb, rb * jb + ib * sb  # the rho^2 terms
+        return (
+            ra * sa - ia * ja + c0 * re2,
+            ra * sb + rb * sa - ia * jb - ib * ja + c1 * re2,
+            ra * ja + ia * sa + c0 * im2,
+            ra * jb + rb * ja + ia * sb + ib * sa + c1 * im2,
+        )
 
-def _cmul_sqrt2(u, v):
-    ra, rb, ia, ib = u
-    sa, sb, ja, jb = v
-    return (
-        ra * sa + 2 * rb * sb - ia * ja - 2 * ib * jb,
-        ra * sb + rb * sa - ia * jb - ib * ja,
-        ra * ja + 2 * rb * jb + ia * sa + 2 * ib * sb,
-        ra * jb + rb * ja + ia * sb + ib * sa,
-    )
-
-
-def _cmul_golden(u, v):
-    ra, rb, ia, ib = u
-    sa, sb, ja, jb = v
-    rs, ij, rj, is_ = rb * sb, ib * jb, rb * jb, ib * sb  # tau^2 = tau + 1
-    return (
-        ra * sa + rs - ia * ja - ij,
-        ra * sb + rb * sa + rs - ia * jb - ib * ja - ij,
-        ra * ja + rj + ia * sa + is_,
-        ra * jb + rb * ja + rj + ia * sb + ib * sa + is_,
-    )
+    return cmul
 
 
-_CMUL = {RAT: _cmul_rat, SQRT2: _cmul_sqrt2, GOLDEN: _cmul_golden}
+_CMUL = {tag: _complex_mul(tag) for tag in PAIR_MUL}
 _C_ZERO = (0, 0, 0, 0)
 _C_ONE = (1, 0, 0, 0)
 

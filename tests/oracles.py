@@ -115,6 +115,40 @@ def harmonic_projection(mono):
     return out
 
 
+# -- the field rules, one branch per field ------------------------------------
+
+def field_norm(tag, a, b):
+    """N(a + b rho) = (a + b rho)(a + b rho'), rho' the other root."""
+    if tag == SQRT2:
+        return a * a - 2 * b * b
+    if tag == GOLDEN:
+        return a * a + a * b - b * b
+    return a * a
+
+
+def galois_conj(tag, a, b):
+    """(a', b') with a' + b' rho the image of a + b rho under rho -> rho':
+    sqrt2 -> -sqrt2, tau -> 1 - tau."""
+    if tag == SQRT2:
+        return a, -b
+    if tag == GOLDEN:
+        return a + b, -b
+    return a, b
+
+
+def sign_quadratic(tag, a, b):
+    """Sign of a + b rho.  a + b tau = ((2a + b) + b sqrt5)/2, so every case is
+    a + b sqrt(d) with d = 2 or 5; opposite signs compare a^2 with d b^2."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    d = 2
+    if tag == GOLDEN:
+        a, d = 2 * a + b, 5
+    if a == 0 or (a > 0) == (b > 0):
+        return 1 if b > 0 else -1
+    return (1 if a > 0 else -1) if a * a > d * b * b else (1 if b > 0 else -1)
+
+
 # -- unit groups as QuadElem coset products, and a dividing closure test -----
 
 def conj(x):

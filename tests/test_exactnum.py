@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quatdesign.exactnum import (
+    FIELD_TAGS,
     GOLDEN,
     RAT,
     SQRT2,
@@ -14,6 +15,8 @@ from quatdesign.exactnum import (
     rat,
     sqrt2_elem,
 )
+
+import oracles
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12
@@ -98,6 +101,19 @@ def test_sign_examples():
     assert golden_elem(1, -1).sign() == -1  # 1 - tau < 0
     assert rat(0).sign() == 0
     assert sqrt2_elem(3, -2).sign() == 1  # 3 > 2 sqrt2 since 9 > 8
+
+
+@given(st.sampled_from(FIELD_TAGS).flatmap(quad_elems))
+@example(sqrt2_elem(Fraction(141421356, 10**8), -1))  # the near-ties below
+@example(sqrt2_elem(Fraction(141421357, 10**8), -1))
+@example(golden_elem(1, -1))
+@settings(max_examples=150, deadline=None)
+def test_norm_conjugate_and_sign_match_the_per_field_rules(x):
+    # one rule in (c0, c1) against a branch per field
+    assert x.field_norm() == oracles.field_norm(x.tag, x.a, x.b)
+    assert x.galois_conj() == QuadElem(x.tag, *oracles.galois_conj(x.tag, x.a, x.b))
+    assert x.sign() == oracles.sign_quadratic(x.tag, x.a, x.b)
+    assert x * x.galois_conj() == rat(x.field_norm())
 
 
 def test_sign_boundary_exact():

@@ -97,6 +97,13 @@ def test_square_factor_needs_conjugate_roots():
         lpbound._square_factor_poly([rat(0), tau_half, -tau_half])
 
 
+def test_a_residual_with_a_double_root_is_not_positive():
+    # (s^2 - 1/4)^2 has c0 = a^2 exactly: zero at s = 1/2, inside [-1, 1]
+    assert not lpbound._residual_positive_on_interval(
+        (Fraction(1, 16), 0, Fraction(-1, 2), 0, 1))
+    assert lpbound._residual_positive_on_interval((Fraction(17, 16), 0, Fraction(-1, 2), 0, 1))
+
+
 def test_bounds():
     assert lp_lower_bound(build_test_function("F2T")) == 12
     assert full_set_lower_bound(build_test_function("F2T")) == 24

@@ -4,7 +4,7 @@ import pytest
 
 from quatdesign.budget import get_budget
 from quatdesign.exactnum import rat
-from quatdesign import groups, verify
+from quatdesign import groups, strength, verify
 from quatdesign.groups import UnitGroup, alpha, build_group, omega
 from quatdesign.quat import Quaternion
 from quatdesign.strength import (
@@ -258,6 +258,20 @@ def test_point_list_strength_scans_pair_distances_once(monkeypatch):
     assert report.all_odd_in
     assert report.even_members == group_strength("2O", 30).even_members
     assert len(scans) == 1
+
+
+def test_a_nonzero_odd_coefficient_of_an_antipodal_group_is_refused(monkeypatch):
+    # -1 lies in 2T, so its u^3 coefficient must vanish
+    monkeypatch.setattr(strength, "molien_series",
+                        lambda group, n: (1,) + tuple(int(k == 3) for k in range(1, n + 1)))
+    with pytest.raises(AssertionError, match="antipodal set with nonzero odd pair sum at l=3"):
+        harmonic_strength(build_group("2T"), 6)
+
+
+def test_a_failed_direct_odd_test_of_an_antipodal_group_is_refused(monkeypatch):
+    monkeypatch.setattr(strength, "pair_sum_test", lambda points, ell: ell != 5)
+    with pytest.raises(AssertionError, match="antipodal set fails direct odd test l=5"):
+        harmonic_strength(build_group("2T"), 6)
 
 
 def test_strength_molien_check_names_the_group(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatdesign.budget import Budget, ResourceBudgetError, get_budget
-from quatdesign.exactnum import GOLDEN, RAT, SQRT2, QuadElem, golden_elem, rat, sqrt2_elem
+from quatdesign.exactnum import GOLDEN, RAT, RHO_SQUARED, SQRT2, QuadElem, golden_elem, rat, sqrt2_elem
 from quatdesign.groups import build_group
 from quatdesign.harmonics import harm_basis, quotient_monomials
 from quatdesign.orders import (
@@ -168,6 +168,27 @@ def _complex_mul(tag, u, v):
     re = (a * e - c * g, a * f + b * e - c * h - d * g, b * f - d * h)
     im = (a * g + c * e, a * h + b * g + c * f + d * e, b * h + d * f)
     return (re[0] + p * re[2], re[1] + q * re[2]), (im[0] + p * im[2], im[1] + q * im[2])
+
+
+def test_rho_squared_is_read_off_the_pair_product():
+    assert RHO_SQUARED == _RHO_SQUARED
+
+
+def _flat_operands(tag):
+    """Flat 4-tuples (re_a, re_b, im_a, im_b) of 1 to 300-bit integers; Z has
+    no rho parts."""
+    part = st.integers(1, 300).flatmap(lambda n: st.integers(-(2**n - 1), 2**n - 1))
+    rho = part if tag != RAT else st.just(0)
+    return st.tuples(part, rho, part, rho)
+
+
+@pytest.mark.parametrize("tag", [RAT, SQRT2, GOLDEN])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_complex_product_matches_expansion_before_reduction(tag, data):
+    u, v = data.draw(_flat_operands(tag)), data.draw(_flat_operands(tag))
+    (ra, rb), (ia, ib) = _complex_mul(tag, (u[:2], u[2:]), (v[:2], v[2:]))
+    assert theta._CMUL[tag](u, v) == (ra, rb, ia, ib)
 
 
 def _complex_powers(tag, z, n):
@@ -381,6 +402,22 @@ def test_an_all_vanishing_batch_enumerates_no_ball(ball_calls, table_builds, mon
     assert [t.rank() for t in tables.values()] == [0, 0]
     assert theta_ranks("2I", (2, 6, 8), 4) == {2: 0, 6: 0, 8: 0}
     assert ball_calls == []
+
+
+def test_a_short_invariant_basis_is_refused(monkeypatch):
+    # 2O has one invariant form of degree 8; a Molien count of 2 must fail
+    monkeypatch.setattr(theta, "invariant_multiplicity", lambda *args: 2)
+    with pytest.raises(AssertionError,
+                       match="found 1 holomorphic invariants for 2O deg 8, Molien predicts 2"):
+        holomorphic_invariants.__wrapped__("2O", 8)
+
+
+def test_an_irrational_rank_one_column_is_refused():
+    # entries 1 and sqrt2 span rank 1, but their ratio is not rational
+    table = theta.ThetaTable("2O", 8, 2, "invariant", ("f",),
+                             [[sqrt2_elem(1)], [sqrt2_elem(0, 1)]])
+    with pytest.raises(AssertionError, match="rank-1 column failed to rationalize"):
+        table.normalized_generator()
 
 
 def test_a_translate_of_non_square_norm_is_refused(monkeypatch):
