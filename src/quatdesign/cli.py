@@ -27,7 +27,9 @@ from .lpbound import (
     lp_lower_bound,
     verify_certificate,
 )
-from .orders import enumerate_shell, shell_count_formula, shell_counts
+from .orders import (
+    EMBEDDED, FIELD_TAG, RECORD, enumerate_shell, shell_count_formula, shell_counts,
+)
 from .qseries import QSERIES_NAMES, qseries
 from .quat import Quaternion
 from .strength import harmonic_strength, molien_closed_form, molien_series
@@ -233,26 +235,54 @@ def cmd_shells(args, budget: Budget) -> int:
             ],
         )
         return EXIT_OK
+    if fmt == "csv":  # refused before any enumeration
+        _csv_undefined()
     shell = enumerate_shell(label, args.m, budget)
-    payload = {
-        "group": label,
-        "m": args.m,
-        "size": len(shell),
-        "points": [
-            {"coords": list(c), "quaternion": q.to_json()}
-            for c, q in zip(shell.points, shell.embedded())
-        ],
-    }
     if args.emit:
         with open(args.emit, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
+            _write_shell_json(fh, shell, indent=1)
         print(f"wrote {len(shell)} points to {args.emit}")
-        return EXIT_OK
-    _emit(payload, fmt,
-          text_renderer=lambda p: [f"O_({p['group']},{p['m']}): {p['size']} points"] + [
-              "  " + " ".join(str(x) for x in pt["coords"]) for pt in p["points"]
-          ])
+    elif fmt == "json":
+        _write_shell_json(sys.stdout, shell, indent=2)
+        print()
+    else:
+        print(f"O_({label},{shell.m}): {len(shell)} points")
+        for c in shell:
+            print("  " + " ".join(map(str, c)))
     return EXIT_OK
+
+
+def _half_str(v: int) -> str:
+    """frac_str(Fraction(v, 2)) for an integer v."""
+    return f"{v}/2" if v & 1 else str(v >> 1)
+
+
+def _write_shell_json(out, shell, indent: int) -> None:
+    """Write {"group", "m", "points", "size"} of the shell as
+    json.dump(..., indent=indent, sort_keys=True) would, one point at a time.
+
+    A point is {"coords": c, "quaternion": the four components a + b*rho of
+    x = sum_j c_j b_j}, decoded from its int16 record and its `EMBEDDED`
+    record: a and b are halves of the latter, so no field element and no
+    payload is built.
+    """
+    label = shell.group_label
+    nl = ["\n" + " " * (indent * depth) for depth in range(6)]
+    # a component as QuadElem.to_json() gives it, keys sorted; the format is
+    # that method's, and test_shell_listings_match_the_payload_oracle holds
+    # this text to json.dumps of it
+    component = (f'{nl[4]}{{{nl[5]}"a": "%s",{nl[5]}"b": "%s",'
+                 f'{nl[5]}"tag": {json.dumps(FIELD_TAG[label])}{nl[4]}}}')
+    coords = ",".join([nl[4] + "%s"] * (RECORD[label].size // 2))  # int16 fields
+    point = (f'{nl[2]}{{{nl[3]}"coords": [{coords}{nl[3]}],{nl[3]}"quaternion": ['
+             + ",".join([component] * 4) + f'{nl[3]}]{nl[2]}}}')
+    out.write(f'{{{nl[1]}"group": {json.dumps(label)},{nl[1]}"m": {shell.m},'
+              f'{nl[1]}"points": [')
+    sep = ""
+    for c, x2 in zip(shell, EMBEDDED.iter_unpack(shell.embedded())):
+        out.write(sep + point % (*c, *map(_half_str, x2)))
+        sep = ","
+    out.write(f'{nl[1]}],{nl[1]}"size": {len(shell)}{nl[0]}}}')  # no shell is empty
 
 
 def cmd_theta(args, budget: Budget) -> int:

@@ -28,7 +28,7 @@ stored as one `bytes` block of fixed-width records, one per point of H_m:
 16 for 2O and 2I).  `struct` refuses a coordinate outside int16 rather than
 wrapping it, and a ball whose radius would let a coordinate reach 2^15 is
 refused before it is enumerated.  The cached balls hold these blocks and no
-point tuple; `Shell.points` decodes a block on demand, -H_m first.
+point tuple; a `Shell` decodes its block on demand, -H_m first.
 
 The orbit decomposition applies the |G|/2 matrices of G/{+-1} to a point in
 one big-integer pass (see `orbit_decompose`), refused when a 16-bit field
@@ -56,6 +56,9 @@ ORDER_LABELS = ("2T", "2O", "2I")
 FIELD_TAG = {"2T": RAT, "2O": SQRT2, "2I": GOLDEN}
 # one point of a shell: its coordinates as little-endian int16 fields
 RECORD = {"2T": struct.Struct("<4h"), "2O": struct.Struct("<8h"), "2I": struct.Struct("<8h")}
+# one embedded point x: the flat integer components (a_1, b_1, ..., a_4, b_4)
+# of 2x, with 2x_i = a_i + b_i rho, as little-endian int16 fields
+EMBEDDED = struct.Struct("<8h")
 
 
 class IntegrityError(AssertionError):
@@ -341,7 +344,7 @@ def _enumerate_ball(label: str, bound: int, *, count: bool = False) -> dict:
 
     With x_0 outermost, x_0 >= 0 and every level rising, the recursion meets
     H in lexicographic order.  The shell is -H_m reversed followed by H_m
-    (`Shell.points`), so H_m is all that is stored or counted.
+    (`Shell.__iter__`), so H_m is all that is stored or counted.
 
     Budgets are integers on the scale of `_enum_levels`: a level gets
     t = D (bound - Q of the levels outside it).  A node takes one integer
@@ -426,10 +429,11 @@ class Shell:
     `RECORD[group_label]` record per point of H_m (8 bytes for 2T, 16 for 2O
     and 2I), in lexicographic order.
 
-    `points` decodes the block on every call and keeps no tuple: -H_m
-    reversed, then H_m, which is the whole shell in lexicographic order.  The
-    orbit representatives, a few per hundred points, are kept once
-    decomposed.  `len` counts the points of the shell, 2 |H_m|.
+    Iterating a shell decodes the block one point at a time: -H_m reversed,
+    then H_m, which is the whole shell in lexicographic order; `points` is
+    that order as a tuple, decoded on every call and not kept.  The orbit
+    representatives, a few per hundred points, are kept once decomposed.
+    `len` counts the points of the shell, 2 |H_m|.
     """
 
     def __init__(self, group_label: str, m: int, records: bytes):
@@ -443,13 +447,25 @@ class Shell:
         """H_m: the points whose first nonzero coordinate is positive."""
         return tuple(RECORD[self.group_label].iter_unpack(self.records))
 
+    def __iter__(self):
+        record, block = RECORD[self.group_label], self.records
+        for end in range(len(block), 0, -record.size):
+            yield tuple(map(neg, record.unpack_from(block, end - record.size)))
+        yield from record.iter_unpack(block)
+
     @property
     def points(self) -> tuple[tuple[int, ...], ...]:
-        half = self.half
-        return tuple([tuple(map(neg, p)) for p in reversed(half)]) + half
+        return tuple(self)
 
-    def embedded(self):
-        return [embed_coords(self.group_label, p) for p in self.points]
+    def embedded(self) -> bytes:
+        """x = sum_j c_j b_j for every point c, in the order of iteration:
+        one `EMBEDDED` record of `doubled_point` per point.  A component of
+        2x grows like sqrt(m), as a coordinate does; `struct` refuses one
+        outside int16 rather than wrapping it."""
+        label, block = self.group_label, bytearray()
+        for c in self:
+            block += EMBEDDED.pack(*doubled_point(label, c))
+        return bytes(block)
 
     @cached_property
     def orbit_reps(self) -> tuple[tuple[int, ...], ...]:

@@ -33,7 +33,8 @@ from .lpbound import (
     full_set_lower_bound,
     verify_certificate,
 )
-from .orders import enumerate_shell, shell_count_formula, shell_counts
+from .orders import EMBEDDED, enumerate_shell, shell_count_formula, shell_counts
+from .quat import flat, scaled_pairs
 from .qseries import qseries
 from .strength import (
     cyclic_odd_part,
@@ -278,18 +279,24 @@ def check_shell_counts(budget: Budget) -> Outcome:
     return problems, f"{covered} all exact"
 
 
+def _doubled_set(elements) -> set:
+    """The flat integer components of 2g for every quaternion g, as
+    `Shell.embedded` records them."""
+    return {flat(scaled_pairs(g.coords, 2)) for g in elements}
+
+
 @_check("order-units", "unit shells recover the groups (2I doubled by tau)")
 def check_order_unit_identities(budget: Budget) -> Outcome:
     problems = []
     for label in ("2T", "2O"):
         sh = enumerate_shell(label, 1, budget)
-        if set(sh.embedded()) != build_group(label).as_set():
+        if set(EMBEDDED.iter_unpack(sh.embedded())) != _doubled_set(build_group(label).elements):
             problems.append(f"O_({label},1) != {label}")
     sh = enumerate_shell("2I", 1, budget)
     g = build_group("2I")
     tau = golden_elem(0, 1)
-    expected = set(g.elements) | {e * tau for e in g.elements}
-    if set(sh.embedded()) != expected:
+    expected = _doubled_set(g.elements) | _doubled_set(e * tau for e in g.elements)
+    if set(EMBEDDED.iter_unpack(sh.embedded())) != expected:
         problems.append("O_(2I,1) != 2I u tau 2I")
     if len(sh.orbit_reps) != 2:
         problems.append(f"O_(2I,1) has {len(sh.orbit_reps)} orbits, expected 2")

@@ -392,6 +392,22 @@ def shell_of(label, m, points):
     return orders.Shell(label, m, b"".join(sorted(upper, key=record.unpack)))
 
 
+def shell_payload(label: str, m: int) -> dict:
+    """The `shells` listing as one payload, built as the CLI once built it:
+    every point's coordinates beside its embedding as a `Quaternion` of field
+    elements (`embed_coords`, which `Shell.embedded()` once returned for each
+    point) and `Quaternion.to_json()`.  json.dumps(..., sort_keys=True) of it
+    is the listing's JSON text."""
+    shell = orders.enumerate_shell(label, m)
+    return {
+        "group": label,
+        "m": m,
+        "size": len(shell),
+        "points": [{"coords": list(c), "quaternion": embed_coords(label, c).to_json()}
+                   for c in shell.points],
+    }
+
+
 def floor_affine_sqrt(a, c, den):
     """floor((a + sqrt(c)) / den) exactly, for c >= 0, den > 0."""
     # sqrt(c) lies in [isqrt(c), isqrt(c) + 1), where t -> floor((a+t)/den) is constant

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from quatdesign import cli, orders, theta
 from quatdesign.cli import main
+from quatdesign.exactnum import frac_str
 from quatdesign.orders import IntegrityError, shell_count_formula
 from quatdesign.qseries import QSERIES_NAMES
+
+import oracles
 
 
 def run_cli(capsys, *argv):
@@ -228,6 +232,41 @@ def test_shells_emit_refuses_csv_and_text(tmp_path, capsys, ball_calls, fmt):
     assert ball_calls == []
 
 
+def test_shells_refuses_csv_before_enumerating(capsys, ball_calls):
+    # a point listing has no csv form: refused with no ball enumerated
+    with pytest.raises(SystemExit) as err:
+        main(["shells", "--group", "2I", "--m", "3", "--format", "csv"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: csv output is not defined for this subcommand\n"
+    assert ball_calls == []
+
+
+@pytest.mark.parametrize("label, m", [(label, m) for label in ("2T", "2O", "2I")
+                                      for m in (1, 2, 3)]
+                         + [("2T", m) for m in range(4, 9)])
+def test_shell_listings_match_the_payload_oracle(tmp_path, capsys, label, m):
+    # the streamed listings are the bytes json.dumps(sort_keys=True) makes of
+    # the payload of field elements, and the text lists its coordinates
+    payload = oracles.shell_payload(label, m)
+    path = tmp_path / "shell.json"
+    code, out = run_cli(capsys, "shells", "--group", label, "--m", str(m), "--emit", str(path))
+    assert (code, out) == (0, f"wrote {payload['size']} points to {path}\n")
+    assert path.read_bytes() == json.dumps(payload, indent=1, sort_keys=True).encode()
+    code, out = run_cli(capsys, "shells", "--group", label, "--m", str(m), "--format", "json")
+    assert (code, out) == (0, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    code, out = run_cli(capsys, "shells", "--group", label, "--m", str(m))
+    lines = [f"O_({label},{m}): {payload['size']} points"] + [
+        "  " + " ".join(str(x) for x in pt["coords"]) for pt in payload["points"]]
+    assert (code, out) == (0, "".join(line + "\n" for line in lines))
+
+
+def test_half_str_is_frac_str_of_the_half():
+    for v in [*range(-9, 10), -2**40 - 1, -2**40, 2**40, 2**40 + 1]:
+        assert cli._half_str(v) == frac_str(Fraction(v, 2)), v
+
+
 def test_theta_json(capsys):
     code, out = run_cli(capsys, "theta", "--group", "2O", "--ell", "8",
                         "--shells", "5")
@@ -332,6 +371,46 @@ def test_shells_count_only_peak_memory():
     counts = json.loads(report["out"])["counts"]
     assert counts["12"] == {"enumerated": 146496, "formula": 146496}
     assert report["peak_kb"] / 1024 < 40
+
+
+_SINK_PEAK_CHILD = """
+import contextlib, os, sys
+from quatdesign.cli import main
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(code, peak)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="peak memory is read from /proc/self/status (VmHWM)")
+@pytest.mark.parametrize("m, listing", [("2", ("--emit", "shell.json")),
+                                        ("3", ("--format", "json"))],
+                         ids=["2I-m2-emit", "2I-m3-json"])
+def test_a_shell_listing_peaks_near_the_count_of_its_shell(tmp_path, m, listing):
+    # a listing streams each point from its int16 record: it holds the ball's
+    # records and one point's text beyond what counting the shell holds (the
+    # payload of field elements took about 5.5 MB more at 2I m=2, 41 MB at m=3)
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "QUATDESIGN_"))}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+
+    def peak_kb(*argv):
+        done = subprocess.run([sys.executable, "-c", _SINK_PEAK_CHILD, *argv], env=env,
+                              cwd=tmp_path, capture_output=True, text=True, timeout=300,
+                              check=True)
+        code, peak = map(int, done.stdout.split())
+        assert code == 0
+        return peak
+
+    # bytecode is compiled and written here, not inside a measured call
+    subprocess.run([sys.executable, "-c", "import quatdesign.cli"], env=env, timeout=60,
+                   check=True)
+    shell = ("shells", "--group", "2I", "--m", m)
+    counted = peak_kb(*shell, "--count-only")
+    listed = peak_kb(*shell, *listing)
+    assert listed - counted < 2 * 1024, (listed, counted)
 
 
 def test_cli_import_loads_no_dataclass_machinery():

@@ -66,6 +66,14 @@ def test_basis_counts(ell):
     assert harm_dim(ell, 4) == (ell + 1) ** 2
 
 
+def test_a_short_basis_is_refused(monkeypatch):
+    # one quotient monomial fewer projects to 24 harmonics of degree 4, not 25
+    full = harmonics.quotient_monomials
+    monkeypatch.setattr(harmonics, "quotient_monomials", lambda ell: full(ell)[1:])
+    with pytest.raises(AssertionError, match="harmonic basis size 24 != expected 25"):
+        harm_basis.__wrapped__(4)
+
+
 @pytest.mark.parametrize("ell", [2, 4, 6, 8])
 def test_basis_is_harmonic(ell):
     for p in harm_basis(ell):

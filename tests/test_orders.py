@@ -6,7 +6,7 @@ from operator import mul
 import pytest
 
 from quatdesign.budget import Budget, ResourceBudgetError, get_budget
-from quatdesign.exactnum import GOLDEN, golden_elem, insert, iota, rat, reduce
+from quatdesign.exactnum import GOLDEN, QuadElem, golden_elem, insert, iota, rat, reduce
 from quatdesign.groups import UnitGroup, build_group, omega
 from quatdesign import orders, verify
 from quatdesign.orders import (
@@ -327,13 +327,33 @@ def test_embedding_rejects_a_wrong_number_of_coordinates(label):
             embed_coords(label, coords)
 
 
+def _embedded(shell):
+    """`Shell.embedded()` decoded: x from the flat components of 2x."""
+    tag = orders.FIELD_TAG[shell.group_label]
+    return [Quaternion(*(QuadElem(tag, Fraction(a, 2), Fraction(b, 2))
+                         for a, b in zip(x2[::2], x2[1::2])))
+            for x2 in orders.EMBEDDED.iter_unpack(shell.embedded())]
+
+
 def test_unit_shell_identities():
-    assert set(enumerate_shell("2T", 1).embedded()) == build_group("2T").as_set()
-    assert set(enumerate_shell("2O", 1).embedded()) == build_group("2O").as_set()
+    assert set(_embedded(enumerate_shell("2T", 1))) == build_group("2T").as_set()
+    assert set(_embedded(enumerate_shell("2O", 1))) == build_group("2O").as_set()
     g = build_group("2I")
     tau = golden_elem(0, 1)
     expected = set(g.elements) | {e * tau for e in g.elements}
-    assert set(enumerate_shell("2I", 1).embedded()) == expected
+    assert set(_embedded(enumerate_shell("2I", 1))) == expected
+
+
+@pytest.mark.parametrize("label, m", [("2T", 1), ("2T", 3), ("2O", 1), ("2O", 2),
+                                      ("2I", 1), ("2I", 2)])
+def test_embedded_records_embed_every_point_in_order(label, m):
+    # one record per point, in the order of iteration, each the embedding
+    # that embed_coords gives; iteration is `points`, -H_m reversed then H_m
+    shell = enumerate_shell(label, m)
+    assert list(shell) == list(shell.points)
+    assert shell.points == tuple(tuple(-v for v in p) for p in reversed(shell.half)) + shell.half
+    assert len(shell.embedded()) == len(shell) * orders.EMBEDDED.size
+    assert _embedded(shell) == [embed_coords(label, c) for c in shell.points]
 
 
 def test_orbit_decomposition():

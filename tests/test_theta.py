@@ -17,6 +17,7 @@ from quatdesign.orders import (
 from quatdesign.qseries import qseries
 from quatdesign.strength import molien_closed_form, molien_series
 from quatdesign import orders, theta, verify
+from quatdesign import qseries as qseries_module
 from quatdesign.quat import flat, left_matrix_pairs, qmul_pairs, scaled_pairs
 from quatdesign.theta import (
     exact_rank,
@@ -53,6 +54,15 @@ def test_qseries_reference_values():
     assert qseries("E4Delta", 4) == [0, 1, 216, -3348, 13888]
     with pytest.raises(ValueError):
         qseries("E6", 3)
+
+
+def test_a_non_integral_theta2o1_coefficient_is_refused(monkeypatch):
+    # E4 with 241 at q^1 gives (241 + 4 * 0)/5 there, not an integer
+    real = qseries_module.e4
+    monkeypatch.setattr(qseries_module, "e4",
+                        lambda n: [a + (k == 1) for k, a in enumerate(real(n))])
+    with pytest.raises(AssertionError, match="Theta2O1 coefficient not integral"):
+        qseries("Theta2O1", 4)
 
 
 @pytest.mark.parametrize("label", ["2T", "2O", "2I"])
