@@ -18,8 +18,11 @@ signs of the conjugated basis vector -conj(w) rather than w itself).
 Shell enumeration is exact Fincke-Pohst: rational LDL^T completion of the
 Gram matrix, budgets as integers on one common scale, integer bounds from
 one integer square root per node, no floating point anywhere.  One pass
-yields every shell up to a bound, each already in lexicographic order, or
-only the size of each shell.
+yields every shell up to a bound, each already in lexicographic order.  The
+size of each shell is counted by levels instead, with no point visited: what
+lies below a level depends only on its budget and on the partial centers
+reduced modulo the level steps, so each such state is counted once
+(`_count_ball`).
 
 Every shell is symmetric under -1: it is -H_m reversed followed by H_m, for
 the half-ball H whose first nonzero coordinate is positive.  A shell is
@@ -48,9 +51,9 @@ from math import isqrt, lcm
 from operator import mul, neg
 
 from .budget import Budget, get_budget
-from .exactnum import QuadElem, RAT, SQRT2, GOLDEN, insert, iota, reduce
+from .exactnum import PAIR_MUL, QuadElem, RAT, SQRT2, GOLDEN, insert, reduce
 from .groups import build_group, omega, alpha, beta, zeta
-from .quat import Quaternion, flat, inner, qmul, qmul_pairs, scaled_pairs
+from .quat import Quaternion, flat, qmul, qmul_pairs, scaled_pairs
 
 ORDER_LABELS = ("2T", "2O", "2I")
 FIELD_TAG = {"2T": RAT, "2O": SQRT2, "2I": GOLDEN}
@@ -151,34 +154,48 @@ def embed_coords(label: str, coords) -> Quaternion:
 
 @lru_cache(maxsize=None)
 def _doubled_basis(label: str):
-    """(pairs, comps, cols, inv, den) for the doubled basis 2*b_j.
-
-    pairs[j] is 2*b_j on integer pairs and comps[k] the k-th flat component
-    of every 2*b_j; cols are the n components the basis uses, and inv holds
-    the columns of den * M^-1 for the n x n matrix M of those components,
-    with den the least denominator that makes it integral.
-    """
+    """(pairs, comps) for the doubled basis 2*b_j: pairs[j] is 2*b_j on
+    integer pairs and comps[k] the k-th flat component of every 2*b_j."""
     pairs = tuple(scaled_pairs(g.coords, 2) for g in order_basis(label))
-    rows = [flat(p) for p in pairs]
-    n = len(rows)
-    cols = [k for k in range(8) if any(row[k] for row in rows)]
-    # row k of M^-1 is -(right half) of e_k reduced against [M_j | e_j]
-    echelon: dict = {}
+    return pairs, tuple(zip(*map(flat, pairs)))
+
+
+def _inverse(rows) -> list[list[Fraction]]:
+    """M^-1 for a square rational matrix M, from one echelon: row k of M^-1
+    is -(right half) of e_k reduced against the rows [M_j | e_j]; raises
+    ValueError when M is not square, or singular, that is when a pivot falls
+    in the right half."""
+    n, echelon = len(rows), {}
     for j, row in enumerate(rows):
-        vec = {i: Fraction(row[k]) for i, k in enumerate(cols)}
-        if len(cols) != n or not insert({**vec, n + j: Fraction(1)}, echelon):
-            raise AssertionError(f"order basis of {label} is linearly dependent")
-    inv = [[-reduce({k: Fraction(1)}, echelon).get(n + j, 0) for j in range(n)]
-           for k in range(n)]
+        if len(row) != n:
+            raise ValueError("matrix is not square")
+        insert({**{i: Fraction(v) for i, v in enumerate(row)}, n + j: Fraction(1)}, echelon)
+    if max(echelon) >= n:
+        raise ValueError("matrix is singular")
+    return [[-reduce({k: Fraction(1)}, echelon).get(n + j, 0) for j in range(n)]
+            for k in range(n)]
+
+
+@lru_cache(maxsize=None)
+def _doubled_inverse(label: str):
+    """(cols, inv, den): cols are the n flat components the doubled basis
+    uses, and inv holds the columns of den * M^-1 for the n x n matrix M of
+    those components, with den the least denominator that makes it
+    integral.  Only `_solve` reads it."""
+    rows = [flat(p) for p in _doubled_basis(label)[0]]
+    cols = [k for k in range(8) if any(row[k] for row in rows)]
+    try:
+        inv = _inverse([[row[k] for k in cols] for row in rows])
+    except ValueError:
+        raise AssertionError(f"order basis of {label} is linearly dependent") from None
     den = lcm(*(q.denominator for row in inv for q in row))
-    inv = tuple(tuple(int(q * den) for q in col) for col in zip(*inv))
-    return pairs, tuple(zip(*rows)), cols, inv, den
+    return cols, tuple(tuple(int(q * den) for q in col) for col in zip(*inv)), den
 
 
 def _solve(label: str, flat, half: int) -> tuple[int, ...] | None:
     """Integer c with x = sum_j c_j b_j, from the flat components of
     2*half*x; None when x is not in the order."""
-    _, _, cols, inv, den = _doubled_basis(label)
+    cols, inv, den = _doubled_inverse(label)
     sums = [sum(flat[k] * a for k, a in zip(cols, col)) for col in inv]
     if any(t % (den * half) for t in sums):
         return None
@@ -252,11 +269,15 @@ _PUBLISHED_SUBSTITUTION = {
 
 @lru_cache(maxsize=None)
 def quadratic_form(label: str) -> QuadraticForm:
-    """Q_G derived from the basis, checked against the published polynomial."""
-    basis = order_basis(label)
-    n = len(basis)
-    gram = [[iota(inner(basis[i], basis[j])) for j in range(n)] for i in range(n)]
-    form = QuadraticForm(label, n, tuple(tuple(row) for row in gram))
+    """Q_G derived from the basis, checked against the published polynomial.
+
+    iota<b_i, b_j> is the rational part of (2 b_i).(2 b_j) / 4, summed over
+    the four coordinates of the doubled basis on integer pairs.
+    """
+    pairs, pmul = _doubled_basis(label)[0], PAIR_MUL[FIELD_TAG[label]]
+    gram = tuple(tuple(Fraction(sum(pmul(*a, *b)[0] for a, b in zip(p, q)), 4)
+                       for q in pairs) for p in pairs)
+    form = QuadraticForm(label, len(pairs), gram)
 
     signs = _PUBLISHED_SUBSTITUTION[label]
     derived = {}
@@ -300,17 +321,11 @@ def _ldl_completion(gram):
 def _int16_radius(label: str) -> Fraction:
     """The least ball radius at which a coordinate may leave int16.
 
-    Over Q_G <= b, x_i reaches sqrt(b (G^-1)_ii), and 1/(G^-1)_ii is the
-    last LDL^T pivot with x_i completed last; so every coordinate lies in
-    [-(2^15 - 1), 2^15 - 1] while b < 2^30 min_i 1/(G^-1)_ii.
+    Over Q_G <= b, x_i reaches sqrt(b (G^-1)_ii); so every coordinate lies
+    in [-(2^15 - 1), 2^15 - 1] while b < 2^30 / max_i (G^-1)_ii.
     """
-    gram = quadratic_form(label).gram
-    n = len(gram)
-    pivots = []
-    for i in range(n):
-        order = [j for j in range(n) if j != i] + [i]
-        pivots.append(_ldl_completion([[gram[a][b] for b in order] for a in order])[0][-1])
-    return min(pivots) * 2**30
+    inv = _inverse(quadratic_form(label).gram)
+    return 2**30 / max(inv[i][i] for i in range(len(inv)))
 
 
 def _enum_levels(label: str):
@@ -340,11 +355,11 @@ def _enumerate_ball(label: str, bound: int, *, count: bool = False) -> dict:
     """The half-ball H of all integer vectors with 0 < Q_G <= bound and first
     nonzero coordinate positive, bucketed by value, each bucket H_m one block
     of `RECORD[label]` records in lexicographic order; with `count`, the
-    size 2 |H_m| of each shell instead.
+    size |O_{G,m}| of each shell instead, from `_count_ball`.
 
     With x_0 outermost, x_0 >= 0 and every level rising, the recursion meets
     H in lexicographic order.  The shell is -H_m reversed followed by H_m
-    (`Shell.__iter__`), so H_m is all that is stored or counted.
+    (`Shell.__iter__`), so H_m is all that is stored.
 
     Budgets are integers on the scale of `_enum_levels`: a level gets
     t = D (bound - Q of the levels outside it).  A node takes one integer
@@ -355,14 +370,15 @@ def _enumerate_ball(label: str, bound: int, *, count: bool = False) -> dict:
     last coordinate runs inside the loop of the one before it, whose center
     moves by a fixed step per value.
     """
-    if not count and bound >= _int16_radius(label):
+    if count:
+        return _count_ball(label, bound)
+    if bound >= _int16_radius(label):
         raise IntegrityError(
             f"the {label} ball of radius {bound} reaches coordinates outside int16")
     n, rho, centers, weight, scale = _enum_levels(label)
     half = {m: bytearray() for m in range(1, bound + 1)}
     # a record is the n-1 leading fields, packed once per level-1 value, then x_(n-1)
     lead, last_field = struct.Struct(f"<{n - 1}h").pack, struct.Struct("<h").pack
-    tally = [0] * (bound + 1)
     x = [0] * n
     r0, w0, step0 = rho[0], weight[0], centers[0][n - 2]
 
@@ -388,22 +404,79 @@ def _enumerate_ball(label: str, bound: int, *, count: bool = False) -> dict:
             s0 = isqrt(t1 // w0)
             hi0 = (s0 - center0) // r0
             lo0 = 1 if leading_zero and xi == 0 else -((s0 + center0) // r0)
-            if count:  # the last coordinate: count, x = 0 excluded
-                for y in range(lo0, hi0 + 1):
-                    k = y * r0 + center0
-                    tally[bound - (t1 - w0 * k * k) // scale] += 2
-            else:  # the last coordinate: record the points, x = 0 excluded
-                head = lead(*x[:coord], xi)
-                for y in range(lo0, hi0 + 1):
-                    k = y * r0 + center0
-                    half[bound - (t1 - w0 * k * k) // scale] += head + last_field(y)
+            # the last coordinate: record the points, x = 0 excluded
+            head = lead(*x[:coord], xi)
+            for y in range(lo0, hi0 + 1):
+                k = y * r0 + center0
+                half[bound - (t1 - w0 * k * k) // scale] += head + last_field(y)
             center0 += step0
 
     descend(n - 1, bound * scale, True)
-    if count:
-        return {m: tally[m] for m in range(1, bound + 1)}
     # popped, so each bucket is freed once copied
     return {m: bytes(half.pop(m)) for m in range(1, bound + 1)}
+
+
+def _count_ball(label: str, bound: int) -> dict[int, int]:
+    """{m: |O_{G,m}|} for m = 1..bound: the whole ball, p and -p, counted by
+    levels on the integer scale of `_enum_levels`, with no point visited.
+
+    Level j fixes x_(n-1-j), with k_j = rho_j x_(n-1-j) + c_j, where the
+    partial center c_j collects what the coordinates outside level j add.
+    So the points below level j, at budget t, depend on t and on the vector
+    c = (c_j, .., c_0) alone.  Moving x_(n-1-i) by one, i <= j, maps them
+    one to one onto those of c + v_i, with k unchanged, for
+    v_i = rho_i e_i + sum_(l<i) centers[l][n-1-i] e_l.  The v_i are
+    triangular with rho_i > 0, so c reduces top-down to one representative
+    with 0 <= c_i < rho_i: for i = j .. 0, q = c_i // rho_i and c -= q v_i.
+    What lies below a level is therefore a function of (j, t, reduced c),
+    memoized on the mixed-radix key with digits (t, c_j, .., c_0) and radices
+    (rho_j, .., rho_0), which takes at most (D bound + 1) prod_(i<=j) rho_i
+    values; a digit outside its range would alias another state.
+
+    A level returns the histogram of the budget left at its leaves,
+    sum 2^(width * left) over its points: left is the same number at every
+    level, so a level sums its children's histograms, and a leaf adds
+    2^(width (t - w k^2)).  Level l takes at most 2 s_l + 1 values with
+    s_l = isqrt(D bound // w_l), so no count reaches 2^width.  At the top,
+    t = D bound and a point of Q = m is left D (bound - m); the origin, left
+    D bound, is dropped.
+    """
+    n, rho, centers, weight, scale = _enum_levels(label)
+    top = scale * bound
+    width = sum((2 * isqrt(top // w) + 1).bit_length() for w in weight)
+    # step[j][l]: the move of c_l when x_(n-1-j), fixed at level j, grows by one
+    step = [[centers[l][n - 1 - j] for l in range(j)] for j in range(n)]
+    memo = [{} for _ in range(n)]
+
+    def reduced(c: list, level: int) -> list:
+        for i in range(level, -1, -1):
+            q, c[i] = divmod(c[i], rho[i])
+            for l, a in enumerate(step[i]):  # c - q v_i
+                c[l] -= q * a
+        return c
+
+    def below(level: int, t: int, c: list) -> int:
+        key = t
+        for i in range(level, -1, -1):
+            key = key * rho[i] + c[i]
+        hist = memo[level].get(key)
+        if hist is not None:
+            return hist
+        r, w, center = rho[level], weight[level], c[level]
+        s = isqrt(t // w)
+        hist = 0
+        for x in range(-((s + center) // r), (s - center) // r + 1):
+            k = r * x + center
+            if level:
+                inner = reduced([cl + x * a for cl, a in zip(c, step[level])], level - 1)
+                hist += below(level - 1, t - w * k * k, inner)
+            else:
+                hist += 1 << width * (t - w * k * k)
+        memo[level][key] = hist
+        return hist
+
+    hist, mask = below(n - 1, top, [0] * n), (1 << width) - 1
+    return {m: hist >> width * scale * (bound - m) & mask for m in range(1, bound + 1)}
 
 
 # label -> (M, (O_{G,1}, .., O_{G,M})): the largest ball enumerated, as shells
@@ -497,7 +570,7 @@ def enumerate_shells(label: str, bound: int, budget: Budget | None = None) -> li
 
 
 def shell_counts(label: str, bound: int, budget: Budget | None = None) -> dict[int, int]:
-    """{m: |O_{G,m}|} for m = 1..bound, counted in the leaf of one pass.
+    """{m: |O_{G,m}|} for m = 1..bound, counted by levels (`_count_ball`).
 
     The budget checks are those of `enumerate_shells(label, bound)`, in the
     same order; no point is stored and the ball cache is left untouched.

@@ -18,7 +18,8 @@ from quatdesign.orders import (
     right_multiplication_matrices,
 )
 from quatdesign.quat import (
-    PAIR_MUL, Quaternion, flat, left_matrix_pairs, norm, qmul, qmul_pairs, scaled_pairs,
+    PAIR_MUL, Quaternion, flat, inner, left_matrix_pairs, norm, qmul, qmul_pairs,
+    scaled_pairs,
 )
 from quatdesign.strength import pair_sums
 
@@ -284,6 +285,13 @@ def coords_of(label: str, q) -> tuple:
     return coords
 
 
+def quadelem_gram(label: str) -> tuple:
+    """The Gram matrix iota(<b_i, b_j>) of the order basis, one QuadElem
+    inner product per entry."""
+    basis = orders.order_basis(label)
+    return tuple(tuple(iota(inner(a, b)) for b in basis) for a in basis)
+
+
 def form_value(form, coords) -> int:
     """Q_G(coords) = sum_ij coords_i coords_j gram_ij, which must be an integer."""
     n = form.dimension
@@ -473,6 +481,43 @@ def tuple_ball(label, bound):
     descend(n - 1, bound * delta[n], True)
     return {m: tuple(chain([tuple(-c for c in p) for p in reversed(points)], points))
             for m, points in half.items()}
+
+
+def leaf_counts(label, bound):
+    """{m: |O_{G,m}|} for m = 1..bound, counted point by point in the leaf of
+    the one-scale Fincke-Pohst pass over the half-ball H, 2 per point of H."""
+    n, rho, centers, weight, scale = orders._enum_levels(label)
+    tally = [0] * (bound + 1)
+    x = [0] * n
+    r0, w0, step0 = rho[0], weight[0], centers[0][n - 2]
+
+    def descend(level, t, leading_zero):
+        r, w, coord = rho[level], weight[level], n - 1 - level
+        center = sum(map(mul, centers[level], x))
+        s = isqrt(t // w)
+        hi = (s - center) // r
+        lo = 0 if leading_zero else -((s + center) // r)
+        if level > 1:
+            for xi in range(lo, hi + 1):
+                k = xi * r + center
+                x[coord] = xi
+                descend(level - 1, t - w * k * k, leading_zero and xi == 0)
+            x[coord] = 0
+            return
+        center0 = sum(map(mul, centers[0], x)) + step0 * lo
+        for xi in range(lo, hi + 1):
+            k = xi * r + center
+            t1 = t - w * k * k
+            s0 = isqrt(t1 // w0)
+            hi0 = (s0 - center0) // r0
+            lo0 = 1 if leading_zero and xi == 0 else -((s0 + center0) // r0)
+            for y in range(lo0, hi0 + 1):
+                k = y * r0 + center0
+                tally[bound - (t1 - w0 * k * k) // scale] += 2
+            center0 += step0
+
+    descend(n - 1, bound * scale, True)
+    return {m: tally[m] for m in range(1, bound + 1)}
 
 
 def inverse_diagonal(gram, i):

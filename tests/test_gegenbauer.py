@@ -4,6 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quatdesign import gegenbauer as gegenbauer_module
 from quatdesign.exactnum import golden_elem, rat, sqrt2_elem
 from quatdesign.gegenbauer import (
     gegenbauer,
@@ -216,3 +217,19 @@ def test_polynomial_helpers_against_unipoly():
         assert horner(p, x) == UniPoly(p)(x)
         assert horner((), x) == rat(0)
     assert horner(p, Fraction(3, 4)) == UniPoly(p)(rat(Fraction(3, 4))).a
+
+
+def test_a_solve_that_keeps_the_degree_is_refused(monkeypatch):
+    # the first basis polynomial handed out is Q_3 in place of Q_2: odd, it
+    # has no s^2 term to cancel the one of F = s^2; the later ones are right,
+    # so without the check the solve would go on and return
+    calls = []
+
+    def one_wrong(ell, d):
+        calls.append(ell)
+        return scaled_q(ell + (len(calls) == 1), d)
+
+    monkeypatch.setattr(gegenbauer_module, "scaled_q", one_wrong)
+    with pytest.raises(AssertionError, match="failed to reduce degree"):
+        gegenbauer_expand((0, 0, Fraction(1)), 4)
+    assert calls == [2]

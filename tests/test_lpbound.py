@@ -154,6 +154,24 @@ def test_equality_cases_attained():
         assert report.bound == {"F2T": 24, "F2O": 48, "F2I": 120}[name]
 
 
+def test_a_bound_needs_a_positive_f0():
+    # F2T with f_0 = 0: every other hypothesis still holds, so the
+    # certificate passes and only the f_0 guard stands before F(1)/f_0
+    tf = build_test_function("F2T")
+    tf = tf._replace(coefficients={k: f for k, f in tf.coefficients.items() if k})
+    assert verify_certificate(tf).passed and tf.f0 == 0
+    for bound in (lp_lower_bound, full_set_lower_bound):
+        with pytest.raises(CertificateError, match="f_0 must be positive"):
+            bound(tf)
+
+
+def test_angles_need_a_passing_certificate():
+    tf = build_test_function("F2T", override={6: Fraction(1, 1000)})
+    assert not verify_certificate(tf).passed
+    with pytest.raises(CertificateError, match="F2T: certificate failed"):
+        angle_certificate(tf)
+
+
 def test_equality_case_not_attained_for_doubled_set():
     group = build_group("2I")
     extra = orbit(Quaternion(Fraction(3, 5), Fraction(4, 5), 0, 0), group)
