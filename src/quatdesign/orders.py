@@ -160,22 +160,6 @@ def _doubled_basis(label: str):
     return pairs, tuple(zip(*map(flat, pairs)))
 
 
-def _inverse(rows) -> list[list[Fraction]]:
-    """M^-1 for a square rational matrix M, from one echelon: row k of M^-1
-    is -(right half) of e_k reduced against the rows [M_j | e_j]; raises
-    ValueError when M is not square, or singular, that is when a pivot falls
-    in the right half."""
-    n, echelon = len(rows), {}
-    for j, row in enumerate(rows):
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-        insert({**{i: Fraction(v) for i, v in enumerate(row)}, n + j: Fraction(1)}, echelon)
-    if max(echelon) >= n:
-        raise ValueError("matrix is singular")
-    return [[-reduce({k: Fraction(1)}, echelon).get(n + j, 0) for j in range(n)]
-            for k in range(n)]
-
-
 @lru_cache(maxsize=None)
 def _doubled_inverse(label: str):
     """(cols, inv, den): cols are the n flat components the doubled basis
@@ -183,11 +167,16 @@ def _doubled_inverse(label: str):
     those components, with den the least denominator that makes it
     integral.  Only `_solve` reads it."""
     rows = [flat(p) for p in _doubled_basis(label)[0]]
+    n = len(rows)
     cols = [k for k in range(8) if any(row[k] for row in rows)]
-    try:
-        inv = _inverse([[row[k] for k in cols] for row in rows])
-    except ValueError:
-        raise AssertionError(f"order basis of {label} is linearly dependent") from None
+    # row k of M^-1 is -(right half) of e_k reduced against [M_j | e_j]
+    echelon: dict = {}
+    for j, row in enumerate(rows):
+        vec = {i: Fraction(row[k]) for i, k in enumerate(cols)}
+        if len(cols) != n or not insert({**vec, n + j: Fraction(1)}, echelon):
+            raise AssertionError(f"order basis of {label} is linearly dependent")
+    inv = [[-reduce({k: Fraction(1)}, echelon).get(n + j, 0) for j in range(n)]
+           for k in range(n)]
     den = lcm(*(q.denominator for row in inv for q in row))
     return cols, tuple(tuple(int(q * den) for q in col) for col in zip(*inv)), den
 
@@ -322,10 +311,19 @@ def _int16_radius(label: str) -> Fraction:
     """The least ball radius at which a coordinate may leave int16.
 
     Over Q_G <= b, x_i reaches sqrt(b (G^-1)_ii); so every coordinate lies
-    in [-(2^15 - 1), 2^15 - 1] while b < 2^30 / max_i (G^-1)_ii.
+    in [-(2^15 - 1), 2^15 - 1] while b < 2^30 / max_i (G^-1)_ii.  One LDL^T
+    completion gives G = U^T D U with U unit upper triangular, so
+    (G^-1)_ii = sum_k V_ik^2 / d_k for V = U^-1, whose row i follows from
+    V U = I by back-substitution.
     """
-    inv = _inverse(quadratic_form(label).gram)
-    return 2**30 / max(inv[i][i] for i in range(len(inv)))
+    d, u = _ldl_completion(quadratic_form(label).gram)
+    n, diagonal = len(d), []
+    for i in range(n):
+        v = [Fraction(int(k == i)) for k in range(n)]  # row i of V
+        for k in range(i + 1, n):
+            v[k] = -sum(v[j] * u[j][k] for j in range(i, k))
+        diagonal.append(sum(v[k] * v[k] / d[k] for k in range(i, n)))
+    return 2**30 / max(diagonal)
 
 
 def _enum_levels(label: str):
