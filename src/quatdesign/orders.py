@@ -169,12 +169,15 @@ def _doubled_inverse(label: str):
     rows = [flat(p) for p in _doubled_basis(label)[0]]
     n = len(rows)
     cols = [k for k in range(8) if any(row[k] for row in rows)]
-    # row k of M^-1 is -(right half) of e_k reduced against [M_j | e_j]
+    # row k of M^-1 is -(right half) of e_k reduced against [M_j | e_j]; those
+    # rows are always independent, and a square M is singular iff a pivot
+    # falls in the right half
     echelon: dict = {}
     for j, row in enumerate(rows):
-        vec = {i: Fraction(row[k]) for i, k in enumerate(cols)}
-        if len(cols) != n or not insert({**vec, n + j: Fraction(1)}, echelon):
-            raise AssertionError(f"order basis of {label} is linearly dependent")
+        insert({**{i: Fraction(row[k]) for i, k in enumerate(cols)}, n + j: Fraction(1)},
+               echelon)
+    if len(cols) != n or max(echelon) >= n:
+        raise AssertionError(f"order basis of {label} is linearly dependent")
     inv = [[-reduce({k: Fraction(1)}, echelon).get(n + j, 0) for j in range(n)]
            for k in range(n)]
     den = lcm(*(q.denominator for row in inv for q in row))

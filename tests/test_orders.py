@@ -21,7 +21,7 @@ from quatdesign.orders import (
     shell_count_formula,
     sigma,
 )
-from quatdesign.quat import Quaternion, norm, qmul
+from quatdesign.quat import Quaternion, norm, qmul, scaled_pairs
 from quatdesign.strength import pair_sum_tests_bulk
 
 import oracles
@@ -68,6 +68,16 @@ def test_embedding_round_trip():
             full = coords + (0,) * (len(order_basis(label)) - 4)
             q = embed_coords(label, full)
             assert oracles.coords_of(label, q) == full
+
+
+def test_a_dependent_basis_is_refused(monkeypatch):
+    # rank 3, yet its doubled basis uses four flat components, one per vector
+    dependent = (Quaternion(1, 0, 0, 0), Quaternion(0, 1, 0, 0),
+                 Quaternion(0, 0, 1, 1), Quaternion(0, 0, 2, 2))
+    pairs = tuple(scaled_pairs(g.coords, 2) for g in dependent)
+    monkeypatch.setattr(orders, "_doubled_basis", lambda label: (pairs, None))
+    with pytest.raises(AssertionError, match="linearly dependent"):
+        orders._doubled_inverse.__wrapped__("2T")
 
 
 def test_coords_of_rejects_points_outside_the_order():
