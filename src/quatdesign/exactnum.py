@@ -172,17 +172,6 @@ class QuadElem:
             return hash(self.a)
         return hash((self.tag, self.a, self.b))
 
-    def __lt__(self, other):
-        x, y, _ = self._join(other)
-        return (x - y).sign() < 0
-
-    def __le__(self, other):
-        x, y, _ = self._join(other)
-        return (x - y).sign() <= 0
-
-    def __gt__(self, other):
-        return not self <= other
-
     def __repr__(self):
         if self.b == 0:
             return f"QuadElem({self.tag}, {self.a})"
@@ -274,13 +263,6 @@ def insert(vec: dict, echelon: dict) -> bool:
     inv = 1 / cur[pivot]
     echelon[pivot] = {k: v * inv for k, v in cur.items()}
     return True
-
-
-# -- named operations -------------------------------------------------------
-
-def iota(x: QuadElem) -> Fraction:
-    """Projection a + b*rho -> a (the map iota_G on each coefficient ring)."""
-    return x.a
 
 
 # -- convenient constructors ------------------------------------------------

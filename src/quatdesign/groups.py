@@ -116,16 +116,12 @@ class UnitGroup:
         self.label, self.tag = label, tag
         self.elements = [elems[i] for i in order]
         self._frame = (tag, scale, tuple(scaled[i] for i in order))
-        self._set = frozenset(self.elements)
 
     def __len__(self):
         return len(self.elements)
 
     def __iter__(self):
         return iter(self.elements)
-
-    def as_set(self) -> frozenset:
-        return self._set
 
     def is_closed(self) -> bool:
         """Exact closure test over all ordered pairs, on the integer frame.
@@ -240,6 +236,20 @@ CYCLIC_SUPPORTED = tuple(_CYCLIC_GENERATORS)
 DIHEDRAL_SUPPORTED = tuple(_DIHEDRAL_FLIPS)
 
 
+def parse_family(label: str) -> tuple[str, int] | None:
+    """("D2n", n) or ("C", n) when the label is exactly f"D2n{n}" or f"C{n}"
+    for an int n, else None: `int` alone also takes signs, "_", spaces,
+    leading zeros and non-ASCII digits."""
+    for family in ("D2n", "C"):
+        if label.startswith(family):
+            try:
+                n = int(label[len(family):])
+            except ValueError:
+                return None
+            return (family, n) if label == f"{family}{n}" else None
+    return None
+
+
 @lru_cache(maxsize=None)
 def build_group(label: str) -> UnitGroup:
     """Construct a supported unit group by label.
@@ -263,8 +273,8 @@ def build_group(label: str) -> UnitGroup:
         t = [(x, GOLDEN) for x in build_group("2T").doubled]
         return _coset_union("2I", _powers(zeta(), 5), t)
 
-    if label.startswith("D2n"):
-        n = int(label[3:])
+    family, n = parse_family(label) or (None, None)
+    if family == "D2n":
         if n not in DIHEDRAL_SUPPORTED:
             raise UnsupportedAngle(
                 f"D_2n with n={n} is not constructible in the quadratic tower"
@@ -272,8 +282,7 @@ def build_group(label: str) -> UnitGroup:
         flips = [(_ONE, RAT), _factor(_DIHEDRAL_FLIPS[n]())]
         return _coset_union(label, _powers(_CYCLIC_GENERATORS[2 * n](), 2 * n), flips)
 
-    if label.startswith("C"):
-        n = int(label[1:])
+    if family == "C":
         if n not in CYCLIC_SUPPORTED:
             raise UnsupportedAngle(
                 f"C_{n} is not constructible in the quadratic tower"

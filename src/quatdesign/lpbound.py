@@ -64,8 +64,6 @@ _DESIGN_SETS = {
     "F2I": (10, 8, 6, 4, 2),
 }
 
-_GROUP_OF = {"F2T": "2T", "F2O": "2O", "F2I": "2I"}
-
 
 def _roots_for(name: str) -> list[QuadElem]:
     half = Fraction(1, 2)

@@ -55,7 +55,6 @@ from .exactnum import PAIR_MUL, QuadElem, RAT, SQRT2, GOLDEN, insert, reduce
 from .groups import build_group, omega, alpha, beta, zeta
 from .quat import Quaternion, flat, qmul, qmul_pairs, scaled_pairs
 
-ORDER_LABELS = ("2T", "2O", "2I")
 FIELD_TAG = {"2T": RAT, "2O": SQRT2, "2I": GOLDEN}
 # one point of a shell: its coordinates as little-endian int16 fields
 RECORD = {"2T": struct.Struct("<4h"), "2O": struct.Struct("<8h"), "2I": struct.Struct("<8h")}
@@ -139,17 +138,6 @@ def order_basis(label: str) -> tuple[Quaternion, ...]:
 def doubled_point(label: str, coords) -> tuple[int, ...]:
     """The flat integer components of 2x for x = sum_j coords_j b_j."""
     return tuple([sum(map(mul, coords, comp)) for comp in _doubled_basis(label)[1]])
-
-
-def embed_coords(label: str, coords) -> Quaternion:
-    """sum_j c_j b_j, summed on the flat integer components of 2 b_j."""
-    n = len(order_basis(label))
-    if len(coords) != n:
-        raise ValueError(f"{label} expects {n} coordinates")
-    flat = doubled_point(label, coords)
-    tag = FIELD_TAG[label]
-    return Quaternion(*(QuadElem(tag, Fraction(a, 2), Fraction(b, 2))
-                        for a, b in zip(flat[::2], flat[1::2])))
 
 
 @lru_cache(maxsize=None)
@@ -352,11 +340,10 @@ def _enum_levels(label: str):
     return n, rho, centers, [int(q * scale) for q in ratio], scale
 
 
-def _enumerate_ball(label: str, bound: int, *, count: bool = False) -> dict:
+def _enumerate_ball(label: str, bound: int) -> dict[int, bytes]:
     """The half-ball H of all integer vectors with 0 < Q_G <= bound and first
     nonzero coordinate positive, bucketed by value, each bucket H_m one block
-    of `RECORD[label]` records in lexicographic order; with `count`, the
-    size |O_{G,m}| of each shell instead, from `_count_ball`.
+    of `RECORD[label]` records in lexicographic order.
 
     With x_0 outermost, x_0 >= 0 and every level rising, the recursion meets
     H in lexicographic order.  The shell is -H_m reversed followed by H_m
@@ -371,8 +358,6 @@ def _enumerate_ball(label: str, bound: int, *, count: bool = False) -> dict:
     last coordinate runs inside the loop of the one before it, whose center
     moves by a fixed step per value.
     """
-    if count:
-        return _count_ball(label, bound)
     if bound >= _int16_radius(label):
         raise IntegrityError(
             f"the {label} ball of radius {bound} reaches coordinates outside int16")
@@ -504,9 +489,9 @@ class Shell:
     and 2I), in lexicographic order.
 
     Iterating a shell decodes the block one point at a time: -H_m reversed,
-    then H_m, which is the whole shell in lexicographic order; `points` is
-    that order as a tuple, decoded on every call and not kept.  The orbit
-    representatives, a few per hundred points, are kept once decomposed.
+    then H_m, which is the whole shell in lexicographic order; no decoded
+    point is kept.  The orbit representatives, a few per hundred points, are
+    kept once decomposed.
     `len` counts the points of the shell, 2 |H_m|.
     """
 
@@ -526,10 +511,6 @@ class Shell:
         for end in range(len(block), 0, -record.size):
             yield tuple(map(neg, record.unpack_from(block, end - record.size)))
         yield from record.iter_unpack(block)
-
-    @property
-    def points(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self)
 
     def embedded(self) -> bytes:
         """x = sum_j c_j b_j for every point c, in the order of iteration:
@@ -578,7 +559,7 @@ def shell_counts(label: str, bound: int, budget: Budget | None = None) -> dict[i
     """
     budget = _shell_budget(label, bound, budget)
     budget.check_enum_points(label, ball_size(label, bound))
-    return _enumerate_ball(label, bound, count=True)
+    return _count_ball(label, bound)
 
 
 # -- group action on shells ---------------------------------------------------

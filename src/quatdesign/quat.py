@@ -8,7 +8,7 @@ rule is written once, in `HAMILTON`, and every product reads it.
 
 from __future__ import annotations
 
-from .exactnum import PAIR_MUL, FieldTagMismatch, QuadElem, RAT, rat
+from .exactnum import PAIR_MUL, FieldTagMismatch, QuadElem, RAT
 
 
 class Quaternion:
@@ -92,16 +92,6 @@ def qmul(x: Quaternion, y: Quaternion) -> Quaternion:
             "quaternion product requires compatible coefficient fields"
         ) from None
     return Quaternion(*out)
-
-
-def norm(x: Quaternion) -> QuadElem:
-    x1, x2, x3, x4 = x.coords
-    return x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4
-
-
-def inner(x: Quaternion, y: Quaternion) -> QuadElem:
-    """Euclidean inner product of the associated vectors in R^4."""
-    return sum((a * b for a, b in zip(x.coords, y.coords)), rat(0))
 
 
 # -- integer-pair coordinates --------------------------------------------------

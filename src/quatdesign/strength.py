@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import PAIR_MUL, QuadElem
-from .groups import Gram, UnitGroup, build_group, gram_of
+from .groups import Gram, UnitGroup, build_group, gram_of, parse_family
 from .quat import scaled_pairs
 
 
@@ -108,13 +108,12 @@ def molien_closed_form(label: str, n: int) -> tuple[int, ...]:
     prod(1 + u^a) / prod(1 - u^b) with C_n: (1+u^n)/((1-u^2)(1-u^n)) and
     D_2n: (1+u^{2n+2})/((1-u^4)(1-u^{2n})).
     """
+    family, m = parse_family(label) or (None, None)
     if label in _CLOSED_FORM:
         num, den = _CLOSED_FORM[label]
-    elif label.startswith("D2n"):
-        m = int(label[3:])
+    elif family == "D2n":
         num, den = (2 * m + 2,), (4, 2 * m)
-    elif label.startswith("C"):
-        m = int(label[1:])
+    elif family == "C":
         num, den = (m,), (2, m)
     else:
         raise ValueError(f"no closed-form Molien series for {label!r}")

@@ -302,10 +302,6 @@ class ThetaTable(namedtuple("ThetaTable", (
 ))):
     __slots__ = ()
 
-    @property
-    def n_columns(self) -> int:
-        return len(self.column_labels)
-
     def rank(self) -> int:
         return exact_rank(self.matrix)
 

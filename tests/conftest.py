@@ -5,16 +5,19 @@ from quatdesign import orders, theta, verify
 
 @pytest.fixture
 def ball_calls(monkeypatch):
-    """(label, bound) of every enumeration pass made in the test, counting
-    or recording, which starts on an empty ball cache."""
+    """(label, bound) of every pass over a ball made in the test, counting
+    (`_count_ball`) or recording (`_enumerate_ball`), which starts on an
+    empty ball cache."""
     calls = []
-    enumerate_ball = orders._enumerate_ball
 
-    def counting(label, bound, **leaf):
-        calls.append((label, bound))
-        return enumerate_ball(label, bound, **leaf)
+    def recorded(pass_over_ball):
+        def recording(label, bound):
+            calls.append((label, bound))
+            return pass_over_ball(label, bound)
+        return recording
 
-    monkeypatch.setattr(orders, "_enumerate_ball", counting)
+    for name in ("_enumerate_ball", "_count_ball"):
+        monkeypatch.setattr(orders, name, recorded(getattr(orders, name)))
     monkeypatch.setattr(orders, "_BALL_CACHE", {})
     return calls
 

@@ -1,25 +1,23 @@
 """Reference implementations shared by several test modules."""
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from itertools import chain
 from math import comb, gcd, isqrt, lcm
 from operator import add, mul
 
 from quatdesign import groups, lpbound, orders, theta
-from quatdesign.exactnum import GOLDEN, RAT, SQRT2, QuadElem, iota, rat
+from quatdesign.exactnum import GOLDEN, RAT, SQRT2, QuadElem, rat
 from quatdesign.groups import NotAntipodal, build_group, gram_of
 from quatdesign.harmonics import harm_basis, laplacian, quotient_monomials
 from quatdesign.orders import (
     FIELD_TAG,
     IntegrityError,
-    embed_coords,
     enumerate_shells,
     right_multiplication_matrices,
 )
 from quatdesign.quat import (
-    PAIR_MUL, Quaternion, flat, inner, left_matrix_pairs, norm, qmul, qmul_pairs,
-    scaled_pairs,
+    PAIR_MUL, Quaternion, flat, left_matrix_pairs, qmul, qmul_pairs, scaled_pairs,
 )
 from quatdesign.strength import pair_sums
 
@@ -150,6 +148,46 @@ def sign_quadratic(tag, a, b):
     return (1 if a > 0 else -1) if a * a > d * b * b else (1 if b > 0 else -1)
 
 
+# -- field, quaternion and shell helpers that only the tests read ------------
+
+def _compare_coords(x, y) -> int:
+    """x against y by the real values of their coordinates, first one first."""
+    for a, b in zip(x.coords, y.coords):
+        d = a - b
+        if d:
+            return sign_quadratic(d.tag, d.a, d.b)
+    return 0
+
+
+by_coords = cmp_to_key(_compare_coords)  # sort key for quaternions
+
+
+def iota(x: QuadElem) -> Fraction:
+    """Projection a + b*rho -> a (the map iota_G on each coefficient ring)."""
+    return x.a
+
+
+def norm(x) -> QuadElem:
+    """N(x) = x1^2 + x2^2 + x3^2 + x4^2."""
+    x1, x2, x3, x4 = x.coords
+    return x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4
+
+
+def inner(x, y) -> QuadElem:
+    """Euclidean inner product of the associated vectors in R^4."""
+    return sum((a * b for a, b in zip(x.coords, y.coords)), rat(0))
+
+
+def embed_coords(label: str, coords) -> Quaternion:
+    """sum_j c_j b_j, summed on the flat integer components of 2 b_j."""
+    n = len(orders.order_basis(label))
+    if len(coords) != n:
+        raise ValueError(f"{label} expects {n} coordinates")
+    comps, tag = orders.doubled_point(label, coords), FIELD_TAG[label]
+    return Quaternion(*(QuadElem(tag, Fraction(a, 2), Fraction(b, 2))
+                        for a, b in zip(comps[::2], comps[1::2])))
+
+
 # -- unit groups as QuadElem coset products, and a dividing closure test -----
 
 def conj(x):
@@ -168,7 +206,7 @@ def _coset_union(label, gens, base):
     elements = [qmul(g, h) for g in gens for h in base]
     if len(set(elements)) != len(elements):
         raise ValueError(f"duplicate element in {label}")
-    return sorted(elements, key=lambda q: q.coords)
+    return sorted(elements, key=by_coords)
 
 
 def _powers(g, n):
@@ -242,7 +280,7 @@ def pair_distance_distribution(points) -> dict:
 
 def half_set(points) -> list:
     """A canonical half set X' with X = X' u (-X'), for antipodal X."""
-    pts = sorted(points, key=lambda q: q.coords)
+    pts = sorted(points, key=by_coords)
     pset = set(pts)
     if any(-x not in pset for x in pts):
         raise NotAntipodal("half_set requires an antipodal point set")
@@ -263,7 +301,7 @@ def orbit(x, group) -> list:
     pts = [qmul(x, eps) for eps in group]
     if len(set(pts)) != len(group):
         raise AssertionError("orbit collapsed; group action not free")
-    return sorted(pts, key=lambda q: q.coords)
+    return sorted(pts, key=by_coords)
 
 
 def pair_sum_value(points, ell: int) -> QuadElem:
@@ -412,7 +450,7 @@ def shell_payload(label: str, m: int) -> dict:
         "m": m,
         "size": len(shell),
         "points": [{"coords": list(c), "quaternion": embed_coords(label, c).to_json()}
-                   for c in shell.points],
+                   for c in shell],
     }
 
 
@@ -542,7 +580,7 @@ def orbit_reps(shell):
     actions = [tuple(zip(*mat)) for mat in right_multiplication_matrices(shell.group_label)]
     seen = set()
     reps = []
-    for p in shell.points:
+    for p in shell:
         if p not in seen:
             seen |= {tuple(sum(map(mul, p, col)) for col in cols) for cols in actions}
             reps.append(p)

@@ -94,6 +94,26 @@ def test_point_file_scalars_are_p_over_q_strings_or_ints(tmp_path, capsys, slot,
     assert captured.err.startswith("error: cannot read point file")
 
 
+@pytest.mark.parametrize("label", ["C1_0", "C+8", "C 8", "C08", "D2n٣", "D2n+3", "C-08", "C", "D2n"])
+def test_a_malformed_family_label_is_bad_input(capsys, label):
+    # int() alone would read n = 10, 8, 8, 8, 3, 3 and -8 from the first seven
+    for argv in (["group", "--name", label], ["strength", "--group", label],
+                 ["molien", "--group", label, "--closed-form"]):
+        code, (out, err) = main(argv), capsys.readouterr()
+        assert (code, out) == (4, ""), argv
+        assert err.startswith("error: ") and repr(label) in err, err
+
+
+def test_every_canonical_family_label_is_read():
+    from quatdesign.groups import CYCLIC_SUPPORTED, DIHEDRAL_SUPPORTED, build_group, parse_family
+
+    for family, supported in (("C", CYCLIC_SUPPORTED), ("D2n", DIHEDRAL_SUPPORTED)):
+        for n in supported:
+            assert parse_family(f"{family}{n}") == (family, n)
+            assert build_group(f"{family}{n}").label == f"{family}{n}"
+    assert parse_family("C-1") == ("C", -1) and parse_family("Q8") is None
+
+
 def test_missing_point_file_is_bad_input(tmp_path, capsys):
     code, _ = run_cli(capsys, "strength", "--points", str(tmp_path / "missing.json"))
     assert code == 4

@@ -136,6 +136,32 @@ def test_roots_are_roots():
             assert horner(tf.expanded, r).is_zero()
 
 
+@pytest.mark.parametrize("name", ["F2T", "F2O", "F2I"])
+def test_roots_that_leave_a_remainder_are_refused(monkeypatch, name):
+    # the quotient stays right, so the factored identity still holds and
+    # only the remainder test can refuse
+    divmod_ = lpbound.poly_divmod
+    monkeypatch.setattr(lpbound, "poly_divmod", lambda p, q: (divmod_(p, q)[0], (HALF,)))
+    with pytest.raises(CertificateError, match=f"{name}: claimed roots do not divide"):
+        build_test_function(name)
+
+
+@pytest.mark.parametrize("name", ["F2T", "F2O", "F2I"])
+def test_a_wrong_quotient_fails_the_factored_identity(monkeypatch, name):
+    # a division that reports no remainder but is off by one in the constant
+    # coefficient of its quotient; poly_mul builds the square factor too, so a
+    # fault there would trip the remainder test first
+    divmod_ = lpbound.poly_divmod
+
+    def off_by_one(p, q):
+        quotient, rem = divmod_(p, q)
+        return (quotient[0] + 1,) + quotient[1:], rem
+
+    monkeypatch.setattr(lpbound, "poly_divmod", off_by_one)
+    with pytest.raises(CertificateError, match=f"{name}: factored and Gegenbauer forms differ"):
+        build_test_function(name)
+
+
 def test_corrupted_coefficient_rejected():
     tf = build_test_function("F2T", override={6: Fraction(1, 1000)})
     report = verify_certificate(tf)

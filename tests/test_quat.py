@@ -10,15 +10,13 @@ from quatdesign.groups import alpha, build_group, omega, zeta
 from quatdesign.quat import (
     PAIR_MUL,
     Quaternion,
-    inner,
     left_matrix_pairs,
-    norm,
     qmul,
     qmul_pairs,
     scaled_pairs,
 )
 
-from oracles import UniPoly, char_coeffs_pairs, conj, hamilton_formula
+from oracles import UniPoly, char_coeffs_pairs, conj, hamilton_formula, inner, norm
 
 I = Quaternion(0, 1, 0, 0)
 J = Quaternion(0, 0, 1, 0)

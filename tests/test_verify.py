@@ -6,8 +6,12 @@ a check that is over budget or raises costs its own row only.
 
 import copy
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -410,3 +414,24 @@ def test_a_raising_check_is_an_error_row_and_the_others_still_run(capsys, monkey
     assert out.splitlines()[-1] == (
         "9/12 checks passed; ERROR: ['shell-counts']; "
         "SKIPPED: ['theta-vanishing', 'dimension-hypotheses']")
+
+
+def test_every_cheap_check_alone_in_a_fresh_process_gives_its_matrix_row():
+    # the caches shared between checks (the ball cache, the rank memo, the
+    # label-keyed lru_caches) must not change a row; theta-vanishing and
+    # harmonic-molien are left out for their cost
+    alone = [cid for cid in _IDS if cid not in ("theta-vanishing", "harmonic-molien")]
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "QUATDESIGN_"))}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    argv = [sys.executable, "-m", "quatdesign.cli", "verify-paper", "--budget", "desk",
+            "--format", "json"]
+    runs = [subprocess.Popen(argv + checks, env=env, stdout=subprocess.PIPE, text=True)
+            for checks in [[]] + [["--check", cid] for cid in alone]]
+    rows = []
+    for run in runs:
+        out, _ = run.communicate(timeout=300)
+        assert run.returncode == 0, run.args
+        rows.append([{k: v for k, v in row.items() if k != "seconds"} for row in json.loads(out)])
+    matrix = {row["id"]: row for row in rows[0]}
+    assert list(matrix) == _IDS
+    assert [row for (row,) in rows[1:]] == [matrix[cid] for cid in alone]
