@@ -17,7 +17,8 @@ reported as unexecuted: the report is an upper bound on dead code.
 
 Each positional argument is one CLI call, split like a shell command line;
 the calls' own output is discarded.  The report has one line per function,
-`file:function line,line,...`, then a summary line.
+`file:function line,line,...`, ending in ` never entered` when none of the
+function's statements ran, then a summary line.
 """
 
 from __future__ import annotations
@@ -99,10 +100,11 @@ def traced_lines():
         threading.settrace(previous[1])
 
 
-def unexecuted(executed) -> tuple[int, dict[str, list[int]]]:
-    """(statements in the package, {"file:function": unexecuted lines})."""
+def unexecuted(executed) -> tuple[int, dict[str, list[int]], set[str]]:
+    """(statements in the package, {"file:function": unexecuted lines},
+    the functions none of whose statements ran)."""
     real = {name: Path(name).resolve() for name, _ in executed}
-    total, missing = 0, {}
+    total, missing, never = 0, {}, set()
     for path in sorted(PACKAGE.glob("*.py")):
         lines = {line for name, line in executed if real[name] == path}
         for function, stmts in statements(path).items():
@@ -110,7 +112,9 @@ def unexecuted(executed) -> tuple[int, dict[str, list[int]]]:
             gone = [start for start, owned in stmts.items() if lines.isdisjoint(owned)]
             if gone:
                 missing[f"{path.name}:{function}"] = sorted(gone)
-    return total, missing
+            if len(gone) == len(stmts):
+                never.add(f"{path.name}:{function}")
+    return total, missing, never
 
 
 def run_cli(argvs) -> list[int]:
@@ -141,12 +145,14 @@ def main(argv=None) -> int:
             import pytest
 
             codes.append(int(pytest.main(shlex.split(args.pytest))))
-    total, missing = unexecuted(executed)
+    total, missing, never = unexecuted(executed)
     for function, lines in missing.items():
-        print(f"{function} {','.join(map(str, lines))}")
+        marker = " never entered" if function in never else ""
+        print(f"{function} {','.join(map(str, lines))}{marker}")
     count = sum(map(len, missing.values()))
     print(f"{total - count} of {total} statements in src/quatdesign executed, "
-          f"{count} not, in {len(missing)} functions; exit codes {codes}")
+          f"{count} not, in {len(missing)} functions, {len(never)} never entered; "
+          f"exit codes {codes}")
     return 0
 
 

@@ -7,6 +7,10 @@ exact and all orderings canonical.  Exit codes: 0 success, 1 failed checks
 output, shells --emit with --format csv or text, or gegenbauer with both or
 neither of --ell and --expand), 3 budget exceeded
 (for verify-paper: a SKIP row and no FAIL or ERROR row), 4 bad input.
+
+Each subcommand imports the modules it runs in its own body, so that a call
+loads only what it needs; the parser itself needs no module of the program
+but `budget` and `qseries`.
 """
 
 from __future__ import annotations
@@ -14,27 +18,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .budget import Budget, ResourceBudgetError, get_budget
-from .exactnum import RHO_NAME, frac_str
-from .gegenbauer import gegenbauer, gegenbauer_expand, scaled_q
-from .groups import UnsupportedAngle, build_group
-from .lpbound import (
-    angle_certificate,
-    build_test_function,
-    full_set_lower_bound,
-    lp_lower_bound,
-    verify_certificate,
-)
-from .orders import (
-    EMBEDDED, FIELD_TAG, RECORD, enumerate_shell, shell_count_formula, shell_counts,
-)
-from .qseries import QSERIES_NAMES, qseries
-from .quat import Quaternion
-from .strength import harmonic_strength, molien_closed_form, molien_series
-from .theta import harmonic_invariant_dim, theta_table
-from .verify import ALL_CHECKS, run_all
+from .qseries import QSERIES_NAMES
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -64,8 +50,10 @@ def _emit(payload, fmt: str, text_renderer=None, csv_renderer=None):
                 print(line)
 
 
-def _load_points(path: str) -> list[Quaternion]:
+def _load_points(path: str) -> list:
     """Accepts {"points": [...]}, {"elements": [...]} (group output), or a list."""
+    from .quat import Quaternion
+
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -79,6 +67,8 @@ def _load_points(path: str) -> list[Quaternion]:
 
 
 def cmd_group(args, budget: Budget) -> int:
+    from .groups import build_group
+
     g = build_group(args.name)
     payload = g.to_json()
     _emit(
@@ -91,12 +81,17 @@ def cmd_group(args, budget: Budget) -> int:
 
 
 def _qe_str(cjson) -> str:
+    from .exactnum import RHO_NAME
+
     if cjson["b"] == "0":
         return cjson["a"]
     return f"{cjson['a']}+{cjson['b']}{RHO_NAME[cjson['tag']]}"
 
 
 def cmd_strength(args, budget: Budget) -> int:
+    from .groups import build_group
+    from .strength import harmonic_strength
+
     if args.points:
         report = harmonic_strength(_load_points(args.points), args.max)
     else:
@@ -116,6 +111,9 @@ def cmd_strength(args, budget: Budget) -> int:
 
 
 def cmd_molien(args, budget: Budget) -> int:
+    from .groups import build_group
+    from .strength import molien_closed_form, molien_series
+
     if args.closed_form:
         series = molien_closed_form(args.group, args.max)
     else:
@@ -134,7 +132,9 @@ def cmd_molien(args, budget: Budget) -> int:
     return EXIT_OK
 
 
-def _rational(text: str) -> Fraction:
+def _rational(text: str):
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -142,6 +142,9 @@ def _rational(text: str) -> Fraction:
 
 
 def cmd_gegenbauer(args, budget: Budget) -> int:
+    from .exactnum import frac_str
+    from .gegenbauer import gegenbauer, gegenbauer_expand, scaled_q
+
     if (args.ell is None) == (args.expand is None):  # both or neither
         problem = ("--ell does not apply to --expand" if args.ell is not None
                    else "--ell is required without --expand")
@@ -179,6 +182,12 @@ def cmd_gegenbauer(args, budget: Budget) -> int:
 
 
 def cmd_lp(args, budget: Budget) -> int:
+    from .exactnum import frac_str
+    from .lpbound import (
+        angle_certificate, build_test_function, full_set_lower_bound, lp_lower_bound,
+        verify_certificate,
+    )
+
     tf = build_test_function(args.name)
     report = verify_certificate(tf)
     payload = {
@@ -212,6 +221,8 @@ def cmd_lp(args, budget: Budget) -> int:
 
 
 def cmd_shells(args, budget: Budget) -> int:
+    from .orders import enumerate_shell, shell_count_formula, shell_counts
+
     label = args.group
     if args.emit and args.format not in (None, "json"):  # refused before any enumeration
         print(f"error: --emit writes JSON; --format {args.format} does not apply",
@@ -266,6 +277,8 @@ def _write_shell_json(out, shell, indent: int) -> None:
     record: a and b are halves of the latter, so no field element and no
     payload is built.
     """
+    from .orders import EMBEDDED, FIELD_TAG, RECORD
+
     label = shell.group_label
     nl = ["\n" + " " * (indent * depth) for depth in range(6)]
     # a component as QuadElem.to_json() gives it, keys sorted; the format is
@@ -286,6 +299,9 @@ def _write_shell_json(out, shell, indent: int) -> None:
 
 
 def cmd_theta(args, budget: Budget) -> int:
+    from .exactnum import frac_str
+    from .theta import harmonic_invariant_dim, theta_table
+
     table = theta_table(args.group, args.ell, args.shells, args.kind, budget)
     payload = table.to_json()
     payload["invariant_dimension_bound"] = harmonic_invariant_dim(args.group, args.ell)
@@ -306,6 +322,8 @@ def cmd_theta(args, budget: Budget) -> int:
 
 
 def cmd_qseries(args, budget: Budget) -> int:
+    from .qseries import qseries
+
     coeffs = qseries(args.name, args.terms)
     payload = {"name": args.name, "coefficients": coeffs}
     _emit(
@@ -319,6 +337,8 @@ def cmd_qseries(args, budget: Budget) -> int:
 def cmd_verify_paper(args, budget: Budget) -> int:
     if args.format == "csv":  # refused before any check runs
         _csv_undefined()
+    from .verify import run_all
+
     only = set(args.check) if args.check else None
     results = run_all(budget, only=only)
     if args.format == "json":
@@ -411,15 +431,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", type=_nonnegative_int, default=10)
     _fmt(p)
 
-    p = sub.add_parser("verify-paper", help="run the full reproduction suite")
+    p = sub.add_parser("verify-paper", help="run the full reproduction suite",
+                       formatter_class=_CheckIdsHelp)
     p.add_argument("--check", action="append", metavar="ID",
-                   help="run only the named check (repeatable); "
-                        f"ids: {', '.join(cid for cid, _ in ALL_CHECKS)}")
+                   help="run only the named check (repeatable)")
     p.add_argument("--budget", dest="budget_local",
                    choices=("desk", "small", "unbounded"), default=None)
     _fmt(p)
 
     return parser
+
+
+class _CheckIdsHelp(argparse.HelpFormatter):
+    """Appends the ids of verify.ALL_CHECKS to the help of --check, so that
+    verify is imported only when that help is printed."""
+
+    def _get_help_string(self, action):
+        if action.dest != "check":
+            return action.help
+        from .verify import ALL_CHECKS
+
+        return f"{action.help}; ids: {', '.join(cid for cid, _ in ALL_CHECKS)}"
 
 
 def _int_at_least(text: str, low: int) -> int:
@@ -468,16 +500,16 @@ def main(argv=None) -> int:
     except ResourceBudgetError as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except UnsupportedAngle as exc:
-        print(f"unsupported group: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except SystemExit:
         raise
     except AssertionError as exc:  # an internal integrity check, e.g. orders.IntegrityError
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        from .groups import UnsupportedAngle
+
+        kind = "unsupported group" if isinstance(exc, UnsupportedAngle) else "error"
+        print(f"{kind}: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

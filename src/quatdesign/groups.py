@@ -124,15 +124,41 @@ class UnitGroup:
         return iter(self.elements)
 
     def is_closed(self) -> bool:
-        """Exact closure test over all ordered pairs, on the integer frame.
+        """Exact closure test on the integer frame, from a generating subset T.
+
+        The members are taken in element order, and one that is not yet a
+        product of members of T joins T.  Each product s t of a member s and
+        a t in T is formed once, when the later of the two is reached, and
+        must be a member, which is then a product of members of T as well.
+        So every member is some t_1...t_k, and S.T in S gives S.S in S, as
+        s t_1...t_k = ((s t_1)...)t_k.  A set that is not closed thus has a
+        product s t outside it, and is refused there.  2T, 2O and 2I take
+        three generators each: 72, 144 and 360 products, not all 17,280
+        ordered pairs of the three.
 
         (D x)(D y) = D^2 xy, so xy is a member exactly when that product is
         D^2 times a member: the members are keyed at D^2 and every product
         is looked up as it comes.
         """
         tag, scale, scaled = self._frame
-        members = {tuple((scale * a, scale * b) for a, b in x) for x in scaled}
-        return all(qmul_pairs(tag, x, y) in members for x in scaled for y in scaled)
+        member = {tuple((scale * a, scale * b) for a, b in x): x for x in scaled}
+        gens, reached = [], set()
+        for g in scaled:
+            if g in reached:
+                continue
+            pairs = [(x, g) for x in reached]  # earlier products times the new generator
+            gens.append(g)
+            reached.add(g)
+            pairs += [(g, t) for t in gens]
+            while pairs:
+                x, t = pairs.pop()
+                y = member.get(qmul_pairs(tag, x, t))
+                if y is None:
+                    return False
+                if y not in reached:
+                    reached.add(y)
+                    pairs += [(y, t) for t in gens]
+        return True
 
     @property
     def doubled(self) -> tuple:

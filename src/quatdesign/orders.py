@@ -53,6 +53,7 @@ from operator import mul, neg
 from .budget import Budget, get_budget
 from .exactnum import PAIR_MUL, QuadElem, RAT, SQRT2, GOLDEN, insert, reduce
 from .groups import build_group, omega, alpha, beta, zeta
+from .qseries import sigma
 from .quat import Quaternion, flat, qmul, qmul_pairs, scaled_pairs
 
 FIELD_TAG = {"2T": RAT, "2O": SQRT2, "2I": GOLDEN}
@@ -66,22 +67,6 @@ EMBEDDED = struct.Struct("<8h")
 class IntegrityError(AssertionError):
     """Symbolically derived data disagrees with recorded reference data, or
     a shell does not fit its int16 records."""
-
-
-def sigma(k: int, m: int) -> int:
-    """Divisor power sum sigma_k(m) = sum_{d | m} d^k."""
-    if m < 1:
-        raise ValueError("sigma requires m >= 1")
-    total = 0
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            total += d**k
-            e = m // d
-            if e != d:
-                total += e**k
-        d += 1
-    return total
 
 
 def _sigma_half(k: int, m: int) -> int:

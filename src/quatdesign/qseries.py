@@ -4,13 +4,12 @@ Only q-expansions are used; no modular transformation theory.  The available
 named series are the reference combinations the theta tables are checked
 against.  Note: the weight-4 Eisenstein combination matching the octahedral
 shell generating function 1 + 48q + 624q^2 + ... is (E4(z) + 4 E4(2z))/5.
+
+The module imports nothing: every CLI call reads QSERIES_NAMES to build its
+parser.  `orders` takes `sigma` from here.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-
-from .orders import sigma
 
 QSERIES_NAMES = (
     "E2",
@@ -22,6 +21,22 @@ QSERIES_NAMES = (
     "Theta2O1",
     "Theta2I1",
 )
+
+
+def sigma(k: int, m: int) -> int:
+    """Divisor power sum sigma_k(m) = sum_{d | m} d^k."""
+    if m < 1:
+        raise ValueError("sigma requires m >= 1")
+    total = 0
+    d = 1
+    while d * d <= m:
+        if m % d == 0:
+            total += d**k
+            e = m // d
+            if e != d:
+                total += e**k
+        d += 1
+    return total
 
 
 def e2(n: int) -> list[int]:
@@ -94,10 +109,10 @@ def qseries(name: str, n: int) -> list[int]:
         dil = dilate(base, 2)
         out = []
         for a, b in zip(base, dil):
-            v = Fraction(a + 4 * b, 5)
-            if v.denominator != 1:
+            v, r = divmod(a + 4 * b, 5)
+            if r:
                 raise AssertionError("Theta2O1 coefficient not integral")
-            out.append(int(v))
+            out.append(v)
         return out
     if name == "Theta2I1":
         return e4(n)

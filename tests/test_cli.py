@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatdesign import cli, orders, theta
+from quatdesign import cli, orders, theta, verify
 from quatdesign.cli import main
 from quatdesign.exactnum import frac_str
 from quatdesign.orders import IntegrityError, shell_count_formula
@@ -123,7 +124,7 @@ def test_undefined_csv_is_a_usage_error(capsys, monkeypatch):
     def no_checks(*args, **kwargs):
         raise AssertionError("a check ran")
 
-    monkeypatch.setattr(cli, "run_all", no_checks)
+    monkeypatch.setattr(verify, "run_all", no_checks)
     for argv in (
         ["group", "--name", "2T", "--format", "csv"],
         ["verify-paper", "--check", "groups", "--format", "csv"],
@@ -433,6 +434,19 @@ def test_a_shell_listing_peaks_near_the_count_of_its_shell(tmp_path, m, listing)
     assert listed - counted < 2 * 1024, (listed, counted)
 
 
+def _modules_loaded_by(code: str) -> set:
+    """The modules a fresh interpreter loads while it runs `code` (with
+    stdout discarded; contextlib and io are the harness's own)."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "QUATDESIGN_"))}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    script = ("import sys; bare = set(sys.modules); import contextlib, io\n"
+              f"with contextlib.redirect_stdout(io.StringIO()):\n    {code}\n"
+              "print(' '.join(set(sys.modules) - bare))")
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return set(done.stdout.split())
+
+
 def test_cli_import_loads_no_dataclass_machinery():
     # every CLI call pays its imports: no module of the program may pull in
     # dataclasses, or inspect through it, or typing, beyond what the
@@ -446,11 +460,45 @@ def test_cli_import_loads_no_dataclass_machinery():
     assert done.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_only_the_parser_modules():
+    # each subcommand imports what it runs; the parser needs budget and the
+    # q-series names, and no exact arithmetic (fractions)
+    loaded = _modules_loaded_by("import quatdesign.cli; quatdesign.cli.build_parser()")
+    ours = {m for m in loaded if m.startswith("quatdesign")}
+    assert ours == {"quatdesign", "quatdesign.budget", "quatdesign.cli", "quatdesign.qseries"}
+    assert "fractions" not in loaded
+
+
+def test_a_shell_count_loads_no_theta_or_verification_module():
+    loaded = _modules_loaded_by("import quatdesign.cli; quatdesign.cli.main("
+                                "['shells', '--group', '2T', '--m', '2', '--count-only'])")
+    assert "quatdesign.orders" in loaded
+    heavy = {"theta", "verify", "lpbound", "strength", "harmonics", "gegenbauer"}
+    assert not {f"quatdesign.{name}" for name in heavy} & loaded
+
+
+def test_verify_paper_help_lists_the_check_ids_in_order(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # one line per option
+    with pytest.raises(SystemExit) as err:
+        main(["verify-paper", "--help"])
+    assert err.value.code == 0
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if line.lstrip().startswith("--check ID"))
+    assert line.split("; ids: ")[1].split(", ") == [cid for cid, _ in verify.ALL_CHECKS]
+
+
+def test_qseries_name_choices_are_the_series_names():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    name = next(a for a in subparsers.choices["qseries"]._actions if a.dest == "name")
+    assert name.choices == QSERIES_NAMES
+
+
 def test_an_internal_check_failure_is_one_line_and_exit_1(capsys, monkeypatch):
     def corrupted_counts(label, m_max, budget):
         raise IntegrityError("group action on the shell is not free")
 
-    monkeypatch.setattr(cli, "shell_counts", corrupted_counts)
+    monkeypatch.setattr(orders, "shell_counts", corrupted_counts)
     code = main(["shells", "--group", "2T", "--m", "2", "--count-only"])
     captured = capsys.readouterr()
     assert code == 1

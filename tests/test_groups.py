@@ -129,6 +129,16 @@ def test_closure_matches_the_dividing_oracle(label, data):
     assert UnitGroup("subset", picked).is_closed() == oracles.is_closed(picked)
 
 
+def test_closure_follows_every_product_of_a_generator():
+    # {x, x^2} for x = w of order 3 and -w of order 6: the generator x
+    # squares into the set, but x * x^2 = x^3, 1 or -1, is not in it
+    w = omega()
+    for x in (w, -w):
+        assert not UnitGroup("two powers", [x, x * x]).is_closed()
+        assert not oracles.is_closed([x, x * x])
+    assert UnitGroup("C6", oracles.orbit_closure([-w])).is_closed()
+
+
 def test_closure_refuses_a_group_less_one_element():
     # 2O less one element: of the 47^2 products only the 46 or 47 landing on
     # the missing element leave the set

@@ -26,13 +26,27 @@ def test_coverage_src_reports_unexecuted_statements_by_function(capsys, monkeypa
     *functions, summary = capsys.readouterr().out.splitlines()
     assert functions
     for line in functions:
-        assert re.fullmatch(r"\w+\.py:[\w.]+ \d+(,\d+)*", line), line
+        assert re.fullmatch(r"\w+\.py:[\w.]+ \d+(,\d+)*( never entered)?", line), line
     # the parser was built in this process; the verification runner was not run
     names = [line.split()[0] for line in functions]
     assert "cli.py:build_parser" not in names and "verify.py:run_all" in names
+    # a function is marked exactly when every one of its statements is listed
+    script = runpy.run_path(str(SCRIPTS / "coverage_src.py"))
+    statements = {path.name: script["statements"](path)
+                  for path in script["PACKAGE"].glob("*.py")}
+    never = set()
+    for line in functions:
+        function, lines = line.split()[:2]
+        name, qualname = function.split(":")
+        if line.endswith(" never entered"):
+            never.add(function)
+        assert (function in never) == (len(lines.split(",")) == len(statements[name][qualname]))
+    assert "verify.py:run_all" in never and "cli.py:main" in names and "cli.py:main" not in never
     match = re.fullmatch(r"(\d+) of (\d+) statements in src/quatdesign executed, "
-                         r"(\d+) not, in (\d+) functions; exit codes \[0\]", summary)
+                         r"(\d+) not, in (\d+) functions, (\d+) never entered; "
+                         r"exit codes \[0\]", summary)
     assert match, summary
-    executed, total, missed, count = map(int, match.groups())
+    executed, total, missed, count, entered_none = map(int, match.groups())
     assert executed + missed == total and count == len(functions)
+    assert entered_none == len(never)
     assert missed == sum(len(line.split()[1].split(",")) for line in functions)
