@@ -15,6 +15,10 @@ published polynomial (for the 4-variable form this requires the unimodular
 substitution r_2 -> -r_2, r_3 -> -r_3: the published cross terms carry the
 signs of the conjugated basis vector -conj(w) rather than w itself).
 
+Coordinates are read from the Gram matrix G: iota<b_j, x> = sum_i c_i G_ij,
+and G is positive definite, hence invertible, so c is unique.  One LDL^T
+completion gives G^-1 (`_gram_inverse`), for the solve and the int16 radius.
+
 Shell enumeration is exact Fincke-Pohst: rational LDL^T completion of the
 Gram matrix, budgets as integers on one common scale, integer bounds from
 one integer square root per node, no floating point anywhere.  One pass
@@ -51,7 +55,7 @@ from math import isqrt, lcm
 from operator import mul, neg
 
 from .budget import Budget, get_budget
-from .exactnum import PAIR_MUL, QuadElem, RAT, SQRT2, GOLDEN, insert, reduce
+from .exactnum import PAIR_MUL, QuadElem, RAT, SQRT2, GOLDEN, reduce
 from .groups import build_group, omega, alpha, beta, zeta
 from .qseries import sigma
 from .quat import Quaternion, flat, qmul, qmul_pairs, scaled_pairs
@@ -134,38 +138,49 @@ def _doubled_basis(label: str):
 
 
 @lru_cache(maxsize=None)
-def _doubled_inverse(label: str):
-    """(cols, inv, den): cols are the n flat components the doubled basis
-    uses, and inv holds the columns of den * M^-1 for the n x n matrix M of
-    those components, with den the least denominator that makes it
-    integral.  Only `_solve` reads it."""
-    rows = [flat(p) for p in _doubled_basis(label)[0]]
-    n = len(rows)
-    cols = [k for k in range(8) if any(row[k] for row in rows)]
-    # row k of M^-1 is -(right half) of e_k reduced against [M_j | e_j]; those
-    # rows are always independent, and a square M is singular iff a pivot
-    # falls in the right half
-    echelon: dict = {}
-    for j, row in enumerate(rows):
-        insert({**{i: Fraction(row[k]) for i, k in enumerate(cols)}, n + j: Fraction(1)},
-               echelon)
-    if len(cols) != n or max(echelon) >= n:
-        raise AssertionError(f"order basis of {label} is linearly dependent")
-    inv = [[-reduce({k: Fraction(1)}, echelon).get(n + j, 0) for j in range(n)]
-           for k in range(n)]
+def _iota(label: str):
+    """(L, gram): iota<2 b_j, y> = L_j . flat(y) for any quaternion y on
+    integer pairs, iota being Q-linear (L_j reads the rational parts of each
+    (2 b_j)_k times 1 and rho), and gram_ij = iota<b_i, b_j> = L_i . flat(2 b_j) / 4."""
+    pmul, pairs = PAIR_MUL[FIELD_TAG[label]], _doubled_basis(label)[0]
+    rows = tuple(tuple(pmul(*c, *unit)[0] for c in p for unit in ((1, 0), (0, 1)))
+                 for p in pairs)
+    return rows, tuple(tuple(Fraction(sum(map(mul, row, flat(q))), 4) for q in pairs)
+                       for row in rows)
+
+
+@lru_cache(maxsize=None)
+def _gram_inverse(label: str):
+    """(den, inv, rows): inv = den G^-1 with den least, and rows = inv . L.
+    One LDL^T completion gives G = U^T D U; U G^-1 = D^-1 U^-T is diag(1/d)
+    on and above the diagonal, so G^-1 follows from its last row up.  The
+    completion refuses the zero pivot of a singular G (a dependent basis)."""
+    forms, gram = _iota(label)
+    try:
+        d, u = _ldl_completion(gram)
+    except ValueError:
+        raise AssertionError(f"order basis of {label} is linearly dependent") from None
+    n = len(d)
+    inv = [[None] * n for _ in range(n)]
+    for i in reversed(range(n)):
+        for j in reversed(range(i, n)):  # inv[k][j] is known for k > i
+            inv[i][j] = inv[j][i] = Fraction(i == j) / d[i] - sum(
+                u[i][k] * inv[k][j] for k in range(i + 1, n))
     den = lcm(*(q.denominator for row in inv for q in row))
-    return cols, tuple(tuple(int(q * den) for q in col) for col in zip(*inv)), den
+    inv = tuple(tuple(int(q * den) for q in row) for row in inv)
+    return den, inv, tuple(tuple(sum(map(mul, row, col)) for col in zip(*forms)) for row in inv)
 
 
 def _solve(label: str, flat, half: int) -> tuple[int, ...] | None:
     """Integer c with x = sum_j c_j b_j, from the flat components of
-    2*half*x; None when x is not in the order."""
-    cols, inv, den = _doubled_inverse(label)
-    sums = [sum(flat[k] * a for k, a in zip(cols, col)) for col in inv]
-    if any(t % (den * half) for t in sums):
+    2*half*x; None when x is not in the order.  L . flat = 4 half G c, and
+    G is invertible, so c = rows . flat / (4 half den) is unique."""
+    den, _, rows = _gram_inverse(label)
+    sums = [sum(map(mul, flat, row)) for row in rows]
+    if any(t % (4 * den * half) for t in sums):
         return None
-    coords = tuple(t // (den * half) for t in sums)
-    # the solve reads only `cols`; the coordinates must rebuild every component
+    coords = tuple(t // (4 * den * half) for t in sums)
+    # iota reads a projection of x; the coordinates must rebuild every component
     rebuilt = tuple(half * v for v in doubled_point(label, coords))
     return coords if rebuilt == tuple(flat) else None
 
@@ -236,13 +251,11 @@ _PUBLISHED_SUBSTITUTION = {
 def quadratic_form(label: str) -> QuadraticForm:
     """Q_G derived from the basis, checked against the published polynomial.
 
-    iota<b_i, b_j> is the rational part of (2 b_i).(2 b_j) / 4, summed over
-    the four coordinates of the doubled basis on integer pairs.
+    The Gram matrix is `_iota`'s, read off the doubled basis on integer
+    pairs.
     """
-    pairs, pmul = _doubled_basis(label)[0], PAIR_MUL[FIELD_TAG[label]]
-    gram = tuple(tuple(Fraction(sum(pmul(*a, *b)[0] for a, b in zip(p, q)), 4)
-                       for q in pairs) for p in pairs)
-    form = QuadraticForm(label, len(pairs), gram)
+    gram = _iota(label)[1]
+    form = QuadraticForm(label, len(gram), gram)
 
     signs = _PUBLISHED_SUBSTITUTION[label]
     derived = {}
@@ -287,19 +300,10 @@ def _int16_radius(label: str) -> Fraction:
     """The least ball radius at which a coordinate may leave int16.
 
     Over Q_G <= b, x_i reaches sqrt(b (G^-1)_ii); so every coordinate lies
-    in [-(2^15 - 1), 2^15 - 1] while b < 2^30 / max_i (G^-1)_ii.  One LDL^T
-    completion gives G = U^T D U with U unit upper triangular, so
-    (G^-1)_ii = sum_k V_ik^2 / d_k for V = U^-1, whose row i follows from
-    V U = I by back-substitution.
+    in [-(2^15 - 1), 2^15 - 1] while b < 2^30 / max_i (G^-1)_ii.
     """
-    d, u = _ldl_completion(quadratic_form(label).gram)
-    n, diagonal = len(d), []
-    for i in range(n):
-        v = [Fraction(int(k == i)) for k in range(n)]  # row i of V
-        for k in range(i + 1, n):
-            v[k] = -sum(v[j] * u[j][k] for j in range(i, k))
-        diagonal.append(sum(v[k] * v[k] / d[k] for k in range(i, n)))
-    return 2**30 / max(diagonal)
+    den, inv, _ = _gram_inverse(label)
+    return Fraction(2**30 * den, max(inv[i][i] for i in range(len(inv))))
 
 
 def _enum_levels(label: str):

@@ -64,6 +64,8 @@ class Quaternion:
 
     @staticmethod
     def from_json(arr) -> "Quaternion":
+        if len(arr) != 4:
+            raise ValueError(f"a quaternion has 4 scalars, not {len(arr)}")
         return Quaternion(*(QuadElem.from_json(c) for c in arr))
 
 

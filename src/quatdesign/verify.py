@@ -16,7 +16,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .budget import Budget, ResourceBudgetError, get_budget
-from .exactnum import golden_elem, rat, sqrt2_elem
+from .exactnum import GOLDEN, PAIR_MUL, rat, sqrt2_elem
 from .groups import (
     build_group,
     distance_distribution,
@@ -34,7 +34,7 @@ from .lpbound import (
     verify_certificate,
 )
 from .orders import EMBEDDED, enumerate_shell, shell_count_formula, shell_counts
-from .quat import flat, scaled_pairs
+from .quat import flat
 from .qseries import qseries
 from .strength import (
     cyclic_odd_part,
@@ -279,23 +279,16 @@ def check_shell_counts(budget: Budget) -> Outcome:
     return problems, f"{covered} all exact"
 
 
-def _doubled_set(elements) -> set:
-    """The flat integer components of 2g for every quaternion g, as
-    `Shell.embedded` records them."""
-    return {flat(scaled_pairs(g.coords, 2)) for g in elements}
-
-
 @_check("order-units", "unit shells recover the groups (2I doubled by tau)")
 def check_order_unit_identities(budget: Budget) -> Outcome:
     problems = []
     for label in ("2T", "2O"):
         sh = enumerate_shell(label, 1, budget)
-        if set(EMBEDDED.iter_unpack(sh.embedded())) != _doubled_set(build_group(label).elements):
+        if set(EMBEDDED.iter_unpack(sh.embedded())) != set(map(flat, build_group(label).doubled)):
             problems.append(f"O_({label},1) != {label}")
     sh = enumerate_shell("2I", 1, budget)
-    g = build_group("2I")
-    tau = golden_elem(0, 1)
-    expected = _doubled_set(g.elements) | _doubled_set(e * tau for e in g.elements)
+    doubled, pmul = build_group("2I").doubled, PAIR_MUL[GOLDEN]
+    expected = set(map(flat, doubled)) | {flat(pmul(a, b, 0, 1) for a, b in x) for x in doubled}
     if set(EMBEDDED.iter_unpack(sh.embedded())) != expected:
         problems.append("O_(2I,1) != 2I u tau 2I")
     if len(sh.orbit_reps) != 2:

@@ -95,6 +95,19 @@ def test_point_file_scalars_are_p_over_q_strings_or_ints(tmp_path, capsys, slot,
     assert captured.err.startswith("error: cannot read point file")
 
 
+@pytest.mark.parametrize("length", [3, 5])
+def test_a_point_of_other_than_four_scalars_is_bad_input(tmp_path, capsys, length):
+    # a fifth scalar would land in Quaternion's tag argument and be dropped
+    unit, zero = {"tag": "RAT", "a": 1, "b": "0"}, {"tag": "RAT", "a": "0", "b": "0"}
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"points": [[unit] + [zero] * (length - 1)]}))
+    assert main(["strength", "--points", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read point file")
+    assert f"a quaternion has 4 scalars, not {length}" in captured.err
+
+
 @pytest.mark.parametrize("label", ["C1_0", "C+8", "C 8", "C08", "D2n٣", "D2n+3", "C-08", "C", "D2n"])
 def test_a_malformed_family_label_is_bad_input(capsys, label):
     # int() alone would read n = 10, 8, 8, 8, 3, 3 and -8 from the first seven

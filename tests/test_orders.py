@@ -71,13 +71,15 @@ def test_embedding_round_trip():
 
 
 def test_a_dependent_basis_is_refused(monkeypatch):
-    # rank 3, yet its doubled basis uses four flat components, one per vector
+    # rank 3, yet its doubled basis uses four flat components, one per vector;
+    # its Gram matrix is singular, and the completion refuses it
     dependent = (Quaternion(1, 0, 0, 0), Quaternion(0, 1, 0, 0),
                  Quaternion(0, 0, 1, 1), Quaternion(0, 0, 2, 2))
     pairs = tuple(scaled_pairs(g.coords, 2) for g in dependent)
     monkeypatch.setattr(orders, "_doubled_basis", lambda label: (pairs, None))
+    monkeypatch.setattr(orders, "_iota", orders._iota.__wrapped__)
     with pytest.raises(AssertionError, match="linearly dependent"):
-        orders._doubled_inverse.__wrapped__("2T")
+        orders._gram_inverse.__wrapped__("2T")
 
 
 def test_coords_of_rejects_points_outside_the_order():
@@ -313,7 +315,7 @@ def test_shell_counts_check_names_the_covered_range(ball_calls, monkeypatch):
 
 def test_order_units_check_names_the_icosian_shell(monkeypatch):
     # with tau replaced by 1, the expected O_(2I,1) collapses to 2I itself
-    monkeypatch.setattr(verify, "golden_elem", lambda a, b: 1)
+    monkeypatch.setattr(verify, "PAIR_MUL", {GOLDEN: lambda a, b, c, d: (a, b)})
     result = verify.run_check("order-units", get_budget("desk"))
     assert not result.passed
     assert result.details == "O_(2I,1) != 2I u tau 2I"
@@ -506,6 +508,14 @@ def test_coords_of_rejects_integral_doubles_outside_the_order():
     # tau has the pair (0, 1), which O_2O would read as sqrt2
     with pytest.raises(ValueError, match="not in the order"):
         oracles.coords_of("2O", Quaternion(golden_elem(0, 1), 0, 0, 0, GOLDEN))
+
+
+def test_a_fractional_solution_is_refused_by_the_exact_division(monkeypatch):
+    # x = 1/2: 2x is integral, its coordinates (1/2, 0, 0, 0) are not; with
+    # the rebuild made to pass, only the exact division refuses x
+    doubled = (1, 0, 0, 0, 0, 0, 0, 0)
+    monkeypatch.setattr(orders, "doubled_point", lambda label, coords: doubled)
+    assert orders._solve("2T", doubled, 1) is None
 
 
 def test_right_action_rejects_a_product_outside_the_order(monkeypatch):
