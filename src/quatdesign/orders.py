@@ -16,17 +16,18 @@ substitution r_2 -> -r_2, r_3 -> -r_3: the published cross terms carry the
 signs of the conjugated basis vector -conj(w) rather than w itself).
 
 Coordinates are read from the Gram matrix G: iota<b_j, x> = sum_i c_i G_ij,
-and G is positive definite, hence invertible, so c is unique.  One LDL^T
-completion gives G^-1 (`_gram_inverse`), for the solve and the int16 radius.
+and G is positive definite, hence invertible, so c is unique.  G is
+completed once per order, as LDL^T in reversed variable order
+(`_completion`): that one completion gives the enumeration levels, and G^-1
+(`_gram_inverse`) for the solve and the int16 radius.
 
-Shell enumeration is exact Fincke-Pohst: rational LDL^T completion of the
-Gram matrix, budgets as integers on one common scale, integer bounds from
-one integer square root per node, no floating point anywhere.  One pass
-yields every shell up to a bound, each already in lexicographic order.  The
-size of each shell is counted by levels instead, with no point visited: what
-lies below a level depends only on its budget and on the partial centers
-reduced modulo the level steps, so each such state is counted once
-(`_count_ball`).
+Shell enumeration is exact Fincke-Pohst on those levels: budgets as
+integers on one common scale, integer bounds from one integer square root
+per node, no floating point anywhere.  One pass yields every shell up to a
+bound, each already in lexicographic order.  The size of each shell is
+counted by levels instead, with no point visited: what lies below a level
+depends only on its budget and on the partial centers reduced modulo the
+level steps, so each such state is counted once (`_count_ball`).
 
 Every shell is symmetric under -1: it is -H_m reversed followed by H_m, for
 the half-ball H whose first nonzero coordinate is positive.  A shell is
@@ -48,7 +49,6 @@ only, not on how the images are computed or matched.
 from __future__ import annotations
 
 import struct
-from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt, lcm
@@ -152,14 +152,11 @@ def _iota(label: str):
 @lru_cache(maxsize=None)
 def _gram_inverse(label: str):
     """(den, inv, rows): inv = den G^-1 with den least, and rows = inv . L.
-    One LDL^T completion gives G = U^T D U; U G^-1 = D^-1 U^-T is diag(1/d)
-    on and above the diagonal, so G^-1 follows from its last row up.  The
-    completion refuses the zero pivot of a singular G (a dependent basis)."""
-    forms, gram = _iota(label)
-    try:
-        d, u = _ldl_completion(gram)
-    except ValueError:
-        raise AssertionError(f"order basis of {label} is linearly dependent") from None
+    `_completion` gives PGP = U^T D U for the reversal P; U (PGP)^-1 =
+    D^-1 U^-T is diag(1/d) on and above the diagonal, so (PGP)^-1 follows
+    from its last row up, and G^-1 is it with rows and columns reversed."""
+    forms = _iota(label)[0]
+    d, u = _completion(label)
     n = len(d)
     inv = [[None] * n for _ in range(n)]
     for i in reversed(range(n)):
@@ -167,7 +164,7 @@ def _gram_inverse(label: str):
             inv[i][j] = inv[j][i] = Fraction(i == j) / d[i] - sum(
                 u[i][k] * inv[k][j] for k in range(i + 1, n))
     den = lcm(*(q.denominator for row in inv for q in row))
-    inv = tuple(tuple(int(q * den) for q in row) for row in inv)
+    inv = tuple(tuple(int(q * den) for q in reversed(row)) for row in reversed(inv))
     return den, inv, tuple(tuple(sum(map(mul, row, col)) for col in zip(*forms)) for row in inv)
 
 
@@ -177,6 +174,7 @@ def _solve(label: str, flat, half: int) -> tuple[int, ...] | None:
     G is invertible, so c = rows . flat / (4 half den) is unique."""
     den, _, rows = _gram_inverse(label)
     sums = [sum(map(mul, flat, row)) for row in rows]
+    # redundant: when the rebuild below passes, every sum is 4 half den c_j
     if any(t % (4 * den * half) for t in sums):
         return None
     coords = tuple(t // (4 * den * half) for t in sums)
@@ -186,32 +184,6 @@ def _solve(label: str, flat, half: int) -> tuple[int, ...] | None:
 
 
 # -- quadratic forms ---------------------------------------------------------
-
-class QuadraticForm(namedtuple("QuadraticForm", (
-    "group_label",
-    "dimension",
-    "gram",  # symmetric, half-integer Fraction entries
-))):
-    __slots__ = ()
-
-    def polynomial_coefficients(self) -> dict[tuple[int, int], Fraction]:
-        out = {}
-        n = self.dimension
-        for i in range(n):
-            for j in range(i, n):
-                c = self.gram[i][j] if i == j else 2 * self.gram[i][j]
-                if c:
-                    out[(i, j)] = c
-        return out
-
-    def is_positive_definite(self) -> bool:
-        """Sylvester: every leading minor is positive iff every LDL^T pivot is."""
-        try:
-            _ldl_completion(self.gram)
-        except ValueError:
-            return False
-        return True
-
 
 # published polynomial coefficients, for the integrity cross-check
 _PUBLISHED_FORMS = {
@@ -248,27 +220,21 @@ _PUBLISHED_SUBSTITUTION = {
 
 
 @lru_cache(maxsize=None)
-def quadratic_form(label: str) -> QuadraticForm:
-    """Q_G derived from the basis, checked against the published polynomial.
-
-    The Gram matrix is `_iota`'s, read off the doubled basis on integer
-    pairs.
-    """
+def quadratic_form(label: str) -> tuple[tuple[Fraction, ...], ...]:
+    """The Gram matrix of Q_G (`_iota`'s, read off the doubled basis on
+    integer pairs), checked against the published polynomial and, by its one
+    completion, for definiteness."""
     gram = _iota(label)[1]
-    form = QuadraticForm(label, len(gram), gram)
-
     signs = _PUBLISHED_SUBSTITUTION[label]
-    derived = {}
-    for (i, j), c in form.polynomial_coefficients().items():
-        derived[(i, j)] = c * signs[i] * signs[j]
+    derived = {(i, j): (c if i == j else 2 * c) * signs[i] * signs[j]
+               for i, row in enumerate(gram) for j, c in enumerate(row) if j >= i and c}
     published = {k: Fraction(v) for k, v in _PUBLISHED_FORMS[label].items()}
     if derived != published:
         raise IntegrityError(
             f"Q_{label}: derived form does not match the published polynomial"
         )
-    if not form.is_positive_definite():
-        raise IntegrityError(f"Q_{label} is not positive definite")
-    return form
+    _completion(label)
+    return gram
 
 
 # -- exact Fincke-Pohst enumeration ------------------------------------------
@@ -296,6 +262,19 @@ def _ldl_completion(gram):
 
 
 @lru_cache(maxsize=None)
+def _completion(label: str):
+    """`_ldl_completion` of G in reversed variable order, the one completion
+    of each order: it serves the levels, the solve and the int16 radius.  G
+    is a Gram matrix, so it is positive definite exactly when the basis is
+    independent, and a pivot that is not positive refuses the basis."""
+    gram = _iota(label)[1]
+    try:
+        return _ldl_completion([row[::-1] for row in gram[::-1]])
+    except ValueError:
+        raise IntegrityError(f"order basis of {label} is linearly dependent") from None
+
+
+@lru_cache(maxsize=None)
 def _int16_radius(label: str) -> Fraction:
     """The least ball radius at which a coordinate may leave int16.
 
@@ -318,9 +297,8 @@ def _enum_levels(label: str):
     D that makes every weight w_i = D d_i / rho_i^2 an integer, so that
     D Q = sum_i w_i k_i^2 is a sum of integers (D = 12 for all three forms).
     """
-    form = quadratic_form(label)
-    d, u = _ldl_completion([row[::-1] for row in form.gram[::-1]])
-    n = form.dimension
+    n = len(quadratic_form(label))  # the published form is checked before any ball
+    d, u = _completion(label)
     rho = [lcm(*(u[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
     centers = [[int(u[i][n - 1 - k] * rho[i]) if n - 1 - k > i else 0 for k in range(n)]
                for i in range(n)]

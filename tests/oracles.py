@@ -332,13 +332,13 @@ def quadelem_gram(label: str) -> tuple:
 
 def form_value(form, coords) -> int:
     """Q_G(coords) = sum_ij coords_i coords_j gram_ij, which must be an integer."""
-    n = form.dimension
+    n = len(form)
     total = Fraction(0)
     for i in range(n):
         ci = coords[i]
         if ci == 0:
             continue
-        row = form.gram[i]
+        row = form[i]
         total += row[i] * ci * ci
         for j in range(i + 1, n):
             if coords[j]:
@@ -490,7 +490,7 @@ def tuple_ball(label, bound):
     """{m: O_{G,m} as coordinate tuples} for m = 1..bound: the half-ball H of
     the rescaled Fincke-Pohst recursion as tuples, with x_0 outermost and
     two square roots per node, then -H_m reversed chained with H_m."""
-    gram = orders.quadratic_form(label).gram
+    gram = orders.quadratic_form(label)
     # level i of the reversed completion fixes x_(n-1-i)
     n, rho, unum, delta, mu, nu, rfac, rden = rescaled_levels(
         [row[::-1] for row in gram[::-1]])

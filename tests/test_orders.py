@@ -1,7 +1,11 @@
+import os
 import struct
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from operator import mul
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +15,6 @@ from quatdesign.groups import UnitGroup, build_group, omega
 from quatdesign import orders, verify
 from quatdesign.orders import (
     IntegrityError,
-    QuadraticForm,
     enumerate_shell,
     orbit_decompose,
     order_basis,
@@ -44,10 +47,10 @@ def test_count_formulas_match_printed_expansions():
 @pytest.mark.parametrize("label", ["2T", "2O", "2I"])
 def test_quadratic_form_definite_and_published(label):
     form = quadratic_form(label)  # construction asserts the published match
-    assert form.is_positive_definite()
-    assert form.dimension == (4 if label == "2T" else 8)
+    assert all(pivot > 0 for pivot in orders._completion(label)[0])
+    assert len(form) == (4 if label == "2T" else 8)
     # the Gram on the doubled integer pairs is the QuadElem one
-    assert form.gram == oracles.quadelem_gram(label)
+    assert form == oracles.quadelem_gram(label)
 
 
 def test_q2t_values():
@@ -78,8 +81,41 @@ def test_a_dependent_basis_is_refused(monkeypatch):
     pairs = tuple(scaled_pairs(g.coords, 2) for g in dependent)
     monkeypatch.setattr(orders, "_doubled_basis", lambda label: (pairs, None))
     monkeypatch.setattr(orders, "_iota", orders._iota.__wrapped__)
+    monkeypatch.setattr(orders, "_completion", orders._completion.__wrapped__)
     with pytest.raises(AssertionError, match="linearly dependent"):
         orders._gram_inverse.__wrapped__("2T")
+
+
+def test_a_form_off_the_published_polynomial_is_refused(monkeypatch):
+    # without the r_2, r_3 sign substitution the 2T cross terms change sign
+    monkeypatch.setitem(orders._PUBLISHED_SUBSTITUTION, "2T", (1, 1, 1, 1))
+    with pytest.raises(IntegrityError, match="does not match the published polynomial"):
+        orders.quadratic_form.__wrapped__("2T")
+
+
+_COMPLETIONS_CHILD = """
+from quatdesign import orders
+calls, ldl = [], orders._ldl_completion
+orders._ldl_completion = lambda gram: calls.append(gram) or ldl(gram)
+for label in ("2T", "2O", "2I"):
+    before = len(calls)
+    orders.enumerate_shell(label, 2)
+    orders.shell_counts(label, 3)
+    orders.shell_counts(label, 4)
+    orders.right_multiplication_matrices(label)
+    orders._int16_radius(label)
+    print(label, len(calls) - before)
+"""
+
+
+def test_each_order_is_completed_once():
+    # a listing, two counts, R_eps and the int16 radius share one completion
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "QUATDESIGN_"))}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", _COMPLETIONS_CHILD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["2T 1", "2O 1", "2I 1"]
 
 
 def test_coords_of_rejects_points_outside_the_order():
@@ -93,7 +129,8 @@ def test_coords_of_rejects_points_outside_the_order():
                          ids=["indefinite", "singular"])
 def test_not_positive_definite(gram):
     rows = tuple(tuple(Fraction(x) for x in row) for row in gram)
-    assert not QuadraticForm("test", 2, rows).is_positive_definite()
+    with pytest.raises(ValueError, match="not positive definite"):
+        orders._ldl_completion(rows)
 
 
 def test_shell_counts_small():
@@ -107,7 +144,7 @@ def test_shell_counts_small():
 
 def _oracle_ball(label, bound):
     n, rho, unum, delta, mu, nu, rfac, rden = oracles.rescaled_levels(
-        quadratic_form(label).gram)
+        quadratic_form(label))
     buckets = {m: [] for m in range(1, bound + 1)}
     x = [0] * n
 
@@ -163,7 +200,7 @@ def test_a_ball_past_the_int16_records_is_refused_before_enumeration():
     with pytest.raises(IntegrityError, match="outside int16"):
         orders._enumerate_ball("2T", int(radius) + 1)
     # over Q <= b, x_i reaches sqrt(b (G^-1)_ii): 2^15 at the radius
-    gram = quadratic_form("2T").gram
+    gram = quadratic_form("2T")
     assert radius == 2**30 / max(oracles.inverse_diagonal(gram, i) for i in range(4))
 
 
@@ -220,7 +257,7 @@ def test_orbit_images_that_would_wrap_are_refused(monkeypatch):
 def test_shell_values_and_sortedness():
     for label, bound in ORACLE_BALLS:
         form = quadratic_form(label)
-        twice = [[int(2 * v) for v in row] for row in form.gram]  # 2 Q_G is integral
+        twice = [[int(2 * v) for v in row] for row in form]  # 2 Q_G is integral
         for sh in orders.enumerate_shells(label, bound):
             points = list(sh)
             assert points == sorted(set(points))
