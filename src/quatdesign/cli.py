@@ -183,13 +183,11 @@ def cmd_gegenbauer(args, budget: Budget) -> int:
 
 def cmd_lp(args, budget: Budget) -> int:
     from .exactnum import frac_str
-    from .lpbound import (
-        angle_certificate, build_test_function, full_set_lower_bound, lp_lower_bound,
-        verify_certificate,
-    )
+    from .lpbound import build_test_function, verify_certificate
 
     tf = build_test_function(args.name)
     report = verify_certificate(tf)
+    half = report.half_set_bound
     payload = {
         "name": tf.name,
         "degree": len(tf.expanded) - 1,
@@ -202,11 +200,9 @@ def cmd_lp(args, budget: Budget) -> int:
             "negative_allowed": list(report.negative_allowed),
             "messages": list(report.messages),
         },
-        "half_set_bound": frac_str(lp_lower_bound(tf)) if report.passed else None,
-        "full_set_bound": frac_str(full_set_lower_bound(tf)) if report.passed else None,
-        "angle_set": sorted(str(s) for s in angle_certificate(tf))
-        if report.passed
-        else None,
+        "half_set_bound": None if half is None else frac_str(half),
+        "full_set_bound": None if half is None else frac_str(2 * half),
+        "angle_set": None if report.angle_set is None else sorted(map(str, report.angle_set)),
     }
     _emit(
         payload, args.format,
@@ -299,14 +295,10 @@ def _write_shell_json(out, shell, indent: int) -> None:
 
 
 def cmd_theta(args, budget: Budget) -> int:
-    from .exactnum import frac_str
     from .theta import harmonic_invariant_dim, theta_table
 
-    table = theta_table(args.group, args.ell, args.shells, args.kind, budget)
-    payload = table.to_json()
+    payload = theta_table(args.group, args.ell, args.shells, args.kind, budget).to_json()
     payload["invariant_dimension_bound"] = harmonic_invariant_dim(args.group, args.ell)
-    if payload["rank"] == 1:
-        payload["generator"] = [frac_str(c) for c in table.normalized_generator()]
     _emit(
         payload, args.format,
         text_renderer=lambda p: [

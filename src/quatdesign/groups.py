@@ -404,11 +404,6 @@ def gram_of(points) -> Gram:
     return points.gram if isinstance(points, UnitGroup) else gram_pass(list(points))
 
 
-def inner_product_set(points) -> set[QuadElem]:
-    """A(X) = { <x,y> : x != y } for unit-norm points."""
-    return gram_of(points).angles()
-
-
 def distance_distribution(points, basepoint: Quaternion) -> dict[QuadElem, int]:
     """Counts |X_s| = |{x in X : <x, x0> = s}| for a fixed basepoint."""
     gram = gram_of(points)

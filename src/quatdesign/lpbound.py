@@ -108,6 +108,8 @@ class TestFunction(namedtuple("TestFunction", (
 class CertificateReport(namedtuple("CertificateReport", (
     "name", "passed", "off_design_violations", "negative_allowed",
     "nonnegative_on_interval", "messages",
+    "half_set_bound",  # F(1)/f_0 when passed and f_0 > 0, else None; a full set gets twice it
+    "angle_set",       # the claimed roots plus -1 when passed, else None
 ))):
     __slots__ = ()
 
@@ -135,7 +137,9 @@ def _square_factor_poly(roots) -> tuple[Fraction, ...]:
 
 
 def build_test_function(name: str, override: dict[int, Fraction] | None = None) -> TestFunction:
-    """Construct a test function; `override` patches coefficients (tests only)."""
+    """Construct a test function; `override` patches coefficients and skips the
+    root certificates, for the negative control that the lp-certificates check
+    builds on every `verify-paper` run, and for tests."""
     if name not in _GEGENBAUER_DATA:
         raise ValueError(f"unknown test function {name!r}")
     data = dict(_GEGENBAUER_DATA[name])
@@ -233,47 +237,32 @@ def verify_certificate(tf: TestFunction) -> CertificateReport:
         negative_allowed=tuple(negative_allowed),
         nonnegative_on_interval=nonneg,
         messages=tuple(messages),
+        half_set_bound=tf.value_at_one() / tf.f0 if passed and tf.f0 > 0 else None,
+        angle_set=frozenset(tf.factored_roots) | {rat(-1)} if passed else None,
     )
-
-
-def lp_lower_bound(tf: TestFunction) -> Fraction:
-    """F(1)/f_0: lower bound on |X'| for a half set; full sets get twice this."""
-    report = verify_certificate(tf)
-    if not report.passed:
-        raise CertificateError(f"{tf.name}: certificate failed: {report.messages}")
-    if tf.f0 <= 0:
-        raise CertificateError(f"{tf.name}: f_0 must be positive")
-    return tf.value_at_one() / tf.f0
-
-
-def full_set_lower_bound(tf: TestFunction) -> Fraction:
-    return 2 * lp_lower_bound(tf)
-
-
-def angle_certificate(tf: TestFunction) -> set[QuadElem]:
-    """Allowed inner products of a minimal design: roots of F in [-1,1), plus -1."""
-    report = verify_certificate(tf)
-    if not report.passed:
-        raise CertificateError(f"{tf.name}: certificate failed")
-    out = set(tf.factored_roots)
-    out.add(rat(-1))
-    return out
 
 
 def check_equality_case(points, tf: TestFunction) -> EqualityReport:
     """Does X attain 2 F(1)/f_0, with all inner products roots of F?
 
     Everything is read from one Gram pass (the group's own for a UnitGroup);
-    X must be antipodal to attain the bound, else NotAntipodal.
+    X must be antipodal to attain the bound, else NotAntipodal.  The bound
+    and the allowed angles come from one `verify_certificate` report, and a
+    certificate that fails, or leaves f_0 = 0, raises CertificateError.
     """
     gram = gram_of(points)
     if not gram.antipodal():
         raise NotAntipodal("the LP equality case needs an antipodal point set")
-    bound = full_set_lower_bound(tf)
+    report = verify_certificate(tf)
+    if not report.passed:
+        raise CertificateError(f"{tf.name}: certificate failed: {report.messages}")
+    if report.half_set_bound is None:
+        raise CertificateError(f"{tf.name}: f_0 must be positive")
+    bound = 2 * report.half_set_bound
     return EqualityReport(
         cardinality=len(gram.points),
         bound=bound,
         attained=Fraction(len(gram.points)) == bound,
-        inner_products_are_roots=gram.angles() <= angle_certificate(tf),
+        inner_products_are_roots=gram.angles() <= report.angle_set,
         is_design=all(v.is_zero() for v in pair_sums(gram, tf.design_set).values()),
     )

@@ -36,7 +36,7 @@ from math import comb, gcd, isqrt, lcm
 from operator import mul
 
 from .budget import Budget, get_budget
-from .exactnum import PAIR_MUL, RHO_SQUARED, QuadElem, RAT, insert, reduce
+from .exactnum import PAIR_MUL, RHO_SQUARED, QuadElem, RAT, frac_str, insert, reduce
 from .groups import build_group
 from .harmonics import harm_basis
 from .orders import FIELD_TAG, _doubled_basis, ball_size, doubled_point, enumerate_shells
@@ -306,13 +306,15 @@ class ThetaTable(namedtuple("ThetaTable", (
         return exact_rank(self.matrix)
 
     def normalized_generator(self) -> list[Fraction] | None:
-        """When rank is 1: the common column, scaled to leading coefficient 1.
+        """When rank is 1: the common column, scaled to leading coefficient 1."""
+        return self._generator() if self.rank() == 1 else None
+
+    def _generator(self) -> list[Fraction]:
+        """The first nonzero column over its first nonzero entry.
 
         Ratios inside one column of a rank-1 table are rational because every
         column is a rational multiple of the single underlying q-expansion.
         """
-        if self.rank() != 1:
-            return None
         col, lead = next((col, e) for col in zip(*self.matrix) for e in col if e)
         inv = lead.inverse()
         out = []
@@ -327,7 +329,8 @@ class ThetaTable(namedtuple("ThetaTable", (
         return all(e.is_zero() for row in self.matrix for e in row)
 
     def to_json(self):
-        return {
+        """The table and its rank; a rank-1 table also gives its generator."""
+        out = {
             "group": self.group_label,
             "ell": self.ell,
             "shells": self.shell_limit,
@@ -336,6 +339,9 @@ class ThetaTable(namedtuple("ThetaTable", (
             "matrix": [[e.to_json() for e in row] for row in self.matrix],
             "rank": self.rank(),
         }
+        if out["rank"] == 1:
+            out["generator"] = [frac_str(c) for c in self._generator()]
+        return out
 
 
 def exact_rank(rows) -> int:

@@ -16,7 +16,7 @@ from quatdesign.groups import (
     alpha,
     build_group,
     distance_distribution,
-    inner_product_set,
+    gram_of,
     is_distance_invariant,
     omega,
     zeta,
@@ -176,14 +176,14 @@ def test_unsupported_angles():
 
 
 def test_inner_product_sets():
-    t = inner_product_set(build_group("2T"))
+    t = gram_of(build_group("2T")).angles()
     assert t == {rat(-1), rat(-HALF), rat(0), rat(HALF)}
 
-    o = inner_product_set(build_group("2O"))
+    o = gram_of(build_group("2O")).angles()
     r = sqrt2_elem(0, HALF)
     assert o == {rat(-1), -r, rat(-HALF), rat(0), rat(HALF), r}
 
-    i = inner_product_set(build_group("2I"))
+    i = gram_of(build_group("2I")).angles()
     tau_half = golden_elem(0, HALF)
     tau_inv_half = golden_elem(-HALF, HALF)
     assert i == {
@@ -309,25 +309,25 @@ def test_gram_readers_match_inner_product_loop(name):
     points = doubled_2I() if name == "doubled" else list(build_group(name))
     rows, angles = oracle_rows(points)
     assert pair_distance_distribution(points) == sum(rows, Counter())
-    assert inner_product_set(points) == angles
+    assert gram_of(points).angles() == angles
     for idx in (0, len(points) - 1):
         assert distance_distribution(points, points[idx]) == rows[idx]
     assert is_distance_invariant(points) == all(row == rows[0] for row in rows)
     if name != "doubled":  # a group's readers share its own pass
         group = build_group(name)
         assert pair_distance_distribution(group) == pair_distance_distribution(points)
-        assert inner_product_set(group) == inner_product_set(points)
+        assert gram_of(group).angles() == gram_of(points).angles()
 
 
 def test_gram_pass_keeps_a_repeated_point_in_the_angle_set():
     q8 = list(build_group("Q8"))
-    assert rat(1) not in inner_product_set(q8)
-    assert rat(1) in inner_product_set(q8 + q8[:1])
+    assert rat(1) not in gram_of(q8).angles()
+    assert rat(1) in gram_of(q8 + q8[:1]).angles()
 
 
 def test_gram_pass_rejects_a_non_unit_point():
     points = list(build_group("2T")) + [Quaternion(1, 1, 0, 0)]
-    for reader in (pair_distance_distribution, inner_product_set, is_distance_invariant):
+    for reader in (pair_distance_distribution, gram_of, is_distance_invariant):
         with pytest.raises(ValueError, match="unit sphere"):
             reader(points)
     with pytest.raises(ValueError, match="unit sphere"):
@@ -338,7 +338,7 @@ def test_gram_pass_rejects_mixed_fields():
     with pytest.raises(FieldTagMismatch):
         pair_distance_distribution([alpha(), zeta()])
     with pytest.raises(FieldTagMismatch):
-        inner_product_set(list(build_group("2O")) + list(build_group("2I")))
+        gram_of(list(build_group("2O")) + list(build_group("2I"))).angles()
 
 
 def test_unit_group_refuses_a_non_unit():

@@ -4,16 +4,13 @@ import pytest
 
 from quatdesign.exactnum import golden_elem, rat, sqrt2_elem
 from quatdesign.gegenbauer import gegenbauer_expand, horner, poly_mul
-from quatdesign import groups, lpbound, verify
+from quatdesign import cli, groups, lpbound, verify
 from quatdesign.budget import get_budget
 from quatdesign.groups import NotAntipodal, build_group
 from quatdesign.lpbound import (
     CertificateError,
-    angle_certificate,
     build_test_function,
     check_equality_case,
-    full_set_lower_bound,
-    lp_lower_bound,
     verify_certificate,
 )
 from quatdesign.quat import Quaternion
@@ -105,25 +102,23 @@ def test_a_residual_with_a_double_root_is_not_positive():
 
 
 def test_bounds():
-    assert lp_lower_bound(build_test_function("F2T")) == 12
-    assert full_set_lower_bound(build_test_function("F2T")) == 24
-    assert lp_lower_bound(build_test_function("F2O")) == 24
-    assert full_set_lower_bound(build_test_function("F2O")) == 48
-    assert lp_lower_bound(build_test_function("F2I")) == 60
-    assert full_set_lower_bound(build_test_function("F2I")) == 120
+    for name, half, full in (("F2T", 12, 24), ("F2O", 24, 48), ("F2I", 60, 120)):
+        report = verify_certificate(build_test_function(name))
+        assert report.half_set_bound == half
+        assert 2 * report.half_set_bound == full
 
 
 def test_angle_certificates():
     r = sqrt2_elem(0, HALF)
     tau_half = golden_elem(0, HALF)
     tau_inv_half = golden_elem(-HALF, HALF)
-    assert angle_certificate(build_test_function("F2T")) == {
+    assert verify_certificate(build_test_function("F2T")).angle_set == {
         rat(-1), rat(-HALF), rat(0), rat(HALF),
     }
-    assert angle_certificate(build_test_function("F2O")) == {
+    assert verify_certificate(build_test_function("F2O")).angle_set == {
         rat(-1), -r, rat(-HALF), rat(0), rat(HALF), r,
     }
-    assert angle_certificate(build_test_function("F2I")) == {
+    assert verify_certificate(build_test_function("F2I")).angle_set == {
         rat(-1), -tau_half, rat(-HALF), -tau_inv_half, rat(0),
         tau_inv_half, rat(HALF), tau_half,
     }
@@ -167,8 +162,9 @@ def test_corrupted_coefficient_rejected():
     report = verify_certificate(tf)
     assert not report.passed
     assert report.off_design_violations == (6,)
-    with pytest.raises(CertificateError):
-        lp_lower_bound(tf)
+    assert report.half_set_bound is None and report.angle_set is None
+    with pytest.raises(CertificateError, match="F2T: certificate failed"):
+        check_equality_case(build_group("2T"), tf)
 
 
 def test_equality_cases_attained():
@@ -185,17 +181,20 @@ def test_a_bound_needs_a_positive_f0():
     # certificate passes and only the f_0 guard stands before F(1)/f_0
     tf = build_test_function("F2T")
     tf = tf._replace(coefficients={k: f for k, f in tf.coefficients.items() if k})
-    assert verify_certificate(tf).passed and tf.f0 == 0
-    for bound in (lp_lower_bound, full_set_lower_bound):
-        with pytest.raises(CertificateError, match="f_0 must be positive"):
-            bound(tf)
+    report = verify_certificate(tf)
+    assert report.passed and tf.f0 == 0
+    assert report.half_set_bound is None
+    with pytest.raises(CertificateError, match="f_0 must be positive"):
+        check_equality_case(build_group("2T"), tf)
 
 
 def test_angles_need_a_passing_certificate():
     tf = build_test_function("F2T", override={6: Fraction(1, 1000)})
-    assert not verify_certificate(tf).passed
+    report = verify_certificate(tf)
+    assert not report.passed
+    assert report.angle_set is None and report.half_set_bound is None
     with pytest.raises(CertificateError, match="F2T: certificate failed"):
-        angle_certificate(tf)
+        check_equality_case(build_group("2T"), tf)
 
 
 def test_equality_case_not_attained_for_doubled_set():
@@ -231,3 +230,25 @@ def test_equality_cases_check_makes_one_gram_pass_per_group(monkeypatch):
     result = verify.run_check("equality-cases", get_budget())
     assert result.passed, result.details
     assert sorted(sizes) == [24, 48, 120]
+
+
+def test_each_certificate_is_verified_once_per_reader(monkeypatch, capsys):
+    # an lp call, and each LP row per test function, reads one report
+    calls = []
+    real = lpbound.verify_certificate
+
+    def counting(tf):
+        calls.append(tf.name)
+        return real(tf)
+
+    monkeypatch.setattr(lpbound, "verify_certificate", counting)
+    monkeypatch.setattr(verify, "verify_certificate", counting)
+    for name in ("F2T", "F2O", "F2I"):
+        calls.clear()
+        assert cli.main(["lp", "--name", name]) == 0
+        assert calls == [name]
+    capsys.readouterr()
+    for check_id, count in (("lp-certificates", 4), ("equality-cases", 3)):
+        calls.clear()
+        assert verify.run_check(check_id, get_budget()).passed
+        assert len(calls) == count

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from quatdesign.orders import (
 )
 from quatdesign.qseries import qseries
 from quatdesign.strength import molien_closed_form, molien_series
-from quatdesign import orders, theta, verify
+from quatdesign import cli, orders, theta, verify
 from quatdesign import qseries as qseries_module
 from quatdesign.quat import flat, left_matrix_pairs, qmul_pairs, scaled_pairs
 from quatdesign.theta import (
@@ -759,3 +760,14 @@ def test_table_json():
     blob = theta_table("2O", 8, 3).to_json()
     assert blob["rank"] == 1
     assert blob["group"] == "2O"
+
+
+def test_a_theta_call_ranks_its_table_once(monkeypatch, capsys):
+    # the rank in the output and the rank-1 generator read one exact rank
+    calls = []
+    rank = theta.exact_rank
+    monkeypatch.setattr(theta, "exact_rank", lambda rows: calls.append(rows) or rank(rows))
+    assert cli.main(["theta", "--group", "2T", "--ell", "8", "--shells", "6"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rank"] == 1 and payload["generator"][:2] == ["1", "16"]
+    assert len(calls) == 1

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from quatdesign import cli, orders, verify
+from quatdesign import cli, lpbound, orders, verify
 from quatdesign.budget import get_budget
 from quatdesign.exactnum import rat
 from quatdesign.groups import UnitGroup
@@ -179,9 +179,13 @@ def test_equality_cases_check_names_a_failed_equality_case(monkeypatch):
 
 def test_equality_cases_check_names_an_angle_outside_the_certificate(monkeypatch):
     # the certified angles of F2O lose 0, the inner product of 18 pairs
-    angles = verify.angle_certificate
-    monkeypatch.setattr(verify, "angle_certificate", lambda tf: angles(tf) - (
-        {rat(0)} if tf.name == "F2O" else set()))
+    certify = lpbound.verify_certificate
+
+    def corrupted(tf):
+        out = certify(tf)
+        return out._replace(angle_set=out.angle_set - {rat(0)}) if tf.name == "F2O" else out
+
+    monkeypatch.setattr(lpbound, "verify_certificate", corrupted)
     result = verify.run_check("equality-cases", DESK)
     assert result.status == "FAIL"
     assert result.details == "2O: A(X) outside the certified angle set"
