@@ -8,14 +8,16 @@ with w = (-1+i+j+k)/2, a = (1+i)/sqrt2, z = (tau + i/tau + j)/2; Q8 is
 <i>{1, j}, C_n the powers of its generator and D_2n = C_2n {1, w'}.  Every
 group is one such coset product, and a product that repeats is refused.
 
-The products are formed on doubled integer pairs.  Twice every element of
-these groups has its coordinates in Z, Z[sqrt2] or Z[tau] (Conway & Smith,
-On Quaternions and Octonions, ch. 3), so (2g)(2h) = 4gh is a product of
-integer pairs and 2gh its exact half.  Each element's Quaternion is made
-once, from the halves; a coordinate is tagged RAT exactly when every
-coordinate of both factors is, as a QuadElem product would tag it, and
-carries the field's tag otherwise.  UnitGroup derives the integer pairs
-of its elements again and checks, sorts and tests closure on them.
+A group is held as doubled integer pairs from the start.  Twice every
+element of these groups has its coordinates in Z, Z[sqrt2] or Z[tau]
+(Conway & Smith, On Quaternions and Octonions, ch. 3), so each generator is
+a table of 2g on integer pairs, (2g)(2h) = 4gh is a product of integer pairs
+and 2gh its exact half.  A UnitGroup is made from that frame: the field
+tag, D = 2, the pairs 2 eps, and one coordinate tag per element, RAT exactly
+when both factors are RAT, as a QuadElem product would tag it, and the
+field's tag otherwise.  It checks, sorts, tests closure and takes its Gram
+pass on the pairs.  A Quaternion is rendered from them only at the
+boundary: for output, for the `elements` view and in an error message.
 
 Cyclic and dihedral groups are built from tables of a quaternionic generator
 of the right order, whose real part equals cos(2pi/n) exactly, and of a flip
@@ -39,7 +41,7 @@ from math import lcm
 from .exactnum import (
     PAIR_MUL, QuadElem, RAT, SQRT2, GOLDEN, FieldTagMismatch, _sign_quadratic,
 )
-from .quat import Quaternion, qmul, qmul_pairs, scaled_pairs
+from .quat import from_pairs, qmul_pairs, scaled_pairs
 
 
 class UnsupportedAngle(ValueError):
@@ -50,32 +52,16 @@ class NotAntipodal(ValueError):
     pass
 
 
-def omega() -> Quaternion:
-    """w = (-1 + i + j + k)/2, of order 3."""
-    h = Fraction(1, 2)
-    return Quaternion(-h, h, h, h)
-
-
-_HALF_SQRT2 = QuadElem(SQRT2, 0, Fraction(1, 2))  # 1/sqrt2
-
-
-def alpha() -> Quaternion:
-    """a = (1 + i)/sqrt2 = (sqrt2/2)(1 + i), with a^4 = -1."""
-    return Quaternion(_HALF_SQRT2, _HALF_SQRT2, 0, 0, SQRT2)
-
-
-def beta() -> Quaternion:
-    """b = (1 + j)/sqrt2."""
-    return Quaternion(_HALF_SQRT2, 0, _HALF_SQRT2, 0, SQRT2)
-
-
-def zeta() -> Quaternion:
-    """z = (tau + tau^{-1} i + j)/2 with tau^{-1} = tau - 1; z^5 = -1."""
-    half_tau = QuadElem(GOLDEN, 0, Fraction(1, 2))
-    half_tau_inv = QuadElem(GOLDEN, Fraction(-1, 2), Fraction(1, 2))
-    half = QuadElem(GOLDEN, Fraction(1, 2))
-    zero = QuadElem(GOLDEN, 0)
-    return Quaternion(half_tau, half_tau_inv, half, zero)
+# A factor is (2g on integer pairs, the tag of g's coordinates): RAT when
+# all are rational, else the field's tag.
+ONE = (((2, 0), (0, 0), (0, 0), (0, 0)), RAT)
+I = (((0, 0), (2, 0), (0, 0), (0, 0)), RAT)
+J = (((0, 0), (0, 0), (2, 0), (0, 0)), RAT)
+K = (((0, 0), (0, 0), (0, 0), (2, 0)), RAT)
+OMEGA = (((-1, 0), (1, 0), (1, 0), (1, 0)), RAT)  # w = (-1 + i + j + k)/2, w^3 = 1
+ALPHA = (((0, 1), (0, 1), (0, 0), (0, 0)), SQRT2)  # a = (1 + i)/sqrt2, a^4 = -1
+BETA = (((0, 1), (0, 0), (0, 1), (0, 0)), SQRT2)  # b = (1 + j)/sqrt2
+ZETA = (((0, 1), (-1, 1), (1, 0), (0, 0)), GOLDEN)  # z = (tau + (tau - 1) i + j)/2, z^5 = -1
 
 
 def _compare(tag: str, x, y) -> int:
@@ -91,65 +77,81 @@ def _compare(tag: str, x, y) -> int:
 class UnitGroup:
     """A labeled finite set of norm-1 quaternions closed under product.
 
-    Every check reads the integer frame (tag, D, D*eps for each eps as integer
-    pairs) that `_integer_frame` derives from the elements, D the lcm of 2 and
-    every coordinate denominator: a repeat is a repeated tuple, a unit has
-    integer norm (D^2, 0), and the elements are sorted by `_compare`, which
-    is the order of their coordinate tuples.  The group keeps the frame in
-    element order.
+    It is made from its integer frame: the field tag, a scale D, the
+    integer pairs of D eps for each element eps, and the tag of each
+    element's coordinates.  A built group has D = 2.  Every check reads the
+    pairs: a repeat is a repeated tuple, a unit has integer norm (D^2, 0),
+    and the elements are sorted by `_compare`, which is the order of their
+    coordinate tuples.  The group keeps the pairs and tags in element order.
     """
 
-    def __init__(self, label: str, elements):
-        elems = list(elements)
-        tag, scale, scaled = _integer_frame(elems, label)
+    def __init__(self, label: str, tag: str, scale: int, pairs, tags):
         index = {}
-        for i, x in enumerate(scaled):
+        for i, x in enumerate(pairs):
             if index.setdefault(x, i) != i:
-                raise ValueError(f"duplicate element in {label}: {elems[i]!r}")
+                raise ValueError(f"duplicate element in {label}: {from_pairs(tags[i], scale, x)!r}")
         pmul, unit = PAIR_MUL[tag], (scale * scale, 0)
-        for x, e in zip(scaled, elems):
+        for x, t in zip(pairs, tags):
             squares = [pmul(a, b, a, b) for a, b in x]
             if (sum(p for p, _ in squares), sum(q for _, q in squares)) != unit:
-                raise ValueError(f"non-unit element in {label}: {e!r}")
-        order = sorted(range(len(elems)),
-                       key=cmp_to_key(lambda i, j: _compare(tag, scaled[i], scaled[j])))
-        self.label, self.tag = label, tag
-        self.elements = [elems[i] for i in order]
-        self._frame = (tag, scale, tuple(scaled[i] for i in order))
+                raise ValueError(f"non-unit element in {label}: {from_pairs(t, scale, x)!r}")
+        order = sorted(range(len(pairs)),
+                       key=cmp_to_key(lambda i, j: _compare(tag, pairs[i], pairs[j])))
+        self.label, self.tag, self.scale = label, tag, scale
+        self.pairs = tuple(pairs[i] for i in order)
+        self.tags = tuple(tags[i] for i in order)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.pairs)
 
     def __iter__(self):
         return iter(self.elements)
 
-    def is_closed(self) -> bool:
-        """Exact closure test on the integer frame, from a generating subset T.
+    @cached_property
+    def elements(self) -> list:
+        """The elements as Quaternions, rendered from the pairs on first read."""
+        return [from_pairs(t, self.scale, x) for t, x in zip(self.tags, self.pairs)]
 
-        The members are taken in element order, and one that is not yet a
-        product of members of T joins T.  Each product s t of a member s and
-        a t in T is formed once, when the later of the two is reached, and
-        must be a member, which is then a product of members of T as well.
-        So every member is some t_1...t_k, and S.T in S gives S.S in S, as
-        s t_1...t_k = ((s t_1)...)t_k.  A set that is not closed thus has a
-        product s t outside it, and is refused there.  2T, 2O and 2I take
-        three generators each: 72, 144 and 360 products, not all 17,280
-        ordered pairs of the three.
+    def is_closed(self) -> bool:
+        """Exact closure test on the integer pairs, from a generating subset T.
+
+        The members are taken in element order; R is the set reached so
+        far, and a member g outside R joins T.  The search from g forms each
+        product y t of a newly reached y and a t in T once; it must be a
+        member, and it is reached unless it is in R already.  So R grows by
+        L, the set reached from g by right products with T through elements
+        outside R.  A product x g with x in R is not formed, and need not be:
+
+        R is the group H generated by the earlier T (the first g reaches its
+        powers, a cyclic group; then by induction).  L is finite and L t
+        lies in H u L for every t in T, so L H = L (y t in H, t in H, puts y
+        in H), and some power g^n lies in H: the powers of g stay in L until
+        they meet H, and they cannot cycle inside L, as 1 is in H.  A left
+        product with any v maps the search from g avoiding H onto the search
+        from v g avoiding v H, so each such search reaches |L| elements.
+        Were v = h g outside L for some h in H, v H would miss both H and L
+        (a union of cosets x H), and the search from v g avoiding v H would
+        reach v g^(n-1) = h g^n in H, then all of H and, through 1 g = g,
+        all of L: |H| + |L| elements.  So H g lies in L, H u L is closed
+        under right products with T, and it is the group T generates.  At
+        the end R is all of S and a group; a set that is not closed thus
+        has a product y t outside it, and is refused there.  2T, 2O and 2I
+        take three generators each: 64, 134 and 348 products, not all
+        17,280 ordered pairs of the three.
 
         (D x)(D y) = D^2 xy, so xy is a member exactly when that product is
         D^2 times a member: the members are keyed at D^2 and every product
         is looked up as it comes.
         """
-        tag, scale, scaled = self._frame
-        member = {tuple((scale * a, scale * b) for a, b in x): x for x in scaled}
+        tag, scale = self.tag, self.scale
+        member = {tuple((scale * a, scale * b) for a, b in x): x for x in self.pairs}
         gens, reached = [], set()
-        for g in scaled:
+        for g in self.pairs:
             if g in reached:
                 continue
-            pairs = [(x, g) for x in reached]  # earlier products times the new generator
             gens.append(g)
             reached.add(g)
-            pairs += [(g, t) for t in gens]
+            pairs = [(g, t) for t in gens]
             while pairs:
                 x, t = pairs.pop()
                 y = member.get(qmul_pairs(tag, x, t))
@@ -164,23 +166,21 @@ class UnitGroup:
     def doubled(self) -> tuple:
         """2 eps on integer pairs for every element eps, in element order;
         ValueError when some 2 eps is not integral."""
-        _, scale, scaled = self._frame
-        if scale != 2:
+        if self.scale != 2:
             raise ValueError(f"2 eps is not integral for every element eps of {self.label}")
-        return scaled
+        return self.pairs
 
     @cached_property
     def gram(self) -> "Gram":
-        """The Gram pass over the elements, made once per group."""
-        return gram_pass(self.elements)
+        """The Gram pass over the pairs, made once per group."""
+        return _gram(self.tag, self.scale, self.pairs)
 
     def is_antipodal(self) -> bool:
         return self.gram.antipodal()
 
     def contains_inverse_of_all(self) -> bool:
-        scaled = self._frame[2]
-        members = set(scaled)
-        return all((x[0], *((-a, -b) for a, b in x[1:])) in members for x in scaled)
+        members = set(self.pairs)
+        return all((x[0], *((-a, -b) for a, b in x[1:])) in members for x in self.pairs)
 
     def to_json(self):
         return {
@@ -190,16 +190,6 @@ class UnitGroup:
         }
 
 
-_ONE = ((2, 0), (0, 0), (0, 0), (0, 0))  # 2 * 1
-
-
-def _factor(q: Quaternion):
-    """(2q on integer pairs, the tag of q's coordinates): RAT when all are
-    RAT, else the one field tag among them."""
-    tags = {c.tag for c in q.coords} - {RAT}
-    return scaled_pairs(q.coords, 2), tags.pop() if tags else RAT
-
-
 def _halve(x):
     """x/2 for a quaternion x on integer pairs; ValueError at an odd component."""
     if any(a % 2 or b % 2 for a, b in x):
@@ -207,29 +197,22 @@ def _halve(x):
     return tuple((a // 2, b // 2) for a, b in x)
 
 
-@lru_cache(maxsize=None)
-def _half(tag: str, a: int, b: int) -> QuadElem:
-    """(a + b rho)/2, one shared object per value: the groups have few."""
-    return QuadElem(tag, Fraction(a, 2), Fraction(b, 2))
-
-
 def _coset_union(label, gens, base):
-    """{g h : g in gens, h in base} for factors (2g, tag) as `_factor` gives
-    them; UnitGroup refuses a repeated product."""
+    """{g h : g in gens, h in base} for factors; UnitGroup refuses a
+    repeated product."""
     field = next((t for _, t in gens + base if t != RAT), RAT)
-    elements = []
+    pairs, tags = [], []
     for x, s in gens:
         for y, t in base:
-            tag = RAT if s == t == RAT else field
-            z = _halve(qmul_pairs(field, x, y))
-            elements.append(Quaternion(*(_half(tag, a, b) for a, b in z)))
-    return UnitGroup(label, elements)
+            pairs.append(_halve(qmul_pairs(field, x, y)))
+            tags.append(RAT if s == t == RAT else field)
+    return UnitGroup(label, field, 2, pairs, tags)
 
 
-def _powers(g: Quaternion, n: int) -> list:
-    """[1, g, ..., g^(n-1)] as factors."""
-    x, tag = _factor(g)
-    out = [(_ONE, RAT)]
+def powers(g, n: int) -> list:
+    """[1, g, ..., g^(n-1)] as factors, for a factor g."""
+    x, tag = g
+    out = [ONE]
     for _ in range(n - 1):
         out.append((_halve(qmul_pairs(tag, out[-1][0], x)), tag))
     return out
@@ -237,25 +220,25 @@ def _powers(g: Quaternion, n: int) -> list:
 
 # n -> a unit quaternion of multiplicative order n inside the tower
 _CYCLIC_GENERATORS = {
-    1: lambda: Quaternion(1, 0, 0, 0),
-    2: lambda: Quaternion(-1, 0, 0, 0),
-    3: omega,
-    4: lambda: Quaternion(0, 1, 0, 0),
-    5: lambda: qmul(zeta(), zeta()),
-    6: lambda: -omega(),
-    8: alpha,
-    10: zeta,
+    1: ONE,
+    2: (((-2, 0), (0, 0), (0, 0), (0, 0)), RAT),  # -1
+    3: OMEGA,
+    4: I,
+    5: (((-1, 1), (1, 0), (0, 1), (0, 0)), GOLDEN),  # z^2 = (tau - 1 + i + tau j)/2
+    6: (((1, 0), (-1, 0), (-1, 0), (-1, 0)), RAT),  # -w
+    8: ALPHA,
+    10: ZETA,
 }
 
 # n -> a unit imaginary w orthogonal to the axis of the C_2n generator, w^2 = -1
 _DIHEDRAL_FLIPS = {
-    1: lambda: Quaternion(0, 0, 1, 0),  # j; the axis of g is i (or g = -1)
-    2: lambda: Quaternion(0, 0, 1, 0),
+    1: J,  # the axis of g is i (or g = -1)
+    2: J,
     # -w has axis i + j + k; no rational unit vector is orthogonal to it,
     # but (i - j)/sqrt2 is and stays in Q(sqrt2)
-    3: lambda: Quaternion(0, _HALF_SQRT2, -_HALF_SQRT2, 0, SQRT2),
-    4: lambda: Quaternion(0, 0, 1, 0),  # the axis of alpha is i
-    5: lambda: Quaternion(0, 0, 0, 1),  # zeta has no k-component
+    3: (((0, 0), (0, 1), (0, -1), (0, 0)), SQRT2),
+    4: J,  # the axis of alpha is i
+    5: K,  # zeta has no k-component
 }
 
 CYCLIC_SUPPORTED = tuple(_CYCLIC_GENERATORS)
@@ -283,21 +266,20 @@ def build_group(label: str) -> UnitGroup:
     Labels: "Q8", "2T", "2O", "2I", "C<n>", "D2n<n>" (e.g. "C6", "D2n4").
     """
     if label == "Q8":
-        return _coset_union("Q8", _powers(Quaternion(0, 1, 0, 0), 4),
-                            [(_ONE, RAT), _factor(Quaternion(0, 0, 1, 0))])
+        return _coset_union("Q8", powers(I, 4), [ONE, J])
 
     if label == "2T":
         q8 = [(x, RAT) for x in build_group("Q8").doubled]
-        return _coset_union("2T", _powers(omega(), 3), q8)
+        return _coset_union("2T", powers(OMEGA, 3), q8)
 
     # 2O and 2I take 2T into the field of their cosets
     if label == "2O":
         t = [(x, SQRT2) for x in build_group("2T").doubled]
-        return _coset_union("2O", _powers(alpha(), 2), t)
+        return _coset_union("2O", powers(ALPHA, 2), t)
 
     if label == "2I":
         t = [(x, GOLDEN) for x in build_group("2T").doubled]
-        return _coset_union("2I", _powers(zeta(), 5), t)
+        return _coset_union("2I", powers(ZETA, 5), t)
 
     family, n = parse_family(label) or (None, None)
     if family == "D2n":
@@ -305,15 +287,15 @@ def build_group(label: str) -> UnitGroup:
             raise UnsupportedAngle(
                 f"D_2n with n={n} is not constructible in the quadratic tower"
             )
-        flips = [(_ONE, RAT), _factor(_DIHEDRAL_FLIPS[n]())]
-        return _coset_union(label, _powers(_CYCLIC_GENERATORS[2 * n](), 2 * n), flips)
+        flips = [ONE, _DIHEDRAL_FLIPS[n]]
+        return _coset_union(label, powers(_CYCLIC_GENERATORS[2 * n], 2 * n), flips)
 
     if family == "C":
         if n not in CYCLIC_SUPPORTED:
             raise UnsupportedAngle(
                 f"C_{n} is not constructible in the quadratic tower"
             )
-        return _coset_union(label, _powers(_CYCLIC_GENERATORS[n](), n), [(_ONE, RAT)])
+        return _coset_union(label, powers(_CYCLIC_GENERATORS[n], n), [ONE])
 
     raise ValueError(f"unknown group label {label!r}")
 
@@ -330,9 +312,8 @@ def _field_tag(points, name: str) -> str:
 
 
 def _integer_frame(points, name: str):
-    """(tag, D, [D*x as integer pairs]) with D the lcm of 2 and all
-    coordinate denominators, so that a group's D*x are its doubled elements
-    2 eps whenever those are integral, and tag from `_field_tag`."""
+    """(tag, D, [D*x as integer pairs]) for a list of Quaternions, with D
+    the lcm of 2 and all coordinate denominators and tag from `_field_tag`."""
     scale = lcm(2, *(
         q.denominator for x in points for c in x.coords for q in (c.a, c.b)
     ))
@@ -342,12 +323,12 @@ def _integer_frame(points, name: str):
 class Gram:
     """D^2 <x, y> over the ordered pairs of a point set, on integer pairs.
 
-    `rows[i]` counts the values in the row of `points[i]`; `unit` is
+    `rows[i]` counts the values in the row of the i-th point; `unit` is
     (D^2, 0), the value of <x, y> = 1.  QuadElem appears only in `value`.
     """
 
-    def __init__(self, points: list, tag: str, scale: int, rows: list[Counter]):
-        self.points, self.tag, self.rows = points, tag, rows
+    def __init__(self, tag: str, scale: int, rows: list[Counter]):
+        self.tag, self.rows = tag, rows
         self.unit = (scale * scale, 0)
 
     def value(self, key) -> QuadElem:
@@ -373,14 +354,12 @@ class Gram:
         return all(minus_one in row for row in self.rows)
 
 
-def gram_pass(points) -> Gram:
-    """One pass over the ordered pairs of unit-norm points.
+def _gram(tag: str, scale: int, scaled) -> Gram:
+    """One pass over the ordered pairs of points D*x on integer pairs.
 
-    D*x has integer-pair coordinates, so D^2 <x, y> is the sum of four
-    integer pair products.  Every diagonal entry must be (D^2, 0), else
-    ValueError; FieldTagMismatch when the points mix Q(sqrt2) and Q(sqrt5).
+    D^2 <x, y> is the sum of four integer pair products.  Every diagonal
+    entry must be (D^2, 0), else ValueError.
     """
-    tag, scale, scaled = _integer_frame(points, "point set")
     pmul = PAIR_MUL[tag]
     unit = (scale * scale, 0)
 
@@ -396,7 +375,13 @@ def gram_pass(points) -> Gram:
         if dot(x, x) != unit:
             raise ValueError("point set must lie on the unit sphere")
         rows.append(Counter(map(dot, repeat(x), scaled)))
-    return Gram(points, tag, scale, rows)
+    return Gram(tag, scale, rows)
+
+
+def gram_pass(points) -> Gram:
+    """The Gram pass of a list of unit-norm Quaternions, on their integer
+    frame; FieldTagMismatch when the points mix Q(sqrt2) and Q(sqrt5)."""
+    return _gram(*_integer_frame(points, "point set"))
 
 
 def gram_of(points) -> Gram:
@@ -404,15 +389,15 @@ def gram_of(points) -> Gram:
     return points.gram if isinstance(points, UnitGroup) else gram_pass(list(points))
 
 
-def distance_distribution(points, basepoint: Quaternion) -> dict[QuadElem, int]:
+def distance_distribution(points, basepoint) -> dict[QuadElem, int]:
     """Counts |X_s| = |{x in X : <x, x0> = s}| for a fixed basepoint."""
-    gram = gram_of(points)
-    if basepoint not in set(gram.points):
+    points = points if isinstance(points, UnitGroup) else list(points)
+    gram, elements = gram_of(points), list(points)
+    if basepoint not in set(elements):
         raise ValueError("basepoint must belong to the point set")
-    return gram.distribution(gram.rows[gram.points.index(basepoint)])
+    return gram.distribution(gram.rows[elements.index(basepoint)])
 
 
 def is_distance_invariant(points) -> bool:
     rows = gram_of(points).rows
     return all(row == rows[0] for row in rows)
-

@@ -260,9 +260,9 @@ def check_equality_case(points, tf: TestFunction) -> EqualityReport:
         raise CertificateError(f"{tf.name}: f_0 must be positive")
     bound = 2 * report.half_set_bound
     return EqualityReport(
-        cardinality=len(gram.points),
+        cardinality=len(gram.rows),
         bound=bound,
-        attained=Fraction(len(gram.points)) == bound,
+        attained=Fraction(len(gram.rows)) == bound,
         inner_products_are_roots=gram.angles() <= report.angle_set,
         is_design=all(v.is_zero() for v in pair_sums(gram, tf.design_set).values()),
     )

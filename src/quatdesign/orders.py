@@ -55,10 +55,10 @@ from math import isqrt, lcm
 from operator import mul, neg
 
 from .budget import Budget, get_budget
-from .exactnum import PAIR_MUL, QuadElem, RAT, SQRT2, GOLDEN, reduce
-from .groups import build_group, omega, alpha, beta, zeta
+from .exactnum import PAIR_MUL, RAT, SQRT2, GOLDEN, reduce
+from .groups import ALPHA, BETA, I, J, OMEGA, ONE, ZETA, build_group
 from .qseries import sigma
-from .quat import Quaternion, flat, qmul, qmul_pairs, scaled_pairs
+from .quat import flat, from_pairs, qmul_pairs
 
 FIELD_TAG = {"2T": RAT, "2O": SQRT2, "2I": GOLDEN}
 # one point of a shell: its coordinates as little-endian int16 fields
@@ -100,28 +100,13 @@ def shell_count_formula(label: str, m: int) -> int:
 
 # -- order bases -------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def order_basis(label: str) -> tuple[Quaternion, ...]:
-    """Z-module generators of O_G (length 4 for 2T, 8 for 2O/2I)."""
-    if label == "2T":
-        return (
-            Quaternion(1, 0, 0, 0),
-            Quaternion(0, 1, 0, 0),
-            Quaternion(0, 0, 1, 0),
-            omega(),
-        )
-    if label == "2O":
-        a, b = alpha(), beta()
-        base = (Quaternion(1, 0, 0, 0, SQRT2), a, b, qmul(a, b))
-        rho = QuadElem(SQRT2, 0, 1)
-        return base + tuple(g * rho for g in base)
-    if label == "2I":
-        z = zeta()
-        i = Quaternion(0, 1, 0, 0, GOLDEN)
-        base = (Quaternion(1, 0, 0, 0, GOLDEN), i, z, qmul(i, z))
-        rho = QuadElem(GOLDEN, 0, 1)
-        return base + tuple(g * rho for g in base)
-    raise ValueError(f"no maximal order attached to {label!r}")
+# 2 b_j on integer pairs for the first four basis vectors b_j; for 2O and
+# 2I the other four are rho b_j
+_BASES = {
+    "2T": (ONE[0], I[0], J[0], OMEGA[0]),  # 1, i, j, w
+    "2O": (ONE[0], ALPHA[0], BETA[0], ((1, 0), (1, 0), (1, 0), (1, 0))),  # 1, a, b, ab
+    "2I": (ONE[0], I[0], ZETA[0], ((1, -1), (0, 1), (0, 0), (1, 0))),  # 1, i, z, iz
+}
 
 
 def doubled_point(label: str, coords) -> tuple[int, ...]:
@@ -133,7 +118,12 @@ def doubled_point(label: str, coords) -> tuple[int, ...]:
 def _doubled_basis(label: str):
     """(pairs, comps) for the doubled basis 2*b_j: pairs[j] is 2*b_j on
     integer pairs and comps[k] the k-th flat component of every 2*b_j."""
-    pairs = tuple(scaled_pairs(g.coords, 2) for g in order_basis(label))
+    if label not in _BASES:
+        raise ValueError(f"no maximal order attached to {label!r}")
+    pairs = _BASES[label]
+    if label != "2T":
+        pmul = PAIR_MUL[FIELD_TAG[label]]
+        pairs += tuple(tuple(pmul(a, b, 0, 1) for a, b in x) for x in pairs)
     return pairs, tuple(zip(*map(flat, pairs)))
 
 
@@ -537,13 +527,13 @@ def right_multiplication_matrices(label: str) -> tuple[tuple[tuple[int, ...], ..
 
     Row i is solved from (2 b_i)(2 eps) = 4 b_i eps on integer pairs.
     """
-    tag, basis, group = FIELD_TAG[label], order_basis(label), build_group(label)
+    tag, basis = FIELD_TAG[label], _doubled_basis(label)[0]
     mats = []
-    for eps, doubled in zip(group, group.doubled):
-        rows = tuple(_solve(label, flat(qmul_pairs(tag, pair, doubled)), 2)
-                     for pair in _doubled_basis(label)[0])
+    for doubled in build_group(label).doubled:
+        products = [qmul_pairs(tag, pair, doubled) for pair in basis]
+        rows = tuple(_solve(label, flat(x), 2) for x in products)
         if None in rows:
-            product = qmul(basis[rows.index(None)], eps)
+            product = from_pairs(tag, 4, products[rows.index(None)])
             raise ValueError(f"{product!r} is not in the order O_{label}")
         mats.append(rows)
     return tuple(mats)

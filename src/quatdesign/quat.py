@@ -1,12 +1,17 @@
-"""Quaternion algebra over QuadElem scalars.
+"""Quaternions: products on integer pairs, and Quaternion at the boundary.
 
 A quaternion x1 + x2 i + x3 j + x4 k is identified with the row vector
-(x1, x2, x3, x4).  Left multiplication y -> x*y acts on row vectors as
-y -> y . M_x, with the rows of M_x given by `left_matrix_pairs`.  Hamilton's
-rule is written once, in `HAMILTON`, and every product reads it.
+(x1, x2, x3, x4).  The program computes on 4-tuples of integer pairs (a, b)
+for a + b*rho; `Quaternion`, with QuadElem coordinates, is what points are
+read into and rendered as (`from_pairs`).  Left multiplication y -> x*y acts
+on row vectors as y -> y . M_x, with the rows of M_x given by
+`left_matrix_pairs`.  Hamilton's rule is written once, in `HAMILTON`, and
+every product reads it.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .exactnum import PAIR_MUL, FieldTagMismatch, QuadElem, RAT
 
@@ -35,30 +40,6 @@ class Quaternion:
     def __repr__(self):
         return f"Quaternion({self.x1}, {self.x2}, {self.x3}, {self.x4})"
 
-    def __neg__(self):
-        return Quaternion(-self.x1, -self.x2, -self.x3, -self.x4)
-
-    def __add__(self, other):
-        return Quaternion(*(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __mul__(self, other):
-        if isinstance(other, Quaternion):
-            return qmul(self, other)
-        c = QuadElem.coerce(other)
-        return Quaternion(*(xi * c for xi in self.coords))
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError(f"quaternion power {n}: exponents start at 0")
-        result = Quaternion(1, 0, 0, 0)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def to_json(self):
         return [c.to_json() for c in self.coords]
 
@@ -81,8 +62,9 @@ HAMILTON = (
 )
 
 
+# kept for perfbench/kernels.py, which times it, until ROADMAP item 6(a)
 def qmul(x: Quaternion, y: Quaternion) -> Quaternion:
-    """Hamilton product with ij = k = -ji."""
+    """Hamilton product with ij = k = -ji, on QuadElem coordinates."""
     xs, ys = x.coords, y.coords
     out = [None] * 4
     try:
@@ -111,6 +93,12 @@ def scaled_pairs(coords, scale: int) -> tuple[tuple[int, int], ...]:
             raise ValueError(f"{scale} * ({c}) is not integral")
         out.append((a.numerator, b.numerator))
     return tuple(out)
+
+
+def from_pairs(tag: str, scale: int, x) -> Quaternion:
+    """The Quaternion x / scale for x on integer pairs, its coordinates
+    tagged `tag`."""
+    return Quaternion(*(QuadElem(tag, Fraction(a, scale), Fraction(b, scale)) for a, b in x))
 
 
 def flat(pairs) -> tuple[int, ...]:

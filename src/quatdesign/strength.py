@@ -22,7 +22,6 @@ from functools import lru_cache
 
 from .exactnum import PAIR_MUL, QuadElem
 from .groups import Gram, UnitGroup, build_group, gram_of, parse_family
-from .quat import scaled_pairs
 
 
 class StrengthReport(namedtuple("StrengthReport", (
@@ -86,11 +85,16 @@ def class_sum_series(tag: str, classes, order: int, num, n: int) -> tuple[int, .
 
 def molien_series(group: UnitGroup, n: int) -> tuple[int, ...]:
     """Psi_G(u) to u^n: 1/(1 - x u + u^2) summed over the classes of
-    x = 2 eps_1, an integer pair (ValueError when x is not in Z[rho])."""
-    classes = Counter(scaled_pairs((eps.x1,), 2)[0] for eps in group)
+    x = 2 eps_1, an integer pair read off the group's D eps_1 (ValueError
+    when x is not in Z[rho])."""
+    half = group.scale // 2  # D eps_1 = half * x, D being even
+    classes = Counter(x[0] for x in group.pairs)
+    if any(a % half or b % half for a, b in classes):
+        raise ValueError(f"2 eps_1 is not integral for every element eps of {group.label}")
     return class_sum_series(
         group.tag,
-        [(((1, 0), (-a, -b), (1, 0)), count) for (a, b), count in classes.items()],
+        [(((1, 0), (-(a // half), -(b // half)), (1, 0)), count)
+         for (a, b), count in classes.items()],
         len(group), (1,), n,
     )
 

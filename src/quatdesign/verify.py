@@ -18,12 +18,13 @@ from fractions import Fraction
 from .budget import Budget, ResourceBudgetError, get_budget
 from .exactnum import GOLDEN, PAIR_MUL, rat, sqrt2_elem
 from .groups import (
+    ALPHA,
+    OMEGA,
+    ZETA,
     build_group,
     distance_distribution,
     is_distance_invariant,
-    omega,
-    alpha,
-    zeta,
+    powers,
 )
 from .lpbound import build_test_function, check_equality_case, verify_certificate
 from .orders import EMBEDDED, enumerate_shell, shell_count_formula, shell_counts
@@ -120,15 +121,10 @@ def check_group_construction(budget: Budget) -> Outcome:
             problems.append(f"{label} not antipodal")
         if not g.contains_inverse_of_all():
             problems.append(f"{label} not inverse-closed")
-    from .quat import Quaternion
-
-    unit = Quaternion(1, 0, 0, 0)
-    if omega() ** 3 != unit:
-        problems.append("omega^3 != 1")
-    if alpha() ** 4 != -unit:
-        problems.append("alpha^4 != -1")
-    if zeta() ** 5 != -unit:
-        problems.append("zeta^5 != -1")
+    # the unit relations on the doubled pairs: 2 g^n is the last of powers(g, n + 1)
+    for name, g, n, value in (("omega", OMEGA, 3, 1), ("alpha", ALPHA, 4, -1), ("zeta", ZETA, 5, -1)):
+        if powers(g, n + 1)[-1][0] != ((2 * value, 0), (0, 0), (0, 0), (0, 0)):
+            problems.append(f"{name}^{n} != {value}")
     return problems, "all exact"
 
 

@@ -6,9 +6,9 @@ from itertools import chain
 from math import comb, gcd, isqrt, lcm
 from operator import add, mul
 
-from quatdesign import groups, lpbound, orders, theta
+from quatdesign import lpbound, orders, theta
 from quatdesign.exactnum import GOLDEN, RAT, SQRT2, QuadElem, rat
-from quatdesign.groups import NotAntipodal, build_group, gram_of
+from quatdesign.groups import NotAntipodal, UnitGroup, build_group, gram_of
 from quatdesign.harmonics import harm_basis, laplacian, quotient_monomials
 from quatdesign.orders import (
     FIELD_TAG,
@@ -180,12 +180,119 @@ def inner(x, y) -> QuadElem:
 
 def embed_coords(label: str, coords) -> Quaternion:
     """sum_j c_j b_j, summed on the flat integer components of 2 b_j."""
-    n = len(orders.order_basis(label))
+    n = len(order_basis(label))
     if len(coords) != n:
         raise ValueError(f"{label} expects {n} coordinates")
     comps, tag = orders.doubled_point(label, coords), FIELD_TAG[label]
     return Quaternion(*(QuadElem(tag, Fraction(a, 2), Fraction(b, 2))
                         for a, b in zip(comps[::2], comps[1::2])))
+
+
+# -- quaternion operators, written-out generators and order bases ------------
+
+def neg(x):
+    """-x."""
+    return Quaternion(*(-c for c in x.coords))
+
+
+def times(x, c):
+    """x c for a scalar c."""
+    c = QuadElem.coerce(c)
+    return Quaternion(*(xi * c for xi in x.coords))
+
+
+def plus(x, y):
+    """x + y."""
+    return Quaternion(*(a + b for a, b in zip(x.coords, y.coords)))
+
+
+def qpow(x, n: int):
+    """x^n by repeated squaring, n >= 0."""
+    if n < 0:
+        raise ValueError(f"quaternion power {n}: exponents start at 0")
+    result, base = Quaternion(1, 0, 0, 0), x
+    while n:
+        if n & 1:
+            result = qmul(result, base)
+        base = qmul(base, base)
+        n >>= 1
+    return result
+
+
+HALF = Fraction(1, 2)
+HALF_SQRT2 = QuadElem(SQRT2, 0, HALF)  # 1/sqrt2
+
+
+def omega():
+    """w = (-1 + i + j + k)/2, of order 3."""
+    return Quaternion(-HALF, HALF, HALF, HALF)
+
+
+def alpha():
+    """a = (1 + i)/sqrt2 = (sqrt2/2)(1 + i), with a^4 = -1."""
+    return Quaternion(HALF_SQRT2, HALF_SQRT2, 0, 0, SQRT2)
+
+
+def beta():
+    """b = (1 + j)/sqrt2."""
+    return Quaternion(HALF_SQRT2, 0, HALF_SQRT2, 0, SQRT2)
+
+
+def zeta():
+    """z = (tau + tau^{-1} i + j)/2 with tau^{-1} = tau - 1; z^5 = -1."""
+    return Quaternion(QuadElem(GOLDEN, 0, HALF), QuadElem(GOLDEN, -HALF, HALF),
+                      QuadElem(GOLDEN, HALF), QuadElem(GOLDEN, 0))
+
+
+# n -> a unit quaternion of multiplicative order n inside the tower
+CYCLIC_GENERATORS = {
+    1: lambda: Quaternion(1, 0, 0, 0),
+    2: lambda: Quaternion(-1, 0, 0, 0),
+    3: omega,
+    4: lambda: Quaternion(0, 1, 0, 0),
+    5: lambda: qmul(zeta(), zeta()),
+    6: lambda: neg(omega()),
+    8: alpha,
+    10: zeta,
+}
+
+# n -> a unit imaginary orthogonal to the axis of the C_2n generator
+DIHEDRAL_FLIPS = {
+    1: lambda: Quaternion(0, 0, 1, 0),
+    2: lambda: Quaternion(0, 0, 1, 0),
+    3: lambda: Quaternion(0, HALF_SQRT2, -HALF_SQRT2, 0, SQRT2),
+    4: lambda: Quaternion(0, 0, 1, 0),
+    5: lambda: Quaternion(0, 0, 0, 1),
+}
+
+
+@lru_cache(maxsize=None)
+def order_basis(label: str) -> tuple:
+    """Z-module generators of O_G as Quaternions (4 for 2T, 8 for 2O/2I)."""
+    if label == "2T":
+        return (Quaternion(1, 0, 0, 0), Quaternion(0, 1, 0, 0), Quaternion(0, 0, 1, 0), omega())
+    if label == "2O":
+        a, b = alpha(), beta()
+        base = (Quaternion(1, 0, 0, 0, SQRT2), a, b, qmul(a, b))
+    elif label == "2I":
+        z, i = zeta(), Quaternion(0, 1, 0, 0, GOLDEN)
+        base = (Quaternion(1, 0, 0, 0, GOLDEN), i, z, qmul(i, z))
+    else:
+        raise ValueError(f"no maximal order attached to {label!r}")
+    rho = QuadElem(FIELD_TAG[label], 0, 1)
+    return base + tuple(times(g, rho) for g in base)
+
+
+def unit_group(label, elements) -> UnitGroup:
+    """A UnitGroup of Quaternions, made from their integer frame: D the lcm
+    of 2 and every coordinate denominator, and for each element the tag of
+    its coordinates, RAT when all are."""
+    elements = list(elements)
+    scale = lcm(2, *(q.denominator for x in elements for c in x.coords for q in (c.a, c.b)))
+    tags = {c.tag for x in elements for c in x.coords if c.b}
+    return UnitGroup(label, tags.pop() if tags else RAT, scale,
+                     [scaled_pairs(x.coords, scale) for x in elements],
+                     [next((c.tag for c in x.coords if c.tag != RAT), RAT) for x in elements])
 
 
 # -- unit groups as QuadElem coset products, and a dividing closure test -----
@@ -219,23 +326,23 @@ def _powers(g, n):
 @lru_cache(maxsize=None)
 def group_elements(label):
     """The elements of a supported group, in order, built on Quaternion
-    products from the generator tables of `groups`: each coordinate carries
+    products from the written-out generators above: each coordinate carries
     the field tag that QuadElem arithmetic gives it."""
     one = Quaternion(1, 0, 0, 0)
     if label == "Q8":
         return _coset_union(label, _powers(Quaternion(0, 1, 0, 0), 4),
                             [one, Quaternion(0, 0, 1, 0)])
     if label == "2T":
-        return _coset_union(label, _powers(groups.omega(), 3), group_elements("Q8"))
+        return _coset_union(label, _powers(omega(), 3), group_elements("Q8"))
     if label in ("2O", "2I"):
-        tag, g, n = (SQRT2, groups.alpha(), 2) if label == "2O" else (GOLDEN, groups.zeta(), 5)
+        tag, g, n = (SQRT2, alpha(), 2) if label == "2O" else (GOLDEN, zeta(), 5)
         return _coset_union(label, _powers(g, n), [retag(e, tag) for e in group_elements("2T")])
     if label.startswith("D2n"):
         n = int(label[3:])
-        return _coset_union(label, _powers(groups._CYCLIC_GENERATORS[2 * n](), 2 * n),
-                            [one, groups._DIHEDRAL_FLIPS[n]()])
+        return _coset_union(label, _powers(CYCLIC_GENERATORS[2 * n](), 2 * n),
+                            [one, DIHEDRAL_FLIPS[n]()])
     n = int(label[1:])
-    return _coset_union(label, _powers(groups._CYCLIC_GENERATORS[n](), n), [one])
+    return _coset_union(label, _powers(CYCLIC_GENERATORS[n](), n), [one])
 
 
 def orbit_closure(elements) -> list:
@@ -282,7 +389,7 @@ def half_set(points) -> list:
     """A canonical half set X' with X = X' u (-X'), for antipodal X."""
     pts = sorted(points, key=by_coords)
     pset = set(pts)
-    if any(-x not in pset for x in pts):
+    if any(neg(x) not in pset for x in pts):
         raise NotAntipodal("half_set requires an antipodal point set")
     chosen, excluded = [], set()
     for x in pts:
@@ -290,7 +397,7 @@ def half_set(points) -> list:
             continue
         chosen.append(x)
         excluded.add(x)
-        excluded.add(-x)
+        excluded.add(neg(x))
     return chosen
 
 
@@ -326,7 +433,7 @@ def coords_of(label: str, q) -> tuple:
 def quadelem_gram(label: str) -> tuple:
     """The Gram matrix iota(<b_i, b_j>) of the order basis, one QuadElem
     inner product per entry."""
-    basis = orders.order_basis(label)
+    basis = order_basis(label)
     return tuple(tuple(iota(inner(a, b)) for b in basis) for a in basis)
 
 

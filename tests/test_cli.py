@@ -70,7 +70,7 @@ def test_strength_rejects_degenerate_point_files(tmp_path, capsys):
 
 def test_strength_rejects_a_mixed_field_point_file(tmp_path, capsys):
     # Q(sqrt2) and Q(sqrt5) coordinates share no field to take inner products in
-    from quatdesign.groups import alpha, zeta
+    from oracles import alpha, zeta
 
     mixed = tmp_path / "mixed.json"
     mixed.write_text(json.dumps({"points": [alpha().to_json(), zeta().to_json()]}))

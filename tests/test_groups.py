@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,20 +15,18 @@ from quatdesign.exactnum import (
 from quatdesign import groups
 from quatdesign.groups import (
     NotAntipodal,
-    UnitGroup,
     UnsupportedAngle,
-    alpha,
     build_group,
     distance_distribution,
     gram_of,
     is_distance_invariant,
-    omega,
-    zeta,
 )
-from quatdesign.quat import Quaternion, qmul, qmul_pairs, scaled_pairs
+from quatdesign.quat import Quaternion, from_pairs, qmul, qmul_pairs, scaled_pairs
 
 import oracles
-from oracles import half_set, inner, norm, orbit, pair_distance_distribution, retag
+from oracles import (
+    alpha, half_set, inner, neg, norm, omega, orbit, pair_distance_distribution, unit_group, zeta,
+)
 
 HALF = Fraction(1, 2)
 
@@ -46,10 +48,10 @@ def test_closure_and_antipodality():
 def test_closure_fails_on_non_groups():
     # mixed coordinate tags, D = 2: omega^2 and alpha * i are not members
     q8 = list(build_group("Q8"))
-    assert not UnitGroup("Q8+w", q8 + [omega(), -omega()]).is_closed()
-    assert not UnitGroup("Q8+a", q8 + [alpha(), -alpha()]).is_closed()
+    assert not unit_group("Q8+w", q8 + [omega(), neg(omega())]).is_closed()
+    assert not unit_group("Q8+a", q8 + [alpha(), neg(alpha())]).is_closed()
     # the inverse conj(w) of w is not among them either
-    assert not UnitGroup("Q8+w", q8 + [omega(), -omega()]).contains_inverse_of_all()
+    assert not unit_group("Q8+w", q8 + [omega(), neg(omega())]).contains_inverse_of_all()
 
 
 @pytest.mark.parametrize("label, tag", [("2O", SQRT2), ("2I", GOLDEN)])
@@ -71,13 +73,13 @@ def test_coset_union_structure():
     assert all(e in o for e in t)
     assert all(e in i for e in t)
     assert zeta() in i
-    assert zeta() ** 5 == -Quaternion(1, 0, 0, 0)
+    assert oracles.qpow(zeta(), 5) == Quaternion(-1, 0, 0, 0)
 
 
 def test_a_wrong_generator_repeats_a_coset_product(monkeypatch):
     # omega (order 3) standing in for zeta (order 10): z^3 = 1, so the coset
     # product repeats 2T; it is refused, not shrunk to a 24-element "2I"
-    monkeypatch.setattr(groups, "zeta", lambda: retag(omega(), GOLDEN))
+    monkeypatch.setattr(groups, "ZETA", (groups.OMEGA[0], GOLDEN))
     build_group.cache_clear()
     try:
         with pytest.raises(ValueError, match="duplicate element in 2I"):
@@ -89,7 +91,7 @@ def test_a_wrong_generator_repeats_a_coset_product(monkeypatch):
 def test_a_product_off_the_doubled_lattice_is_refused(monkeypatch):
     # g = (1 + i)/2 is no unit, but 2g, 2g^2 = i are integral and 2g^3 =
     # (i - 1)/2 is not: its half is refused, never rounded
-    monkeypatch.setitem(groups._CYCLIC_GENERATORS, 4, lambda: Quaternion(HALF, HALF, 0, 0))
+    monkeypatch.setitem(groups._CYCLIC_GENERATORS, 4, (((1, 0), (1, 0), (0, 0), (0, 0)), RAT))
     build_group.cache_clear()
     try:
         with pytest.raises(ValueError, match="not integral"):
@@ -104,7 +106,8 @@ SUPPORTED = ("Q8", "2T", "2O", "2I", *(f"C{n}" for n in groups.CYCLIC_SUPPORTED)
 
 @pytest.mark.parametrize("label", SUPPORTED)
 def test_integer_build_matches_the_quadelem_coset_products(label):
-    # the same elements in the same order, and every coordinate's field tag
+    # the same elements in the same order, and every coordinate's field tag,
+    # against coset products of the written-out generators of the oracle
     group, expected = build_group(label), oracles.group_elements(label)
     assert group.elements == expected
     tags = [[c.tag for c in e.coords] for e in group]
@@ -126,17 +129,17 @@ def test_closure_matches_the_dividing_oracle(label, data):
         picked = oracles.orbit_closure(picked[:data.draw(st.integers(1, 2))])
     elif mode == "without 1":
         picked = [e for e in picked if e != Quaternion(1, 0, 0, 0)]
-    assert UnitGroup("subset", picked).is_closed() == oracles.is_closed(picked)
+    assert unit_group("subset", picked).is_closed() == oracles.is_closed(picked)
 
 
 def test_closure_follows_every_product_of_a_generator():
     # {x, x^2} for x = w of order 3 and -w of order 6: the generator x
     # squares into the set, but x * x^2 = x^3, 1 or -1, is not in it
     w = omega()
-    for x in (w, -w):
-        assert not UnitGroup("two powers", [x, x * x]).is_closed()
-        assert not oracles.is_closed([x, x * x])
-    assert UnitGroup("C6", oracles.orbit_closure([-w])).is_closed()
+    for x in (w, neg(w)):
+        assert not unit_group("two powers", [x, qmul(x, x)]).is_closed()
+        assert not oracles.is_closed([x, qmul(x, x)])
+    assert unit_group("C6", oracles.orbit_closure([neg(w)])).is_closed()
 
 
 def test_closure_refuses_a_group_less_one_element():
@@ -145,7 +148,7 @@ def test_closure_refuses_a_group_less_one_element():
     o = build_group("2O").elements
     for missing in (Quaternion(1, 0, 0, 0), o[0], alpha()):
         rest = [e for e in o if e != missing]
-        assert not UnitGroup("2O minus one", rest).is_closed()
+        assert not unit_group("2O minus one", rest).is_closed()
         assert not oracles.is_closed(rest)
 
 
@@ -236,7 +239,7 @@ def test_half_sets():
         g = build_group(label)
         h = half_set(g.elements)
         assert len(h) * 2 == len(g)
-        assert set(h) | {-x for x in h} == set(g)
+        assert set(h) | {neg(x) for x in h} == set(g)
     assert len(half_set(build_group("2I").elements)) == 60
 
 
@@ -287,7 +290,7 @@ def oracle_rows(points):
     for i = j), and the angle set takes the values of the pairs with i < j.
     """
     index = {p: i for i, p in enumerate(points)}
-    reps = [min(i, index.get(-p, i)) for i, p in enumerate(points)]
+    reps = [min(i, index.get(neg(p), i)) for i, p in enumerate(points)]
     values = {}  # (r, r') with r <= r' -> (<x_r, x_r'>, -<x_r, x_r'>)
     rows, angles = [Counter() for _ in points], set()
     for i in range(len(points)):
@@ -343,7 +346,7 @@ def test_gram_pass_rejects_mixed_fields():
 
 def test_unit_group_refuses_a_non_unit():
     with pytest.raises(ValueError, match=r"non-unit element in bad: Quaternion\(1, 1, 0, 0\)$"):
-        UnitGroup("bad", [Quaternion(1, 0, 0, 0), Quaternion(1, 1, 0, 0)])
+        unit_group("bad", [Quaternion(1, 0, 0, 0), Quaternion(1, 1, 0, 0)])
 
 
 @pytest.mark.parametrize("label, tag", [("2T", RAT), ("2O", SQRT2), ("2I", GOLDEN), ("C8", SQRT2)])
@@ -353,3 +356,46 @@ def test_doubled_elements_halve_to_the_elements(label, tag):
     assert len(group.doubled) == len(group)
     for x, e in zip(group.doubled, group):
         assert Quaternion(*(QuadElem(tag, Fraction(a, 2), Fraction(b, 2)) for a, b in x)) == e
+        assert from_pairs(tag, 2, x) == e
+
+
+_QUADELEMS_CHILD = """
+from quatdesign import exactnum, groups, orders, strength
+made, init = [], exactnum.QuadElem.__init__
+
+def counting(self, *args, **kwargs):
+    made.append(args)
+    init(self, *args, **kwargs)
+
+exactnum.QuadElem.__init__ = counting
+for label in ("Q8", "2T", "2O", "2I", *(f"C{n}" for n in groups.CYCLIC_SUPPORTED),
+              *(f"D2n{n}" for n in groups.DIHEDRAL_SUPPORTED)):
+    groups.build_group(label)
+for label in ("2T", "2O", "2I"):
+    group = groups.build_group(label)
+    group.is_closed()
+    group.gram
+    strength.molien_series(group, 30)
+    orders.right_multiplication_matrices(label)
+print(len(made))
+"""
+
+
+def test_groups_hold_no_field_element():
+    # every build, closure test, Gram pass, Molien series and R_eps reads
+    # the doubled integer pairs: no QuadElem is made in a fresh interpreter
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "QUATDESIGN_"))}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", _QUADELEMS_CHILD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"]
+
+
+@pytest.mark.parametrize("label", SUPPORTED)
+def test_a_group_and_its_printed_elements_have_one_gram(label):
+    # the user-point route: the group's own JSON elements, read back as
+    # Quaternions, give the rows of the Gram pass built from the pairs
+    group = build_group(label)
+    points = [Quaternion.from_json(e) for e in group.to_json()["elements"]]
+    assert groups.gram_pass(points).rows == group.gram.rows

@@ -218,13 +218,13 @@ def test_equality_case_requires_an_antipodal_set():
 
 def test_equality_cases_check_makes_one_gram_pass_per_group(monkeypatch):
     sizes = []
-    real = groups.gram_pass
+    real = groups._gram
 
-    def counting(points):
-        sizes.append(len(points))
-        return real(points)
+    def counting(tag, scale, pairs):
+        sizes.append(len(pairs))
+        return real(tag, scale, pairs)
 
-    monkeypatch.setattr(groups, "gram_pass", counting)
+    monkeypatch.setattr(groups, "_gram", counting)
     for label in ("2T", "2O", "2I"):  # drop each group's cached pass for this test
         monkeypatch.delitem(vars(build_group(label)), "gram", raising=False)
     result = verify.run_check("equality-cases", get_budget())

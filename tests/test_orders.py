@@ -11,13 +11,12 @@ import pytest
 
 from quatdesign.budget import Budget, ResourceBudgetError, get_budget
 from quatdesign.exactnum import GOLDEN, QuadElem, golden_elem, insert, rat, reduce
-from quatdesign.groups import UnitGroup, build_group, omega
+from quatdesign.groups import build_group
 from quatdesign import orders, verify
 from quatdesign.orders import (
     IntegrityError,
     enumerate_shell,
     orbit_decompose,
-    order_basis,
     quadratic_form,
     right_multiplication_matrices,
     shell_count_formula,
@@ -27,7 +26,7 @@ from quatdesign.quat import Quaternion, qmul, scaled_pairs
 from quatdesign.strength import pair_sum_tests_bulk
 
 import oracles
-from oracles import embed_coords, inner, iota, norm
+from oracles import embed_coords, inner, iota, norm, omega, order_basis, plus, times, unit_group
 
 
 def test_sigma_values():
@@ -53,6 +52,14 @@ def test_quadratic_form_definite_and_published(label):
     assert form == oracles.quadelem_gram(label)
 
 
+@pytest.mark.parametrize("label", ["2T", "2O", "2I"])
+def test_doubled_bases_match_the_written_out_bases(label):
+    # the pair tables, rho-multiples included, against the oracle's
+    # Quaternion bases built by QuadElem products
+    pairs = tuple(scaled_pairs(g.coords, 2) for g in order_basis(label))
+    assert orders._doubled_basis(label)[0] == pairs
+
+
 def test_q2t_values():
     form = quadratic_form("2T")
     assert oracles.form_value(form, (0, 0, 0, 1)) == 1  # the element omega
@@ -61,7 +68,7 @@ def test_q2t_values():
     assert oracles.form_value(form, (1, 1, 1, 2)) == iota(norm(x))
     # same value through plain quaternion arithmetic
     w = omega()
-    direct = Quaternion(1, 1, 1, 0) + w + w
+    direct = plus(plus(Quaternion(1, 1, 1, 0), w), w)
     assert norm(direct).a == oracles.form_value(form, (1, 1, 1, 2))
 
 
@@ -365,8 +372,8 @@ def _oracle_embed(label, coords):
     acc = None
     for c, g in zip(coords, order_basis(label)):
         if c:
-            term = g * rat(c)
-            acc = term if acc is None else acc + term
+            term = times(g, rat(c))
+            acc = term if acc is None else plus(acc, term)
     return acc if acc is not None else Quaternion(0, 0, 0, 0, orders.FIELD_TAG[label])
 
 
@@ -399,7 +406,7 @@ def test_unit_shell_identities():
     assert set(_embedded(enumerate_shell("2O", 1))) == set(build_group("2O"))
     g = build_group("2I")
     tau = golden_elem(0, 1)
-    expected = set(g.elements) | {e * tau for e in g.elements}
+    expected = set(g.elements) | {times(e, tau) for e in g.elements}
     assert set(_embedded(enumerate_shell("2I", 1))) == expected
 
 
@@ -525,7 +532,7 @@ def test_right_action_matrices_match_quaternion_products(label):
 def test_coords_of_matches_the_echelon_oracle(label):
     for eps in build_group(label).elements[:12]:
         for g in order_basis(label):
-            q = qmul(g, eps) + g * rat(3)
+            q = plus(qmul(g, eps), times(g, rat(3)))
             assert oracles.coords_of(label, q) == oracle_coords(label, q)
 
 
@@ -556,10 +563,11 @@ def test_a_fractional_solution_is_refused_by_the_exact_division(monkeypatch):
 
 
 def test_right_action_rejects_a_product_outside_the_order(monkeypatch):
-    monkeypatch.setattr(orders, "build_group", lambda label: UnitGroup(label, [ODD_ICOSIAN]))
+    monkeypatch.setattr(orders, "build_group", lambda label: unit_group(label, [ODD_ICOSIAN]))
     right_multiplication_matrices.cache_clear()
     try:
-        with pytest.raises(ValueError, match="not in the order"):
+        with pytest.raises(ValueError, match=r"^Quaternion\(0 \+ 1/2\*tau, 1/2, -1/2 \+ 1/2\*tau, 0\)"
+                                              r" is not in the order O_2I$"):
             right_multiplication_matrices("2I")
     finally:
         right_multiplication_matrices.cache_clear()

@@ -22,7 +22,7 @@ from quatdesign.groups import UnitGroup
 from quatdesign.orders import IntegrityError
 from quatdesign.quat import Quaternion
 
-from oracles import conj
+from oracles import conj, neg, omega, unit_group
 
 DESK = get_budget("desk")
 
@@ -33,7 +33,7 @@ _IDS = [cid for cid, _ in verify.ALL_CHECKS]
 
 def test_groups_check_names_the_unit_relation(monkeypatch):
     # alpha has order 8, so standing in for omega it breaks omega^3 = 1
-    monkeypatch.setattr(verify, "omega", verify.alpha)
+    monkeypatch.setattr(verify, "OMEGA", verify.ALPHA)
     result = verify.run_check("groups", DESK)
     assert result.status == "FAIL"
     assert result.details == "omega^3 != 1"
@@ -48,10 +48,10 @@ def _route_2t(monkeypatch, group):
 def test_groups_check_names_a_group_not_closed(monkeypatch):
     # 2T with +-w and +-conj(w) traded for +-x and +-conj(x), x = (3 + 4i)/5:
     # still 24 antipodal units closed under inverses, but x^2 is not among them
-    w, x = verify.omega(), Quaternion(Fraction(3, 5), Fraction(4, 5), 0, 0)
-    traded = {w, -w, conj(w), -conj(w)}
+    w, x = omega(), Quaternion(Fraction(3, 5), Fraction(4, 5), 0, 0)
+    traded = {w, neg(w), conj(w), neg(conj(w))}
     elements = [e for e in verify.build_group("2T") if e not in traded]
-    _route_2t(monkeypatch, UnitGroup("2T", elements + [x, -x, conj(x), -conj(x)]))
+    _route_2t(monkeypatch, unit_group("2T", elements + [x, neg(x), conj(x), neg(conj(x))]))
     result = verify.run_check("groups", DESK)
     assert result.status == "FAIL"
     assert result.details == "2T not closed under multiplication"
@@ -67,7 +67,8 @@ def test_groups_check_names_a_group_not_closed(monkeypatch):
 ])
 def test_groups_check_names_a_wrong_group_property(monkeypatch, method, answer, details):
     corrupted = type("Corrupted2T", (UnitGroup,), {method: lambda self: answer})
-    _route_2t(monkeypatch, corrupted("2T", verify.build_group("2T")))
+    g = verify.build_group("2T")
+    _route_2t(monkeypatch, corrupted("2T", g.tag, g.scale, g.pairs, g.tags))
     result = verify.run_check("groups", DESK)
     assert result.status == "FAIL"
     assert result.details == details
@@ -78,7 +79,7 @@ def test_groups_check_names_a_wrong_group_property(monkeypatch, method, answer, 
     ("zeta", "alpha", "zeta^5 != -1"),    # alpha^5 = -alpha
 ])
 def test_groups_check_names_each_unit_relation(monkeypatch, name, stand_in, details):
-    monkeypatch.setattr(verify, name, getattr(verify, stand_in))
+    monkeypatch.setattr(verify, name.upper(), getattr(verify, stand_in.upper()))
     result = verify.run_check("groups", DESK)
     assert result.status == "FAIL"
     assert result.details == details
@@ -201,7 +202,7 @@ def test_equality_cases_check_names_a_group_not_distance_invariant(monkeypatch):
     (a, _), (b, _) = gram.rows[1].most_common(2)
     gram.rows[1].update({a: -1, b: 1})
     gram.rows[2].update({a: 1, b: -1})
-    corrupted = UnitGroup("2O", group.elements)
+    corrupted = unit_group("2O", group.elements)
     corrupted.gram = gram
     build = verify.build_group
     monkeypatch.setattr(verify, "build_group",
