@@ -50,9 +50,14 @@ def _emit(payload, fmt: str, text_renderer=None, csv_renderer=None):
                 print(line)
 
 
-def _load_points(path: str) -> list:
-    """Accepts {"points": [...]}, {"elements": [...]} (group output), or a list."""
-    from .quat import Quaternion
+def _load_points(path: str):
+    """The Gram pass of a point file: {"points": [...]}, {"elements": [...]}
+    (group output), or a list.  Only a file that cannot be read as points
+    is refused as unreadable; mixed fields and a point off the unit sphere
+    are refused as the point set's own faults."""
+    from .exactnum import FieldTagMismatch
+    from .groups import _gram
+    from .quat import read_points
 
     try:
         with open(path) as fh:
@@ -61,9 +66,12 @@ def _load_points(path: str) -> list:
             pts = data.get("points", data.get("elements"))
         else:
             pts = data
-        return [Quaternion.from_json(p) for p in pts]
+        frame = read_points(pts)
+    except FieldTagMismatch:
+        raise
     except (OSError, KeyError, ValueError, TypeError) as exc:
         raise ValueError(f"cannot read point file {path!r}: {exc}") from exc
+    return _gram(*frame)
 
 
 def cmd_group(args, budget: Budget) -> int:

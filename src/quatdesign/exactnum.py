@@ -187,11 +187,6 @@ class QuadElem:
     def to_json(self) -> dict:
         return {"tag": self.tag, "a": frac_str(self.a), "b": frac_str(self.b)}
 
-    @staticmethod
-    def from_json(obj: dict) -> "QuadElem":
-        """The inverse of to_json; "a" and "b" are "p/q" strings or ints."""
-        return QuadElem(obj["tag"], _json_fraction(obj["a"]), _json_fraction(obj["b"]))
-
 
 def _sign_quadratic(tag: str, a, b) -> int:
     """Exact sign of a + b*rho in the field `tag`, for a, b both rational or
@@ -220,6 +215,18 @@ def _json_fraction(v) -> Fraction:
     if (isinstance(v, str) and _P_OVER_Q.fullmatch(v)) or type(v) is int:
         return Fraction(v)
     raise ValueError(f"a rational must be a 'p/q' string with q > 0 or an int, not {v!r}")
+
+
+def read_scalar(obj) -> tuple[str, Fraction, Fraction]:
+    """(tag, a, b) of a scalar written by `QuadElem.to_json`, refused where
+    QuadElem would refuse it, but building none; "a" and "b" are "p/q"
+    strings or ints, and other keys are ignored."""
+    tag, a, b = obj["tag"], _json_fraction(obj["a"]), _json_fraction(obj["b"])
+    if tag not in FIELD_TAGS:
+        raise ValueError(f"unknown field tag {tag!r}")
+    if tag == RAT and b:
+        raise ValueError("RAT elements must have b = 0")
+    return tag, a, b
 
 
 def frac_str(q: Fraction) -> str:

@@ -13,11 +13,15 @@ element of these groups has its coordinates in Z, Z[sqrt2] or Z[tau]
 (Conway & Smith, On Quaternions and Octonions, ch. 3), so each generator is
 a table of 2g on integer pairs, (2g)(2h) = 4gh is a product of integer pairs
 and 2gh its exact half.  A UnitGroup is made from that frame: the field
-tag, D = 2, the pairs 2 eps, and one coordinate tag per element, RAT exactly
-when both factors are RAT, as a QuadElem product would tag it, and the
-field's tag otherwise.  It checks, sorts, tests closure and takes its Gram
-pass on the pairs.  A Quaternion is rendered from them only at the
-boundary: for output, for the `elements` view and in an error message.
+tag, the pairs 2 eps, and one coordinate tag per element, RAT exactly when
+both factors are RAT, as a QuadElem product would tag it, and the field's
+tag otherwise.  It checks, sorts, tests closure and takes its Gram pass on
+the pairs.  A Quaternion is rendered from them only at the boundary: for
+output, for the `elements` view and in an error message.
+
+Any finite point set, a group or a point file, is read through one Gram
+pass (`Gram`, `_gram`) on its integer frame (tag, D, the pairs of D x); a
+group's frame has D = 2, a point file's D is the lcm of its denominators.
 
 Cyclic and dihedral groups are built from tables of a quaternionic generator
 of the right order, whose real part equals cos(2pi/n) exactly, and of a flip
@@ -36,12 +40,9 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache
 from itertools import repeat
-from math import lcm
 
-from .exactnum import (
-    PAIR_MUL, QuadElem, RAT, SQRT2, GOLDEN, FieldTagMismatch, _sign_quadratic,
-)
-from .quat import from_pairs, qmul_pairs, scaled_pairs
+from .exactnum import PAIR_MUL, QuadElem, RAT, SQRT2, GOLDEN, _sign_quadratic
+from .quat import from_pairs, qmul_pairs
 
 
 class UnsupportedAngle(ValueError):
@@ -65,9 +66,9 @@ ZETA = (((0, 1), (-1, 1), (1, 0), (0, 0)), GOLDEN)  # z = (tau + (tau - 1) i + j
 
 
 def _compare(tag: str, x, y) -> int:
-    """-1, 0 or 1 as x < y, x = y or x > y, for quaternions on integer pairs
-    of one scale: lexicographic in the coordinates, each compared by the
-    exact sign of its difference."""
+    """-1, 0 or 1 as x < y, x = y or x > y, for quaternions on integer pairs:
+    lexicographic in the coordinates, each compared by the exact sign of its
+    difference."""
     for (a, b), (c, d) in zip(x, y):
         if a != c or b != d:
             return _sign_quadratic(tag, a - c, b - d)
@@ -77,32 +78,32 @@ def _compare(tag: str, x, y) -> int:
 class UnitGroup:
     """A labeled finite set of norm-1 quaternions closed under product.
 
-    It is made from its integer frame: the field tag, a scale D, the
-    integer pairs of D eps for each element eps, and the tag of each
-    element's coordinates.  A built group has D = 2.  Every check reads the
-    pairs: a repeat is a repeated tuple, a unit has integer norm (D^2, 0),
-    and the elements are sorted by `_compare`, which is the order of their
-    coordinate tuples.  The group keeps the pairs and tags in element order.
+    It is made from its integer frame: the field tag, the integer pairs of
+    2 eps for each element eps, and the tag of each element's coordinates.
+    Every check reads the pairs: a repeat is a repeated tuple, a unit has
+    integer norm (4, 0), and the elements are sorted by `_compare`, which is
+    the order of their coordinate tuples.  The group keeps the pairs
+    (`doubled`) and tags in element order.
     """
 
-    def __init__(self, label: str, tag: str, scale: int, pairs, tags):
+    def __init__(self, label: str, tag: str, doubled, tags):
         index = {}
-        for i, x in enumerate(pairs):
+        for i, x in enumerate(doubled):
             if index.setdefault(x, i) != i:
-                raise ValueError(f"duplicate element in {label}: {from_pairs(tags[i], scale, x)!r}")
-        pmul, unit = PAIR_MUL[tag], (scale * scale, 0)
-        for x, t in zip(pairs, tags):
+                raise ValueError(f"duplicate element in {label}: {from_pairs(tags[i], 2, x)!r}")
+        pmul = PAIR_MUL[tag]
+        for x, t in zip(doubled, tags):
             squares = [pmul(a, b, a, b) for a, b in x]
-            if (sum(p for p, _ in squares), sum(q for _, q in squares)) != unit:
-                raise ValueError(f"non-unit element in {label}: {from_pairs(t, scale, x)!r}")
-        order = sorted(range(len(pairs)),
-                       key=cmp_to_key(lambda i, j: _compare(tag, pairs[i], pairs[j])))
-        self.label, self.tag, self.scale = label, tag, scale
-        self.pairs = tuple(pairs[i] for i in order)
+            if (sum(p for p, _ in squares), sum(q for _, q in squares)) != (4, 0):
+                raise ValueError(f"non-unit element in {label}: {from_pairs(t, 2, x)!r}")
+        order = sorted(range(len(doubled)),
+                       key=cmp_to_key(lambda i, j: _compare(tag, doubled[i], doubled[j])))
+        self.label, self.tag = label, tag
+        self.doubled = tuple(doubled[i] for i in order)
         self.tags = tuple(tags[i] for i in order)
 
     def __len__(self):
-        return len(self.pairs)
+        return len(self.doubled)
 
     def __iter__(self):
         return iter(self.elements)
@@ -110,7 +111,7 @@ class UnitGroup:
     @cached_property
     def elements(self) -> list:
         """The elements as Quaternions, rendered from the pairs on first read."""
-        return [from_pairs(t, self.scale, x) for t, x in zip(self.tags, self.pairs)]
+        return [from_pairs(t, 2, x) for t, x in zip(self.tags, self.doubled)]
 
     def is_closed(self) -> bool:
         """Exact closure test on the integer pairs, from a generating subset T.
@@ -139,14 +140,14 @@ class UnitGroup:
         take three generators each: 64, 134 and 348 products, not all
         17,280 ordered pairs of the three.
 
-        (D x)(D y) = D^2 xy, so xy is a member exactly when that product is
-        D^2 times a member: the members are keyed at D^2 and every product
-        is looked up as it comes.
+        (2x)(2y) = 4xy, so xy is a member exactly when that product is twice
+        the pairs of a member: the members are keyed at 4 eps and every
+        product is looked up as it comes.
         """
-        tag, scale = self.tag, self.scale
-        member = {tuple((scale * a, scale * b) for a, b in x): x for x in self.pairs}
+        tag = self.tag
+        member = {tuple((a + a, b + b) for a, b in x): x for x in self.doubled}
         gens, reached = [], set()
-        for g in self.pairs:
+        for g in self.doubled:
             if g in reached:
                 continue
             gens.append(g)
@@ -162,25 +163,17 @@ class UnitGroup:
                     pairs += [(y, t) for t in gens]
         return True
 
-    @property
-    def doubled(self) -> tuple:
-        """2 eps on integer pairs for every element eps, in element order;
-        ValueError when some 2 eps is not integral."""
-        if self.scale != 2:
-            raise ValueError(f"2 eps is not integral for every element eps of {self.label}")
-        return self.pairs
-
     @cached_property
     def gram(self) -> "Gram":
         """The Gram pass over the pairs, made once per group."""
-        return _gram(self.tag, self.scale, self.pairs)
+        return _gram(self.tag, 2, self.doubled)
 
     def is_antipodal(self) -> bool:
         return self.gram.antipodal()
 
     def contains_inverse_of_all(self) -> bool:
-        members = set(self.pairs)
-        return all((x[0], *((-a, -b) for a, b in x[1:])) in members for x in self.pairs)
+        members = set(self.doubled)
+        return all((x[0], *((-a, -b) for a, b in x[1:])) in members for x in self.doubled)
 
     def to_json(self):
         return {
@@ -206,7 +199,7 @@ def _coset_union(label, gens, base):
         for y, t in base:
             pairs.append(_halve(qmul_pairs(field, x, y)))
             tags.append(RAT if s == t == RAT else field)
-    return UnitGroup(label, field, 2, pairs, tags)
+    return UnitGroup(label, field, pairs, tags)
 
 
 def powers(g, n: int) -> list:
@@ -302,24 +295,6 @@ def build_group(label: str) -> UnitGroup:
 
 # -- point-set statistics ----------------------------------------------------
 
-def _field_tag(points, name: str) -> str:
-    """The one field of the irrational coordinates, RAT when there are none;
-    FieldTagMismatch when they come from both Q(sqrt2) and Q(sqrt5)."""
-    tags = {c.tag for x in points for c in x.coords if c.b}
-    if len(tags) > 1:
-        raise FieldTagMismatch(f"{name} mixes the fields {sorted(tags)}")
-    return tags.pop() if tags else RAT
-
-
-def _integer_frame(points, name: str):
-    """(tag, D, [D*x as integer pairs]) for a list of Quaternions, with D
-    the lcm of 2 and all coordinate denominators and tag from `_field_tag`."""
-    scale = lcm(2, *(
-        q.denominator for x in points for c in x.coords for q in (c.a, c.b)
-    ))
-    return _field_tag(points, name), scale, [scaled_pairs(x.coords, scale) for x in points]
-
-
 class Gram:
     """D^2 <x, y> over the ordered pairs of a point set, on integer pairs.
 
@@ -378,26 +353,10 @@ def _gram(tag: str, scale: int, scaled) -> Gram:
     return Gram(tag, scale, rows)
 
 
-def gram_pass(points) -> Gram:
-    """The Gram pass of a list of unit-norm Quaternions, on their integer
-    frame; FieldTagMismatch when the points mix Q(sqrt2) and Q(sqrt5)."""
-    return _gram(*_integer_frame(points, "point set"))
+def distance_distribution(gram: Gram, i: int) -> dict[QuadElem, int]:
+    """Counts |X_s| = |{x in X : <x, x_i> = s}|, from row i of the Gram pass."""
+    return gram.distribution(gram.rows[i])
 
 
-def gram_of(points) -> Gram:
-    """The group's own Gram pass for a UnitGroup, a new one otherwise."""
-    return points.gram if isinstance(points, UnitGroup) else gram_pass(list(points))
-
-
-def distance_distribution(points, basepoint) -> dict[QuadElem, int]:
-    """Counts |X_s| = |{x in X : <x, x0> = s}| for a fixed basepoint."""
-    points = points if isinstance(points, UnitGroup) else list(points)
-    gram, elements = gram_of(points), list(points)
-    if basepoint not in set(elements):
-        raise ValueError("basepoint must belong to the point set")
-    return gram.distribution(gram.rows[elements.index(basepoint)])
-
-
-def is_distance_invariant(points) -> bool:
-    rows = gram_of(points).rows
-    return all(row == rows[0] for row in rows)
+def is_distance_invariant(gram: Gram) -> bool:
+    return all(row == gram.rows[0] for row in gram.rows)

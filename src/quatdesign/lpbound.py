@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .exactnum import QuadElem, rat, sqrt2_elem, golden_elem
 from .gegenbauer import gegenbauer_expand, horner, poly_divmod, poly_mul, scaled_q, trim
-from .groups import NotAntipodal, gram_of
+from .groups import Gram, NotAntipodal
 from .strength import pair_sums
 
 
@@ -242,15 +242,14 @@ def verify_certificate(tf: TestFunction) -> CertificateReport:
     )
 
 
-def check_equality_case(points, tf: TestFunction) -> EqualityReport:
+def check_equality_case(gram: Gram, tf: TestFunction) -> EqualityReport:
     """Does X attain 2 F(1)/f_0, with all inner products roots of F?
 
-    Everything is read from one Gram pass (the group's own for a UnitGroup);
-    X must be antipodal to attain the bound, else NotAntipodal.  The bound
-    and the allowed angles come from one `verify_certificate` report, and a
+    Everything is read from X's Gram pass (`group.gram` for a group); X must
+    be antipodal to attain the bound, else NotAntipodal.  The bound and the
+    allowed angles come from one `verify_certificate` report, and a
     certificate that fails, or leaves f_0 = 0, raises CertificateError.
     """
-    gram = gram_of(points)
     if not gram.antipodal():
         raise NotAntipodal("the LP equality case needs an antipodal point set")
     report = verify_certificate(tf)

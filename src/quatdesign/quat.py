@@ -2,18 +2,19 @@
 
 A quaternion x1 + x2 i + x3 j + x4 k is identified with the row vector
 (x1, x2, x3, x4).  The program computes on 4-tuples of integer pairs (a, b)
-for a + b*rho; `Quaternion`, with QuadElem coordinates, is what points are
-read into and rendered as (`from_pairs`).  Left multiplication y -> x*y acts
-on row vectors as y -> y . M_x, with the rows of M_x given by
-`left_matrix_pairs`.  Hamilton's rule is written once, in `HAMILTON`, and
-every product reads it.
+for a + b*rho: a point file is read straight into them (`read_points`),
+and `Quaternion`, with QuadElem coordinates, is what they are rendered as
+(`from_pairs`).  Left multiplication y -> x*y acts on row vectors as
+y -> y . M_x, with the rows of M_x given by `left_matrix_pairs`.
+Hamilton's rule is written once, in `HAMILTON`, and every product reads it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .exactnum import PAIR_MUL, FieldTagMismatch, QuadElem, RAT
+from .exactnum import PAIR_MUL, FieldTagMismatch, QuadElem, RAT, read_scalar
 
 
 class Quaternion:
@@ -42,12 +43,6 @@ class Quaternion:
 
     def to_json(self):
         return [c.to_json() for c in self.coords]
-
-    @staticmethod
-    def from_json(arr) -> "Quaternion":
-        if len(arr) != 4:
-            raise ValueError(f"a quaternion has 4 scalars, not {len(arr)}")
-        return Quaternion(*(QuadElem.from_json(c) for c in arr))
 
 
 # Hamilton's rule: (i, j, k, s) says e_i e_j = s e_k, with e_0 = 1 and
@@ -83,16 +78,26 @@ def qmul(x: Quaternion, y: Quaternion) -> Quaternion:
 # A scalar a + b*rho with integers a, b is the pair (a, b); a quaternion with
 # such coordinates is a 4-tuple of pairs.  The field tag says what rho is.
 
-def scaled_pairs(coords, scale: int) -> tuple[tuple[int, int], ...]:
-    """Integer pairs of scale * c for each QuadElem c; raises ValueError
-    when a scaled coordinate is not integral."""
-    out = []
-    for c in coords:
-        a, b = scale * c.a, scale * c.b
-        if a.denominator != 1 or b.denominator != 1:
-            raise ValueError(f"{scale} * ({c}) is not integral")
-        out.append((a.numerator, b.numerator))
-    return tuple(out)
+def read_points(arrs) -> tuple[str, int, list]:
+    """The integer frame (tag, D, [D x on integer pairs]) of the quaternions
+    x written by `Quaternion.to_json`, with D the lcm of 2 and every
+    coordinate denominator and tag the one field of the irrational
+    coordinates, RAT when there are none.  ValueError for a malformed point,
+    FieldTagMismatch when the points mix Q(sqrt2) and Q(sqrt5)."""
+    points = []
+    for arr in arrs:
+        if len(arr) != 4:
+            raise ValueError(f"a quaternion has 4 scalars, not {len(arr)}")
+        points.append([read_scalar(c) for c in arr])
+    tags = {t for x in points for t, _, b in x if b}
+    if len(tags) > 1:
+        raise FieldTagMismatch(f"point set mixes the fields {sorted(tags)}")
+    scale = lcm(2, *(q.denominator for x in points for _, a, b in x for q in (a, b)))
+    return tags.pop() if tags else RAT, scale, [
+        tuple((a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
+              for _, a, b in x)
+        for x in points
+    ]
 
 
 def from_pairs(tag: str, scale: int, x) -> Quaternion:

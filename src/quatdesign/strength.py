@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import PAIR_MUL, QuadElem
-from .groups import Gram, UnitGroup, build_group, gram_of, parse_family
+from .groups import Gram, UnitGroup, build_group, parse_family
 
 
 class StrengthReport(namedtuple("StrengthReport", (
@@ -85,16 +85,11 @@ def class_sum_series(tag: str, classes, order: int, num, n: int) -> tuple[int, .
 
 def molien_series(group: UnitGroup, n: int) -> tuple[int, ...]:
     """Psi_G(u) to u^n: 1/(1 - x u + u^2) summed over the classes of
-    x = 2 eps_1, an integer pair read off the group's D eps_1 (ValueError
-    when x is not in Z[rho])."""
-    half = group.scale // 2  # D eps_1 = half * x, D being even
-    classes = Counter(x[0] for x in group.pairs)
-    if any(a % half or b % half for a, b in classes):
-        raise ValueError(f"2 eps_1 is not integral for every element eps of {group.label}")
+    x = 2 eps_1, the first pair of the group's 2 eps."""
+    classes = Counter(x[0] for x in group.doubled)
     return class_sum_series(
         group.tag,
-        [(((1, 0), (-(a // half), -(b // half)), (1, 0)), count)
-         for (a, b), count in classes.items()],
+        [(((1, 0), (-a, -b), (1, 0)), count) for (a, b), count in classes.items()],
         len(group), (1,), n,
     )
 
@@ -168,37 +163,35 @@ def pair_sums(gram: Gram, ells) -> dict[int, QuadElem]:
             for ell, (a, b) in _pair_totals(gram, ells).items()}
 
 
-def pair_sum_test(points, ell: int) -> bool:
-    """True iff l lies in the harmonic strength of X (Gegenbauer pair test);
-    ValueError unless every point has unit norm."""
-    return _pair_totals(gram_of(points), (ell,))[ell] == (0, 0)
+def pair_sum_test(gram: Gram, ell: int) -> bool:
+    """True iff l lies in the harmonic strength of X (Gegenbauer pair test),
+    from X's Gram pass."""
+    return _pair_totals(gram, (ell,))[ell] == (0, 0)
 
 
-def pair_sum_tests_bulk(points, ells) -> dict[int, bool]:
+def pair_sum_tests_bulk(gram: Gram, ells) -> dict[int, bool]:
     """pair_sum_test for several degrees over one Gram pass."""
-    return {ell: t == (0, 0) for ell, t in _pair_totals(gram_of(points), ells).items()}
+    return {ell: t == (0, 0) for ell, t in _pair_totals(gram, ells).items()}
 
 
 def harmonic_strength(source, n: int) -> StrengthReport:
-    """StrengthReport for a UnitGroup (Molien route) or point list (pair sums).
+    """StrengthReport for a UnitGroup (Molien route) or a point set's Gram
+    pass (pair sums).
 
     Even members come from exact zero coefficients; odd degrees are certified
     by the antipodality argument, with direct pair-sum tests for l <= 15 run
     as defense in depth.  For non-antipodal inputs the odd members found by
-    direct testing are reported explicitly.  A point list must be nonempty
-    and lie on the unit sphere.
+    direct testing are reported explicitly.  A point set must be nonempty.
     """
     if isinstance(source, UnitGroup):
         label, gram = source.label, source.gram
         vanishes = [c == 0 for c in molien_series(source, n)]
     else:
-        label = "points"
-        points = list(source)
-        if not points:
+        label, gram = "points", source
+        if not gram.rows:
             raise ValueError("the strength of an empty point set is not defined")
-        # one scan serves the degrees up to n, the spot checks below and
-        # antipodality, and checks that every point has unit norm
-        gram = gram_of(points)
+        # one pass serves the degrees up to n, the spot checks below and
+        # antipodality
         vanishes = {k: t == (0, 0) for k, t in _pair_totals(gram, range(max(n, 15) + 1)).items()}
     zero_evens = tuple(k for k in range(2, n + 1, 2) if vanishes[k])
     odd_nonzero = [k for k in range(1, n + 1, 2) if not vanishes[k]]
@@ -210,7 +203,7 @@ def harmonic_strength(source, n: int) -> StrengthReport:
             )
         for ell in range(1, 16, 2):  # spot checks, defense in depth
             if isinstance(source, UnitGroup):
-                passed = pair_sum_test(source, ell)
+                passed = pair_sum_test(gram, ell)
             else:
                 passed = vanishes[ell]
             if not passed:

@@ -155,7 +155,7 @@ def check_strength_direct(budget: Budget) -> Outcome:
     for label in ("2T", "2O", "2I"):
         group = build_group(label)
         series = molien_series(group, 40)
-        direct = pair_sum_tests_bulk(group, range(41))
+        direct = pair_sum_tests_bulk(group.gram, range(41))
         for ell in range(2, 41, 2):
             if direct[ell] != (series[ell] == 0):
                 problems.append(f"{label} l={ell}: routes disagree")
@@ -225,17 +225,15 @@ def check_equality_cases(budget: Budget) -> Outcome:
     for name, label in (("F2T", "2T"), ("F2O", "2O"), ("F2I", "2I")):
         tf = build_test_function(name)
         group = build_group(label)
-        report = check_equality_case(group, tf)
+        report = check_equality_case(group.gram, tf)
         if not (report.attained and report.is_design):
             problems.append(f"{label}: equality case fails {report}")
         if not report.inner_products_are_roots:
             problems.append(f"{label}: A(X) outside the certified angle set")
     o2 = build_group("2O")
-    # the group itself, not its element list: every reader then shares the
-    # group's one Gram pass
-    if not is_distance_invariant(o2):
+    if not is_distance_invariant(o2.gram):
         problems.append("2O is not distance invariant")
-    dist = distance_distribution(o2, o2.elements[0])
+    dist = distance_distribution(o2.gram, 0)
     half = Fraction(1, 2)
     inv_sqrt2 = sqrt2_elem(0, half)
     expected = {

@@ -7,8 +7,8 @@ from math import comb, gcd, isqrt, lcm
 from operator import add, mul
 
 from quatdesign import lpbound, orders, theta
-from quatdesign.exactnum import GOLDEN, RAT, SQRT2, QuadElem, rat
-from quatdesign.groups import NotAntipodal, UnitGroup, build_group, gram_of
+from quatdesign.exactnum import GOLDEN, RAT, SQRT2, QuadElem, rat, read_scalar
+from quatdesign.groups import NotAntipodal, UnitGroup, _gram, build_group
 from quatdesign.harmonics import harm_basis, laplacian, quotient_monomials
 from quatdesign.orders import (
     FIELD_TAG,
@@ -17,7 +17,7 @@ from quatdesign.orders import (
     right_multiplication_matrices,
 )
 from quatdesign.quat import (
-    PAIR_MUL, Quaternion, flat, left_matrix_pairs, qmul, qmul_pairs, scaled_pairs,
+    PAIR_MUL, Quaternion, flat, left_matrix_pairs, qmul, qmul_pairs, read_points,
 )
 from quatdesign.strength import pair_sums
 
@@ -178,6 +178,35 @@ def inner(x, y) -> QuadElem:
     return sum((a * b for a, b in zip(x.coords, y.coords)), rat(0))
 
 
+def scaled_pairs(coords, scale: int) -> tuple[tuple[int, int], ...]:
+    """Integer pairs of scale * c for each QuadElem c; raises ValueError
+    when a scaled coordinate is not integral."""
+    out = []
+    for c in coords:
+        a, b = scale * c.a, scale * c.b
+        if a.denominator != 1 or b.denominator != 1:
+            raise ValueError(f"{scale} * ({c}) is not integral")
+        out.append((a.numerator, b.numerator))
+    return tuple(out)
+
+
+def quadelem_from_json(obj) -> QuadElem:
+    """The inverse of QuadElem.to_json, through the program's scalar reader."""
+    return QuadElem(*read_scalar(obj))
+
+
+def quaternion_from_json(arr) -> Quaternion:
+    """The inverse of Quaternion.to_json, one QuadElem per coordinate."""
+    if len(arr) != 4:
+        raise ValueError(f"a quaternion has 4 scalars, not {len(arr)}")
+    return Quaternion(*map(quadelem_from_json, arr))
+
+
+def points_gram(points):
+    """The Gram pass of a list of Quaternions, read as a point file is."""
+    return _gram(*read_points([x.to_json() for x in points]))
+
+
 def embed_coords(label: str, coords) -> Quaternion:
     """sum_j c_j b_j, summed on the flat integer components of 2 b_j."""
     n = len(order_basis(label))
@@ -284,14 +313,13 @@ def order_basis(label: str) -> tuple:
 
 
 def unit_group(label, elements) -> UnitGroup:
-    """A UnitGroup of Quaternions, made from their integer frame: D the lcm
-    of 2 and every coordinate denominator, and for each element the tag of
-    its coordinates, RAT when all are."""
+    """A UnitGroup of Quaternions, made from the pairs of 2 eps (ValueError
+    when one is not integral), and for each element the tag of its
+    coordinates, RAT when all are."""
     elements = list(elements)
-    scale = lcm(2, *(q.denominator for x in elements for c in x.coords for q in (c.a, c.b)))
     tags = {c.tag for x in elements for c in x.coords if c.b}
-    return UnitGroup(label, tags.pop() if tags else RAT, scale,
-                     [scaled_pairs(x.coords, scale) for x in elements],
+    return UnitGroup(label, tags.pop() if tags else RAT,
+                     [scaled_pairs(x.coords, 2) for x in elements],
                      [next((c.tag for c in x.coords if c.tag != RAT), RAT) for x in elements])
 
 
@@ -379,9 +407,8 @@ def is_closed(elements) -> bool:
 
 # -- point sets, order coordinates and forms, one value at a time -------------
 
-def pair_distance_distribution(points) -> dict:
-    """A_s(X) over all ordered pairs; sums to |X|^2."""
-    gram = gram_of(points)
+def pair_distance_distribution(gram) -> dict:
+    """A_s(X) over all ordered pairs of X's Gram pass; sums to |X|^2."""
     return gram.distribution(gram.pair_counts())
 
 
@@ -411,9 +438,9 @@ def orbit(x, group) -> list:
     return sorted(pts, key=by_coords)
 
 
-def pair_sum_value(points, ell: int) -> QuadElem:
+def pair_sum_value(gram, ell: int) -> QuadElem:
     """sum_{x,y in X} C_l^1(<x,y>), over the Gram pass of X."""
-    return pair_sums(gram_of(points), (ell,))[ell]
+    return pair_sums(gram, (ell,))[ell]
 
 
 def coords_of(label: str, q) -> tuple:

@@ -108,6 +108,57 @@ def test_a_point_of_other_than_four_scalars_is_bad_input(tmp_path, capsys, lengt
     assert f"a quaternion has 4 scalars, not {length}" in captured.err
 
 
+_ZERO, _UNIT = {"tag": "RAT", "a": "0", "b": "0"}, {"tag": "RAT", "a": "1", "b": "0"}
+
+
+@pytest.mark.parametrize("points, code, err", [
+    ([[{"tag": "QQ", "a": "1", "b": "0"}, _ZERO, _ZERO, _ZERO]],
+     4, "error: cannot read point file {path!r}: unknown field tag 'QQ'\n"),
+    ([[{"tag": "RAT", "a": "0", "b": "1"}, _UNIT, _ZERO, _ZERO]],
+     4, "error: cannot read point file {path!r}: RAT elements must have b = 0\n"),
+    ([[_ZERO, {"tag": "SQRT2", "a": "0", "b": "1/2"}, {"tag": "SQRT2", "a": "0", "b": "1/2"},
+       _ZERO],
+      [{"tag": "GOLDEN", "a": "0", "b": "1"}, _ZERO, _ZERO, _ZERO]],
+     4, "error: point set mixes the fields ['GOLDEN', 'SQRT2']\n"),
+    ([[{"tag": "RAT", "a": "2", "b": "0"}, _ZERO, _ZERO, _ZERO]],
+     4, "error: point set must lie on the unit sphere\n"),
+    (["abcd"], 4, "error: cannot read point file {path!r}: "),
+    ([[{**_UNIT, "c": "7"}, _ZERO, _ZERO, _ZERO]], 0, ""),
+], ids=["unknown-tag", "rat-with-b", "mixed-fields", "off-the-sphere", "string-point",
+        "extra-key"])
+def test_every_point_file_refusal_keeps_its_message(tmp_path, capsys, points, code, err):
+    # the refusals of the point reader, whole where they do not depend on the
+    # interpreter; the string "abcd" has four items, so it fails on its first
+    path = str(tmp_path / "points.json")
+    Path(path).write_text(json.dumps({"points": points}))
+    got, (out, stderr) = main(["strength", "--points", path]), capsys.readouterr()
+    assert got == code
+    if code:
+        err = err.format(path=path)
+        assert out == ""
+        assert stderr == err if err.endswith("\n") else stderr.startswith(err)
+    else:  # the extra key is ignored: the report of the point (1, 0, 0, 0)
+        Path(path).write_text(json.dumps({"points": [[_UNIT, _ZERO, _ZERO, _ZERO]]}))
+        assert (stderr, main(["strength", "--points", path])) == ("", 0)
+        assert capsys.readouterr().out == out
+
+
+def test_a_point_file_with_denominators_five_reads_as_its_group(tmp_path, capsys):
+    # +-1 and +-(3/5 i + 4/5 j), a conjugate of C4 read at D = 10, has the
+    # strength report of C4 itself
+    from quatdesign.strength import group_strength
+
+    r = lambda a: {"tag": "RAT", "a": a, "b": "0"}
+    points = [[r("1"), _ZERO, _ZERO, _ZERO], [r("-1"), _ZERO, _ZERO, _ZERO],
+              [_ZERO, r("3/5"), r("4/5"), _ZERO], [_ZERO, r("-3/5"), r("-4/5"), _ZERO]]
+    path = tmp_path / "c4.json"
+    path.write_text(json.dumps({"points": points}))
+    code, out = run_cli(capsys, "strength", "--points", str(path), "--max", "12",
+                        "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {**group_strength("C4", 12).to_json(), "label": "points"}
+
+
 @pytest.mark.parametrize("label", ["C1_0", "C+8", "C 8", "C08", "D2n٣", "D2n+3", "C-08", "C", "D2n"])
 def test_a_malformed_family_label_is_bad_input(capsys, label):
     # int() alone would read n = 10, 8, 8, 8, 3, 3 and -8 from the first seven

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -18,14 +19,14 @@ from quatdesign.groups import (
     UnsupportedAngle,
     build_group,
     distance_distribution,
-    gram_of,
     is_distance_invariant,
 )
-from quatdesign.quat import Quaternion, from_pairs, qmul, qmul_pairs, scaled_pairs
+from quatdesign.quat import Quaternion, from_pairs, qmul, qmul_pairs, read_points
 
 import oracles
 from oracles import (
-    alpha, half_set, inner, neg, norm, omega, orbit, pair_distance_distribution, unit_group, zeta,
+    alpha, half_set, inner, neg, norm, omega, orbit, pair_distance_distribution, points_gram,
+    scaled_pairs, unit_group, zeta,
 )
 
 HALF = Fraction(1, 2)
@@ -121,7 +122,7 @@ def test_integer_build_matches_the_quadelem_coset_products(label):
 def test_closure_matches_the_dividing_oracle(label, data):
     # random subsets, with and without 1, and the subgroups generated by one
     # or two random elements, so that both answers occur; the oracle divides
-    # each product by D where is_closed looks it up among the D^2-multiples
+    # each product by 2 where is_closed looks it up among the pairs of 4 eps
     elements = build_group(label).elements
     picked = data.draw(st.lists(st.sampled_from(elements), min_size=2, max_size=12, unique=True))
     mode = data.draw(st.sampled_from(["subset", "without 1", "subgroup"]))
@@ -179,14 +180,14 @@ def test_unsupported_angles():
 
 
 def test_inner_product_sets():
-    t = gram_of(build_group("2T")).angles()
+    t = build_group("2T").gram.angles()
     assert t == {rat(-1), rat(-HALF), rat(0), rat(HALF)}
 
-    o = gram_of(build_group("2O")).angles()
+    o = build_group("2O").gram.angles()
     r = sqrt2_elem(0, HALF)
     assert o == {rat(-1), -r, rat(-HALF), rat(0), rat(HALF), r}
 
-    i = gram_of(build_group("2I")).angles()
+    i = build_group("2I").gram.angles()
     tau_half = golden_elem(0, HALF)
     tau_inv_half = golden_elem(-HALF, HALF)
     assert i == {
@@ -202,33 +203,35 @@ def test_distance_distribution_2O():
         rat(1): 1, r: 6, rat(HALF): 8, rat(0): 18,
         rat(-HALF): 8, -r: 6, rat(-1): 1,
     }
-    assert distance_distribution(g.elements, g.elements[0]) == expected
-    assert is_distance_invariant(g.elements)
+    gram = points_gram(g.elements)
+    assert distance_distribution(gram, 0) == distance_distribution(g.gram, 0) == expected
+    assert is_distance_invariant(gram)
 
 
 def test_distance_distribution_q8():
     g = build_group("Q8")
-    one = Quaternion(1, 0, 0, 0)
-    assert distance_distribution(g.elements, one) == {rat(1): 1, rat(0): 6, rat(-1): 1}
+    one = g.elements.index(Quaternion(1, 0, 0, 0))
+    assert distance_distribution(points_gram(g.elements), one) == {rat(1): 1, rat(0): 6, rat(-1): 1}
 
 
 def test_distance_distribution_2T_basepoint_free():
     g = build_group("2T")
-    dists = {frozenset(distance_distribution(g.elements, x).items()) for x in g}
+    dists = {frozenset(distance_distribution(g.gram, i).items()) for i in range(len(g))}
     assert len(dists) == 1
 
 
 def test_pair_distribution_total():
     g = build_group("2T")
-    dist = pair_distance_distribution(g.elements)
+    dist = pair_distance_distribution(points_gram(g.elements))
     assert sum(dist.values()) == len(g) ** 2
     assert dist[rat(1)] == len(g)
 
 
 def test_distance_distribution_requires_member_basepoint():
+    # the basepoint is a row of the Gram pass: there is none past the last point
     g = build_group("Q8")
-    with pytest.raises(ValueError):
-        distance_distribution(g.elements, Quaternion(HALF, HALF, HALF, HALF))
+    with pytest.raises(IndexError):
+        distance_distribution(g.gram, len(g))
 
 
 def test_half_sets():
@@ -311,37 +314,35 @@ def oracle_rows(points):
 def test_gram_readers_match_inner_product_loop(name):
     points = doubled_2I() if name == "doubled" else list(build_group(name))
     rows, angles = oracle_rows(points)
-    assert pair_distance_distribution(points) == sum(rows, Counter())
-    assert gram_of(points).angles() == angles
+    gram = points_gram(points)
+    assert pair_distance_distribution(gram) == sum(rows, Counter())
+    assert gram.angles() == angles
     for idx in (0, len(points) - 1):
-        assert distance_distribution(points, points[idx]) == rows[idx]
-    assert is_distance_invariant(points) == all(row == rows[0] for row in rows)
-    if name != "doubled":  # a group's readers share its own pass
+        assert distance_distribution(gram, idx) == rows[idx]
+    assert is_distance_invariant(gram) == all(row == rows[0] for row in rows)
+    if name != "doubled":  # a group's own pass, from its pairs, agrees
         group = build_group(name)
-        assert pair_distance_distribution(group) == pair_distance_distribution(points)
-        assert gram_of(group).angles() == gram_of(points).angles()
+        assert pair_distance_distribution(group.gram) == pair_distance_distribution(gram)
+        assert group.gram.angles() == gram.angles()
 
 
 def test_gram_pass_keeps_a_repeated_point_in_the_angle_set():
     q8 = list(build_group("Q8"))
-    assert rat(1) not in gram_of(q8).angles()
-    assert rat(1) in gram_of(q8 + q8[:1]).angles()
+    assert rat(1) not in points_gram(q8).angles()
+    assert rat(1) in points_gram(q8 + q8[:1]).angles()
 
 
 def test_gram_pass_rejects_a_non_unit_point():
     points = list(build_group("2T")) + [Quaternion(1, 1, 0, 0)]
-    for reader in (pair_distance_distribution, gram_of, is_distance_invariant):
-        with pytest.raises(ValueError, match="unit sphere"):
-            reader(points)
     with pytest.raises(ValueError, match="unit sphere"):
-        distance_distribution(points, points[0])
+        points_gram(points)
 
 
 def test_gram_pass_rejects_mixed_fields():
     with pytest.raises(FieldTagMismatch):
-        pair_distance_distribution([alpha(), zeta()])
+        points_gram([alpha(), zeta()])
     with pytest.raises(FieldTagMismatch):
-        gram_of(list(build_group("2O")) + list(build_group("2I"))).angles()
+        points_gram(list(build_group("2O")) + list(build_group("2I")))
 
 
 def test_unit_group_refuses_a_non_unit():
@@ -392,10 +393,48 @@ def test_groups_hold_no_field_element():
     assert done.stdout.split() == ["0"]
 
 
+_POINT_FILE_CHILD = """
+import contextlib, io, sys
+from quatdesign import exactnum
+from quatdesign.cli import main
+made, init = [], exactnum.QuadElem.__init__
+
+def counting(self, *args, **kwargs):
+    made.append(args)
+    init(self, *args, **kwargs)
+
+exactnum.QuadElem.__init__ = counting
+for path in sys.argv[1:]:
+    made.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["strength", "--points", path]) == 0
+    print(len(made))
+"""
+
+# a conjugate of C4 with D = 10: +-1 and +-(3/5 i + 4/5 j)
+C4_CONJUGATE = [Quaternion(1, 0, 0, 0), Quaternion(-1, 0, 0, 0),
+                Quaternion(0, Fraction(3, 5), Fraction(4, 5), 0),
+                Quaternion(0, Fraction(-3, 5), Fraction(-4, 5), 0)]
+
+
+def test_a_point_file_is_read_without_a_field_element(tmp_path):
+    # strength --points from read to report, on 2I's own JSON and on a file
+    # with D = 10: the points go straight to integer pairs
+    i2 = tmp_path / "2i.json"
+    i2.write_text(json.dumps(build_group("2I").to_json()))
+    c4 = tmp_path / "c4.json"
+    c4.write_text(json.dumps({"points": [x.to_json() for x in C4_CONJUGATE]}))
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "QUATDESIGN_"))}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", _POINT_FILE_CHILD, str(i2), str(c4)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "0"]
+
+
 @pytest.mark.parametrize("label", SUPPORTED)
 def test_a_group_and_its_printed_elements_have_one_gram(label):
-    # the user-point route: the group's own JSON elements, read back as
-    # Quaternions, give the rows of the Gram pass built from the pairs
+    # the user-point route: the group's own JSON elements, read by the point
+    # reader, give the rows of the Gram pass built from the pairs
     group = build_group(label)
-    points = [Quaternion.from_json(e) for e in group.to_json()["elements"]]
-    assert groups.gram_pass(points).rows == group.gram.rows
+    assert groups._gram(*read_points(group.to_json()["elements"])).rows == group.gram.rows

@@ -15,7 +15,7 @@ from quatdesign.lpbound import (
 )
 from quatdesign.quat import Quaternion
 
-from oracles import lp_polynomials_unipoly, orbit, rational_tuple
+from oracles import lp_polynomials_unipoly, orbit, points_gram, rational_tuple
 
 HALF = Fraction(1, 2)
 
@@ -164,12 +164,12 @@ def test_corrupted_coefficient_rejected():
     assert report.off_design_violations == (6,)
     assert report.half_set_bound is None and report.angle_set is None
     with pytest.raises(CertificateError, match="F2T: certificate failed"):
-        check_equality_case(build_group("2T"), tf)
+        check_equality_case(build_group("2T").gram, tf)
 
 
 def test_equality_cases_attained():
     for name, label in (("F2T", "2T"), ("F2O", "2O"), ("F2I", "2I")):
-        report = check_equality_case(build_group(label), build_test_function(name))
+        report = check_equality_case(build_group(label).gram, build_test_function(name))
         assert report.attained
         assert report.inner_products_are_roots
         assert report.is_design
@@ -185,7 +185,7 @@ def test_a_bound_needs_a_positive_f0():
     assert report.passed and tf.f0 == 0
     assert report.half_set_bound is None
     with pytest.raises(CertificateError, match="f_0 must be positive"):
-        check_equality_case(build_group("2T"), tf)
+        check_equality_case(build_group("2T").gram, tf)
 
 
 def test_angles_need_a_passing_certificate():
@@ -194,7 +194,7 @@ def test_angles_need_a_passing_certificate():
     assert not report.passed
     assert report.angle_set is None and report.half_set_bound is None
     with pytest.raises(CertificateError, match="F2T: certificate failed"):
-        check_equality_case(build_group("2T"), tf)
+        check_equality_case(build_group("2T").gram, tf)
 
 
 def test_equality_case_not_attained_for_doubled_set():
@@ -202,7 +202,7 @@ def test_equality_case_not_attained_for_doubled_set():
     extra = orbit(Quaternion(Fraction(3, 5), Fraction(4, 5), 0, 0), group)
     points = list(group) + extra
     assert len(set(points)) == 240
-    report = check_equality_case(points, build_test_function("F2I"))
+    report = check_equality_case(points_gram(points), build_test_function("F2I"))
     assert report.is_design  # a union of orthogonal copies keeps the design set
     assert not report.attained
     assert report.cardinality == 240
@@ -211,9 +211,9 @@ def test_equality_case_not_attained_for_doubled_set():
 def test_equality_case_requires_an_antipodal_set():
     # C3 = {1, w, w^2} holds no -x, so the bound cannot be attained
     with pytest.raises(NotAntipodal):
-        check_equality_case(build_group("C3").elements, build_test_function("F2T"))
+        check_equality_case(points_gram(build_group("C3").elements), build_test_function("F2T"))
     with pytest.raises(NotAntipodal):
-        check_equality_case(build_group("C3"), build_test_function("F2T"))
+        check_equality_case(build_group("C3").gram, build_test_function("F2T"))
 
 
 def test_equality_cases_check_makes_one_gram_pass_per_group(monkeypatch):

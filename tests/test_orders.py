@@ -22,11 +22,14 @@ from quatdesign.orders import (
     shell_count_formula,
     sigma,
 )
-from quatdesign.quat import Quaternion, qmul, scaled_pairs
+from quatdesign.quat import Quaternion, qmul
 from quatdesign.strength import pair_sum_tests_bulk
 
 import oracles
-from oracles import embed_coords, inner, iota, norm, omega, order_basis, plus, times, unit_group
+from oracles import (
+    embed_coords, inner, iota, norm, omega, order_basis, plus, points_gram, scaled_pairs, times,
+    unit_group,
+)
 
 
 def test_sigma_values():
@@ -581,9 +584,9 @@ def test_strength_inheritance_normalized_shell():
         Quaternion(*(c * rat(half) for c in embed_coords("2T", coords).coords))
         for coords in sh
     ]
-    results = pair_sum_tests_bulk(pts, (2, 4, 10))
+    results = pair_sum_tests_bulk(points_gram(pts), (2, 4, 10))
     assert all(results.values())
-    assert not pair_sum_tests_bulk(pts, (6,))[6]
+    assert not pair_sum_tests_bulk(points_gram(pts), (6,))[6]
 
 
 def test_kappa4_basics():

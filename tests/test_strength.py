@@ -1,3 +1,5 @@
+import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -5,7 +7,8 @@ import pytest
 from quatdesign.budget import get_budget
 from quatdesign.exactnum import rat
 from quatdesign import groups, strength, verify
-from quatdesign.groups import UnitGroup, build_group
+from quatdesign.cli import main
+from quatdesign.groups import build_group
 from quatdesign.quat import Quaternion
 from quatdesign.strength import (
     StrengthReport,
@@ -21,7 +24,10 @@ from quatdesign.strength import (
     pair_sums,
 )
 
-from oracles import alpha, chebyshev_u_value, half_set, omega, orbit, pair_sum_value, qpow, unit_group
+from oracles import (
+    alpha, chebyshev_u_value, half_set, omega, orbit, pair_sum_value, points_gram, qpow,
+    scaled_pairs, unit_group,
+)
 
 EXPECTED_EVEN = {
     "2T": (2, 4, 10),
@@ -59,10 +65,10 @@ def test_molien_2I_landmarks():
 
 def test_pair_sum_examples():
     t = build_group("2T")
-    assert pair_sum_test(t, 2)
-    assert not pair_sum_test(t, 6)
-    assert pair_sum_value(t, 6) == rat(576)  # |G|^2 * [u^6] Psi
-    assert pair_sum_test(build_group("2O"), 22)
+    assert pair_sum_test(t.gram, 2)
+    assert not pair_sum_test(t.gram, 6)
+    assert pair_sum_value(t.gram, 6) == rat(576)  # |G|^2 * [u^6] Psi
+    assert pair_sum_test(build_group("2O").gram, 22)
 
 
 @pytest.mark.parametrize("label", ["2T", "2O", "2I"])
@@ -70,15 +76,15 @@ def test_route_consistency(label):
     group = build_group(label)
     series = molien_series(group, 24)
     for ell in range(2, 25, 2):
-        assert pair_sum_test(group, ell) == (series[ell] == 0)
+        assert pair_sum_test(group.gram, ell) == (series[ell] == 0)
 
 
 @pytest.mark.parametrize("label", ["2T", "2O", "2I", "C5", "D2n3"])
 def test_pair_sums_match_the_recurrence_from_degree_zero(label):
     group = build_group(label)
     # the group's own pass and a pass over a point list with denominators 10
-    for points in (group, orbit(Quaternion(Fraction(3, 5), Fraction(4, 5), 0, 0), group)):
-        gram = groups.gram_of(points)
+    for gram in (group.gram, points_gram(orbit(Quaternion(Fraction(3, 5), Fraction(4, 5), 0, 0),
+                                               group))):
         dist = list(gram.distribution(gram.pair_counts()).items())
         ells = (7, 0, 30, 1, 2, 12)  # unsorted, with both starting degrees
         want = {ell: sum((chebyshev_u_value(ell, s) * count for s, count in dist), rat(0))
@@ -86,8 +92,7 @@ def test_pair_sums_match_the_recurrence_from_degree_zero(label):
         got = pair_sums(gram, ells)
         assert got == want and list(got) == list(ells)
         assert pair_sums(gram, ()) == {}
-        elements = points.elements if isinstance(points, UnitGroup) else points
-        bulk = pair_sum_tests_bulk(elements, range(31))
+        bulk = pair_sum_tests_bulk(gram, range(31))
         assert bulk == {ell: sum((chebyshev_u_value(ell, s) * count for s, count in dist),
                                  rat(0)).is_zero() for ell in range(31)}
 
@@ -97,23 +102,23 @@ def test_pair_sums_reject_negative_degrees():
     with pytest.raises(IndexError):
         pair_sums(group.gram, (2, -1))
     with pytest.raises(IndexError):
-        pair_sum_test(group, -1)
+        pair_sum_test(group.gram, -1)
     with pytest.raises(IndexError):
-        pair_sum_value(group, -2)
+        pair_sum_value(group.gram, -2)
     with pytest.raises(IndexError):
-        pair_sum_tests_bulk(group.elements, range(-1, 5))
+        pair_sum_tests_bulk(points_gram(group.elements), range(-1, 5))
 
 
 def test_pair_sum_rejects_non_unit_points():
     with pytest.raises(ValueError):
-        pair_sum_test([Quaternion(2, 0, 0, 0)], 2)
+        pair_sum_test(points_gram([Quaternion(2, 0, 0, 0)]), 2)
 
 
 def test_point_strength_rejects_degenerate_sets():
     with pytest.raises(ValueError, match="empty"):
-        harmonic_strength([], 6)
+        harmonic_strength(points_gram([]), 6)
     with pytest.raises(ValueError, match="unit sphere"):
-        harmonic_strength([Quaternion(2, 0, 0, 0)], 6)
+        harmonic_strength(points_gram([Quaternion(2, 0, 0, 0)]), 6)
 
 
 def test_molien_tripwires():
@@ -131,20 +136,16 @@ def test_class_sum_series_on_integer_pairs():
     assert class_sum_series("SQRT2", classes, 2, (1, 0, 1), 4) == (1, 1, 2, 3, 4)
 
 
-def test_class_sums_need_coefficients_in_z_rho():
-    # 2 eps_1 = 6/5: 1/(1 - (6/5) u + u^2) has no integer-pair recurrence
-    unit = Quaternion(Fraction(3, 5), Fraction(4, 5), 0, 0)
-    with pytest.raises(ValueError, match="not integral"):
-        molien_series(unit_group("r", [unit]), 3)
-
-
 def test_molien_needs_only_2_eps_1_integral():
-    # a conjugate of C4: 2 eps is not integral, 2 eps_1 is
+    # a conjugate of C4: 2 eps is not integral, 2 eps_1 is, and the class
+    # sums over 2 eps_1 give the series of C4
     g = Quaternion(0, Fraction(3, 5), Fraction(4, 5), 0)
-    c4 = unit_group("C4 conjugate", [qpow(g, k) for k in range(4)])
     with pytest.raises(ValueError, match="not integral"):
-        c4.doubled
-    assert molien_series(c4, 8) == (1, 0, 1, 0, 3, 0, 3, 0, 5) == molien_closed_form("C4", 8)
+        scaled_pairs(g.coords, 2)
+    classes = Counter(scaled_pairs((qpow(g, k).x1,), 2)[0] for k in range(4))
+    series = class_sum_series("RAT", [(((1, 0), (-a, -b), (1, 0)), count)
+                                      for (a, b), count in classes.items()], 4, (1,), 8)
+    assert series == (1, 0, 1, 0, 3, 0, 3, 0, 5) == molien_closed_form("C4", 8)
 
 
 def test_molien_negative_degree_is_rejected():
@@ -212,7 +213,7 @@ def test_gap_sets():
 def test_half_set_even_strength_matches(label):
     group = build_group(label)
     half = half_set(group.elements)
-    report_half = harmonic_strength(half, 24)
+    report_half = harmonic_strength(points_gram(half), 24)
     report_full = group_strength(label, 24)
     full_evens = {e for e in report_full.even_members if e <= 24}
     assert set(report_half.even_members) == full_evens
@@ -240,23 +241,26 @@ def test_group_pair_sums_read_the_group_not_its_label():
     q8 = build_group("Q8").elements
     for label in ("2T", "Q8 copy"):
         group = unit_group(label, q8)
-        assert not pair_sum_test(group, 4)  # Q8 is a 3-design; 2T is a 4-design
-        assert pair_sum_value(group, 4) == pair_sum_value(q8, 4)
+        assert not pair_sum_test(group.gram, 4)  # Q8 is a 3-design; 2T is a 4-design
+        assert pair_sum_value(group.gram, 4) == pair_sum_value(points_gram(q8), 4)
 
 
-def test_point_list_strength_scans_pair_distances_once(monkeypatch):
-    points = list(build_group("2O").elements)
+def test_point_list_strength_scans_pair_distances_once(monkeypatch, tmp_path, capsys):
+    # strength --points on 2O's elements: one Gram pass, read by every degree
+    path = tmp_path / "2o.json"
+    path.write_text(json.dumps(build_group("2O").to_json()))
     scans = []
-    scan = groups.gram_pass
+    scan = groups._gram
 
-    def counting(pts):
+    def counting(tag, scale, pairs):
         scans.append(1)
-        return scan(pts)
+        return scan(tag, scale, pairs)
 
-    monkeypatch.setattr(groups, "gram_pass", counting)
-    report = harmonic_strength(points, 30)
-    assert report.all_odd_in
-    assert report.even_members == group_strength("2O", 30).even_members
+    monkeypatch.setattr(groups, "_gram", counting)
+    assert main(["strength", "--points", str(path), "--max", "30", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["all_odd_in"]
+    assert report["even_members"] == list(group_strength("2O", 30).even_members)
     assert len(scans) == 1
 
 

@@ -18,7 +18,7 @@ from quatdesign.qseries import qseries
 from quatdesign.strength import molien_closed_form, molien_series
 from quatdesign import cli, orders, theta, verify
 from quatdesign import qseries as qseries_module
-from quatdesign.quat import flat, left_matrix_pairs, qmul_pairs, scaled_pairs
+from quatdesign.quat import flat, left_matrix_pairs, qmul_pairs
 from quatdesign.theta import (
     exact_rank,
     harmonic_invariant_dim,
@@ -31,7 +31,7 @@ from quatdesign.theta import (
 )
 
 import oracles
-from oracles import embed_coords, poly4_eval
+from oracles import embed_coords, poly4_eval, scaled_pairs
 
 
 def theta_rank(label, ell, shells, budget=None):

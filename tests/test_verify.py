@@ -20,9 +20,8 @@ from quatdesign.budget import get_budget
 from quatdesign.exactnum import rat
 from quatdesign.groups import UnitGroup
 from quatdesign.orders import IntegrityError
-from quatdesign.quat import Quaternion
 
-from oracles import conj, neg, omega, unit_group
+from oracles import alpha, conj, neg, omega, unit_group
 
 DESK = get_budget("desk")
 
@@ -46,12 +45,16 @@ def _route_2t(monkeypatch, group):
 
 
 def test_groups_check_names_a_group_not_closed(monkeypatch):
-    # 2T with +-w and +-conj(w) traded for +-x and +-conj(x), x = (3 + 4i)/5:
-    # still 24 antipodal units closed under inverses, but x^2 is not among them
-    w, x = omega(), Quaternion(Fraction(3, 5), Fraction(4, 5), 0, 0)
+    # 2T with +-w and +-conj(w) traded for +-a and +-conj(a), a = (1 + i)/sqrt2,
+    # tagged SQRT2: still 24 antipodal units closed under inverses, with
+    # integral 2 eps, but a j = (j + k)/sqrt2 is not among them
+    w, a = omega(), alpha()
     traded = {w, neg(w), conj(w), neg(conj(w))}
     elements = [e for e in verify.build_group("2T") if e not in traded]
-    _route_2t(monkeypatch, unit_group("2T", elements + [x, neg(x), conj(x), neg(conj(x))]))
+    group = unit_group("2T", elements + [a, neg(a), conj(a), neg(conj(a))])
+    assert (group.tag, len(group), group.is_antipodal(), group.contains_inverse_of_all(),
+            group.is_closed()) == ("SQRT2", 24, True, True, False)
+    _route_2t(monkeypatch, group)
     result = verify.run_check("groups", DESK)
     assert result.status == "FAIL"
     assert result.details == "2T not closed under multiplication"
@@ -68,7 +71,7 @@ def test_groups_check_names_a_group_not_closed(monkeypatch):
 def test_groups_check_names_a_wrong_group_property(monkeypatch, method, answer, details):
     corrupted = type("Corrupted2T", (UnitGroup,), {method: lambda self: answer})
     g = verify.build_group("2T")
-    _route_2t(monkeypatch, corrupted("2T", g.tag, g.scale, g.pairs, g.tags))
+    _route_2t(monkeypatch, corrupted("2T", g.tag, g.doubled, g.tags))
     result = verify.run_check("groups", DESK)
     assert result.status == "FAIL"
     assert result.details == details
@@ -89,9 +92,9 @@ def test_strength_direct_check_names_the_degree(monkeypatch):
     # one pair-sum test of 2I claims l = 12 vanishes; 12 is not in T(2I)
     tests_bulk = verify.pair_sum_tests_bulk
 
-    def corrupted(group, ells):
-        out = tests_bulk(group, ells)
-        return {**out, 12: True} if group.label == "2I" else out
+    def corrupted(gram, ells):
+        out = tests_bulk(gram, ells)
+        return {**out, 12: True} if gram is verify.build_group("2I").gram else out
 
     monkeypatch.setattr(verify, "pair_sum_tests_bulk", corrupted)
     result = verify.run_check("strength-direct", DESK)
@@ -110,8 +113,8 @@ def test_equality_cases_check_names_the_distribution(monkeypatch):
     # one distance count of 2O off by one: 17 orthogonal elements, not 18
     distribution = verify.distance_distribution
 
-    def corrupted(points, base):
-        out = dict(distribution(points, base))
+    def corrupted(gram, row):
+        out = dict(distribution(gram, row))
         out[rat(0)] -= 1
         return out
 
@@ -127,9 +130,9 @@ def test_strength_direct_check_names_an_odd_degree(monkeypatch):
     # 2O, so every odd pair sum vanishes
     tests_bulk = verify.pair_sum_tests_bulk
 
-    def corrupted(group, ells):
-        out = tests_bulk(group, ells)
-        return {**out, 5: False} if group.label == "2O" else out
+    def corrupted(gram, ells):
+        out = tests_bulk(gram, ells)
+        return {**out, 5: False} if gram is verify.build_group("2O").gram else out
 
     monkeypatch.setattr(verify, "pair_sum_tests_bulk", corrupted)
     result = verify.run_check("strength-direct", DESK)
@@ -167,9 +170,9 @@ def test_equality_cases_check_names_a_failed_equality_case(monkeypatch):
     # the report of 2I claims it is not a design
     check = verify.check_equality_case
 
-    def corrupted(group, tf):
-        out = check(group, tf)
-        return out._replace(is_design=False) if group.label == "2I" else out
+    def corrupted(gram, tf):
+        out = check(gram, tf)
+        return out._replace(is_design=False) if gram is verify.build_group("2I").gram else out
 
     monkeypatch.setattr(verify, "check_equality_case", corrupted)
     result = verify.run_check("equality-cases", DESK)
