@@ -267,11 +267,6 @@ def cmd_shells(args, budget: Budget) -> int:
     return EXIT_OK
 
 
-def _half_str(v: int) -> str:
-    """frac_str(Fraction(v, 2)) for an integer v."""
-    return f"{v}/2" if v & 1 else str(v >> 1)
-
-
 def _write_shell_json(out, shell, indent: int) -> None:
     """Write {"group", "m", "points", "size"} of the shell as
     json.dump(..., indent=indent, sort_keys=True) would, one point at a time.
@@ -281,6 +276,7 @@ def _write_shell_json(out, shell, indent: int) -> None:
     record: a and b are halves of the latter, so no field element and no
     payload is built.
     """
+    from .exactnum import half_str
     from .orders import EMBEDDED, FIELD_TAG, RECORD
 
     label = shell.group_label
@@ -297,7 +293,7 @@ def _write_shell_json(out, shell, indent: int) -> None:
               f'{nl[1]}"points": [')
     sep = ""
     for c, x2 in zip(shell, EMBEDDED.iter_unpack(shell.embedded())):
-        out.write(sep + point % (*c, *map(_half_str, x2)))
+        out.write(sep + point % (*c, *map(half_str, x2)))
         sep = ","
     out.write(f'{nl[1]}],{nl[1]}"size": {len(shell)}{nl[0]}}}')  # no shell is empty
 

@@ -235,6 +235,11 @@ def frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def half_str(v: int) -> str:
+    """frac_str(Fraction(v, 2)) for an integer v."""
+    return f"{v}/2" if v & 1 else str(v >> 1)
+
+
 # -- sparse row echelon -----------------------------------------------------
 #
 # A sparse vector is a dict {sortable key: field element} without zero

@@ -16,8 +16,8 @@ and 2gh its exact half.  A UnitGroup is made from that frame: the field
 tag, the pairs 2 eps, and one coordinate tag per element, RAT exactly when
 both factors are RAT, as a QuadElem product would tag it, and the field's
 tag otherwise.  It checks, sorts, tests closure and takes its Gram pass on
-the pairs.  A Quaternion is rendered from them only at the boundary: for
-output, for the `elements` view and in an error message.
+the pairs.  `to_json` prints the halves of the pairs under each element's
+tag, and a Quaternion is rendered from them only in an error message.
 
 Any finite point set, a group or a point file, is read through one Gram
 pass (`Gram`, `_gram`) on its integer frame (tag, D, the pairs of D x); a
@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache
 from itertools import repeat
 
-from .exactnum import PAIR_MUL, QuadElem, RAT, SQRT2, GOLDEN, _sign_quadratic
+from .exactnum import PAIR_MUL, QuadElem, RAT, SQRT2, GOLDEN, _sign_quadratic, half_str
 from .quat import from_pairs, qmul_pairs
 
 
@@ -104,14 +104,6 @@ class UnitGroup:
 
     def __len__(self):
         return len(self.doubled)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    @cached_property
-    def elements(self) -> list:
-        """The elements as Quaternions, rendered from the pairs on first read."""
-        return [from_pairs(t, 2, x) for t, x in zip(self.tags, self.doubled)]
 
     def is_closed(self) -> bool:
         """Exact closure test on the integer pairs, from a generating subset T.
@@ -176,10 +168,13 @@ class UnitGroup:
         return all((x[0], *((-a, -b) for a, b in x[1:])) in members for x in self.doubled)
 
     def to_json(self):
+        """Each element as four {"tag", "a", "b"} components, the halves of
+        its pairs tagged with the element's tag."""
         return {
             "label": self.label,
             "order": len(self),
-            "elements": [e.to_json() for e in self.elements],
+            "elements": [[{"tag": t, "a": half_str(a), "b": half_str(b)} for a, b in x]
+                         for t, x in zip(self.tags, self.doubled)],
         }
 
 

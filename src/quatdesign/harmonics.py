@@ -1,6 +1,6 @@
 """Exact harmonic polynomials on R^4.
 
-Homogeneous 4-variable polynomials are sparse dicts {(e1,e2,e3,e4): Fraction}.
+Homogeneous 4-variable polynomials are sparse dicts {(e1,e2,e3,e4): int}.
 The harmonic basis avoids any nullspace computation: for a monomial x^a of
 degree l, the harmonic component of the decomposition Hom_l = Harm_l (+)
 r^2 Hom_{l-2} is given by the exact projection
@@ -9,16 +9,18 @@ r^2 Hom_{l-2} is given by the exact projection
 
 and { H(x^a) : deg a = l, a_4 <= 1 } is a basis of Harm_l(R^4): the count is
 C(l+2,2) + C(l+1,2) = (l+1)^2, and a combination of monomials with x4-degree
-at most one can only be divisible by r^2 if it vanishes.
+at most one can only be divisible by r^2 if it vanishes.  A harmonic is held
+as (P, den), its integer numerator and denominator with no common factor:
+H = P / den.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 Monomial = tuple[int, int, int, int]
-Poly4 = dict  # Monomial -> Fraction
+Poly4 = dict  # Monomial -> int
 
 
 def laplacian(p: Poly4) -> Poly4:
@@ -46,13 +48,13 @@ def _times_r2(p: dict) -> dict:
     return out
 
 
-def harmonic_projection(mono: Monomial) -> Poly4:
-    """Harmonic component of a degree-l monomial (d = 4).
+def harmonic_projection(mono: Monomial) -> tuple[Poly4, int]:
+    """Harmonic component of a degree-l monomial (d = 4), as (P, den).
 
     With c_k the k-th coefficient above and K the last k with a nonzero
     Laplacian^k x^a, den = 1/|c_K| clears every c_k: den c_(k-1) =
     -4 k (l-k+1) den c_k.  The sum is taken on integers, by Horner's rule in
-    r^2, and divided by den at the end.
+    r^2, and P and den are divided by their gcd at the end.
     """
     ell = sum(mono)
     laps = [{mono: 1}]
@@ -75,7 +77,8 @@ def harmonic_projection(mono: Monomial) -> Poly4:
     numerator = {m: c for m, c in numerator.items() if c}
     if laplacian(numerator):
         raise AssertionError("projection produced a non-harmonic")
-    return {m: Fraction(c, den) for m, c in numerator.items()}
+    common = gcd(den, *numerator.values())
+    return {m: c // common for m, c in numerator.items()}, den // common
 
 
 @lru_cache(maxsize=None)
@@ -92,7 +95,7 @@ def quotient_monomials(ell: int) -> tuple:
 @lru_cache(maxsize=None)
 def harm_basis(ell: int) -> tuple:
     """Basis of Harm_l(R^4): (l+1)^2 independent rational harmonics, as a
-    tuple of Poly4 (read-only by convention)."""
+    tuple of (P, den) pairs (read-only by convention)."""
     if ell < 0:
         raise ValueError("degree must be nonnegative")
     polys = [harmonic_projection(mono) for mono in quotient_monomials(ell)]

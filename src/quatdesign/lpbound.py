@@ -22,7 +22,7 @@ from fractions import Fraction
 from .exactnum import QuadElem, rat, sqrt2_elem, golden_elem
 from .gegenbauer import gegenbauer_expand, horner, poly_divmod, poly_mul, scaled_q, trim
 from .groups import Gram, NotAntipodal
-from .strength import pair_sums
+from .strength import pair_sum_tests_bulk
 
 
 class CertificateError(ValueError):
@@ -263,5 +263,5 @@ def check_equality_case(gram: Gram, tf: TestFunction) -> EqualityReport:
         bound=bound,
         attained=Fraction(len(gram.rows)) == bound,
         inner_products_are_roots=gram.angles() <= report.angle_set,
-        is_design=all(v.is_zero() for v in pair_sums(gram, tf.design_set).values()),
+        is_design=all(pair_sum_tests_bulk(gram, tf.design_set).values()),
     )

@@ -1,11 +1,12 @@
-"""Quaternions: products on integer pairs, and Quaternion at the boundary.
+"""Quaternions: products on integer pairs, and Quaternion for error messages.
 
 A quaternion x1 + x2 i + x3 j + x4 k is identified with the row vector
 (x1, x2, x3, x4).  The program computes on 4-tuples of integer pairs (a, b)
-for a + b*rho: a point file is read straight into them (`read_points`),
-and `Quaternion`, with QuadElem coordinates, is what they are rendered as
-(`from_pairs`).  Left multiplication y -> x*y acts on row vectors as
-y -> y . M_x, with the rows of M_x given by `left_matrix_pairs`.
+for a + b*rho: a point file is read straight into them (`read_points`), and
+the listings print the halves of the pairs.  `Quaternion`, with QuadElem
+coordinates, is rendered from them only in an error message (`from_pairs`).
+Left multiplication y -> x*y acts on row vectors as y -> y . M_x, with the
+rows of M_x given by `left_matrix_pairs`.
 Hamilton's rule is written once, in `HAMILTON`, and every product reads it.
 """
 
@@ -40,9 +41,6 @@ class Quaternion:
 
     def __repr__(self):
         return f"Quaternion({self.x1}, {self.x2}, {self.x3}, {self.x4})"
-
-    def to_json(self):
-        return [c.to_json() for c in self.coords]
 
 
 # Hamilton's rule: (i, j, k, s) says e_i e_j = s e_k, with e_0 = 1 and
@@ -80,10 +78,11 @@ def qmul(x: Quaternion, y: Quaternion) -> Quaternion:
 
 def read_points(arrs) -> tuple[str, int, list]:
     """The integer frame (tag, D, [D x on integer pairs]) of the quaternions
-    x written by `Quaternion.to_json`, with D the lcm of 2 and every
-    coordinate denominator and tag the one field of the irrational
-    coordinates, RAT when there are none.  ValueError for a malformed point,
-    FieldTagMismatch when the points mix Q(sqrt2) and Q(sqrt5)."""
+    x, each four {"tag", "a", "b"} scalars as `group` and `shells` print
+    them, with D the lcm of 2 and every coordinate denominator and tag the
+    one field of the irrational coordinates, RAT when there are none.
+    ValueError for a malformed point, FieldTagMismatch when the points mix
+    Q(sqrt2) and Q(sqrt5)."""
     points = []
     for arr in arrs:
         if len(arr) != 4:

@@ -155,14 +155,6 @@ def _pair_totals(gram: Gram, ells) -> dict[int, tuple[int, int]]:
     return totals
 
 
-def pair_sums(gram: Gram, ells) -> dict[int, QuadElem]:
-    """sum_{x,y} C_l^1(<x,y>) for each l in ells, over one Gram pass;
-    C_l^1 = U_l.  IndexError for a negative degree."""
-    scale = gram.unit[0]
-    return {ell: QuadElem(gram.tag, Fraction(a, scale ** ell), Fraction(b, scale ** ell))
-            for ell, (a, b) in _pair_totals(gram, ells).items()}
-
-
 def pair_sum_test(gram: Gram, ell: int) -> bool:
     """True iff l lies in the harmonic strength of X (Gegenbauer pair test),
     from X's Gram pass."""

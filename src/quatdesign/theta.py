@@ -247,17 +247,6 @@ def _monomial_sums(tag, points, ell) -> dict:
     return dict(zip(monos, zip(acc_a, acc_b)))
 
 
-@lru_cache(maxsize=None)
-def _integer_basis(ell: int) -> tuple:
-    """(den * P, den) for each P in harm_basis(ell), den clearing its
-    denominators."""
-    out = []
-    for p in harm_basis(ell):
-        den = lcm(*(c.denominator for c in p.values()))
-        out.append(({m: int(c * den) for m, c in p.items()}, den))
-    return tuple(out)
-
-
 # deterministic pool of rational unit left-translates, stored as integer
 # quaternions with square norm (the true translate is y / sqrt(N)), in
 # integer-pair coordinates
@@ -538,7 +527,7 @@ def _full_table(label, ell, shells, budget: Budget) -> ThetaTable:
     # the cell count is checked before the basis is built
     budget.check_table_cells(ball_size(label, shells) * max(ell + 1, 0) ** 2)
     tag = FIELD_TAG[label]
-    basis = _integer_basis(ell)
+    basis = harm_basis(ell)
 
     rows = []
     for shell in enumerate_shells(label, shells, budget):

@@ -6,7 +6,7 @@ from itertools import chain
 from math import comb, gcd, isqrt, lcm
 from operator import add, mul
 
-from quatdesign import lpbound, orders, theta
+from quatdesign import lpbound, orders, strength, theta
 from quatdesign.exactnum import GOLDEN, RAT, SQRT2, QuadElem, rat, read_scalar
 from quatdesign.groups import NotAntipodal, UnitGroup, _gram, build_group
 from quatdesign.harmonics import harm_basis, laplacian, quotient_monomials
@@ -17,9 +17,8 @@ from quatdesign.orders import (
     right_multiplication_matrices,
 )
 from quatdesign.quat import (
-    PAIR_MUL, Quaternion, flat, left_matrix_pairs, qmul, qmul_pairs, read_points,
+    PAIR_MUL, Quaternion, flat, from_pairs, left_matrix_pairs, qmul, qmul_pairs, read_points,
 )
-from quatdesign.strength import pair_sums
 
 
 def harm_dim(ell: int, d: int) -> int:
@@ -114,6 +113,12 @@ def harmonic_projection(mono):
     return out
 
 
+def as_fractions(harmonic):
+    """{monomial: Fraction} of a harmonic held as (integer numerator, den)."""
+    poly, den = harmonic
+    return {m: Fraction(c, den) for m, c in poly.items()}
+
+
 # -- the field rules, one branch per field ------------------------------------
 
 def field_norm(tag, a, b):
@@ -195,8 +200,14 @@ def quadelem_from_json(obj) -> QuadElem:
     return QuadElem(*read_scalar(obj))
 
 
+def quaternion_json(x) -> list:
+    """The four {"tag", "a", "b"} components of a Quaternion, as the group
+    and shell listings print them and a point file holds them."""
+    return [c.to_json() for c in x.coords]
+
+
 def quaternion_from_json(arr) -> Quaternion:
-    """The inverse of Quaternion.to_json, one QuadElem per coordinate."""
+    """The inverse of quaternion_json, one QuadElem per coordinate."""
     if len(arr) != 4:
         raise ValueError(f"a quaternion has 4 scalars, not {len(arr)}")
     return Quaternion(*map(quadelem_from_json, arr))
@@ -204,7 +215,7 @@ def quaternion_from_json(arr) -> Quaternion:
 
 def points_gram(points):
     """The Gram pass of a list of Quaternions, read as a point file is."""
-    return _gram(*read_points([x.to_json() for x in points]))
+    return _gram(*read_points([quaternion_json(x) for x in points]))
 
 
 def embed_coords(label: str, coords) -> Quaternion:
@@ -310,6 +321,13 @@ def order_basis(label: str) -> tuple:
         raise ValueError(f"no maximal order attached to {label!r}")
     rho = QuadElem(FIELD_TAG[label], 0, 1)
     return base + tuple(times(g, rho) for g in base)
+
+
+@lru_cache(maxsize=None)
+def elements(group: UnitGroup) -> list:
+    """The elements of a UnitGroup as Quaternions, in its order, rendered
+    from its pairs and tags."""
+    return [from_pairs(t, 2, x) for t, x in zip(group.tags, group.doubled)]
 
 
 def unit_group(label, elements) -> UnitGroup:
@@ -428,14 +446,23 @@ def half_set(points) -> list:
     return chosen
 
 
-def orbit(x, group) -> list:
+def orbit(x, group: UnitGroup) -> list:
     """Right coset xG; |xG| = |G| for x != 0."""
     if norm(x).is_zero():
         raise ValueError("orbit of the zero quaternion is not defined")
-    pts = [qmul(x, eps) for eps in group]
+    pts = [qmul(x, eps) for eps in elements(group)]
     if len(set(pts)) != len(group):
         raise AssertionError("orbit collapsed; group action not free")
     return sorted(pts, key=by_coords)
+
+
+def pair_sums(gram, ells) -> dict:
+    """sum_{x,y} C_l^1(<x,y>) for each l in ells: the program's integer pair
+    totals D^(2l) sum U_l(<x,y>) divided by D^(2l).  IndexError for a
+    negative degree."""
+    scale = gram.unit[0]
+    return {ell: QuadElem(gram.tag, Fraction(a, scale ** ell), Fraction(b, scale ** ell))
+            for ell, (a, b) in strength._pair_totals(gram, ells).items()}
 
 
 def pair_sum_value(gram, ell: int) -> QuadElem:
@@ -576,14 +603,14 @@ def shell_payload(label: str, m: int) -> dict:
     """The `shells` listing as one payload, built as the CLI once built it:
     every point's coordinates beside its embedding as a `Quaternion` of field
     elements (`embed_coords`, which `Shell.embedded()` once returned for each
-    point) and `Quaternion.to_json()`.  json.dumps(..., sort_keys=True) of it
+    point) and `quaternion_json`.  json.dumps(..., sort_keys=True) of it
     is the listing's JSON text."""
     shell = orders.enumerate_shell(label, m)
     return {
         "group": label,
         "m": m,
         "size": len(shell),
-        "points": [{"coords": list(c), "quaternion": embed_coords(label, c).to_json()}
+        "points": [{"coords": list(c), "quaternion": quaternion_json(embed_coords(label, c))}
                    for c in shell],
     }
 
@@ -804,7 +831,7 @@ def invariant_dimension_coefficients(label: str, ell: int) -> int:
             for m2, c in vec.items():
                 acc[m2] = acc.get(m2, 0) + c
     images = []
-    for p in harm_basis(ell):
+    for p, _ in harm_basis(ell):  # a basis harmonic times its den: the rank is the same
         img: dict = {}
         for mono, c in p.items():
             col = reynolds_cols.get(mono)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from quatdesign import cli, orders, theta, verify
 from quatdesign.cli import main
-from quatdesign.exactnum import frac_str
+from quatdesign.exactnum import frac_str, half_str
 from quatdesign.orders import IntegrityError, shell_count_formula
 from quatdesign.qseries import QSERIES_NAMES
 
@@ -73,7 +73,7 @@ def test_strength_rejects_a_mixed_field_point_file(tmp_path, capsys):
     from oracles import alpha, zeta
 
     mixed = tmp_path / "mixed.json"
-    mixed.write_text(json.dumps({"points": [alpha().to_json(), zeta().to_json()]}))
+    mixed.write_text(json.dumps({"points": [oracles.quaternion_json(x) for x in (alpha(), zeta())]}))
     code, out = run_cli(capsys, "strength", "--points", str(mixed))
     assert code == 4 and out == ""
 
@@ -267,6 +267,23 @@ def test_output_matches_the_benchmark_digest(capsys, call):
     assert hashlib.sha256(out.encode()).hexdigest() == _EXPECTED[call]
 
 
+# the groups whose elements mix RAT and field-tagged coordinates, which the
+# benchmark's digests leave out: SHA-256 of each listing, by group and format
+_MIXED_TAG_GROUP_DIGESTS = {
+    ("2O", "json"): "8139d07224535be9fdf939c29db3684ea78d3b066d3ee593294db97816ef4700",
+    ("2O", "text"): "949537075ee66c6b2b259d14605a926144f6c185d9b1220785d7f3661b016cff",
+    ("2I", "json"): "ec3f345441875d6503d2cbc793fd98fb5dc074cd21b8d0e5cb290c5925908a33",
+    ("2I", "text"): "a4117085fe67469009365b6a0421f3c1f5542ebccccd2cc4710c2b374af534df",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(_MIXED_TAG_GROUP_DIGESTS))
+def test_mixed_tag_group_listing_keeps_its_digest(capsys, name, fmt):
+    code, out = run_cli(capsys, "group", "--name", name, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _MIXED_TAG_GROUP_DIGESTS[name, fmt]
+
+
 def test_lp_json(capsys):
     code, out = run_cli(capsys, "lp", "--name", "F2O")
     assert code == 0
@@ -349,7 +366,7 @@ def test_shell_listings_match_the_payload_oracle(tmp_path, capsys, label, m):
 
 def test_half_str_is_frac_str_of_the_half():
     for v in [*range(-9, 10), -2**40 - 1, -2**40, 2**40, 2**40 + 1]:
-        assert cli._half_str(v) == frac_str(Fraction(v, 2)), v
+        assert half_str(v) == frac_str(Fraction(v, 2)), v
 
 
 def test_theta_json(capsys):
@@ -410,7 +427,7 @@ def test_an_over_budget_full_table_is_refused_before_its_basis(
     def no_basis(ell):
         raise AssertionError("the harmonic basis was built")
 
-    monkeypatch.setattr(theta, "_integer_basis", no_basis)
+    monkeypatch.setattr(theta, "harm_basis", no_basis)
     code = main(["theta", "--group", "2I", "--ell", "24", "--shells", "10",
                  "--kind", "full"])
     assert code == 3

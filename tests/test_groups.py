@@ -43,12 +43,12 @@ def test_closure_and_antipodality():
         assert g.is_closed()
         assert g.is_antipodal()
         assert g.contains_inverse_of_all()
-        assert Quaternion(1, 0, 0, 0) in g
+        assert Quaternion(1, 0, 0, 0) in oracles.elements(g)
 
 
 def test_closure_fails_on_non_groups():
     # mixed coordinate tags, D = 2: omega^2 and alpha * i are not members
-    q8 = list(build_group("Q8"))
+    q8 = oracles.elements(build_group("Q8"))
     assert not unit_group("Q8+w", q8 + [omega(), neg(omega())]).is_closed()
     assert not unit_group("Q8+a", q8 + [alpha(), neg(alpha())]).is_closed()
     # the inverse conj(w) of w is not among them either
@@ -59,7 +59,7 @@ def test_closure_fails_on_non_groups():
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_integer_pair_product_matches_qmul(label, tag, data):
-    elements = build_group(label).elements
+    elements = oracles.elements(build_group(label))
     g = data.draw(st.sampled_from(elements))
     h = data.draw(st.sampled_from(elements))
     assert qmul_pairs(tag, scaled_pairs(g.coords, 2), scaled_pairs(h.coords, 2)) == (
@@ -71,9 +71,9 @@ def test_coset_union_structure():
     t = build_group("2T")
     o = build_group("2O")
     i = build_group("2I")
-    assert all(e in o for e in t)
-    assert all(e in i for e in t)
-    assert zeta() in i
+    assert all(e in oracles.elements(o) for e in oracles.elements(t))
+    assert all(e in oracles.elements(i) for e in oracles.elements(t))
+    assert zeta() in oracles.elements(i)
     assert oracles.qpow(zeta(), 5) == Quaternion(-1, 0, 0, 0)
 
 
@@ -110,10 +110,12 @@ def test_integer_build_matches_the_quadelem_coset_products(label):
     # the same elements in the same order, and every coordinate's field tag,
     # against coset products of the written-out generators of the oracle
     group, expected = build_group(label), oracles.group_elements(label)
-    assert group.elements == expected
-    tags = [[c.tag for c in e.coords] for e in group]
+    assert oracles.elements(group) == expected
+    tags = [[c.tag for c in e.coords] for e in oracles.elements(group)]
     assert tags == [[c.tag for c in e.coords] for e in expected]
     assert group.doubled == tuple(scaled_pairs(e.coords, 2) for e in expected)
+    # the listing, printed from the pairs, is the oracle's QuadElem JSON
+    assert group.to_json()["elements"] == [oracles.quaternion_json(e) for e in expected]
 
 
 @pytest.mark.parametrize("label", ["2O", "2I"])
@@ -123,7 +125,7 @@ def test_closure_matches_the_dividing_oracle(label, data):
     # random subsets, with and without 1, and the subgroups generated by one
     # or two random elements, so that both answers occur; the oracle divides
     # each product by 2 where is_closed looks it up among the pairs of 4 eps
-    elements = build_group(label).elements
+    elements = oracles.elements(build_group(label))
     picked = data.draw(st.lists(st.sampled_from(elements), min_size=2, max_size=12, unique=True))
     mode = data.draw(st.sampled_from(["subset", "without 1", "subgroup"]))
     if mode == "subgroup":
@@ -146,7 +148,7 @@ def test_closure_follows_every_product_of_a_generator():
 def test_closure_refuses_a_group_less_one_element():
     # 2O less one element: of the 47^2 products only the 46 or 47 landing on
     # the missing element leave the set
-    o = build_group("2O").elements
+    o = oracles.elements(build_group("2O"))
     for missing in (Quaternion(1, 0, 0, 0), o[0], alpha()):
         rest = [e for e in o if e != missing]
         assert not unit_group("2O minus one", rest).is_closed()
@@ -154,7 +156,7 @@ def test_closure_refuses_a_group_less_one_element():
 
 
 def test_d2n2_is_q8():
-    assert set(build_group("D2n2")) == set(build_group("Q8"))
+    assert set(oracles.elements(build_group("D2n2"))) == set(oracles.elements(build_group("Q8")))
 
 
 def test_cyclic_sizes_and_closure():
@@ -203,15 +205,16 @@ def test_distance_distribution_2O():
         rat(1): 1, r: 6, rat(HALF): 8, rat(0): 18,
         rat(-HALF): 8, -r: 6, rat(-1): 1,
     }
-    gram = points_gram(g.elements)
+    gram = points_gram(oracles.elements(g))
     assert distance_distribution(gram, 0) == distance_distribution(g.gram, 0) == expected
     assert is_distance_invariant(gram)
 
 
 def test_distance_distribution_q8():
     g = build_group("Q8")
-    one = g.elements.index(Quaternion(1, 0, 0, 0))
-    assert distance_distribution(points_gram(g.elements), one) == {rat(1): 1, rat(0): 6, rat(-1): 1}
+    one = oracles.elements(g).index(Quaternion(1, 0, 0, 0))
+    assert distance_distribution(points_gram(oracles.elements(g)), one) == {
+        rat(1): 1, rat(0): 6, rat(-1): 1}
 
 
 def test_distance_distribution_2T_basepoint_free():
@@ -222,7 +225,7 @@ def test_distance_distribution_2T_basepoint_free():
 
 def test_pair_distribution_total():
     g = build_group("2T")
-    dist = pair_distance_distribution(points_gram(g.elements))
+    dist = pair_distance_distribution(points_gram(oracles.elements(g)))
     assert sum(dist.values()) == len(g) ** 2
     assert dist[rat(1)] == len(g)
 
@@ -236,27 +239,27 @@ def test_distance_distribution_requires_member_basepoint():
 
 def test_half_sets():
     q8 = build_group("Q8")
-    h = half_set(q8.elements)
+    h = half_set(oracles.elements(q8))
     assert len(h) == 4
     for label in ("2T", "2O", "2I"):
         g = build_group(label)
-        h = half_set(g.elements)
+        h = half_set(oracles.elements(g))
         assert len(h) * 2 == len(g)
-        assert set(h) | {neg(x) for x in h} == set(g)
-    assert len(half_set(build_group("2I").elements)) == 60
+        assert set(h) | {neg(x) for x in h} == set(oracles.elements(g))
+    assert len(half_set(oracles.elements(build_group("2I")))) == 60
 
 
 def test_half_set_rejects_non_antipodal():
     with pytest.raises(NotAntipodal):
-        half_set(build_group("C3").elements)
+        half_set(oracles.elements(build_group("C3")))
 
 
 def test_orbits():
     t = build_group("2T")
-    assert set(orbit(Quaternion(1, 0, 0, 0), t)) == set(t)
+    assert set(orbit(Quaternion(1, 0, 0, 0), t)) == set(oracles.elements(t))
     o = build_group("2O")
     coset = orbit(alpha(), t)
-    assert set(coset) | set(t) == set(o)
+    assert set(coset) | set(oracles.elements(t)) == set(oracles.elements(o))
     assert len(coset) == 24
 
     i = build_group("2I")
@@ -279,7 +282,7 @@ def test_group_json():
 def doubled_2I():
     """2I and a second right coset of it: 240 points, two denominators."""
     group = build_group("2I")
-    return list(group) + orbit(Quaternion(Fraction(3, 5), Fraction(4, 5), 0, 0), group)
+    return oracles.elements(group) + orbit(Quaternion(Fraction(3, 5), Fraction(4, 5), 0, 0), group)
 
 
 def oracle_rows(points):
@@ -312,7 +315,7 @@ def oracle_rows(points):
 
 @pytest.mark.parametrize("name", ["Q8", "2T", "2O", "2I", "C5", "D2n3", "doubled"])
 def test_gram_readers_match_inner_product_loop(name):
-    points = doubled_2I() if name == "doubled" else list(build_group(name))
+    points = doubled_2I() if name == "doubled" else list(oracles.elements(build_group(name)))
     rows, angles = oracle_rows(points)
     gram = points_gram(points)
     assert pair_distance_distribution(gram) == sum(rows, Counter())
@@ -327,13 +330,13 @@ def test_gram_readers_match_inner_product_loop(name):
 
 
 def test_gram_pass_keeps_a_repeated_point_in_the_angle_set():
-    q8 = list(build_group("Q8"))
+    q8 = oracles.elements(build_group("Q8"))
     assert rat(1) not in points_gram(q8).angles()
     assert rat(1) in points_gram(q8 + q8[:1]).angles()
 
 
 def test_gram_pass_rejects_a_non_unit_point():
-    points = list(build_group("2T")) + [Quaternion(1, 1, 0, 0)]
+    points = oracles.elements(build_group("2T")) + [Quaternion(1, 1, 0, 0)]
     with pytest.raises(ValueError, match="unit sphere"):
         points_gram(points)
 
@@ -342,7 +345,7 @@ def test_gram_pass_rejects_mixed_fields():
     with pytest.raises(FieldTagMismatch):
         points_gram([alpha(), zeta()])
     with pytest.raises(FieldTagMismatch):
-        points_gram(list(build_group("2O")) + list(build_group("2I")))
+        points_gram(oracles.elements(build_group("2O")) + oracles.elements(build_group("2I")))
 
 
 def test_unit_group_refuses_a_non_unit():
@@ -355,7 +358,7 @@ def test_doubled_elements_halve_to_the_elements(label, tag):
     group = build_group(label)
     assert group.tag == tag
     assert len(group.doubled) == len(group)
-    for x, e in zip(group.doubled, group):
+    for x, e in zip(group.doubled, oracles.elements(group)):
         assert Quaternion(*(QuadElem(tag, Fraction(a, 2), Fraction(b, 2)) for a, b in x)) == e
         assert from_pairs(tag, 2, x) == e
 
@@ -393,6 +396,39 @@ def test_groups_hold_no_field_element():
     assert done.stdout.split() == ["0"]
 
 
+_GROUP_JSON_CHILD = """
+import contextlib, io
+from quatdesign import exactnum, quat
+from quatdesign.cli import main
+made = {"QuadElem": 0, "Quaternion": 0}
+
+def counted(cls):
+    init = cls.__init__
+
+    def counting(self, *args, **kwargs):
+        made[cls.__name__] += 1
+        init(self, *args, **kwargs)
+    cls.__init__ = counting
+
+counted(exactnum.QuadElem)
+counted(quat.Quaternion)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["group", "--name", "2I", "--format", "json"]) == 0
+print(made["QuadElem"], made["Quaternion"])
+"""
+
+
+def test_a_group_listing_is_printed_from_its_pairs():
+    # group --name 2I --format json renders the halves of the pairs: no
+    # QuadElem and no Quaternion is made in a fresh interpreter
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "QUATDESIGN_"))}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", _GROUP_JSON_CHILD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "0"]
+
+
 _POINT_FILE_CHILD = """
 import contextlib, io, sys
 from quatdesign import exactnum
@@ -423,7 +459,7 @@ def test_a_point_file_is_read_without_a_field_element(tmp_path):
     i2 = tmp_path / "2i.json"
     i2.write_text(json.dumps(build_group("2I").to_json()))
     c4 = tmp_path / "c4.json"
-    c4.write_text(json.dumps({"points": [x.to_json() for x in C4_CONJUGATE]}))
+    c4.write_text(json.dumps({"points": [oracles.quaternion_json(x) for x in C4_CONJUGATE]}))
     env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "QUATDESIGN_"))}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
     done = subprocess.run([sys.executable, "-c", _POINT_FILE_CHILD, str(i2), str(c4)], env=env,

@@ -1,9 +1,10 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from quatdesign import harmonics
-from quatdesign.harmonics import harm_basis, harmonic_projection, laplacian
+from quatdesign.harmonics import harm_basis, harmonic_projection, laplacian, quotient_monomials
 
 import oracles
 from oracles import harm_dim, poly4_add, poly4_eval, poly4_mul, poly4_scale
@@ -25,13 +26,15 @@ def test_laplacian():
 
 
 def test_projection_examples():
-    # x1^2 -> x1^2 - r^2/4
-    p = harmonic_projection((2, 0, 0, 0))
+    # x1^2 -> x1^2 - r^2/4 = (3 x1^2 - x2^2 - x3^2 - x4^2) / 4
+    p = oracles.as_fractions(harmonic_projection((2, 0, 0, 0)))
     assert p[(2, 0, 0, 0)] == Fraction(3, 4)
     assert p[(0, 2, 0, 0)] == Fraction(-1, 4)
     assert laplacian(p) == {}
+    assert harmonic_projection((2, 0, 0, 0)) == (
+        {(2, 0, 0, 0): 3, (0, 2, 0, 0): -1, (0, 0, 2, 0): -1, (0, 0, 0, 2): -1}, 4)
     # harmonic monomials are fixed
-    assert harmonic_projection((1, 1, 0, 0)) == {(1, 1, 0, 0): Fraction(1)}
+    assert harmonic_projection((1, 1, 0, 0)) == ({(1, 1, 0, 0): 1}, 1)
 
 
 @pytest.mark.parametrize("ell", [0, 1, 2, 5, 8, 10])
@@ -41,7 +44,8 @@ def test_projection_matches_the_fraction_oracle(ell):
         for e2 in range(ell - e1 + 1):
             for e3 in range(ell - e1 - e2 + 1):
                 mono = (e1, e2, e3, ell - e1 - e2 - e3)
-                assert harmonic_projection(mono) == oracles.harmonic_projection(mono)
+                got = oracles.as_fractions(harmonic_projection(mono))
+                assert got == oracles.harmonic_projection(mono)
 
 
 def test_projection_tripwire_reads_the_integer_numerator(monkeypatch):
@@ -74,15 +78,27 @@ def test_a_short_basis_is_refused(monkeypatch):
         harm_basis.__wrapped__(4)
 
 
+@pytest.mark.parametrize("ell", list(range(0, 13)))
+def test_basis_is_integer_numerators_over_a_coprime_den(ell):
+    # (P, den) with int coefficients and no common factor; P / den is the
+    # Fraction projection of its quotient monomial
+    basis = harm_basis(ell)
+    for mono, (p, den) in zip(quotient_monomials(ell), basis, strict=True):
+        assert type(den) is int and den > 0
+        assert all(type(c) is int and c for c in p.values())
+        assert gcd(den, *p.values()) == 1
+        assert oracles.as_fractions((p, den)) == oracles.harmonic_projection(mono)
+
+
 @pytest.mark.parametrize("ell", [2, 4, 6, 8])
 def test_basis_is_harmonic(ell):
-    for p in harm_basis(ell):
+    for p, _ in harm_basis(ell):
         assert laplacian(p) == {}
 
 
 def test_basis_degree_one():
     polys = harm_basis(1)
-    monos = sorted(next(iter(p)) for p in polys)
+    monos = sorted(next(iter(p)) for p, _ in polys)
     assert monos == [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)]
 
 
@@ -92,7 +108,7 @@ def test_basis_independent(ell):
     basis = harm_basis(ell)
     echelon = []
     rank = 0
-    for p in basis:
+    for p in map(oracles.as_fractions, basis):
         cur = dict(p)
         for pivot, vec in echelon:
             c = cur.get(pivot)

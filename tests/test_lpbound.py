@@ -15,6 +15,7 @@ from quatdesign.lpbound import (
 )
 from quatdesign.quat import Quaternion
 
+import oracles
 from oracles import lp_polynomials_unipoly, orbit, points_gram, rational_tuple
 
 HALF = Fraction(1, 2)
@@ -200,7 +201,7 @@ def test_angles_need_a_passing_certificate():
 def test_equality_case_not_attained_for_doubled_set():
     group = build_group("2I")
     extra = orbit(Quaternion(Fraction(3, 5), Fraction(4, 5), 0, 0), group)
-    points = list(group) + extra
+    points = oracles.elements(group) + extra
     assert len(set(points)) == 240
     report = check_equality_case(points_gram(points), build_test_function("F2I"))
     assert report.is_design  # a union of orthogonal copies keeps the design set
@@ -211,7 +212,8 @@ def test_equality_case_not_attained_for_doubled_set():
 def test_equality_case_requires_an_antipodal_set():
     # C3 = {1, w, w^2} holds no -x, so the bound cannot be attained
     with pytest.raises(NotAntipodal):
-        check_equality_case(points_gram(build_group("C3").elements), build_test_function("F2T"))
+        check_equality_case(points_gram(oracles.elements(build_group("C3"))),
+                            build_test_function("F2T"))
     with pytest.raises(NotAntipodal):
         check_equality_case(build_group("C3").gram, build_test_function("F2T"))
 

@@ -21,11 +21,11 @@ from quatdesign.strength import (
     molien_series,
     pair_sum_test,
     pair_sum_tests_bulk,
-    pair_sums,
 )
 
+import oracles
 from oracles import (
-    alpha, chebyshev_u_value, half_set, omega, orbit, pair_sum_value, points_gram, qpow,
+    alpha, chebyshev_u_value, half_set, omega, orbit, pair_sum_value, pair_sums, points_gram, qpow,
     scaled_pairs, unit_group,
 )
 
@@ -106,7 +106,7 @@ def test_pair_sums_reject_negative_degrees():
     with pytest.raises(IndexError):
         pair_sum_value(group.gram, -2)
     with pytest.raises(IndexError):
-        pair_sum_tests_bulk(points_gram(group.elements), range(-1, 5))
+        pair_sum_tests_bulk(points_gram(oracles.elements(group)), range(-1, 5))
 
 
 def test_pair_sum_rejects_non_unit_points():
@@ -212,7 +212,7 @@ def test_gap_sets():
 @pytest.mark.parametrize("label", ["2T", "2O"])
 def test_half_set_even_strength_matches(label):
     group = build_group(label)
-    half = half_set(group.elements)
+    half = half_set(oracles.elements(group))
     report_half = harmonic_strength(points_gram(half), 24)
     report_full = group_strength(label, 24)
     full_evens = {e for e in report_full.even_members if e <= 24}
@@ -238,7 +238,7 @@ def test_molien_closed_form_families():
 
 
 def test_group_pair_sums_read_the_group_not_its_label():
-    q8 = build_group("Q8").elements
+    q8 = oracles.elements(build_group("Q8"))
     for label in ("2T", "Q8 copy"):
         group = unit_group(label, q8)
         assert not pair_sum_test(group.gram, 4)  # Q8 is a 3-design; 2T is a 4-design

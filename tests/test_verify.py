@@ -21,6 +21,7 @@ from quatdesign.exactnum import rat
 from quatdesign.groups import UnitGroup
 from quatdesign.orders import IntegrityError
 
+import oracles
 from oracles import alpha, conj, neg, omega, unit_group
 
 DESK = get_budget("desk")
@@ -50,7 +51,7 @@ def test_groups_check_names_a_group_not_closed(monkeypatch):
     # integral 2 eps, but a j = (j + k)/sqrt2 is not among them
     w, a = omega(), alpha()
     traded = {w, neg(w), conj(w), neg(conj(w))}
-    elements = [e for e in verify.build_group("2T") if e not in traded]
+    elements = [e for e in oracles.elements(verify.build_group("2T")) if e not in traded]
     group = unit_group("2T", elements + [a, neg(a), conj(a), neg(conj(a))])
     assert (group.tag, len(group), group.is_antipodal(), group.contains_inverse_of_all(),
             group.is_closed()) == ("SQRT2", 24, True, True, False)
@@ -205,7 +206,7 @@ def test_equality_cases_check_names_a_group_not_distance_invariant(monkeypatch):
     (a, _), (b, _) = gram.rows[1].most_common(2)
     gram.rows[1].update({a: -1, b: 1})
     gram.rows[2].update({a: 1, b: -1})
-    corrupted = unit_group("2O", group.elements)
+    corrupted = unit_group("2O", oracles.elements(group))
     corrupted.gram = gram
     build = verify.build_group
     monkeypatch.setattr(verify, "build_group",
