@@ -5,7 +5,7 @@ exact and all orderings canonical.  Exit codes: 0 success, 1 failed checks
 (a FAIL or ERROR row, or an internal integrity check of any subcommand),
 2 usage error (argparse, --format csv where a subcommand has no csv
 output, shells --emit with --format csv or text, or gegenbauer with both or
-neither of --ell and --expand), 3 budget exceeded
+neither of --ell and --expand, or with --d and --lam), 3 budget exceeded
 (for verify-paper: a SKIP row and no FAIL or ERROR row), 4 bad input.
 
 Each subcommand imports the modules it runs in its own body, so that a call
@@ -29,8 +29,8 @@ EXIT_BUDGET = 3
 EXIT_BAD_INPUT = 4
 
 
-def _csv_undefined():
-    print("error: csv output is not defined for this subcommand", file=sys.stderr)
+def _usage_error(problem: str):
+    print(f"error: {problem}", file=sys.stderr)
     raise SystemExit(EXIT_USAGE)
 
 
@@ -39,7 +39,7 @@ def _emit(payload, fmt: str, text_renderer=None, csv_renderer=None):
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif fmt == "csv":
         if csv_renderer is None:
-            _csv_undefined()
+            _usage_error("csv output is not defined for this subcommand")
         for row in csv_renderer(payload):
             print(",".join(str(c) for c in row))
     else:
@@ -154,16 +154,17 @@ def cmd_gegenbauer(args, budget: Budget) -> int:
     from .gegenbauer import gegenbauer, gegenbauer_expand, scaled_q
 
     if (args.ell is None) == (args.expand is None):  # both or neither
-        problem = ("--ell does not apply to --expand" if args.ell is not None
-                   else "--ell is required without --expand")
-        print(f"error: {problem}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _usage_error("--ell does not apply to --expand" if args.ell is not None
+                     else "--ell is required without --expand")
+    if args.lam is not None and args.d is not None:  # C_l^lambda has no dimension
+        _usage_error("--d does not apply to --lam")
+    d = 4 if args.d is None else args.d
     if args.expand is not None:
         coeffs = [_rational(c) for c in args.expand.split(",")]
-        expansion = gegenbauer_expand(coeffs, args.d)
+        expansion = gegenbauer_expand(coeffs, d)
         payload = {
             "input": [frac_str(c) for c in coeffs],
-            "d": args.d,
+            "d": d,
             "expansion": {str(k): frac_str(f) for k, f in enumerate(expansion) if f},
         }
         _emit(payload, args.format)
@@ -172,8 +173,8 @@ def cmd_gegenbauer(args, budget: Budget) -> int:
         poly = gegenbauer(args.ell, _rational(args.lam))
         name = f"C_{args.ell}^{args.lam}"
     else:
-        poly = scaled_q(args.ell, args.d)
-        name = f"Q_{args.ell}^({args.d})"
+        poly = scaled_q(args.ell, d)
+        name = f"Q_{args.ell}^({d})"
     payload = {
         "polynomial": name,
         "coefficients": [frac_str(c) for c in poly],
@@ -229,9 +230,7 @@ def cmd_shells(args, budget: Budget) -> int:
 
     label = args.group
     if args.emit and args.format not in (None, "json"):  # refused before any enumeration
-        print(f"error: --emit writes JSON; --format {args.format} does not apply",
-              file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _usage_error(f"--emit writes JSON; --format {args.format} does not apply")
     fmt = args.format or "text"
     if args.count_only:
         counts = {
@@ -251,7 +250,7 @@ def cmd_shells(args, budget: Budget) -> int:
         )
         return EXIT_OK
     if fmt == "csv":  # refused before any enumeration
-        _csv_undefined()
+        _usage_error("csv output is not defined for this subcommand")
     shell = enumerate_shell(label, args.m, budget)
     if args.emit:
         with open(args.emit, "w") as fh:
@@ -332,7 +331,7 @@ def cmd_qseries(args, budget: Budget) -> int:
 
 def cmd_verify_paper(args, budget: Budget) -> int:
     if args.format == "csv":  # refused before any check runs
-        _csv_undefined()
+        _usage_error("csv output is not defined for this subcommand")
     from .verify import run_all
 
     only = set(args.check) if args.check else None
@@ -397,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gegenbauer", help="exact Gegenbauer / scaled polynomials")
     p.add_argument("--ell", type=_nonnegative_int, help="degree (not with --expand)")
-    p.add_argument("--d", type=int, default=4)
+    p.add_argument("--d", type=int, help="dimension (default 4; not with --lam)")
     what = p.add_mutually_exclusive_group()
     what.add_argument("--lam", help="rational lambda (default: use scaled Q_l^(d))")
     what.add_argument("--expand", help="comma-separated rational coefficients to expand")

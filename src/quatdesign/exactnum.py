@@ -10,9 +10,10 @@ with rational ``a``, ``b``.  The field tag fixes ``rho`` and the pair
 
 ``RHO_SQUARED`` is read off the pair product ``PAIR_MUL``, the one place that
 states the relation; the norm, Galois conjugate and sign are written once in
-(c0, c1) for every field.  The GOLDEN basis is (1, tau) rather than
-(1, sqrt5) so that Z[tau] is exactly the integer-coordinate lattice used by
-the shell enumeration.
+(c0, c1) for every field.  ``power_list`` is the one power rule: every list
+of powers, of pairs, complex values or quaternions, is built by it.  The
+GOLDEN basis is (1, tau) rather than (1, sqrt5) so that Z[tau] is exactly
+the integer-coordinate lattice used by the shell enumeration.
 
 All values are immutable; all operations are pure and exact.
 """
@@ -43,6 +44,15 @@ PAIR_MUL = {
 }
 RHO_SQUARED = {tag: mul(0, 1, 0, 1) for tag, mul in PAIR_MUL.items()}
 RHO_NAME = {SQRT2: "sqrt2", GOLDEN: "tau"}  # how rho is printed
+
+
+def power_list(mul, one, x, n: int) -> list:
+    """[one, x, ..., x^n] under the two-argument product mul, x^k = x^(k-1) x
+    from k = 2: n - 1 products, none by one."""
+    out = [one, x]
+    for _ in range(n - 1):
+        out.append(mul(out[-1], x))
+    return out[:n + 1]
 
 
 def _as_fraction(x) -> Fraction:

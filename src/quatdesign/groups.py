@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache
 from itertools import repeat
 
-from .exactnum import PAIR_MUL, QuadElem, RAT, SQRT2, GOLDEN, _sign_quadratic, half_str
+from .exactnum import PAIR_MUL, QuadElem, RAT, SQRT2, GOLDEN, _sign_quadratic, half_str, power_list
 from .quat import from_pairs, qmul_pairs
 
 
@@ -198,12 +198,10 @@ def _coset_union(label, gens, base):
 
 
 def powers(g, n: int) -> list:
-    """[1, g, ..., g^(n-1)] as factors, for a factor g."""
-    x, tag = g
-    out = [ONE]
-    for _ in range(n - 1):
-        out.append((_halve(qmul_pairs(tag, out[-1][0], x)), tag))
-    return out
+    """[1, g, ..., g^(n-1)] as factors, for a factor g: 1 is ONE and every
+    other power takes g's tag."""
+    tag = g[1]
+    return power_list(lambda a, b: (_halve(qmul_pairs(tag, a[0], b[0])), tag), ONE, g, n - 1)
 
 
 # n -> a unit quaternion of multiplicative order n inside the tower

@@ -36,7 +36,7 @@ from math import comb, gcd, isqrt, lcm
 from operator import mul
 
 from .budget import Budget, get_budget
-from .exactnum import PAIR_MUL, RHO_SQUARED, QuadElem, RAT, frac_str, insert, reduce
+from .exactnum import PAIR_MUL, RHO_SQUARED, QuadElem, RAT, frac_str, insert, power_list, reduce
 from .groups import build_group
 from .harmonics import harm_basis
 from .orders import FIELD_TAG, _doubled_basis, ball_size, doubled_point, enumerate_shells
@@ -77,18 +77,6 @@ def _csum(values):
     return tuple(map(sum, zip(_C_ZERO, *values)))
 
 
-def _cpow(cmul, z, n: int):
-    """z^n by repeated squaring."""
-    out = _C_ONE
-    while n:
-        if n & 1:
-            out = cmul(out, z)
-        n >>= 1
-        if n:
-            z = cmul(z, z)
-    return out
-
-
 # -- holomorphic right-invariants ---------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -117,11 +105,7 @@ def _reynolds_holomorphic(label: str, p: int, q: int) -> dict:
 
 def _binom_powers(cmul, u, v, n: int):
     """[(i, C(n,i) u^i v^{n-i})] for the expansion of (z1 u + z2 v)^n."""
-    u_pows = [_C_ONE]
-    v_pows = [_C_ONE]
-    for _ in range(n):
-        u_pows.append(cmul(u_pows[-1], u))
-        v_pows.append(cmul(v_pows[-1], v))
+    u_pows, v_pows = power_list(cmul, _C_ONE, u, n), power_list(cmul, _C_ONE, v, n)
     return [
         (i, tuple(comb(n, i) * c for c in cmul(u_pows[i], v_pows[n - i])))
         for i in range(n + 1)
@@ -217,6 +201,7 @@ def _monomial_sums(tag, points, ell) -> dict:
     """{e: sum over points of x^e, as an integer pair} for every degree-ell
     monomial e; a point is the flat 8-tuple of its four integer pairs."""
     pmul = PAIR_MUL[tag]
+    pair_mul = lambda p, q: pmul(*p, *q)
     monos = [  # in the order of the loops below
         (e1, e2, e3, ell - e1 - e2 - e3)
         for e1 in range(ell + 1)
@@ -226,14 +211,7 @@ def _monomial_sums(tag, points, ell) -> dict:
     acc_a = [0] * len(monos)
     acc_b = [0] * len(monos)
     for pt in points:
-        tables = []
-        for i in range(0, 8, 2):
-            c, d = pt[i], pt[i + 1]
-            powers = [(1, 0)]
-            for _ in range(ell):
-                powers.append(pmul(*powers[-1], c, d))
-            tables.append(powers)
-        p1, p2, p3, p4 = tables
+        p1, p2, p3, p4 = (power_list(pair_mul, (1, 0), pt[i:i + 2], ell) for i in range(0, 8, 2))
         k = 0
         for e1 in range(ell + 1):
             for e2 in range(ell - e1 + 1):
@@ -354,11 +332,8 @@ def _power_sums(cmul, monos, points) -> dict:
     acc = [[0] * len(monos) for _ in range(4)]
     ra_acc, rb_acc, ia_acc, ib_acc = acc
     for z in points:
-        p1, p2 = [_C_ONE, _cpow(cmul, z[:4], g)], [_C_ONE, _cpow(cmul, z[4:], g)]
-        for _ in range(top1 - 1):
-            p1.append(cmul(p1[-1], p1[1]))
-        for _ in range(top2 - 1):
-            p2.append(cmul(p2[-1], p2[1]))
+        p1 = power_list(cmul, _C_ONE, power_list(cmul, _C_ONE, z[:4], g)[g], top1)
+        p2 = power_list(cmul, _C_ONE, power_list(cmul, _C_ONE, z[4:], g)[g], top2)
         for k, (i, j) in enumerate(steps):
             ra, rb, ia, ib = cmul(p1[i], p2[j])
             ra_acc[k] += ra

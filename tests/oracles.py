@@ -935,24 +935,27 @@ def hom_quotient_dimensions(label: str, ells) -> dict:
     is Harm_l as a G-module (Fischer decomposition).  The rank of the summed
     NF((xA)^a) over the basis monomials a is dim Harm_l^G; A = 2 M_eps is
     integral on pairs and scales degree l by 2^l.  One pass per element
-    serves every ell.  When every ell is even, one of each pair +-eps is
-    summed: -1 lies in G and (x(-A))^a = (-1)^l (xA)^a.
+    serves every ell.  Only one of each pair +-eps is summed: -eps lies in G
+    (asserted) and (x(-A))^a = (-1)^l (xA)^a, so the sum over G is
+    (1 + (-1)^l) times the half sum: rank 0 at odd l, the half sum's rank at
+    even l.
     """
     ells = tuple(ells)
     tag = FIELD_TAG[label]
     rho2 = PAIR_MUL[tag](0, 1, 0, 1)
     doubled = build_group(label).doubled
-    if all(ell % 2 == 0 for ell in ells):
-        doubled = [x for x in doubled if x > tuple((-a, -b) for a, b in x)]
+    negated = {x: tuple((-a, -b) for a, b in x) for x in doubled}
+    assert set(negated.values()) == set(doubled), f"-1 is not in {label}"
+    even = {ell for ell in ells if ell % 2 == 0}
     sums: dict = {}
-    for x in doubled:
+    for x in (x for x in doubled if x > negated[x]):
         cols = tuple(zip(*left_matrix_pairs(x)))
-        for d, level in enumerate(_quotient_images(rho2, cols, max(ells, default=0))):
-            if d in ells:
+        for d, level in enumerate(_quotient_images(rho2, cols, max(even, default=0))):
+            if d in even:
                 sums[d] = [(list(map(add, sa, ia)), list(map(add, sb, ib)))
                            for (sa, sb), (ia, ib) in zip(sums[d], level)] if d in sums else level
     return {
-        ell: theta.exact_rank(
+        ell: 0 if ell % 2 else theta.exact_rank(
             {t: QuadElem(tag, a, b) for t, (a, b) in enumerate(zip(*image)) if a or b}
             for image in sums[ell]
         )

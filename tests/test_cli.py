@@ -639,6 +639,7 @@ def test_gegenbauer_refuses_lam_with_expand(capsys):
     (("--ell", "0", "--expand", "0,0,1", "--format", "json"), "--ell does not apply to --expand"),
     (("--d", "4",), "--ell is required without --expand"),
     (("--lam", "3",), "--ell is required without --expand"),
+    (("--lam", "3", "--d", "4"), "--ell is required without --expand"),
 ])
 def test_gegenbauer_needs_exactly_one_of_ell_and_expand(capsys, argv, message):
     # --expand expands its own coefficients: a degree beside it would be ignored
@@ -648,6 +649,24 @@ def test_gegenbauer_needs_exactly_one_of_ell_and_expand(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("d", ["7", "4"])
+def test_gegenbauer_refuses_d_with_lam(capsys, d):
+    # C_l^lambda has no dimension: --d would be dropped, even at its default
+    with pytest.raises(SystemExit) as err:
+        main(["gegenbauer", "--ell", "2", "--lam", "1/2", "--d", d])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --d does not apply to --lam\n"
+
+
+def test_gegenbauer_d_defaults_to_4(capsys):
+    assert run_cli(capsys, "gegenbauer", "--ell", "6") == run_cli(
+        capsys, "gegenbauer", "--ell", "6", "--d", "4")
+    assert run_cli(capsys, "gegenbauer", "--expand", "0,0,1") == run_cli(
+        capsys, "gegenbauer", "--expand", "0,0,1", "--d", "4")
 
 
 def test_deterministic_output(capsys):

@@ -6,14 +6,18 @@ from hypothesis import example, given, settings, strategies as st
 from quatdesign.exactnum import (
     FIELD_TAGS,
     GOLDEN,
+    PAIR_MUL,
     RAT,
     SQRT2,
     FieldTagMismatch,
     QuadElem,
     golden_elem,
+    power_list,
     rat,
     sqrt2_elem,
 )
+from quatdesign import groups, theta
+from quatdesign.quat import qmul_pairs
 
 import oracles
 from oracles import iota, quadelem_from_json
@@ -165,3 +169,37 @@ def test_json_round_trip():
         assert quadelem_from_json(x.to_json()) == x
     blob = sqrt2_elem(Fraction(1, 3), 4).to_json()
     assert blob == {"tag": "SQRT2", "a": "1/3", "b": "4"}
+
+
+def _power_cases():
+    """(name, mul, one, x) for each product that power lists are built under."""
+    pair = {RAT: (3, 0), SQRT2: (1, -2), GOLDEN: (2, 1)}
+    for tag in FIELD_TAGS:
+        pmul = PAIR_MUL[tag]
+        yield f"pair-{tag}", lambda p, q, pmul=pmul: pmul(*p, *q), (1, 0), pair[tag]
+        yield f"complex-{tag}", theta._CMUL[tag], theta._C_ONE, (*pair[tag], -1, pair[tag][1])
+    for g in (groups.OMEGA, groups.ALPHA, groups.ZETA):
+        x, tag = g
+        half = lambda a, b, tag=tag: groups._halve(qmul_pairs(tag, a, b))
+        yield f"group-{tag}", half, groups.ONE[0], x
+
+
+@pytest.mark.parametrize("name, mul, one, x", list(_power_cases()),
+                         ids=[case[0] for case in _power_cases()])
+def test_power_list_entries_are_k_fold_products(name, mul, one, x):
+    # x^k against x (x (... (x one))), the product taken from the other side
+    for n in range(7):
+        powers = power_list(mul, one, x, n)
+        assert len(powers) == n + 1
+        for k, got in enumerate(powers):
+            want = one
+            for _ in range(k):
+                want = mul(x, want)
+            assert got == want
+
+
+def test_group_powers_tag_one_rat_and_the_rest_as_the_generator():
+    out = groups.powers(groups.ALPHA, 4)
+    assert out[0] == groups.ONE and out[0][1] == RAT
+    assert [t for _, t in out[1:]] == [SQRT2] * 3
+    assert out[1] == groups.ALPHA
